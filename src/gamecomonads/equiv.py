@@ -17,56 +17,17 @@ fixpoints over placement positions.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Optional
 
 from . import modal as modal_mod
-from .ef import coextend_play, ef_game_exists, ef_plays, strategy_to_json
+from .ef import ef_game_exists, strategy_to_json
 from .matching import perfect_matching
-from .pebble import Position, _all_positions, _canon, pebble_game_exists
-from .structures import (BoundExceeded, CapExceeded, Structure,
-                         is_partial_isomorphism, require_same_signature)
+from .pebble import (Position, _canon, pebble_bases, pebble_fixpoint, pebble_game_exists,
+                     reachable_positions)
+from .structures import (CapExceeded, Structure, is_partial_isomorphism,
+                         require_same_signature)
 
 TAGS = ("ef", "pebble", "modal")
-
-
-def _pairs_iso(pairs: frozenset, A: Structure, B: Structure) -> bool:
-    return is_partial_isomorphism(pairs, A, B)
-
-
-# Winning-position predicates, shared by the games and the certificate
-# verifiers.  Positions are synchronized plays; each predicate receives the
-# data the position reduces to.
-
-def ef_winning_position(s, t, A, B) -> bool:
-    """Same length and the induced move pairs form a partial isomorphism."""
-    if len(s) != len(t):
-        return False
-    return is_partial_isomorphism(zip(s, t), A, B)
-
-
-def pebble_winning_position(s, t, A, B) -> bool:
-    """Same pebble indices and the current placements form a partial isomorphism."""
-    if len(s) != len(t) or [p for p, _ in s] != [p for p, _ in t]:
-        return False
-    placed = {}
-    for (p, a), (_, b) in zip(s, t):
-        placed[p] = (a, b)
-    return is_partial_isomorphism(placed.values(), A, B)
-
-
-def modal_winning_position(s, t, P, Q) -> bool:
-    """Labels agree and proposition profiles match at every step."""
-    from .modal import kripke_view
-    if len(s) != len(t) or s[1::2] != t[1::2]:
-        return False
-    KA, KB = kripke_view(P.base), kripke_view(Q.base)
-    return all(KA.profile(a) == KB.profile(b) for a, b in zip(s[::2], t[::2]))
-
-
-WINNING_SETS = {"ef": ef_winning_position,
-                "pebble": pebble_winning_position,
-                "modal": modal_winning_position}
 
 
 # ---------------------------------------------------------------- tier 1
@@ -87,23 +48,25 @@ def mutual_existential(tag: str, A, B, k: int) -> tuple[bool, Optional[dict]]:
         return fwd and bwd, ({"forward": cert_f, "backward": cert_b}
                              if fwd and bwd else None)
     if tag == "modal":
-        fwd = modal_mod.simulation_approx(A, B, k)
-        bwd = modal_mod.simulation_approx(B, A, k)
+        fwd_rel = modal_mod.simulation_levels(A, B, k)
+        bwd_rel = modal_mod.simulation_levels(B, A, k)
+        equiv = (A.point, B.point) in fwd_rel[k] and (B.point, A.point) in bwd_rel[k]
         cert = None
-        if fwd and bwd:
+        if equiv:
             try:
-                cert = {"forward": _modal_table_json(modal_mod.simulation_strategy(A, B, k)),
-                        "backward": _modal_table_json(modal_mod.simulation_strategy(B, A, k))}
+                cert = {"forward": _modal_table_json(
+                            modal_mod.simulation_table(A, B, k, fwd_rel), k),
+                        "backward": _modal_table_json(
+                            modal_mod.simulation_table(B, A, k, bwd_rel), k)}
             except CapExceeded:
                 cert = None
-        return fwd and bwd, cert
+        return equiv, cert
     raise ValueError(f"unknown comonad tag {tag!r}")
 
 
-def _modal_table_json(table) -> Optional[list]:
-    if table is None:
-        return None
-    return [{"play": list(s), "response": b} for s, b in sorted(table.items())]
+def _modal_table_json(table, k: int) -> dict:
+    return {"comonad": "modal", "game": "existential", "k": k,
+            "strategy": [{"play": list(s), "response": b} for s, b in sorted(table.items())]}
 
 
 # ---------------------------------------------------------------- tier 2
@@ -121,11 +84,11 @@ def ef_back_and_forth(A: Structure, B: Structure, k: int,
             return True
         for a in A.universe:
             if not any(win(pairs | {(a, b)}, rounds - 1) for b in B.universe
-                       if _pairs_iso(pairs | {(a, b)}, A, B)):
+                       if is_partial_isomorphism(pairs | {(a, b)}, A, B)):
                 return False
         for b in B.universe:
             if not any(win(pairs | {(a, b)}, rounds - 1) for a in A.universe
-                       if _pairs_iso(pairs | {(a, b)}, A, B)):
+                       if is_partial_isomorphism(pairs | {(a, b)}, A, B)):
                 return False
         return True
 
@@ -144,12 +107,14 @@ def ef_back_and_forth(A: Structure, B: Structure, k: int,
         moves = []
         for a in A.universe:
             b = next(x for x in B.universe
-                     if _pairs_iso(pairs | {(a, x)}, A, B) and win(pairs | {(a, x)}, rounds - 1))
+                     if is_partial_isomorphism(pairs | {(a, x)}, A, B)
+                     and win(pairs | {(a, x)}, rounds - 1))
             moves.append({"side": "left", "element": a, "response": b})
             queue.append((pairs | {(a, b)}, rounds - 1))
         for b in B.universe:
             a = next(x for x in A.universe
-                     if _pairs_iso(pairs | {(x, b)}, A, B) and win(pairs | {(x, b)}, rounds - 1))
+                     if is_partial_isomorphism(pairs | {(x, b)}, A, B)
+                     and win(pairs | {(x, b)}, rounds - 1))
             moves.append({"side": "right", "element": b, "response": a})
             queue.append((pairs | {(a, b)}, rounds - 1))
         entries.append({"pairs": sorted(list(p) for p in pairs),
@@ -168,59 +133,29 @@ def pebble_back_and_forth(A: Structure, B: Structure, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    surviving = {p for p in _all_positions(A, B, k) if _pairs_iso(frozenset(p), A, B)}
-
-    def bases(pos: Position):
-        out = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
-        if len(pos) < k:
-            out.add(pos)
-        return sorted(out)
-
-    changed = True
-    while changed:
-        changed = False
-        for pos in sorted(surviving):
-            ok = True
-            for base in bases(pos):
-                for a in A.universe:
-                    if not any(_canon(base + ((a, b),)) in surviving for b in B.universe):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for b in B.universe:
-                    if not any(_canon(base + ((a, b),)) in surviving for a in A.universe):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                surviving.discard(pos)
-                changed = True
+    surviving = pebble_fixpoint(A, B, k, 2)
     exists = () in surviving
     if not exists or not build_certificate:
         return exists, None
 
+    @lru_cache(maxsize=None)
+    def respond(base: Position, side: str, x: str) -> str:
+        if side == "left":
+            return next(y for y in B.universe if _canon(base + ((x, y),)) in surviving)
+        return next(y for y in A.universe if _canon(base + ((y, x),)) in surviving)
+
+    def answers(base: Position) -> list[Position]:
+        return ([_canon(base + ((a, respond(base, "left", a)),)) for a in A.universe]
+                + [_canon(base + ((respond(base, "right", b), b),)) for b in B.universe])
+
     entries = []
-    seen = set()
-    queue: list[Position] = [()]
-    while queue:
-        pos = queue.pop(0)
-        if pos in seen:
-            continue
-        seen.add(pos)
+    for pos in reachable_positions(k, answers):
         moves = []
-        for base in bases(pos):
-            for a in A.universe:
-                b = next(x for x in B.universe if _canon(base + ((a, x),)) in surviving)
-                moves.append({"keep": [list(p) for p in base], "side": "left",
-                              "element": a, "response": b})
-                queue.append(_canon(base + ((a, b),)))
-            for b in B.universe:
-                a = next(x for x in A.universe if _canon(base + ((x, b),)) in surviving)
-                moves.append({"keep": [list(p) for p in base], "side": "right",
-                              "element": b, "response": a})
-                queue.append(_canon(base + ((a, b),)))
+        for base in pebble_bases(pos, k):
+            keep = [list(p) for p in base]
+            for side, universe in (("left", A.universe), ("right", B.universe)):
+                moves.extend({"keep": keep, "side": side, "element": x,
+                              "response": respond(base, side, x)} for x in universe)
         entries.append({"position": [list(p) for p in pos], "moves": moves})
     return True, {"comonad": "pebble", "game": "back-and-forth", "k": k, "positions": entries}
 
@@ -255,7 +190,7 @@ def bijection_game_equiv(A: Structure, B: Structure, k: int,
     @lru_cache(maxsize=None)
     def matching_at(pairs: frozenset, rounds: int) -> Optional[tuple]:
         psi = perfect_matching(A.universe, B.universe,
-                               lambda a, b: _pairs_iso(pairs | {(a, b)}, A, B)
+                               lambda a, b: is_partial_isomorphism(pairs | {(a, b)}, A, B)
                                and win(pairs | {(a, b)}, rounds - 1))
         return tuple(sorted(psi.items())) if psi is not None else None
 
@@ -295,123 +230,29 @@ def pebble_bijection_equiv(A: Structure, B: Structure, k: int,
     if len(A.universe) != len(B.universe):
         return False, None
 
-    surviving = {p for p in _all_positions(A, B, k) if _pairs_iso(frozenset(p), A, B)}
+    surviving = pebble_fixpoint(A, B, k, 3)
 
-    def bases(pos: Position):
-        out = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
-        if len(pos) < k:
-            out.add(pos)
-        return sorted(out)
-
+    @lru_cache(maxsize=None)
     def matching_for(base: Position) -> Optional[dict]:
         return perfect_matching(A.universe, B.universe,
                                 lambda a, b: _canon(base + ((a, b),)) in surviving)
 
-    changed = True
-    while changed:
-        changed = False
-        for pos in sorted(surviving):
-            if not all(matching_for(base) is not None for base in bases(pos)):
-                surviving.discard(pos)
-                changed = True
     exists = () in surviving
     if not exists or not build_certificate:
         return exists, None
 
-    entries = []
-    seen = set()
-    queue: list[Position] = [()]
-    while queue:
-        pos = queue.pop(0)
-        if pos in seen:
-            continue
-        seen.add(pos)
-        moves = []
-        for base in bases(pos):
-            psi = matching_for(base)
-            moves.append({"keep": [list(p) for p in base],
-                          "bijection": sorted([a, b] for a, b in psi.items())})
-            for a, b in psi.items():
-                queue.append(_canon(base + ((a, b),)))
-        entries.append({"position": [list(p) for p in pos], "moves": moves})
+    def answers(base: Position) -> list[Position]:
+        return [_canon(base + (pair,)) for pair in matching_for(base).items()]
+
+    entries = [{"position": [list(p) for p in pos],
+                "moves": [{"keep": [list(p) for p in base],
+                           "bijection": sorted([a, b] for a, b in matching_for(base).items())}
+                          for base in pebble_bases(pos, k)]}
+               for pos in reachable_positions(k, answers)]
     return True, {"comonad": "pebble", "game": "bijection", "k": k, "positions": entries}
 
 
-# ------------------------------------------------------- fixpoint oracle
-
-def build_theta(A: Structure, B: Structure, k: int,
-                max_functions: int = 10 ** 6):
-    """Materialize the strategy-set operator for the back-and-forth game.
-
-    Enumerates every function from plays over A to elements of B whose
-    coextension stays inside the winning set (and symmetrically), and returns
-    (theta, S_ab, S_ba) where theta maps a set of forward strategy functions
-    to the set of those locally inverted by some backward one, twice over.
-    """
-    require_same_signature(A, B)
-    plays_a = ef_plays(A, k)
-    plays_b = ef_plays(B, k)
-    if len(B.universe) ** len(plays_a) > max_functions:
-        raise BoundExceeded(
-            f"{len(B.universe)}^{len(plays_a)} strategy candidates exceed {max_functions}")
-    if len(A.universe) ** len(plays_b) > max_functions:
-        raise BoundExceeded(
-            f"{len(A.universe)}^{len(plays_b)} strategy candidates exceed {max_functions}")
-
-    def strategy_set(plays, src, dst):
-        out = []
-        for values in product(dst.universe, repeat=len(plays)):
-            f = dict(zip(plays, values))
-            star = {s: coextend_play(f.__getitem__, s) for s in plays}
-            if all(_pairs_iso(frozenset(zip(s, star[s])), src, dst) for s in plays):
-                out.append(star)
-        return out
-
-    S_ab = strategy_set(plays_a, A, B)
-    S_ba = strategy_set(plays_b, B, A)
-
-    # ok_back[g][t] = indices of forward strategies with f*(g*(t)) == t
-    ok_back = [[frozenset(i for i, f in enumerate(S_ab) if f[g[t]] == t)
-                for t in plays_b] for g in S_ba]
-    ok_fwd = [[frozenset(j for j, g in enumerate(S_ba) if g[f[s]] == s)
-               for s in plays_a] for f in S_ab]
-
-    def gamma(F: frozenset) -> frozenset:
-        return frozenset(j for j in range(len(S_ba))
-                         if all(ok_back[j][t] & F for t in range(len(plays_b))))
-
-    def delta(G: frozenset) -> frozenset:
-        return frozenset(i for i in range(len(S_ab))
-                         if all(ok_fwd[i][s] & G for s in range(len(plays_a))))
-
-    def theta(F: frozenset) -> frozenset:
-        return delta(gamma(F))
-
-    return theta, S_ab, S_ba
-
-
-def theta_fixpoint_oracle(A: Structure, B: Structure, k: int,
-                          max_functions: int = 10 ** 6) -> bool:
-    """Decide the back-and-forth equivalence by the descending fixpoint.
-
-    Starting from the full strategy set, iterate the operator until stable;
-    the greatest fixpoint is non-empty iff the equivalence holds.  Usable only
-    on tiny instances (the strategy sets are enumerated outright).
-    """
-    theta, S_ab, _ = build_theta(A, B, k, max_functions)
-    F = frozenset(range(len(S_ab)))
-    while True:
-        nxt = theta(F)
-        if nxt == F:
-            return bool(F)
-        F = nxt
-
-
 # ----------------------------------------------------- certificate checks
-
-def _iso_pos(pairs, A, B) -> bool:
-    return is_partial_isomorphism(pairs, A, B)
-
 
 def verify_ef_back_and_forth_certificate(cert, A: Structure, B: Structure
                                          ) -> tuple[bool, Optional[str]]:
@@ -425,7 +266,7 @@ def verify_ef_back_and_forth_certificate(cert, A: Structure, B: Structure
     if ((), k) not in table:
         return False, "initial position missing"
     for (key, rounds), (pairs, moves) in sorted(table.items()):
-        if not _iso_pos(pairs, A, B):
+        if not is_partial_isomorphism(pairs, A, B):
             return False, f"position {sorted(pairs)} is not a partial isomorphism"
         for side, universe in (("left", A.universe), ("right", B.universe)):
             for x in universe:
@@ -433,7 +274,7 @@ def verify_ef_back_and_forth_certificate(cert, A: Structure, B: Structure
                     return False, f"no response to {side} move {x!r} at {sorted(pairs)}"
                 y = moves[(side, x)]
                 new = pairs | ({(x, y)} if side == "left" else {(y, x)})
-                if not _iso_pos(new, A, B):
+                if not is_partial_isomorphism(new, A, B):
                     return False, f"response {y!r} to {x!r} leaves the winning set"
                 if rounds - 1 >= 1 and (tuple(sorted(new)), rounds - 1) not in table:
                     return False, f"strategy not closed at {sorted(new)}"
@@ -457,18 +298,11 @@ def verify_ef_bijection_certificate(cert, A: Structure, B: Structure
             return False, f"map at {sorted(pairs)} is not a bijection"
         for a in A.universe:
             new = pairs | {(a, psi[a])}
-            if not _iso_pos(new, A, B):
+            if not is_partial_isomorphism(new, A, B):
                 return False, f"pair ({a!r}, {psi[a]!r}) breaks the position"
             if rounds - 1 >= 1 and (tuple(sorted(new)), rounds - 1) not in table:
                 return False, f"strategy not closed at {sorted(new)}"
     return True, None
-
-
-def _pebble_bases(pos: Position, k: int):
-    out = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
-    if len(pos) < k:
-        out.add(pos)
-    return sorted(out)
 
 
 def verify_pebble_back_and_forth_certificate(cert, A: Structure, B: Structure
@@ -482,10 +316,11 @@ def verify_pebble_back_and_forth_certificate(cert, A: Structure, B: Structure
         table[pos] = moves
     if () not in table:
         return False, "initial position missing"
+    winning = lru_cache(maxsize=None)(lambda pos: is_partial_isomorphism(pos, A, B))
     for pos in sorted(table):
-        if not _iso_pos(frozenset(pos), A, B):
+        if not winning(pos):
             return False, f"position {list(pos)} is not a partial isomorphism"
-        for base in _pebble_bases(pos, k):
+        for base in pebble_bases(pos, k):
             for side, universe in (("left", A.universe), ("right", B.universe)):
                 for x in universe:
                     key = (base, side, x)
@@ -493,7 +328,7 @@ def verify_pebble_back_and_forth_certificate(cert, A: Structure, B: Structure
                         return False, f"no response to {side} move {x!r} from {list(pos)}"
                     y = table[pos][key]
                     new = _canon(base + (((x, y),) if side == "left" else ((y, x),)))
-                    if not _iso_pos(frozenset(new), A, B):
+                    if not winning(new):
                         return False, f"response {y!r} leaves the winning set"
                     if new not in table:
                         return False, f"strategy not closed at {list(new)}"
@@ -512,10 +347,11 @@ def verify_pebble_bijection_certificate(cert, A: Structure, B: Structure
                       {a: b for a, b in m["bijection"]} for m in entry["moves"]}
     if () not in table:
         return False, "initial position missing"
+    winning = lru_cache(maxsize=None)(lambda pos: is_partial_isomorphism(pos, A, B))
     for pos in sorted(table):
-        if not _iso_pos(frozenset(pos), A, B):
+        if not winning(pos):
             return False, f"position {list(pos)} is not a partial isomorphism"
-        for base in _pebble_bases(pos, k):
+        for base in pebble_bases(pos, k):
             if base not in table[pos]:
                 return False, f"no bijection recorded for keep {list(base)} at {list(pos)}"
             psi = table[pos][base]
@@ -523,7 +359,7 @@ def verify_pebble_bijection_certificate(cert, A: Structure, B: Structure
                 return False, f"map at {list(pos)} is not a bijection"
             for a in A.universe:
                 new = _canon(base + ((a, psi[a]),))
-                if not _iso_pos(frozenset(new), A, B):
+                if not winning(new):
                     return False, f"pair ({a!r}, {psi[a]!r}) breaks the position"
                 if new not in table:
                     return False, f"strategy not closed at {list(new)}"
@@ -533,7 +369,8 @@ def verify_pebble_bijection_certificate(cert, A: Structure, B: Structure
 def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
     """Dispatch on the certificate's (comonad, game) stamp."""
     from .ef import strategy_from_json, verify_ef_strategy
-    from .modal import verify_graded_certificate, verify_modal_bf_certificate
+    from .modal import (verify_graded_certificate, verify_modal_bf_certificate,
+                        verify_simulation_certificate)
     from .pebble import verify_pebble_strategy
     kind = (cert.get("comonad"), cert.get("game"))
     if kind == ("ef", "existential"):
@@ -548,6 +385,8 @@ def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
         return verify_pebble_back_and_forth_certificate(cert, A, B)
     if kind == ("pebble", "bijection"):
         return verify_pebble_bijection_certificate(cert, A, B)
+    if kind == ("modal", "existential"):
+        return verify_simulation_certificate(cert, A, B)
     if kind == ("modal", "back-and-forth"):
         return verify_modal_bf_certificate(cert, A, B)
     if kind == ("modal", "graded-bisimulation"):

@@ -139,19 +139,27 @@ def modal_coextend(f: Callable[[ModalPlay], str], s: ModalPlay) -> ModalPlay:
     return tuple(out)
 
 
-def simulation_approx(P: PointedStructure, Q: PointedStructure, k: int) -> bool:
-    """Depth-k simulation: propositions must transfer forward and every
-    transition must be matched, recursively to depth k."""
+def simulation_levels(P: PointedStructure, Q: PointedStructure, k: int
+                      ) -> list[set[tuple[str, str]]]:
+    """Depth-j simulation relations for j = 0..k: entry j holds the world
+    pairs from which Duplicator survives j more steps of the existential game."""
     _check_k(k)
     KA, KB = _require_kripke_pair(P, Q)
     labels = sorted(set(KA.transitions))
-    rel = {(a, b) for a in KA.worlds for b in KB.worlds
-           if KA.profile(a) <= KB.profile(b)}
+    rel = [{(a, b) for a in KA.worlds for b in KB.worlds
+            if KA.profile(a) <= KB.profile(b)}]
     for _ in range(k):
-        rel = {(a, b) for (a, b) in rel
-               if all(any((ap, bp) in rel for bp in KB.successors(b, lab))
-                      for lab in labels for ap in KA.successors(a, lab))}
-    return (P.point, Q.point) in rel
+        prev = rel[-1]
+        rel.append({(a, b) for (a, b) in prev
+                    if all(any((ap, bp) in prev for bp in KB.successors(b, lab))
+                           for lab in labels for ap in KA.successors(a, lab))})
+    return rel
+
+
+def simulation_approx(P: PointedStructure, Q: PointedStructure, k: int) -> bool:
+    """Depth-k simulation: propositions must transfer forward and every
+    transition must be matched, recursively to depth k."""
+    return (P.point, Q.point) in simulation_levels(P, Q, k)[k]
 
 
 def bisim_approx(P: PointedStructure, Q: PointedStructure, k: int) -> bool:
@@ -409,17 +417,16 @@ def simulation_strategy(P: PointedStructure, Q: PointedStructure, k: int,
                         cap: int = DEFAULT_CAP) -> Optional[dict[ModalPlay, str]]:
     """Extract a winning strategy for the existential (simulation) game as a
     table on unfolding plays; None if Duplicator does not win."""
-    _check_k(k)
+    return simulation_table(P, Q, k, simulation_levels(P, Q, k), cap)
+
+
+def simulation_table(P: PointedStructure, Q: PointedStructure, k: int,
+                     rel: list[set[tuple[str, str]]], cap: int = DEFAULT_CAP,
+                     ) -> Optional[dict[ModalPlay, str]]:
+    """The strategy of `simulation_strategy`, read off relations already
+    computed by `simulation_levels`."""
     KA, KB = _require_kripke_pair(P, Q)
     labels = sorted(set(KA.transitions))
-    # per-depth simulation tables, rel[j] usable with j more steps to play
-    rel = [{(a, b) for a in KA.worlds for b in KB.worlds
-            if KA.profile(a) <= KB.profile(b)}]
-    for _ in range(k):
-        prev = rel[-1]
-        rel.append({(a, b) for (a, b) in prev
-                    if all(any((ap, bp) in prev for bp in KB.successors(b, lab))
-                           for lab in labels for ap in KA.successors(a, lab))})
     if (P.point, Q.point) not in rel[k]:
         return None
     table: dict[ModalPlay, str] = {(P.point,): Q.point}
@@ -438,3 +445,36 @@ def simulation_strategy(P: PointedStructure, Q: PointedStructure, k: int,
         if len(table) > cap:
             raise CapExceeded(len(table), cap)
     return table
+
+
+def verify_simulation_certificate(cert: Mapping, P: PointedStructure,
+                                  Q: PointedStructure) -> tuple[bool, Optional[str]]:
+    """Replay a simulation strategy table over the depth-k unfolding of P:
+    every play has a response, each response is a successor along the same
+    label of the previous one, and propositions transfer forward."""
+    KA, KB = _require_kripke_pair(P, Q)
+    labels = sorted(set(KA.transitions))
+    k = int(cert["k"])
+    table = {tuple(entry["play"]): entry["response"] for entry in cert["strategy"]}
+    if table.get((P.point,)) != Q.point:
+        return False, "the point is not answered by the point"
+    frontier: list[ModalPlay] = [(P.point,)]
+    for _ in range(k + 1):
+        nxt = []
+        for s in frontier:
+            b = table[s]
+            if not KA.profile(s[-1]) <= KB.profile(b):
+                return False, f"propositions of {s[-1]!r} do not hold at {b!r}"
+            if len(s) == 2 * k + 1:
+                continue
+            for lab in labels:
+                for ap in KA.successors(s[-1], lab):
+                    play = s + (lab, ap)
+                    if play not in table:
+                        return False, f"no response recorded for play {list(play)}"
+                    if table[play] not in KB.successors(b, lab):
+                        return False, (f"response {table[play]!r} is not a {lab}-successor "
+                                       f"of {b!r}")
+                    nxt.append(play)
+        frontier = nxt
+    return True, None

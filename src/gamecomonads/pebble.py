@@ -1,19 +1,22 @@
-"""The pebbling comonad: bounded truncations and the existential k-pebble game.
+"""The pebbling comonad: bounded truncations and the k-pebble games.
 
 Plays are finite non-empty sequences of moves (pebble index, element) of
 arbitrary length, so the full play structure is infinite and is never built.
 Decisions run over pebble positions: what matters about a play is the current
-placement of the pebbles, and the game is solved as a greatest fixpoint over
-those positions.
+placement of the pebbles, and all three game tiers are solved as greatest
+fixpoints over those positions by one engine, `pebble_fixpoint`.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations_with_replacement, product
+from collections import Counter, defaultdict
+from functools import lru_cache
+from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
-from .structures import (CapExceeded, Structure, is_partial_homomorphism,
+from .matching import perfect_matching
+from .structures import (CapExceeded, Structure, is_partial_homomorphism, occurrences,
                          require_same_signature, validate_structure)
 
 Move = tuple[int, str]
@@ -108,30 +111,141 @@ def _canon(pairs: Sequence[tuple[str, str]]) -> Position:
     return tuple(sorted(pairs))
 
 
-def _all_positions(A: Structure, B: Structure, k: int) -> list[Position]:
+def pebble_bases(pos: Position, k: int) -> list[Position]:
+    """What Spoiler may keep before placing a pebble: the position with one
+    pebble lifted, or the whole position while fewer than k pebbles are down."""
+    out = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
+    if len(pos) < k:
+        out.add(pos)
+    return sorted(out)
+
+
+def reachable_positions(k: int, answers: Callable[[Position], list[Position]]
+                        ) -> list[Position]:
+    """Positions reachable from the empty board, breadth first, when
+    Duplicator's answers to the Spoiler moves from a base lead to
+    `answers(base)`."""
+    order, seen, expanded = [()], {()}, set()
+    for pos in order:
+        for base in pebble_bases(pos, k):
+            if base not in expanded:
+                expanded.add(base)
+                for nxt in answers(base):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        order.append(nxt)
+    return order
+
+
+def _parents(q: Position):
+    """(q with one copy of pair removed, pair) for each distinct pair of q."""
+    for i, pair in enumerate(q):
+        if i == 0 or q[i - 1] != pair:
+            yield q[:i] + q[i + 1:], pair
+
+
+def _preserved(occ: list, m: Mapping[str, str], target: Mapping[str, frozenset]) -> bool:
+    """Whether m maps into target every tuple of occ whose elements it all maps."""
+    return all(not all(x in m for x in t) or tuple(m[x] for x in t) in target[name]
+               for name, t in occ)
+
+
+def _arena(A: Structure, B: Structure, k: int, iso: bool) -> list[Position]:
+    """Every position of at most k pairs that is a partial homomorphism (or,
+    with iso, a partial isomorphism), smallest first.
+
+    Both predicates are hereditary, so each position is its largest pair added
+    to a smaller position; only tuples through the new pair are checked.
+    """
+    occ_a, occ_b = occurrences(A), occurrences(B)
+    pairs = sorted((a, b) for a in A.universe for b in B.universe)
+    first = {pair: i for i, pair in enumerate(pairs)}
+    arena: list[Position] = [()]
+    level: list[Position] = [()]
+    for _ in range(k):
+        nxt = []
+        for pos in level:
+            fwd = dict(pos)
+            bwd = {b: a for a, b in pos}
+            for a, b in pairs[first[pos[-1]] if pos else 0:]:
+                if a in fwd or (iso and b in bwd):
+                    ok = fwd.get(a) == b
+                else:
+                    fwd[a] = b
+                    ok = _preserved(occ_a[a], fwd, B.relations)
+                    if ok and iso:
+                        bwd[b] = a
+                        ok = _preserved(occ_b[b], bwd, A.relations)
+                        del bwd[b]
+                    del fwd[a]
+                if ok:
+                    nxt.append(pos + ((a, b),))
+        arena.extend(nxt)
+        level = nxt
+    return arena
+
+
+def pebble_fixpoint(A: Structure, B: Structure, k: int, tier: int) -> set[Position]:
+    """Winning positions of the k-pebble game of a tier: the greatest fixpoint.
+
+    Tier 1 is the existential game over partial homomorphisms; tier 2 the
+    back-and-forth and tier 3 the bijection game, over partial isomorphisms.
+    A position lives iff each of its bases is good: every Spoiler move from
+    the base (an element of A, at tier 2 also of B) keeps a live response, or
+    at tier 3 the live responses contain a bijection A -> B.  Goodness depends
+    on the base alone, so each base keeps a count of live responses per move
+    (a matching at tier 3); a dying position decrements its parents' counts
+    and a base whose count hits zero kills every position built on it.
+    """
+    arena = _arena(A, B, k, iso=tier > 1)
+    live = set(arena)
+    if tier < 3:
+        def answered(base: Position, x: str, y: str) -> list:
+            """The Spoiler moves from base that the response (x, y) answers."""
+            return [(base, 0, x), (base, 1, y)][:tier]
+
+        count = Counter(mv for q in arena for base, (x, y) in _parents(q)
+                        for mv in answered(base, x, y))
+
+        def is_bad(base: Position) -> bool:
+            return (any(count[base, 0, a] == 0 for a in A.universe)
+                    or tier == 2 and any(count[base, 1, b] == 0 for b in B.universe))
+
+        def lose(base: Position, x: str, y: str) -> bool:
+            moves = answered(base, x, y)
+            count.subtract(moves)
+            return any(count[mv] == 0 for mv in moves)
+    else:
+        responses: dict[Position, set] = defaultdict(set)
+        for q in arena:
+            for base, pair in _parents(q):
+                responses[base].add(pair)
+        matching: dict[Position, Optional[dict]] = {}
+
+        def is_bad(base: Position) -> bool:  # (re)computes the base's matching
+            live_pairs = responses[base]
+            matching[base] = perfect_matching(A.universe, B.universe,
+                                              lambda a, b: (a, b) in live_pairs)
+            return matching[base] is None
+
+        def lose(base: Position, x: str, y: str) -> bool:
+            responses[base].discard((x, y))
+            return matching[base].get(x) == y and is_bad(base)
+
+    queue = [base for base in arena if len(base) < k and is_bad(base)]
+    bad = set(queue)
     pairs = [(a, b) for a in A.universe for b in B.universe]
-    out: list[Position] = []
-    for size in range(k + 1):
-        out.extend(combinations_with_replacement(sorted(pairs), size))
-    return out
-
-
-def _survivors(A: Structure, B: Structure, k: int,
-               winning: Callable[[Position], bool],
-               moves: Callable[[Position], list],
-               responses: Callable[[Position, object], list[Position]]) -> set[Position]:
-    """Greatest fixpoint: drop positions from which some move has no response."""
-    surviving = {p for p in _all_positions(A, B, k) if winning(p)}
-    changed = True
-    while changed:
-        changed = False
-        for pos in sorted(surviving):
-            ok = all(any(nxt in surviving for nxt in responses(pos, mv))
-                     for mv in moves(pos))
-            if not ok:
-                surviving.discard(pos)
-                changed = True
-    return surviving
+    while queue:
+        base = queue.pop()
+        for q in [base] + [_canon(base + (pair,)) for pair in pairs]:
+            if q not in live:
+                continue
+            live.remove(q)
+            for parent, (x, y) in _parents(q):
+                if parent not in bad and lose(parent, x, y):
+                    bad.add(parent)
+                    queue.append(parent)
+    return live
 
 
 def pebble_game_exists(A: Structure, B: Structure, k: int,
@@ -141,57 +255,29 @@ def pebble_game_exists(A: Structure, B: Structure, k: int,
     A position survives iff its pairs form a partial homomorphism and every
     Spoiler move (place or re-place a pebble on a source element) has a
     response keeping the successor alive.  There is no round bound; the set
-    of winning positions is the greatest fixpoint of one removal sweep.
+    of winning positions is a greatest fixpoint (`pebble_fixpoint`, tier 1).
     """
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def winning(pos: Position) -> bool:
-        return is_partial_homomorphism(pos, A, B)
-
-    def moves(pos: Position) -> list:
-        opts = []
-        bases = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
-        if len(pos) < k:
-            bases.add(pos)
-        for base in sorted(bases):
-            for a in A.universe:
-                opts.append((base, a))
-        return opts
-
-    def responses(pos: Position, mv) -> list[Position]:
-        base, a = mv
-        return [_canon(base + ((a, b),)) for b in B.universe]
-
-    surviving = _survivors(A, B, k, winning, moves, responses)
+    surviving = pebble_fixpoint(A, B, k, 1)
     exists = () in surviving
     if not exists or not build_strategy:
         return exists, None
 
     # strategy: reachable closure from the empty board, least response first
+    @lru_cache(maxsize=None)
+    def respond(base: Position, a: str) -> str:
+        return next(b for b in B.universe if _canon(base + ((a, b),)) in surviving)
+
     entries = []
-    seen = {(): True}
-    queue: list[Position] = [()]
-    while queue:
-        pos = queue.pop(0)
-        bases = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
-        if len(pos) < k:
-            bases.add(pos)
-        for base in sorted(bases):
-            for a in A.universe:
-                response = next(b for b in B.universe
-                                if _canon(base + ((a, b),)) in surviving)
-                nxt = _canon(base + ((a, response),))
-                entries.append({
-                    "position": [list(pr) for pr in pos],
-                    "keep": [list(pr) for pr in base],
-                    "element": a,
-                    "response": response,
-                })
-                if nxt not in seen:
-                    seen[nxt] = True
-                    queue.append(nxt)
+    for pos in reachable_positions(k, lambda base: [_canon(base + ((a, respond(base, a)),))
+                                                    for a in A.universe]):
+        position = [list(pr) for pr in pos]
+        for base in pebble_bases(pos, k):
+            keep = [list(pr) for pr in base]
+            entries.extend({"position": position, "keep": keep, "element": a,
+                            "response": respond(base, a)} for a in A.universe)
     cert = {"comonad": "pebble", "game": "existential", "k": k, "strategy": entries}
     return True, cert
 
@@ -206,19 +292,17 @@ def verify_pebble_strategy(cert: Mapping, A: Structure, B: Structure) -> tuple[b
         base = _canon(tuple((a, b) for a, b in entry["keep"]))
         table[(pos, base, entry["element"])] = entry["response"]
         positions.add(pos)
+    winning = lru_cache(maxsize=None)(lambda pos: is_partial_homomorphism(pos, A, B))
     for pos in sorted(positions):
-        if not is_partial_homomorphism(pos, A, B):
+        if not winning(pos):
             return False, f"position {list(pos)} is not a partial homomorphism"
-        bases = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
-        if len(pos) < k:
-            bases.add(pos)
-        for base in sorted(bases):
+        for base in pebble_bases(pos, k):
             for a in A.universe:
                 key = (pos, base, a)
                 if key not in table:
                     return False, f"no response recorded for move {a!r} from {list(pos)}"
                 nxt = _canon(base + ((a, table[key]),))
-                if not is_partial_homomorphism(nxt, A, B):
+                if not winning(nxt):
                     return False, f"response {table[key]!r} to {a!r} breaks the winning condition"
                 if nxt not in positions:
                     return False, f"strategy not closed: position {list(nxt)} missing"

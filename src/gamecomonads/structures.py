@@ -245,6 +245,16 @@ def is_partial_isomorphism(pairs: Iterable[tuple[str, str]],
     return True
 
 
+def occurrences(A: Structure) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Element -> (relation name, tuple) for every tuple the element occurs in."""
+    occ: dict[str, list[tuple[str, tuple[str, ...]]]] = {a: [] for a in A.universe}
+    for name, tups in A.relations.items():
+        for t in tups:
+            for x in set(t):
+                occ[x].append((name, t))
+    return occ
+
+
 def find_homomorphism(A: Structure, B: Structure,
                       pre: Optional[Mapping[str, str]] = None) -> Optional[dict[str, str]]:
     """Backtracking search with forward checking over the relation constraints.
@@ -255,12 +265,7 @@ def find_homomorphism(A: Structure, B: Structure,
     """
     require_same_signature(A, B)
     variables = list(A.universe)
-    # tuples indexed by the elements occurring in them
-    occurs: dict[str, list[tuple[str, tuple[str, ...]]]] = {a: [] for a in variables}
-    for name, tups in A.relations.items():
-        for t in tups:
-            for x in set(t):
-                occurs[x].append((name, t))
+    occurs = occurrences(A)
 
     domains: dict[str, list[str]] = {}
     for a in variables:

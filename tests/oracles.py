@@ -1,15 +1,21 @@
 """Independent brute-force oracles the test suite checks the library against.
 
 Everything in here deliberately avoids the library's decision procedures:
-plain enumeration, textbook recursions, and permutation search only.
+plain enumeration, textbook recursions, permutation search and naive
+fixpoint iteration, using only the library's primitives (structures, plays,
+partial homomorphism/isomorphism checks and bipartite matching).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
-from gamecomonads.structures import Structure, gaifman_graph, is_homomorphism, validate_structure
+from gamecomonads.ef import coextend_play, ef_plays
+from gamecomonads.matching import perfect_matching
+from gamecomonads.structures import (BoundExceeded, Structure, gaifman_graph, is_homomorphism,
+                                     is_partial_homomorphism, is_partial_isomorphism,
+                                     require_same_signature, validate_structure)
 
 
 def brute_homomorphism_exists(A: Structure, B: Structure) -> bool:
@@ -264,3 +270,138 @@ def wl_distinguishes(A: Structure, B: Structure) -> bool:
     left = sorted(colors[n] for n in nodes if n[0] == "a")
     right = sorted(colors[n] for n in nodes if n[0] == "b")
     return left != right
+
+
+def pebble_resweep_fixpoint(A: Structure, B: Structure, k: int, tier: int) -> set:
+    """Surviving positions of the k-pebble game of a tier, by re-sweeping.
+
+    Enumerates every multiset of at most k (source, target) pairs, keeps the
+    partial homomorphisms (tier 1) or partial isomorphisms (tiers 2 and 3),
+    then drops any position with a base from which some Spoiler move has no
+    surviving response (tier 3: no bijection of surviving responses), sweeping
+    the sorted survivors until nothing changes.
+    """
+    winning = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
+    pairs = sorted((a, b) for a in A.universe for b in B.universe)
+    surviving = {p for size in range(k + 1)
+                 for p in combinations_with_replacement(pairs, size) if winning(p, A, B)}
+
+    def alive(base, a, b) -> bool:
+        return tuple(sorted(base + ((a, b),))) in surviving
+
+    def good(base) -> bool:
+        if tier == 3:
+            return perfect_matching(A.universe, B.universe,
+                                    lambda a, b: alive(base, a, b)) is not None
+        return (all(any(alive(base, a, b) for b in B.universe) for a in A.universe)
+                and (tier == 1 or all(any(alive(base, a, b) for a in A.universe)
+                                      for b in B.universe)))
+
+    changed = True
+    while changed:
+        changed = False
+        for pos in sorted(surviving):
+            bases = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
+            if len(pos) < k:
+                bases.add(pos)
+            if not all(good(base) for base in sorted(bases)):
+                surviving.discard(pos)
+                changed = True
+    return surviving
+
+
+# Winning-position predicates of the three comonads' games, on synchronized
+# plays (the library's solvers work on the positions these reduce to).
+
+def ef_winning_position(s, t, A, B) -> bool:
+    """Same length and the induced move pairs form a partial isomorphism."""
+    if len(s) != len(t):
+        return False
+    return is_partial_isomorphism(zip(s, t), A, B)
+
+
+def pebble_winning_position(s, t, A, B) -> bool:
+    """Same pebble indices and the current placements form a partial isomorphism."""
+    if len(s) != len(t) or [p for p, _ in s] != [p for p, _ in t]:
+        return False
+    placed = {}
+    for (p, a), (_, b) in zip(s, t):
+        placed[p] = (a, b)
+    return is_partial_isomorphism(placed.values(), A, B)
+
+
+def modal_winning_position(s, t, P, Q) -> bool:
+    """Labels agree and proposition profiles match at every step."""
+    from gamecomonads.modal import kripke_view
+    if len(s) != len(t) or s[1::2] != t[1::2]:
+        return False
+    KA, KB = kripke_view(P.base), kripke_view(Q.base)
+    return all(KA.profile(a) == KB.profile(b) for a, b in zip(s[::2], t[::2]))
+
+
+def build_theta(A: Structure, B: Structure, k: int,
+                max_functions: int = 10 ** 6):
+    """Materialize the strategy-set operator for the back-and-forth game.
+
+    Enumerates every function from plays over A to elements of B whose
+    coextension stays inside the winning set (and symmetrically), and returns
+    (theta, S_ab, S_ba) where theta maps a set of forward strategy functions
+    to the set of those locally inverted by some backward one, twice over.
+    """
+    require_same_signature(A, B)
+    plays_a = ef_plays(A, k)
+    plays_b = ef_plays(B, k)
+    if len(B.universe) ** len(plays_a) > max_functions:
+        raise BoundExceeded(
+            f"{len(B.universe)}^{len(plays_a)} strategy candidates exceed {max_functions}")
+    if len(A.universe) ** len(plays_b) > max_functions:
+        raise BoundExceeded(
+            f"{len(A.universe)}^{len(plays_b)} strategy candidates exceed {max_functions}")
+
+    def strategy_set(plays, src, dst):
+        out = []
+        for values in product(dst.universe, repeat=len(plays)):
+            f = dict(zip(plays, values))
+            star = {s: coextend_play(f.__getitem__, s) for s in plays}
+            if all(is_partial_isomorphism(frozenset(zip(s, star[s])), src, dst) for s in plays):
+                out.append(star)
+        return out
+
+    S_ab = strategy_set(plays_a, A, B)
+    S_ba = strategy_set(plays_b, B, A)
+
+    # ok_back[g][t] = indices of forward strategies with f*(g*(t)) == t
+    ok_back = [[frozenset(i for i, f in enumerate(S_ab) if f[g[t]] == t)
+                for t in plays_b] for g in S_ba]
+    ok_fwd = [[frozenset(j for j, g in enumerate(S_ba) if g[f[s]] == s)
+               for s in plays_a] for f in S_ab]
+
+    def gamma(F: frozenset) -> frozenset:
+        return frozenset(j for j in range(len(S_ba))
+                         if all(ok_back[j][t] & F for t in range(len(plays_b))))
+
+    def delta(G: frozenset) -> frozenset:
+        return frozenset(i for i in range(len(S_ab))
+                         if all(ok_fwd[i][s] & G for s in range(len(plays_a))))
+
+    def theta(F: frozenset) -> frozenset:
+        return delta(gamma(F))
+
+    return theta, S_ab, S_ba
+
+
+def theta_fixpoint_oracle(A: Structure, B: Structure, k: int,
+                          max_functions: int = 10 ** 6) -> bool:
+    """Decide the back-and-forth equivalence by the descending fixpoint.
+
+    Starting from the full strategy set, iterate the operator until stable;
+    the greatest fixpoint is non-empty iff the equivalence holds.  Usable only
+    on tiny instances (the strategy sets are enumerated outright).
+    """
+    theta, S_ab, _ = build_theta(A, B, k, max_functions)
+    F = frozenset(range(len(S_ab)))
+    while True:
+        nxt = theta(F)
+        if nxt == F:
+            return bool(F)
+        F = nxt

@@ -9,7 +9,8 @@ import pathlib
 import random
 import time
 
-from oracles import all_digraphs, brute_graded_bisim, lin_closed_form, lin_game_textbook
+from oracles import (all_digraphs, brute_graded_bisim, lin_closed_form, lin_game_textbook,
+                     theta_fixpoint_oracle)
 
 from gamecomonads import zoo
 from gamecomonads.cli import main
@@ -22,8 +23,7 @@ from gamecomonads.decomposition import (pebble_cover_to_decomposition, tree_dept
 from gamecomonads.ef import ef_game_exists, ef_materialize
 from gamecomonads.equiv import (back_and_forth_equiv, bijection_game_equiv, decide,
                                 ef_back_and_forth, mutual_existential,
-                                pebble_back_and_forth, pebble_bijection_equiv,
-                                theta_fixpoint_oracle)
+                                pebble_back_and_forth, pebble_bijection_equiv)
 from gamecomonads.lawcheck import (GenConfig, random_pair, random_pointed_pair,
                                    run_law_suite)
 from gamecomonads.modal import (bisim_approx, graded_bisim_approx, graded_bisim_game,

@@ -3,15 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import (all_digraphs, brute_bijection_game, brute_bijection_round,
-                     lin_closed_form, lin_game_textbook, wl_distinguishes)
+from oracles import (all_digraphs, brute_bijection_game, brute_bijection_round, build_theta,
+                     lin_closed_form, lin_game_textbook, theta_fixpoint_oracle,
+                     wl_distinguishes)
 from strategies import pointed_kripke_pairs, structure_pairs
 
 from gamecomonads import zoo
-from gamecomonads.equiv import (back_and_forth_equiv, bijection_game_equiv,
-                                build_theta, decide, ef_back_and_forth,
-                                mutual_existential, pebble_back_and_forth,
-                                pebble_bijection_equiv, theta_fixpoint_oracle)
+from gamecomonads.equiv import (back_and_forth_equiv, bijection_game_equiv, decide,
+                                ef_back_and_forth, mutual_existential, pebble_back_and_forth,
+                                pebble_bijection_equiv)
 from gamecomonads.modal import bisim_approx, graded_bisim_game
 from gamecomonads.structures import BoundExceeded, validate_structure
 
@@ -274,8 +274,7 @@ def test_decide_verdict_shape():
 # winning-set predicates and certificate verifiers
 
 def test_winning_set_predicates():
-    from gamecomonads.equiv import (ef_winning_position, modal_winning_position,
-                                    pebble_winning_position)
+    from oracles import ef_winning_position, modal_winning_position, pebble_winning_position
     E = zoo.edge()
     assert ef_winning_position(("a", "b"), ("a", "b"), E, E)
     assert not ef_winning_position(("a", "b"), ("b", "a"), E, E)
@@ -304,6 +303,9 @@ def test_all_emitted_certificates_verify():
                 ok, msg = verify_certificate(cert, A, A)
                 assert ok, (tag, tier, msg)
     P = zoo.kripke_two_cycle()
+    for side in ("forward", "backward"):
+        ok, msg = verify_certificate(decide("modal", 1, P, P, 2)["certificate"][side], P, P)
+        assert ok, (side, msg)
     for tier in (2, 3):
         v = decide("modal", tier, P, P, 2)
         ok, msg = verify_certificate(v["certificate"], P, P)
@@ -341,3 +343,27 @@ def test_modal_bf_certificate_verifies_and_rejects_tampering():
     cert["positions"] = cert["positions"][1:]
     ok, msg = verify_modal_bf_certificate(cert, P, Q)
     assert not ok
+
+
+def test_modal_existential_certificate_rejects_tampering():
+    from gamecomonads.equiv import verify_certificate
+    P = zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("a", "c"), ("b", "a")]},
+                   {"p": ["b"]})
+    verdict, cert = mutual_existential("modal", P, P, 2)
+    assert verdict
+    fwd = cert["forward"]
+    assert (fwd["comonad"], fwd["game"], fwd["k"]) == ("modal", "existential", 2)
+    assert verify_certificate(fwd, P, P) == (True, None)
+    tampered = {
+        ("a",): ("b", "not answered by the point"),
+        ("a", "t", "b"): ("c", "propositions"),               # p holds at b, not at c
+        ("a", "t", "b", "t", "a"): ("c", "not a t-successor"),  # b -> a only
+    }
+    for play, (response, reason) in tampered.items():
+        bad = {**fwd, "strategy": [dict(e, response=response) if tuple(e["play"]) == play
+                                   else e for e in fwd["strategy"]]}
+        ok, msg = verify_certificate(bad, P, P)
+        assert not ok and reason in msg, (play, msg)
+    short = {**fwd, "strategy": [e for e in fwd["strategy"] if len(e["play"]) < 5]}
+    ok, msg = verify_certificate(short, P, P)
+    assert not ok and "no response recorded" in msg
