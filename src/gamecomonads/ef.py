@@ -10,13 +10,15 @@ strategy prefix by prefix.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional
 
-from .structures import (CapExceeded, Structure, is_partial_homomorphism,
-                         require_same_signature, validate_structure)
+from .matching import perfect_matching
+from .structures import (CapExceeded, Structure, extensions, is_partial_homomorphism,
+                         occurrences, require_same_signature, validate_structure)
 
 EfPlay = tuple[str, ...]
 
@@ -114,49 +116,153 @@ def induced_pairs(s: EfPlay, t: EfPlay) -> frozenset[tuple[str, str]]:
     return frozenset(zip(s, t))
 
 
+Options = tuple[tuple[str, ...], ...]
+
+
+class EfGame:
+    """The ef game from A to B at one tier, solved by memoised recursion on
+    (pair set, rounds left).
+
+    A position is the set of (Spoiler move, Duplicator response) pairs played
+    so far; Duplicator survives while it is a partial homomorphism (tier 1)
+    or a partial isomorphism (tiers 2 and 3).  The tiers differ only in
+    Duplicator's answer: at tier 1 every element of A needs a winning
+    response, at tier 2 also every element of B, and at tier 3 the winning
+    responses must contain a bijection A -> B.
+
+    One memo, local to the game, maps a pair set to its options (for each
+    element a of A in universe order, the responses b in B's universe order
+    that keep the position winning) and to whether Duplicator wins with each
+    number of rounds left.  A child's options are its parent's filtered
+    through the tuples that contain the new pair: both predicates are
+    hereditary, and every other tuple was checked at the parent.  With one
+    round left any option wins, so positions with none left are never built.
+    """
+
+    def __init__(self, A: Structure, B: Structure, tier: int):
+        self.A, self.B, self.tier = A, B, tier
+        self.occ_a, self.occ_b = occurrences(A), occurrences(B)
+        root: frozenset = frozenset()
+        self.memo: dict[frozenset, tuple[Options, dict[int, bool]]] = {
+            root: (self._options(root, (B.universe,) * len(A.universe), None), {})}
+
+    def _options(self, pairs: frozenset, parent: Options,
+                 new: Optional[tuple[str, str]]) -> Options:
+        """Options at pairs, which is a position with options parent plus the
+        pair new (at the root new is None and every response is a candidate)."""
+        A, B, iso = self.A, self.B, self.tier > 1
+        fwd = dict(pairs)
+        a0, b0 = new or (None, None)
+
+        def through(occ: list, y: Optional[str]) -> list:
+            return occ if y is None else [o for o in occ if y in o[1]]
+
+        options = {}
+        for a, bs in zip(A.universe, parent):
+            if a == a0:
+                bs = (b0,)
+            elif a not in fwd:
+                if iso and b0 in bs:
+                    bs = tuple(b for b in bs if b != b0)
+                bs = extensions(through(self.occ_a[a], a0), fwd, a, bs, B.relations)
+            options[a] = bs
+        if iso:  # the same backwards, through the tuples of B
+            bwd = {b: a for a, b in pairs}
+            wanted: dict[str, list[str]] = defaultdict(list)
+            for a, bs in options.items():
+                if a not in fwd:
+                    for b in bs:
+                        wanted[b].append(a)
+            kept = {b: extensions(through(self.occ_b[b], b0), bwd, b, tuple(as_), A.relations)
+                    for b, as_ in wanted.items()}
+            options = {a: bs if a in fwd else tuple(b for b in bs if a in kept[b])
+                       for a, bs in options.items()}
+        return tuple(options.values())
+
+    def child(self, pairs: frozenset, a: str, b: str) -> frozenset:
+        """pairs plus (a, b), an option at pairs, with its options memoised."""
+        nxt = pairs | {(a, b)}
+        if nxt not in self.memo:
+            self.memo[nxt] = (self._options(nxt, self.memo[pairs][0], (a, b)), {})
+        return nxt
+
+    def win(self, pairs: frozenset, rounds: int) -> bool:
+        """Whether Duplicator survives `rounds` more rounds from pairs."""
+        if rounds == 0:
+            return True
+        options, wins = self.memo[pairs]
+        if rounds not in wins:
+            if self.tier == 3:
+                wins[rounds] = self.bijection(pairs, rounds) is not None
+            else:
+                wins[rounds] = all(self._answer(pairs, rounds, *move) is not None
+                                   for move in self._moves(options))
+        return wins[rounds]
+
+    def _wins_with(self, pairs: frozenset, rounds: int, a: str, b: str) -> bool:
+        """Whether the option (a, b) at pairs leaves Duplicator a win."""
+        return rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1)
+
+    def _moves(self, options: Options):
+        """The Spoiler moves Duplicator must answer at tiers 1 and 2, as
+        (side, element, candidate responses): side 0 picks in A, side 1 in B."""
+        yield from ((0, a, bs) for a, bs in zip(self.A.universe, options))
+        if self.tier == 2:
+            back: dict[str, list[str]] = {b: [] for b in self.B.universe}
+            for a, bs in zip(self.A.universe, options):
+                for b in bs:
+                    back[b].append(a)
+            yield from ((1, b, as_) for b, as_ in back.items())
+
+    def _answer(self, pairs: frozenset, rounds: int, side: int, x: str,
+                candidates) -> Optional[str]:
+        """The first candidate response to x that leaves Duplicator a win."""
+        return next((y for y in candidates
+                     if self._wins_with(pairs, rounds, *((x, y) if side == 0 else (y, x)))),
+                    None)
+
+    def answers(self, pairs: frozenset, rounds: int) -> list[tuple[int, str, str]]:
+        """Duplicator's answers at a won position of tier 1 or 2, as
+        (side, Spoiler's element, response), the first winning option each."""
+        return [(side, x, self._answer(pairs, rounds, side, x, candidates))
+                for side, x, candidates in self._moves(self.memo[pairs][0])]
+
+    def bijection(self, pairs: frozenset, rounds: int) -> Optional[dict[str, str]]:
+        """A bijection A -> B of options that leave Duplicator a win (tier 3)."""
+        options = dict(zip(self.A.universe, self.memo[pairs][0]))
+        return perfect_matching(self.A.universe, self.B.universe,
+                                lambda a, b: b in options[a]
+                                and self._wins_with(pairs, rounds, a, b))
+
+
 def ef_game_exists(A: Structure, B: Structure, k: int,
                    build_strategy: bool = True,
                    strategy_cap: int = DEFAULT_CAP) -> tuple[bool, Optional[EfCoKleisli]]:
     """Decide the k-round existential comparison game from A to B.
 
-    Positions are memoized on the induced partial map plus the number of
-    rounds left; Duplicator survives iff the map stays a partial homomorphism.
-    On a win, the full strategy table (one response per play) is returned as a
-    coKleisli map unless it would exceed strategy_cap entries.
+    Duplicator survives iff the induced partial map stays a partial
+    homomorphism (`EfGame`, tier 1).  On a win, the full strategy table (one
+    response per play) is returned as a coKleisli map; CapExceeded is raised
+    if it would exceed strategy_cap entries.
     """
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    @lru_cache(maxsize=None)
-    def win(pairs: frozenset, rounds_left: int) -> bool:
-        if rounds_left == 0:
-            return True
-        for a in A.universe:
-            if not any(win(pairs | {(a, b)}, rounds_left - 1)
-                       for b in B.universe
-                       if is_partial_homomorphism(pairs | {(a, b)}, A, B)):
-                return False
-        return True
-
-    exists = win(frozenset(), k)
+    game = EfGame(A, B, 1)
+    exists = game.win(frozenset(), k)
     if not exists or not build_strategy:
         return exists, None
-    if ef_universe_size(len(A.universe), k) > strategy_cap:
-        return True, None
+    size = ef_universe_size(len(A.universe), k)
+    if size > strategy_cap:
+        raise CapExceeded(size, strategy_cap)
 
     table: dict[EfPlay, str] = {}
 
     def extend(s: EfPlay, pairs: frozenset, rounds_left: int) -> None:
-        if rounds_left == 0:
-            return
-        for a in A.universe:
-            for b in B.universe:
-                nxt = pairs | {(a, b)}
-                if is_partial_homomorphism(nxt, A, B) and win(nxt, rounds_left - 1):
-                    table[s + (a,)] = b
-                    extend(s + (a,), nxt, rounds_left - 1)
-                    break
+        for _, a, b in game.answers(pairs, rounds_left):
+            table[s + (a,)] = b
+            if rounds_left > 1:
+                extend(s + (a,), game.child(pairs, a, b), rounds_left - 1)
 
     extend((), frozenset(), k)
     return True, EfCoKleisli(A, B, k, table)
@@ -169,13 +275,13 @@ def verify_ef_strategy(f: EfCoKleisli) -> tuple[bool, Optional[str]]:
     induced pairs of moves and responses must form a partial homomorphism.
     """
     A, B, k = f.source, f.target, f.k
+    winning = lru_cache(maxsize=None)(lambda pairs: is_partial_homomorphism(pairs, A, B))
     for s in ef_plays(A, k):
         if s not in f.table:
             return False, f"strategy undefined on play {list(s)}"
         if f.table[s] not in B.universe:
             return False, f"response to {list(s)} is not a target element"
-        pairs = induced_pairs(s, coextend_play(f, s))
-        if not is_partial_homomorphism(pairs, A, B):
+        if not winning(induced_pairs(s, coextend_play(f, s))):
             return False, f"position after play {list(s)} is not a partial homomorphism"
     return True, None
 

@@ -16,11 +16,12 @@ fixpoints over placement positions.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from typing import Optional
 
 from . import modal as modal_mod
-from .ef import ef_game_exists, strategy_to_json
+from .ef import EfGame, ef_game_exists, strategy_to_json
 from .matching import perfect_matching
 from .pebble import (Position, _canon, pebble_bases, pebble_fixpoint, pebble_game_exists,
                      reachable_positions)
@@ -37,11 +38,8 @@ def mutual_existential(tag: str, A, B, k: int) -> tuple[bool, Optional[dict]]:
     if tag == "ef":
         fwd, cert_f = ef_game_exists(A, B, k)
         bwd, cert_b = ef_game_exists(B, A, k)
-        cert = None
-        if fwd and bwd:
-            cert = {"forward": strategy_to_json(cert_f) if cert_f else None,
-                    "backward": strategy_to_json(cert_b) if cert_b else None}
-        return fwd and bwd, cert
+        return fwd and bwd, ({"forward": strategy_to_json(cert_f),
+                              "backward": strategy_to_json(cert_b)} if fwd and bwd else None)
     if tag == "pebble":
         fwd, cert_f = pebble_game_exists(A, B, k)
         bwd, cert_b = pebble_game_exists(B, A, k)
@@ -73,50 +71,27 @@ def _modal_table_json(table, k: int) -> dict:
 
 def ef_back_and_forth(A: Structure, B: Structure, k: int,
                       build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """k-round back-and-forth game; positions memoized on the induced pair set."""
+    """k-round back-and-forth game (`EfGame`, tier 2)."""
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    @lru_cache(maxsize=None)
-    def win(pairs: frozenset, rounds: int) -> bool:
-        if rounds == 0:
-            return True
-        for a in A.universe:
-            if not any(win(pairs | {(a, b)}, rounds - 1) for b in B.universe
-                       if is_partial_isomorphism(pairs | {(a, b)}, A, B)):
-                return False
-        for b in B.universe:
-            if not any(win(pairs | {(a, b)}, rounds - 1) for a in A.universe
-                       if is_partial_isomorphism(pairs | {(a, b)}, A, B)):
-                return False
-        return True
-
-    exists = win(frozenset(), k)
+    game = EfGame(A, B, 2)
+    exists = game.win(frozenset(), k)
     if not exists or not build_certificate:
         return exists, None
 
     entries = []
     seen = set()
-    queue = [(frozenset(), k)]
+    queue = deque([(frozenset(), k)])
     while queue:
-        pairs, rounds = queue.pop(0)
-        if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
+        pairs, rounds = queue.popleft()
+        if (pairs, rounds) in seen or rounds == 0:
             continue
-        seen.add((tuple(sorted(pairs)), rounds))
+        seen.add((pairs, rounds))
         moves = []
-        for a in A.universe:
-            b = next(x for x in B.universe
-                     if is_partial_isomorphism(pairs | {(a, x)}, A, B)
-                     and win(pairs | {(a, x)}, rounds - 1))
-            moves.append({"side": "left", "element": a, "response": b})
-            queue.append((pairs | {(a, b)}, rounds - 1))
-        for b in B.universe:
-            a = next(x for x in A.universe
-                     if is_partial_isomorphism(pairs | {(x, b)}, A, B)
-                     and win(pairs | {(x, b)}, rounds - 1))
-            moves.append({"side": "right", "element": b, "response": a})
-            queue.append((pairs | {(a, b)}, rounds - 1))
+        for side, x, y in game.answers(pairs, rounds):
+            moves.append({"side": ("left", "right")[side], "element": x, "response": y})
+            queue.append((pairs | {(x, y) if side == 0 else (y, x)}, rounds - 1))
         entries.append({"pairs": sorted(list(p) for p in pairs),
                         "rounds_left": rounds, "moves": moves})
     return True, {"comonad": "ef", "game": "back-and-forth", "k": k, "positions": entries}
@@ -174,7 +149,7 @@ def back_and_forth_equiv(tag: str, A, B, k: int) -> tuple[bool, Optional[dict]]:
 
 def bijection_game_equiv(A: Structure, B: Structure, k: int,
                          build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """k-round bijection game.
+    """k-round bijection game (`EfGame`, tier 3).
 
     Spoiler wins outright on a cardinality mismatch.  Each round Duplicator
     commits to a bijection and Spoiler picks a source element; the chosen
@@ -186,37 +161,24 @@ def bijection_game_equiv(A: Structure, B: Structure, k: int,
         raise ValueError("k must be >= 1")
     if len(A.universe) != len(B.universe):
         return False, None
-
-    @lru_cache(maxsize=None)
-    def matching_at(pairs: frozenset, rounds: int) -> Optional[tuple]:
-        psi = perfect_matching(A.universe, B.universe,
-                               lambda a, b: is_partial_isomorphism(pairs | {(a, b)}, A, B)
-                               and win(pairs | {(a, b)}, rounds - 1))
-        return tuple(sorted(psi.items())) if psi is not None else None
-
-    @lru_cache(maxsize=None)
-    def win(pairs: frozenset, rounds: int) -> bool:
-        if rounds == 0:
-            return True
-        return matching_at(pairs, rounds) is not None
-
-    exists = win(frozenset(), k)
+    game = EfGame(A, B, 3)
+    exists = game.win(frozenset(), k)
     if not exists or not build_certificate:
         return exists, None
 
     entries = []
     seen = set()
-    queue = [(frozenset(), k)]
+    queue = deque([(frozenset(), k)])
     while queue:
-        pairs, rounds = queue.pop(0)
-        if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
+        pairs, rounds = queue.popleft()
+        if (pairs, rounds) in seen or rounds == 0:
             continue
-        seen.add((tuple(sorted(pairs)), rounds))
-        psi = dict(matching_at(pairs, rounds))
+        seen.add((pairs, rounds))
+        psi = game.bijection(pairs, rounds)
         entries.append({"pairs": sorted(list(p) for p in pairs),
                         "rounds_left": rounds,
                         "bijection": sorted([a, b] for a, b in psi.items())})
-        for a, b in psi.items():
+        for a, b in sorted(psi.items()):
             queue.append((pairs | {(a, b)}, rounds - 1))
     return True, {"comonad": "ef", "game": "bijection", "k": k, "positions": entries}
 
@@ -265,8 +227,9 @@ def verify_ef_back_and_forth_certificate(cert, A: Structure, B: Structure
         table[(tuple(sorted(pairs)), int(entry["rounds_left"]))] = (pairs, moves)
     if ((), k) not in table:
         return False, "initial position missing"
+    winning = lru_cache(maxsize=None)(lambda pairs: is_partial_isomorphism(pairs, A, B))
     for (key, rounds), (pairs, moves) in sorted(table.items()):
-        if not is_partial_isomorphism(pairs, A, B):
+        if not winning(pairs):
             return False, f"position {sorted(pairs)} is not a partial isomorphism"
         for side, universe in (("left", A.universe), ("right", B.universe)):
             for x in universe:
@@ -274,7 +237,7 @@ def verify_ef_back_and_forth_certificate(cert, A: Structure, B: Structure
                     return False, f"no response to {side} move {x!r} at {sorted(pairs)}"
                 y = moves[(side, x)]
                 new = pairs | ({(x, y)} if side == "left" else {(y, x)})
-                if not is_partial_isomorphism(new, A, B):
+                if not winning(new):
                     return False, f"response {y!r} to {x!r} leaves the winning set"
                 if rounds - 1 >= 1 and (tuple(sorted(new)), rounds - 1) not in table:
                     return False, f"strategy not closed at {sorted(new)}"
@@ -293,12 +256,13 @@ def verify_ef_bijection_certificate(cert, A: Structure, B: Structure
             (pairs, {a: b for a, b in entry["bijection"]})
     if ((), k) not in table:
         return False, "initial position missing"
+    winning = lru_cache(maxsize=None)(lambda pairs: is_partial_isomorphism(pairs, A, B))
     for (key, rounds), (pairs, psi) in sorted(table.items()):
         if sorted(psi) != sorted(A.universe) or sorted(psi.values()) != sorted(B.universe):
             return False, f"map at {sorted(pairs)} is not a bijection"
         for a in A.universe:
             new = pairs | {(a, psi[a])}
-            if not is_partial_isomorphism(new, A, B):
+            if not winning(new):
                 return False, f"pair ({a!r}, {psi[a]!r}) breaks the position"
             if rounds - 1 >= 1 and (tuple(sorted(new)), rounds - 1) not in table:
                 return False, f"strategy not closed at {sorted(new)}"

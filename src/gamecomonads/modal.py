@@ -36,19 +36,24 @@ class ArityError(StructureError):
 
 @dataclass
 class KripkeView:
-    """Unary symbols split from binary ones, with successor lookup."""
+    """Unary symbols split from binary ones, with successor lookup.
+
+    `succ` holds, per label and world, the successors in world order, and
+    `profiles` the propositions true at each world; `kripke_view` builds both
+    once.
+    """
 
     worlds: tuple[str, ...]
     props: dict[str, frozenset[str]]
     transitions: dict[str, frozenset[tuple[str, str]]]
+    succ: dict[str, dict[str, tuple[str, ...]]]
+    profiles: dict[str, frozenset[str]]
 
     def profile(self, w: str) -> frozenset[str]:
-        return frozenset(name for name, ws in self.props.items() if w in ws)
+        return self.profiles.get(w, frozenset())
 
     def successors(self, w: str, label: str) -> tuple[str, ...]:
-        order = {e: i for i, e in enumerate(self.worlds)}
-        return tuple(sorted((v for (u, v) in self.transitions[label] if u == w),
-                            key=order.__getitem__))
+        return self.succ[label].get(w, ())
 
 
 def kripke_view(A: Structure) -> KripkeView:
@@ -61,7 +66,15 @@ def kripke_view(A: Structure) -> KripkeView:
             transitions[name] = frozenset((t[0], t[1]) for t in A.relations[name])
         else:
             raise ArityError(f"arity violation: {name} has arity {ar}, Kripke use needs <= 2")
-    return KripkeView(A.universe, props, transitions)
+    order = {w: i for i, w in enumerate(A.universe)}
+    succ = {}
+    for label, edges in transitions.items():
+        out: dict[str, list[str]] = {w: [] for w in A.universe}
+        for u, v in sorted(edges, key=lambda e: order[e[1]]):
+            out[u].append(v)
+        succ[label] = {w: tuple(vs) for w, vs in out.items()}
+    profiles = {w: frozenset(name for name, ws in props.items() if w in ws) for w in A.universe}
+    return KripkeView(A.universe, props, transitions, succ, profiles)
 
 
 def _require_kripke_pair(P: PointedStructure, Q: PointedStructure) -> tuple[KripkeView, KripkeView]:

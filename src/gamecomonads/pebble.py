@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .matching import perfect_matching
-from .structures import (CapExceeded, Structure, is_partial_homomorphism, occurrences,
-                         require_same_signature, validate_structure)
+from .structures import (CapExceeded, Structure, extensions, is_partial_homomorphism,
+                         occurrences, require_same_signature, validate_structure)
 
 Move = tuple[int, str]
 PebblePlay = tuple[Move, ...]
@@ -144,12 +145,6 @@ def _parents(q: Position):
             yield q[:i] + q[i + 1:], pair
 
 
-def _preserved(occ: list, m: Mapping[str, str], target: Mapping[str, frozenset]) -> bool:
-    """Whether m maps into target every tuple of occ whose elements it all maps."""
-    return all(not all(x in m for x in t) or tuple(m[x] for x in t) in target[name]
-               for name, t in occ)
-
-
 def _arena(A: Structure, B: Structure, k: int, iso: bool) -> list[Position]:
     """Every position of at most k pairs that is a partial homomorphism (or,
     with iso, a partial isomorphism), smallest first.
@@ -167,19 +162,18 @@ def _arena(A: Structure, B: Structure, k: int, iso: bool) -> list[Position]:
         for pos in level:
             fwd = dict(pos)
             bwd = {b: a for a, b in pos}
-            for a, b in pairs[first[pos[-1]] if pos else 0:]:
-                if a in fwd or (iso and b in bwd):
-                    ok = fwd.get(a) == b
+            for a, group in groupby(pairs[first[pos[-1]] if pos else 0:], key=itemgetter(0)):
+                bs = tuple(b for _, b in group)
+                if a in fwd:
+                    bs = (fwd[a],) if fwd[a] in bs else ()
                 else:
-                    fwd[a] = b
-                    ok = _preserved(occ_a[a], fwd, B.relations)
-                    if ok and iso:
-                        bwd[b] = a
-                        ok = _preserved(occ_b[b], bwd, A.relations)
-                        del bwd[b]
-                    del fwd[a]
-                if ok:
-                    nxt.append(pos + ((a, b),))
+                    if iso:
+                        bs = tuple(b for b in bs if b not in bwd)
+                    bs = extensions(occ_a[a], fwd, a, bs, B.relations)
+                    if iso:
+                        bs = tuple(b for b in bs
+                                   if extensions(occ_b[b], bwd, b, (a,), A.relations))
+                nxt.extend(pos + ((a, b),) for b in bs)
         arena.extend(nxt)
         level = nxt
     return arena

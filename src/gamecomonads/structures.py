@@ -255,6 +255,25 @@ def occurrences(A: Structure) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     return occ
 
 
+def extensions(occ: Sequence[tuple[str, tuple[str, ...]]], m: Mapping[str, str], x: str,
+               ys: tuple[str, ...], target: Mapping[str, frozenset[tuple[str, ...]]]
+               ) -> tuple[str, ...]:
+    """The ys y for which m extended by x -> y maps into target every tuple of
+    occ whose elements other than x m already maps.
+
+    occ is a list of (relation name, tuple) through x, such as
+    `occurrences(A)[x]`, and x is unmapped by m.  If m preserves every tuple
+    it maps in full, the ys returned are those that keep it so: tuples that
+    avoid x were checked before, so only tuples through the new pair are
+    looked at.  The closed tuples are collected once for all the ys.
+    """
+    closed = [(target[name], t) for name, t in occ if all(z == x or z in m for z in t)]
+    if not closed:
+        return ys
+    return tuple(y for y in ys
+                 if all(tuple([y if z == x else m[z] for z in t]) in rel for rel, t in closed))
+
+
 def find_homomorphism(A: Structure, B: Structure,
                       pre: Optional[Mapping[str, str]] = None) -> Optional[dict[str, str]]:
     """Backtracking search with forward checking over the relation constraints.

@@ -310,6 +310,125 @@ def pebble_resweep_fixpoint(A: Structure, B: Structure, k: int, tier: int) -> se
     return surviving
 
 
+# The ef games of the three tiers as separate memoised recursions that test
+# every candidate position with the plain partial hom/iso checks: the
+# library's one engine (`ef.EfGame`) must give the same verdicts and the same
+# certificates.
+
+def ef_game_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, dict | None]:
+    """Existential k-round game; the strategy table on a win."""
+
+    @lru_cache(maxsize=None)
+    def win(pairs: frozenset, rounds_left: int) -> bool:
+        if rounds_left == 0:
+            return True
+        for a in A.universe:
+            if not any(win(pairs | {(a, b)}, rounds_left - 1)
+                       for b in B.universe
+                       if is_partial_homomorphism(pairs | {(a, b)}, A, B)):
+                return False
+        return True
+
+    if not win(frozenset(), k):
+        return False, None
+    table = {}
+
+    def extend(s: tuple, pairs: frozenset, rounds_left: int) -> None:
+        if rounds_left == 0:
+            return
+        for a in A.universe:
+            for b in B.universe:
+                nxt = pairs | {(a, b)}
+                if is_partial_homomorphism(nxt, A, B) and win(nxt, rounds_left - 1):
+                    table[s + (a,)] = b
+                    extend(s + (a,), nxt, rounds_left - 1)
+                    break
+
+    extend((), frozenset(), k)
+    return True, table
+
+
+def ef_back_and_forth_recursion(A: Structure, B: Structure, k: int
+                                ) -> tuple[bool, dict | None]:
+    """Back-and-forth k-round game; the certificate on a win."""
+
+    @lru_cache(maxsize=None)
+    def win(pairs: frozenset, rounds: int) -> bool:
+        if rounds == 0:
+            return True
+        for a in A.universe:
+            if not any(win(pairs | {(a, b)}, rounds - 1) for b in B.universe
+                       if is_partial_isomorphism(pairs | {(a, b)}, A, B)):
+                return False
+        for b in B.universe:
+            if not any(win(pairs | {(a, b)}, rounds - 1) for a in A.universe
+                       if is_partial_isomorphism(pairs | {(a, b)}, A, B)):
+                return False
+        return True
+
+    if not win(frozenset(), k):
+        return False, None
+    entries = []
+    seen = set()
+    queue = [(frozenset(), k)]
+    while queue:
+        pairs, rounds = queue.pop(0)
+        if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
+            continue
+        seen.add((tuple(sorted(pairs)), rounds))
+        moves = []
+        for a in A.universe:
+            b = next(x for x in B.universe
+                     if is_partial_isomorphism(pairs | {(a, x)}, A, B)
+                     and win(pairs | {(a, x)}, rounds - 1))
+            moves.append({"side": "left", "element": a, "response": b})
+            queue.append((pairs | {(a, b)}, rounds - 1))
+        for b in B.universe:
+            a = next(x for x in A.universe
+                     if is_partial_isomorphism(pairs | {(x, b)}, A, B)
+                     and win(pairs | {(x, b)}, rounds - 1))
+            moves.append({"side": "right", "element": b, "response": a})
+            queue.append((pairs | {(a, b)}, rounds - 1))
+        entries.append({"pairs": sorted(list(p) for p in pairs),
+                        "rounds_left": rounds, "moves": moves})
+    return True, {"comonad": "ef", "game": "back-and-forth", "k": k, "positions": entries}
+
+
+def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, dict | None]:
+    """Bijection k-round game; the certificate on a win."""
+    if len(A.universe) != len(B.universe):
+        return False, None
+
+    @lru_cache(maxsize=None)
+    def matching_at(pairs: frozenset, rounds: int):
+        psi = perfect_matching(A.universe, B.universe,
+                               lambda a, b: is_partial_isomorphism(pairs | {(a, b)}, A, B)
+                               and win(pairs | {(a, b)}, rounds - 1))
+        return tuple(sorted(psi.items())) if psi is not None else None
+
+    @lru_cache(maxsize=None)
+    def win(pairs: frozenset, rounds: int) -> bool:
+        return rounds == 0 or matching_at(pairs, rounds) is not None
+
+    if not win(frozenset(), k):
+        return False, None
+    entries = []
+    seen = set()
+    queue = [(frozenset(), k)]
+    while queue:
+        pairs, rounds = queue.pop(0)
+        if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
+            continue
+        seen.add((tuple(sorted(pairs)), rounds))
+        psi = dict(matching_at(pairs, rounds))
+        entries.append({"pairs": sorted(list(p) for p in pairs),
+                        "rounds_left": rounds,
+                        "bijection": sorted([a, b] for a, b in psi.items())})
+        for a, b in psi.items():
+            queue.append((pairs | {(a, b)}, rounds - 1))
+    return True, {"comonad": "ef", "game": "bijection", "k": k, "positions": entries}
+
+
 # Winning-position predicates of the three comonads' games, on synchronized
 # plays (the library's solvers work on the positions these reduce to).
 

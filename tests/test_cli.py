@@ -1,8 +1,9 @@
 import json
+from functools import partial
 
 import pytest
 
-from gamecomonads import zoo
+from gamecomonads import ef, equiv, zoo
 from gamecomonads.cli import main
 from gamecomonads.structures import structure_to_dict
 
@@ -50,6 +51,12 @@ def test_check_all_games_and_tiers_run(tmp_path, capsys, lin2):
     P = plain(tmp_path, "pk.json", zoo.kripke_two_cycle())
     for tier in ("1", "2", "3"):
         assert main(["check", "--game", "modal", "--tier", tier, "-k", "2", P, P]) == 0
+
+
+def test_check_ef_strategy_cap_is_usage_error(monkeypatch, capsys, lin2):
+    monkeypatch.setattr(equiv, "ef_game_exists", partial(ef.ef_game_exists, strategy_cap=5))
+    assert main(["check", "--game", "ef", "--tier", "1", "-k", "2", lin2, lin2]) == 2
+    assert "cap is 5" in capsys.readouterr().err
 
 
 def test_check_writes_certificate(tmp_path, capsys, lin2):

@@ -99,6 +99,17 @@ def test_game_identity():
     assert ok, msg
 
 
+def test_game_strategy_cap():
+    # a win whose strategy table would exceed the cap raises rather than
+    # answering without a certificate; a loss, or no table asked for, answers
+    with pytest.raises(CapExceeded) as exc:
+        ef_game_exists(zoo.lin(3), zoo.lin(3), 2, strategy_cap=5)
+    assert exc.value.cap == 5 and exc.value.required == 3 + 9
+    assert ef_game_exists(zoo.lin(3), zoo.lin(3), 2, build_strategy=False,
+                          strategy_cap=5) == (True, None)
+    assert ef_game_exists(zoo.lin(3), zoo.lin(2), 2, strategy_cap=5) == (False, None)
+
+
 def test_game_lin3_to_lin2():
     # one round embeds any single element; two rounds let Spoiler isolate the
     # middle element of the larger order

@@ -1,0 +1,90 @@
+"""Differential tests of the ef engine against the plain partial hom/iso
+checks and against the separate memoised recursions of each tier."""
+
+import random
+from itertools import combinations
+
+import pytest
+from oracles import (all_digraphs, ef_back_and_forth_recursion, ef_bijection_recursion,
+                     ef_game_recursion)
+
+from gamecomonads import zoo
+from gamecomonads.ef import EfGame, ef_game_exists
+from gamecomonads.equiv import bijection_game_equiv, ef_back_and_forth
+from gamecomonads.structures import (is_partial_homomorphism, is_partial_isomorphism,
+                                     validate_structure)
+
+
+def random_structure(rng: random.Random, prefix: str):
+    """At most 4 elements; a binary, a unary and a ternary relation, loops allowed."""
+    u = [f"{prefix}{i}" for i in range(rng.randint(1, 4))]
+    return validate_structure({"E": 2, "P": 1, "T": 3}, u, {
+        "E": [[x, y] for x in u for y in u if rng.random() < 0.35],
+        "P": [[x] for x in u if rng.random() < 0.5],
+        "T": [[x, y, z] for x in u for y in u for z in u if rng.random() < 0.1]})
+
+
+def relabelled(rng: random.Random, A):
+    """An isomorphic copy of A on fresh names, listed in a shuffled order."""
+    names = {a: f"y{i}" for i, a in enumerate(rng.sample(A.universe, len(A.universe)))}
+    universe = rng.sample(sorted(names.values()), len(names))
+    return validate_structure(dict(A.sig.relations), universe,
+                              {r: [[names[x] for x in t] for t in ts]
+                               for r, ts in A.relations.items()})
+
+
+def random_pairs(count: int, seed: int):
+    """Each random structure against a relabelled copy or against another one."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        A = random_structure(rng, "x")
+        out.append((A, relabelled(rng, A) if i % 2 else random_structure(rng, rng.choice("xy"))))
+    return out
+
+
+@pytest.mark.parametrize("tier", [1, 2])
+def test_options_match_plain_checks(tier):
+    """Every winning pair set of at most 3 pairs is reached, and its options
+    are exactly the responses the plain check accepts."""
+    winning = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
+    for A, B in random_pairs(12, 4):
+        game = EfGame(A, B, tier)
+        reached = {frozenset()}
+        frontier = [frozenset()]
+        for size in range(4):
+            nxt = []
+            for pairs in frontier:
+                options = game.memo[pairs][0]
+                for a, bs in zip(A.universe, options):
+                    assert bs == tuple(b for b in B.universe
+                                       if winning(pairs | {(a, b)}, A, B)), (A, B, pairs, a)
+                    for b in bs if size < 3 else ():
+                        child = game.child(pairs, a, b)
+                        if child not in reached:
+                            reached.add(child)
+                            nxt.append(child)
+            frontier = nxt
+        all_pairs = [(a, b) for a in A.universe for b in B.universe]
+        expected = {frozenset(c) for size in range(4) for c in combinations(all_pairs, size)
+                    if winning(c, A, B)}
+        assert reached == expected, (A, B)
+
+
+def _pairs(family: str):
+    if family == "digraphs":
+        ds = all_digraphs(2)
+        return [(A, B) for A in ds for B in ds]
+    if family == "random":
+        return random_pairs(30, 20181004)
+    return [(zoo.lin(m), zoo.lin(n)) for m in range(1, 7) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("family", ["digraphs", "random", "lin"])
+def test_engine_matches_recursions(family):
+    for A, B in _pairs(family):
+        for k in (1, 2, 3):
+            exists, f = ef_game_exists(A, B, k)
+            assert (exists, f and f.table) == ef_game_recursion(A, B, k), (A, B, k)
+            assert ef_back_and_forth(A, B, k) == ef_back_and_forth_recursion(A, B, k), (A, B, k)
+            assert bijection_game_equiv(A, B, k) == ef_bijection_recursion(A, B, k), (A, B, k)
