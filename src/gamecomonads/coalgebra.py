@@ -202,6 +202,31 @@ def pebble_coalgebra_number(A: Structure) -> tuple[int, PebbledForestCover]:
     return k, cover
 
 
+def _unfold(P: PointedStructure) -> tuple[Optional[int], ModalCoalgebra]:
+    """One breadth-first walk from the point: each reachable world with its
+    first path (labels in sorted order, successors in world order), and the
+    height of the generated submodel when it is a synchronization tree, else
+    None."""
+    K = kripke_view(P.base)
+    paths: ModalCoalgebra = {P.point: (P.point,)}
+    queue = [P.point]
+    while queue:
+        w = queue.pop(0)
+        for label in sorted(K.transitions):
+            for v in K.successors(w, label):
+                if v not in paths:
+                    paths[v] = paths[w] + (label, v)
+                    queue.append(v)
+    indeg = {w: 0 for w in paths}
+    for label, edges in K.transitions.items():
+        for (u, v) in edges:
+            if u in paths and v in paths:
+                indeg[v] += 1
+    if indeg[P.point] != 0 or any(indeg[w] != 1 for w in paths if w != P.point):
+        return None, paths
+    return max(len(s) // 2 for s in paths.values()), paths
+
+
 def modal_depth(P: PointedStructure) -> Optional[int]:
     """Height of the generated submodel when it is a synchronization tree.
 
@@ -209,28 +234,7 @@ def modal_depth(P: PointedStructure) -> Optional[int]:
     in which case no unfolding depth admits a coalgebra at all.  A height of
     0 (no outgoing transitions) still admits a coalgebra at depth 1.
     """
-    K = kripke_view(P.base)
-    reachable = {P.point}
-    dist = {P.point: 0}
-    queue = [P.point]
-    while queue:
-        w = queue.pop(0)
-        for label in sorted(K.transitions):
-            for v in K.successors(w, label):
-                if v not in reachable:
-                    reachable.add(v)
-                    dist[v] = dist[w] + 1
-                    queue.append(v)
-    indeg = {w: 0 for w in reachable}
-    for label, edges in K.transitions.items():
-        for (u, v) in edges:
-            if u in reachable and v in reachable:
-                indeg[v] += 1
-    if indeg[P.point] != 0:
-        return None
-    if any(indeg[w] != 1 for w in reachable if w != P.point):
-        return None
-    return max(dist.values())
+    return _unfold(P)[0]
 
 
 def modal_coalgebra(P: PointedStructure, k: int) -> Optional[ModalCoalgebra]:
@@ -239,46 +243,18 @@ def modal_coalgebra(P: PointedStructure, k: int) -> Optional[ModalCoalgebra]:
     Worlds outside the generated submodel have no path from the point, so a
     coalgebra exists only when everything is reachable.
     """
-    height = modal_depth(P)
-    if height is None or max(height, 1) > k:
-        return None
-    K = kripke_view(P.base)
-    alpha: ModalCoalgebra = {P.point: (P.point,)}
-    queue = [P.point]
-    while queue:
-        w = queue.pop(0)
-        for label in sorted(K.transitions):
-            for v in K.successors(w, label):
-                if v not in alpha:
-                    alpha[v] = alpha[w] + (label, v)
-                    queue.append(v)
-    if set(alpha) != set(P.base.universe):
+    height, alpha = _unfold(P)
+    if height is None or max(height, 1) > k or len(alpha) != len(P.base.universe):
         return None
     return alpha
 
 
 def modal_coalgebra_number(P: PointedStructure) -> Optional[int]:
     """Least depth admitting a coalgebra: max(height, 1), or None."""
-    height = modal_depth(P)
-    if height is None:
-        return None
-    if set(P.base.universe) != set(_reachable(P)):
+    height, alpha = _unfold(P)
+    if height is None or len(alpha) != len(P.base.universe):
         return None
     return max(height, 1)
-
-
-def _reachable(P: PointedStructure) -> set[str]:
-    K = kripke_view(P.base)
-    out = {P.point}
-    queue = [P.point]
-    while queue:
-        w = queue.pop(0)
-        for label in sorted(K.transitions):
-            for v in K.successors(w, label):
-                if v not in out:
-                    out.add(v)
-                    queue.append(v)
-    return out
 
 
 def construct_coalgebra(tag: str, A, k: int) -> Optional[dict]:

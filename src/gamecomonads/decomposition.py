@@ -1,14 +1,14 @@
 """Forest covers, tree decompositions, and exact tree-depth / tree-width.
 
-Both solvers are exact and desk-scale only: tree-depth by memoized recursion
-over connected vertex subsets, tree-width by dynamic programming over
-elimination prefixes.  Each returns an independently verifiable witness.
+Both solvers are exact and desk-scale only, and work on integer vertex masks
+(components by flood fill): tree-depth by memoized recursion over connected
+masks, tree-width by a subset DP over elimination prefixes.  Ties go to the
+first vertex in universe order.  Each returns an independently verifiable witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .structures import BoundExceeded, Graph, Structure, gaifman_graph
@@ -166,159 +166,169 @@ def verify_tree_decomposition(T: TreeDecomposition, G: Graph) -> tuple[bool, Opt
 
 # ------------------------------------------------------------------- solvers
 
-def _components(vertices: frozenset[str], adj: dict[str, set[str]]) -> list[frozenset[str]]:
-    out = []
-    left = set(vertices)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v] & left:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        out.append(frozenset(comp))
-        left -= comp
-    return sorted(out, key=min)
+class _MaskGraph:
+    """The Gaifman graph of A on integer vertex masks, bit i being `A.universe[i]`.
+
+    One table per 8 vertices holds the union of the adjacency masks of every
+    subset of them, so the neighborhood of a mask is three lookups (n <= 24).
+    """
+
+    def __init__(self, A: Structure):
+        G, pos = gaifman_graph(A), {a: i for i, a in enumerate(A.universe)}
+        adj = [sum(1 << pos[w] for w in G.neighbors(v)) for v in A.universe]
+        self.tables = [[0] * (1 << len(adj[lo:lo + 8])) for lo in (0, 8, 16)]
+        for lo, table in zip((0, 8, 16), self.tables):
+            for x in range(1, len(table)):
+                table[x] = table[x & (x - 1)] | adj[lo + (x & -x).bit_length() - 1]
+
+    def neighbors(self, X: int) -> int:
+        t0, t1, t2 = self.tables
+        return t0[X & 255] | t1[X >> 8 & 255] | t2[X >> 16]
+
+    def components(self, S: int) -> list[int]:
+        """Connected components of the subgraph induced by S, lowest vertex
+        first, each grown from its lowest vertex by flood fill."""
+        t0, t1, t2 = self.tables
+        out = []
+        while S:
+            comp = frontier = S & -S
+            while frontier:
+                frontier = (t0[frontier & 255] | t1[frontier >> 8 & 255]
+                            | t2[frontier >> 16]) & S & ~comp
+                comp |= frontier
+            out.append(comp)
+            S ^= comp
+        return out
+
+    def fill_neighbors(self, v: int, eliminated: int) -> int:
+        """Vertices outside `eliminated` and v adjacent to v through eliminated ones."""
+        closed = eliminated | v
+        comp = next(c for c in self.components(closed) if c & v)
+        return self.neighbors(comp) & ~closed
+
+
+def _bits(S: int) -> list[int]:
+    """The one-vertex masks of S in universe order."""
+    return [1 << i for i in range(S.bit_length()) if S >> i & 1]
 
 
 def tree_depth(A: Structure) -> tuple[int, ForestCover]:
     """Exact tree-depth of the Gaifman graph, with a minimum-height forest cover.
 
-    Connected pieces recurse on vertex deletion (depth = 1 + best deletion);
-    a disconnected piece is the maximum over its components.
+    A connected vertex mask recurses on vertex deletion (depth = 1 + best
+    deletion, the first root in universe order among the best); a
+    disconnected one is the maximum over its components.  Only connected
+    masks are memoised, with their depth and root.
     """
     if len(A.universe) > TREE_DEPTH_BOUND:
         raise BoundExceeded(f"tree-depth solver handles at most {TREE_DEPTH_BOUND} elements")
-    G = gaifman_graph(A)
-    adj = {v: set(G.neighbors(v)) for v in G.vertices}
-    order = {v: i for i, v in enumerate(A.universe)}
+    G = _MaskGraph(A)
+    memo: dict[int, tuple[int, int]] = {}
 
-    @lru_cache(maxsize=None)
-    def solve(vertices: frozenset) -> tuple[int, tuple]:
-        """Returns (depth, parent-items) for the induced subgraph."""
-        if not vertices:
-            return 0, ()
-        comps = _components(vertices, adj)
-        if len(comps) > 1:
-            depth = 0
-            parent: dict[str, Optional[str]] = {}
-            for comp in comps:
-                d, items = solve(comp)
-                depth = max(depth, d)
-                parent.update(dict(items))
-            return depth, tuple(sorted(parent.items()))
-        comp = comps[0]
-        if len(comp) == 1:
-            (v,) = comp
-            return 1, ((v, None),)
-        best = None
-        for v in sorted(comp, key=order.__getitem__):
-            d, items = solve(comp - {v})
-            if best is None or d + 1 < best[0]:
-                sub = dict(items)
-                parent = {v: None}
-                for w, p in sub.items():
-                    parent[w] = v if p is None else p
-                best = (d + 1, tuple(sorted(parent.items())))
+    def solve(C: int) -> int:
+        """Depth of the connected mask C, not yet in memo; records it there
+        with its best root."""
+        best, root = len(A.universe) + 1, 0
+        for v in _bits(C):
+            d = 0
+            for comp in G.components(C ^ v):
+                d = max(d, memo[comp][0] if comp in memo else solve(comp))
+                if d + 1 >= best:
+                    break
+            if d + 1 < best:
+                best, root = d + 1, v
+                if best == 2:  # C has an edge: no root does better
+                    break
+        memo[C] = (best, root)
         return best
 
-    depth, items = solve(frozenset(A.universe))
-    return depth, ForestCover(dict(items))
+    full = (1 << len(A.universe)) - 1
+    depth = max((solve(comp) for comp in G.components(full)), default=0)
 
-
-def _fill_neighbors(v: str, eliminated: frozenset[str], adj: dict[str, set[str]]) -> frozenset[str]:
-    """Vertices outside `eliminated` adjacent to v through eliminated ones."""
-    seen = {v}
-    stack = [v]
-    out = set()
+    parent: dict[str, Optional[str]] = {}
+    stack: list[tuple[int, Optional[str]]] = [(full, None)]
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in seen:
-                continue
-            seen.add(w)
-            if w in eliminated:
-                stack.append(w)
-            elif w != v:
-                out.add(w)
-    return frozenset(out)
+        S, above = stack.pop()
+        for comp in G.components(S):
+            root = memo[comp][1]
+            name = A.universe[root.bit_length() - 1]
+            parent[name] = above
+            stack.append((comp ^ root, name))
+    return depth, ForestCover({v: parent[v] for v in sorted(parent)})
 
 
 def tree_width(A: Structure) -> tuple[int, TreeDecomposition]:
     """Exact tree-width via dynamic programming over elimination prefixes.
 
     The width of an elimination order is the largest fill-in degree at
-    elimination time; minimizing over orders equals the tree-width.  The
-    witness decomposition is rebuilt from an optimal order.
+    elimination time; minimizing over orders equals the tree-width.  tw[S], for
+    orders eliminating the mask S first, is the min over v in S of
+    max(tw[S - v], |fill-in of v|), the fill-in being shared by v's component
+    of S.  The witness decomposition is rebuilt from an optimal order.
     """
     if len(A.universe) > TREE_WIDTH_BOUND:
         raise BoundExceeded(f"tree-width solver handles at most {TREE_WIDTH_BOUND} elements")
-    G = gaifman_graph(A)
-    adj = {v: set(G.neighbors(v)) for v in G.vertices}
-    verts = list(A.universe)
-    order = {v: i for i, v in enumerate(verts)}
-
-    @lru_cache(maxsize=None)
-    def best_width(prefix: frozenset) -> int:
-        """Least possible max fill-degree over orders eliminating exactly `prefix` first."""
-        if not prefix:
-            return -1
-        return min(max(best_width(prefix - {v}),
-                       len(_fill_neighbors(v, prefix - {v}, adj)))
-                   for v in sorted(prefix, key=order.__getitem__))
-
-    width = best_width(frozenset(verts))
+    n = len(A.universe)
+    G = _MaskGraph(A)
+    tw = [-1] * (1 << n)
+    for S in range(1, 1 << n):
+        best = n
+        for comp in G.components(S):
+            fill = (G.neighbors(comp) & ~S).bit_count()
+            while comp and fill < best:
+                v = comp & -comp
+                comp ^= v
+                if tw[S ^ v] < best:
+                    best = max(tw[S ^ v], fill)
+        tw[S] = best
 
     # reconstruct an optimal elimination order, last eliminated first
-    elim: list[str] = []
-    prefix = frozenset(verts)
-    while prefix:
-        v = next(v for v in sorted(prefix, key=order.__getitem__)
-                 if max(best_width(prefix - {v}),
-                        len(_fill_neighbors(v, prefix - {v}, adj))) == best_width(prefix))
+    elim: list[int] = []
+    S = (1 << n) - 1
+    while S:
+        v = next(v for v in _bits(S)
+                 if max(tw[S ^ v], G.fill_neighbors(v, S ^ v).bit_count()) == tw[S])
         elim.append(v)
-        prefix = prefix - {v}
+        S ^= v
     elim.reverse()
-
-    decomposition = _decomposition_from_order(A, G, adj, elim)
-    return width, decomposition
+    return tw[-1], _decomposition_from_order(A, G, elim)
 
 
-def _decomposition_from_order(A: Structure, G: Graph, adj: dict[str, set[str]],
-                              elim: list[str]) -> TreeDecomposition:
+def _decomposition_from_order(A: Structure, G: _MaskGraph, elim: list[int]) -> TreeDecomposition:
     """Standard construction: bag of v = v plus its fill neighbors; each bag
     hangs under a bag containing those neighbors.  Components are joined under
     an empty virtual root only when the graph is disconnected."""
-    comps = _components(frozenset(A.universe), adj)
-    eliminated: set[str] = set()
-    fill: dict[str, frozenset[str]] = {}
+    def name(v: int) -> str:
+        return A.universe[v.bit_length() - 1]
+
+    comps = sorted(G.components((1 << len(A.universe)) - 1),
+                   key=lambda comp: min(map(name, _bits(comp))))
+    eliminated = 0
+    bag: dict[int, int] = {}
     for v in elim:
-        fill[v] = _fill_neighbors(v, frozenset(eliminated), adj)
-        eliminated.add(v)
+        bag[v] = G.fill_neighbors(v, eliminated) | v
+        eliminated |= v
 
     nodes: list[str] = []
     parent: dict[str, Optional[str]] = {}
     bags: dict[str, frozenset[str]] = {}
     comp_roots: list[str] = []
     for comp in comps:
-        members = [v for v in elim if v in comp]
+        members = [v for v in elim if v & comp]
         # last eliminated vertex of the component roots its subtree
         root = members[-1]
         local = [root]
-        parent[root] = None
-        bags[root] = fill[root] | {root}
+        parent[name(root)] = None
         for v in reversed(members[:-1]):
             # at v's elimination its fill neighbors form a clique among the
             # later-eliminated vertices, so some existing bag contains them
-            host = next(n for n in local if fill[v] <= bags[n])
+            host = next(u for u in local if bag[v] & ~v & ~bag[u] == 0)
             local.append(v)
-            parent[v] = host
-            bags[v] = fill[v] | {v}
-        nodes.extend(local)
-        comp_roots.append(root)
+            parent[name(v)] = name(host)
+        for v in local:
+            nodes.append(name(v))
+            bags[name(v)] = frozenset(map(name, _bits(bag[v])))
+        comp_roots.append(name(root))
     if len(comps) > 1:
         top = ROOT
         while top in nodes:

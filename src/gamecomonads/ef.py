@@ -254,7 +254,7 @@ def ef_game_exists(A: Structure, B: Structure, k: int,
         return exists, None
     size = ef_universe_size(len(A.universe), k)
     if size > strategy_cap:
-        raise CapExceeded(size, strategy_cap)
+        raise CapExceeded(size, strategy_cap, "strategy-table entries")
 
     table: dict[EfPlay, str] = {}
 

@@ -110,7 +110,7 @@ def modal_plays(P: PointedStructure, k: int, cap: int = DEFAULT_CAP) -> list[Mod
                     nxt.append(s + (label, v))
         plays.extend(nxt)
         if len(plays) > cap:
-            raise CapExceeded(len(plays), cap)
+            raise CapExceeded(len(plays), cap, "plays")
         frontier = nxt
     return plays
 
@@ -456,7 +456,7 @@ def simulation_table(P: PointedStructure, Q: PointedStructure, k: int,
                     nxt.append((play, bp))
         frontier = nxt
         if len(table) > cap:
-            raise CapExceeded(len(table), cap)
+            raise CapExceeded(len(table), cap, "strategy-table entries")
     return table
 
 

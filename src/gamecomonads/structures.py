@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -21,10 +22,11 @@ class SignatureMismatch(StructureError):
 
 
 class CapExceeded(RuntimeError):
-    """A materialization would exceed the requested size cap."""
+    """A materialization or strategy table would exceed the requested size
+    cap; `what` names the things counted (elements, plays, table entries)."""
 
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"size cap exceeded: would need {required} elements, cap is {cap}")
+    def __init__(self, required: int, cap: int, what: str = "elements"):
+        super().__init__(f"size cap exceeded: would need {required} {what}, cap is {cap}")
         self.required = required
         self.cap = cap
 
@@ -83,9 +85,17 @@ class Graph:
         return (u, v) in self.edges or (v, u) in self.edges
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        out = [w for w in self.vertices
-               if w != v and ((v, w) in self.edges or (w, v) in self.edges)]
-        return tuple(out)
+        """Neighbors of v, in vertex order."""
+        return self._adjacency.get(v, ())
+
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        near: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for (u, v) in self.edges:
+            near[u].add(v)
+            near[v].add(u)
+        return {v: tuple(sorted(ws, key=pos.__getitem__)) for v, ws in near.items()}
 
 
 def validate_structure(sig: Mapping[str, int],
@@ -285,6 +295,7 @@ def find_homomorphism(A: Structure, B: Structure,
     require_same_signature(A, B)
     variables = list(A.universe)
     occurs = occurrences(A)
+    rank = {b: i for i, b in enumerate(B.universe)}
 
     domains: dict[str, list[str]] = {}
     for a in variables:
@@ -321,7 +332,7 @@ def find_homomorphism(A: Structure, B: Structure,
                 else:
                     removed.append((u, val))
             if not keep:
-                _restore(domains, removed, B)
+                _restore(domains, removed, rank)
                 return None
             domains[u] = keep
         return removed
@@ -337,7 +348,7 @@ def find_homomorphism(A: Structure, B: Structure,
                 if removed is not None:
                     if search(i + 1):
                         return True
-                    _restore(domains, removed, B)
+                    _restore(domains, removed, rank)
             del assignment[var]
         return False
 
@@ -347,9 +358,10 @@ def find_homomorphism(A: Structure, B: Structure,
 
 
 def _restore(domains: dict[str, list[str]], removed: list[tuple[str, str]],
-             B: Structure) -> None:
-    """Undo forward-checking prunes, keeping domains in universe order."""
+             rank: Mapping[str, int]) -> None:
+    """Undo forward-checking prunes, keeping domains in universe order (rank
+    is the position of each element of B's universe)."""
     for (x, v) in removed:
         domains[x].append(v)
-    for (x, _) in removed:
-        domains[x].sort(key=B.universe.index)
+    for x in {x for x, _ in removed}:
+        domains[x].sort(key=rank.__getitem__)

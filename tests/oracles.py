@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from typing import Optional
 
+from gamecomonads.decomposition import (ROOT, TREE_DEPTH_BOUND, TREE_WIDTH_BOUND, ForestCover,
+                                        TreeDecomposition)
 from gamecomonads.ef import coextend_play, ef_plays
 from gamecomonads.matching import perfect_matching
-from gamecomonads.structures import (BoundExceeded, Structure, gaifman_graph, is_homomorphism,
-                                     is_partial_homomorphism, is_partial_isomorphism,
+from gamecomonads.structures import (BoundExceeded, Graph, Structure, gaifman_graph,
+                                     is_homomorphism, is_partial_homomorphism,
+                                     is_partial_isomorphism,
                                      require_same_signature, validate_structure)
 
 
@@ -524,3 +528,175 @@ def theta_fixpoint_oracle(A: Structure, B: Structure, k: int,
         if nxt == F:
             return bool(F)
         F = nxt
+
+
+# The exact tree-depth and tree-width solvers as memoised recursions over
+# frozensets of element names, with a set-based search for every fill-in: the
+# library's bitmask solvers (`decomposition.tree_depth`/`tree_width`) must give
+# the same values and the same witnesses.
+
+def _set_components(vertices: frozenset[str],
+                    adj: dict[str, set[str]]) -> list[frozenset[str]]:
+    out = []
+    left = set(vertices)
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v] & left:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        out.append(frozenset(comp))
+        left -= comp
+    return sorted(out, key=min)
+
+
+def tree_depth_reference(A: Structure) -> tuple[int, ForestCover]:
+    """Exact tree-depth of the Gaifman graph, with a minimum-height forest cover.
+
+    Connected pieces recurse on vertex deletion (depth = 1 + best deletion);
+    a disconnected piece is the maximum over its components.
+    """
+    if len(A.universe) > TREE_DEPTH_BOUND:
+        raise BoundExceeded(f"tree-depth solver handles at most {TREE_DEPTH_BOUND} elements")
+    G = gaifman_graph(A)
+    adj = {v: set(G.neighbors(v)) for v in G.vertices}
+    order = {v: i for i, v in enumerate(A.universe)}
+
+    @lru_cache(maxsize=None)
+    def solve(vertices: frozenset) -> tuple[int, tuple]:
+        """Returns (depth, parent-items) for the induced subgraph."""
+        if not vertices:
+            return 0, ()
+        comps = _set_components(vertices, adj)
+        if len(comps) > 1:
+            depth = 0
+            parent: dict[str, Optional[str]] = {}
+            for comp in comps:
+                d, items = solve(comp)
+                depth = max(depth, d)
+                parent.update(dict(items))
+            return depth, tuple(sorted(parent.items()))
+        comp = comps[0]
+        if len(comp) == 1:
+            (v,) = comp
+            return 1, ((v, None),)
+        best = None
+        for v in sorted(comp, key=order.__getitem__):
+            d, items = solve(comp - {v})
+            if best is None or d + 1 < best[0]:
+                sub = dict(items)
+                parent = {v: None}
+                for w, p in sub.items():
+                    parent[w] = v if p is None else p
+                best = (d + 1, tuple(sorted(parent.items())))
+        return best
+
+    depth, items = solve(frozenset(A.universe))
+    return depth, ForestCover(dict(items))
+
+
+def _set_fill_neighbors(v: str, eliminated: frozenset[str],
+                        adj: dict[str, set[str]]) -> frozenset[str]:
+    """Vertices outside `eliminated` adjacent to v through eliminated ones."""
+    seen = {v}
+    stack = [v]
+    out = set()
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w in seen:
+                continue
+            seen.add(w)
+            if w in eliminated:
+                stack.append(w)
+            elif w != v:
+                out.add(w)
+    return frozenset(out)
+
+
+def tree_width_reference(A: Structure) -> tuple[int, TreeDecomposition]:
+    """Exact tree-width via dynamic programming over elimination prefixes.
+
+    The width of an elimination order is the largest fill-in degree at
+    elimination time; minimizing over orders equals the tree-width.  The
+    witness decomposition is rebuilt from an optimal order.
+    """
+    if len(A.universe) > TREE_WIDTH_BOUND:
+        raise BoundExceeded(f"tree-width solver handles at most {TREE_WIDTH_BOUND} elements")
+    G = gaifman_graph(A)
+    adj = {v: set(G.neighbors(v)) for v in G.vertices}
+    verts = list(A.universe)
+    order = {v: i for i, v in enumerate(verts)}
+
+    @lru_cache(maxsize=None)
+    def best_width(prefix: frozenset) -> int:
+        """Least possible max fill-degree over orders eliminating exactly `prefix` first."""
+        if not prefix:
+            return -1
+        return min(max(best_width(prefix - {v}),
+                       len(_set_fill_neighbors(v, prefix - {v}, adj)))
+                   for v in sorted(prefix, key=order.__getitem__))
+
+    width = best_width(frozenset(verts))
+
+    # reconstruct an optimal elimination order, last eliminated first
+    elim: list[str] = []
+    prefix = frozenset(verts)
+    while prefix:
+        v = next(v for v in sorted(prefix, key=order.__getitem__)
+                 if max(best_width(prefix - {v}),
+                        len(_set_fill_neighbors(v, prefix - {v}, adj))) == best_width(prefix))
+        elim.append(v)
+        prefix = prefix - {v}
+    elim.reverse()
+
+    decomposition = _set_decomposition_from_order(A, G, adj, elim)
+    return width, decomposition
+
+
+def _set_decomposition_from_order(A: Structure, G: Graph, adj: dict[str, set[str]],
+                                  elim: list[str]) -> TreeDecomposition:
+    """Standard construction: bag of v = v plus its fill neighbors; each bag
+    hangs under a bag containing those neighbors.  Components are joined under
+    an empty virtual root only when the graph is disconnected."""
+    comps = _set_components(frozenset(A.universe), adj)
+    eliminated: set[str] = set()
+    fill: dict[str, frozenset[str]] = {}
+    for v in elim:
+        fill[v] = _set_fill_neighbors(v, frozenset(eliminated), adj)
+        eliminated.add(v)
+
+    nodes: list[str] = []
+    parent: dict[str, Optional[str]] = {}
+    bags: dict[str, frozenset[str]] = {}
+    comp_roots: list[str] = []
+    for comp in comps:
+        members = [v for v in elim if v in comp]
+        # last eliminated vertex of the component roots its subtree
+        root = members[-1]
+        local = [root]
+        parent[root] = None
+        bags[root] = fill[root] | {root}
+        for v in reversed(members[:-1]):
+            # at v's elimination its fill neighbors form a clique among the
+            # later-eliminated vertices, so some existing bag contains them
+            host = next(n for n in local if fill[v] <= bags[n])
+            local.append(v)
+            parent[v] = host
+            bags[v] = fill[v] | {v}
+        nodes.extend(local)
+        comp_roots.append(root)
+    if len(comps) > 1:
+        top = ROOT
+        while top in nodes:
+            top += "#"
+        nodes.insert(0, top)
+        parent[top] = None
+        bags[top] = frozenset()
+        for root in comp_roots:
+            parent[root] = top
+    return TreeDecomposition(tuple(nodes), parent, bags)

@@ -56,7 +56,9 @@ def test_check_all_games_and_tiers_run(tmp_path, capsys, lin2):
 def test_check_ef_strategy_cap_is_usage_error(monkeypatch, capsys, lin2):
     monkeypatch.setattr(equiv, "ef_game_exists", partial(ef.ef_game_exists, strategy_cap=5))
     assert main(["check", "--game", "ef", "--tier", "1", "-k", "2", lin2, lin2]) == 2
-    assert "cap is 5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cap is 5" in err
+    assert "strategy-table entries" in err and "elements" not in err
 
 
 def test_check_writes_certificate(tmp_path, capsys, lin2):

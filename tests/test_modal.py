@@ -53,7 +53,7 @@ def test_unfold_keeps_props_of_last_element():
 
 def test_unfold_cap():
     P = zoo.kripke(["a"], "a", {"s": [("a", "a")], "t": [("a", "a")]})
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="plays, cap is 50"):
         modal_unfold(P, 10, cap=50)
 
 

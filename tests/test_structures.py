@@ -76,6 +76,23 @@ def test_gaifman_ternary_tuple_is_triangle():
     assert set(G.edges) == {("a", "b"), ("a", "c"), ("b", "c")}
 
 
+def test_graph_neighbors_in_vertex_order():
+    A = validate_structure({"E": 2}, ["d", "b", "a", "c"],
+                           {"E": [["a", "d"], ["c", "a"], ["b", "a"], ["c", "c"]]})
+    G = gaifman_graph(A)
+    assert G.neighbors("a") == ("d", "b", "c")
+    assert G.neighbors("c") == ("a",)
+    assert G.neighbors("d") == ("a",)
+    assert G.neighbors("z") == ()
+
+
+@given(structures(max_size=4))
+def test_graph_neighbors_match_a_scan_of_the_vertices(A):
+    G = gaifman_graph(A)
+    for v in G.vertices:
+        assert G.neighbors(v) == tuple(w for w in G.vertices if G.adjacent(v, w))
+
+
 @given(structures())
 def test_gaifman_symmetric_irreflexive(A):
     G = gaifman_graph(A)
