@@ -15,7 +15,7 @@ from . import coalgebra as coalg_mod
 from . import decomposition as dec_mod
 from . import equiv as equiv_mod
 from . import lawcheck as law_mod
-from .modal import ArityError, kripke_view
+from .modal import ArityError, view_of
 from .structures import (BoundExceeded, CapExceeded, PointedStructure,
                          SignatureMismatch, Structure, StructureError,
                          gaifman_graph, load_structure_file,
@@ -48,7 +48,7 @@ def _load_pointed(path: str) -> PointedStructure:
         raise UsageError(f"{path}: modal commands need a pointed structure "
                          '(add a "point" field)')
     try:
-        kripke_view(A.base)
+        view_of(A.base)
     except ArityError as exc:
         raise UsageError(f"{path}: {exc}")
     return A

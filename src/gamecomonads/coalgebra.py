@@ -16,7 +16,7 @@ from .decomposition import (ForestCover, PebbledForestCover,
                             decomposition_to_pebble_cover, tree_depth, tree_width,
                             verify_pebbled_forest_cover)
 from .ef import EfPlay
-from .modal import ModalPlay, kripke_view
+from .modal import ModalPlay, view_of
 from .pebble import PebblePlay, pebble_relation_holds
 from .structures import PointedStructure, Structure, gaifman_graph
 
@@ -94,7 +94,7 @@ def _verify_pebble(A: Structure, k: int, alpha: Mapping[str, PebblePlay]) -> tup
 
 
 def _verify_modal(P: PointedStructure, k: int, alpha: Mapping[str, ModalPlay]) -> tuple[bool, Optional[str]]:
-    K = kripke_view(P.base)
+    K = view_of(P.base)
     A = P.base
     for a in A.universe:
         if a not in alpha:
@@ -207,7 +207,7 @@ def _unfold(P: PointedStructure) -> tuple[Optional[int], ModalCoalgebra]:
     first path (labels in sorted order, successors in world order), and the
     height of the generated submodel when it is a synchronization tree, else
     None."""
-    K = kripke_view(P.base)
+    K = view_of(P.base)
     paths: ModalCoalgebra = {P.point: (P.point,)}
     queue = [P.point]
     while queue:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional
 
-from .matching import perfect_matching
+from .strategy import PairRules, answers
 from .structures import (CapExceeded, Structure, extensions, is_partial_homomorphism,
                          occurrences, require_same_signature, validate_structure)
 
@@ -110,12 +110,6 @@ def ef_coextension(f: EfCoKleisli) -> dict[EfPlay, EfPlay]:
     return {s: coextend_play(f, s) for s in ef_plays(f.source, f.k)}
 
 
-def induced_pairs(s: EfPlay, t: EfPlay) -> frozenset[tuple[str, str]]:
-    if len(s) != len(t):
-        raise ValueError("positions must have equal length")
-    return frozenset(zip(s, t))
-
-
 Options = tuple[tuple[str, ...], ...]
 
 
@@ -190,49 +184,30 @@ class EfGame:
         """Whether Duplicator survives `rounds` more rounds from pairs."""
         if rounds == 0:
             return True
-        options, wins = self.memo[pairs]
+        wins = self.memo[pairs][1]
         if rounds not in wins:
-            if self.tier == 3:
-                wins[rounds] = self.bijection(pairs, rounds) is not None
-            else:
-                wins[rounds] = all(self._answer(pairs, rounds, *move) is not None
-                                   for move in self._moves(options))
+            # Rounds beyond the unpebbled elements change nothing: a move on a
+            # pebbled element is answered by its partner and leaves the
+            # position as it was, and every other move Duplicator survives
+            # pebbles a new element (on both sides at tiers 2 and 3).  So the
+            # recursion is never deeper than |A| + |B|.
+            fresh = (len(self.A.universe) - len(pairs)
+                     + len(self.B.universe) - len({b for _, b in pairs}))
+            wins[rounds] = (self.win(pairs, fresh) if rounds > fresh
+                            else self.answers(pairs, rounds) is not None)
         return wins[rounds]
 
-    def _wins_with(self, pairs: frozenset, rounds: int, a: str, b: str) -> bool:
-        """Whether the option (a, b) at pairs leaves Duplicator a win."""
-        return rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1)
-
-    def _moves(self, options: Options):
-        """The Spoiler moves Duplicator must answer at tiers 1 and 2, as
-        (side, element, candidate responses): side 0 picks in A, side 1 in B."""
-        yield from ((0, a, bs) for a, bs in zip(self.A.universe, options))
-        if self.tier == 2:
-            back: dict[str, list[str]] = {b: [] for b in self.B.universe}
-            for a, bs in zip(self.A.universe, options):
-                for b in bs:
-                    back[b].append(a)
-            yield from ((1, b, as_) for b, as_ in back.items())
-
-    def _answer(self, pairs: frozenset, rounds: int, side: int, x: str,
-                candidates) -> Optional[str]:
-        """The first candidate response to x that leaves Duplicator a win."""
-        return next((y for y in candidates
-                     if self._wins_with(pairs, rounds, *((x, y) if side == 0 else (y, x)))),
-                    None)
-
-    def answers(self, pairs: frozenset, rounds: int) -> list[tuple[int, str, str]]:
-        """Duplicator's answers at a won position of tier 1 or 2, as
-        (side, Spoiler's element, response), the first winning option each."""
-        return [(side, x, self._answer(pairs, rounds, side, x, candidates))
-                for side, x, candidates in self._moves(self.memo[pairs][0])]
-
-    def bijection(self, pairs: frozenset, rounds: int) -> Optional[dict[str, str]]:
-        """A bijection A -> B of options that leave Duplicator a win (tier 3)."""
+    def keeps_win(self, pairs: frozenset, rounds: int) -> Callable[[str, str], bool]:
+        """Which pairs (a, b) at pairs, with rounds left, are options that
+        leave Duplicator a win."""
         options = dict(zip(self.A.universe, self.memo[pairs][0]))
-        return perfect_matching(self.A.universe, self.B.universe,
-                                lambda a, b: b in options[a]
-                                and self._wins_with(pairs, rounds, a, b))
+        return lambda a, b: b in options[a] and (
+            rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1))
+
+    def answers(self, pairs: frozenset, rounds: int) -> Optional[list[tuple[str, str]]]:
+        """Duplicator's answers (`strategy.answers`) at pairs with rounds
+        left, or None if Spoiler wins there."""
+        return answers(self.tier, self.A.universe, self.B.universe, self.keeps_win(pairs, rounds))
 
 
 def ef_game_exists(A: Structure, B: Structure, k: int,
@@ -257,15 +232,36 @@ def ef_game_exists(A: Structure, B: Structure, k: int,
         raise CapExceeded(size, strategy_cap, "strategy-table entries")
 
     table: dict[EfPlay, str] = {}
-
-    def extend(s: EfPlay, pairs: frozenset, rounds_left: int) -> None:
-        for _, a, b in game.answers(pairs, rounds_left):
+    stack = [((), frozenset(), k)]
+    while stack:
+        s, pairs, rounds_left = stack.pop()
+        for a, b in game.answers(pairs, rounds_left):
             table[s + (a,)] = b
             if rounds_left > 1:
-                extend(s + (a,), game.child(pairs, a, b), rounds_left - 1)
-
-    extend((), frozenset(), k)
+                stack.append((s + (a,), game.child(pairs, a, b), rounds_left - 1))
     return True, EfCoKleisli(A, B, k, table)
+
+
+class EfRules(PairRules):
+    """The ef game for `strategy`: a position is (pair set, rounds left), and
+    Duplicator answers while rounds are left."""
+
+    comonad = "ef"
+
+    def start(self) -> tuple[frozenset, int]:
+        return frozenset(), self.k
+
+    def fault(self, state) -> Optional[str]:
+        return self.pairs_fault(state[0])
+
+    def answering(self, state) -> list:
+        return [state] if state[1] else []
+
+    def step(self, pos, group, x: str, y: str) -> tuple[frozenset, int]:
+        return pos[0] | {(x, y)}, pos[1] - 1
+
+    def to_json(self, pos) -> dict:
+        return {"pairs": sorted([a, b] for a, b in pos[0]), "rounds_left": pos[1]}
 
 
 def verify_ef_strategy(f: EfCoKleisli) -> tuple[bool, Optional[str]]:
@@ -276,12 +272,14 @@ def verify_ef_strategy(f: EfCoKleisli) -> tuple[bool, Optional[str]]:
     """
     A, B, k = f.source, f.target, f.k
     winning = lru_cache(maxsize=None)(lambda pairs: is_partial_homomorphism(pairs, A, B))
-    for s in ef_plays(A, k):
+    induced = {(): frozenset()}  # the pairs of each play and its coextension
+    for s in ef_plays(A, k):  # prefixes first
         if s not in f.table:
             return False, f"strategy undefined on play {list(s)}"
         if f.table[s] not in B.universe:
             return False, f"response to {list(s)} is not a target element"
-        if not winning(induced_pairs(s, coextend_play(f, s))):
+        induced[s] = induced[s[:-1]] | {(s[-1], f.table[s])}
+        if not winning(induced[s]):
             return False, f"position after play {list(s)} is not a partial homomorphism"
     return True, None
 

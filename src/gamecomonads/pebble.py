@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from functools import lru_cache
 from itertools import groupby, product
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .matching import perfect_matching
-from .structures import (CapExceeded, Structure, extensions, is_partial_homomorphism,
-                         occurrences, require_same_signature, validate_structure)
+from .strategy import PairRules, certificate
+from .structures import (CapExceeded, Structure, extensions, occurrences,
+                         require_same_signature, validate_structure)
 
 Move = tuple[int, str]
 PebblePlay = tuple[Move, ...]
@@ -115,27 +115,10 @@ def _canon(pairs: Sequence[tuple[str, str]]) -> Position:
 def pebble_bases(pos: Position, k: int) -> list[Position]:
     """What Spoiler may keep before placing a pebble: the position with one
     pebble lifted, or the whole position while fewer than k pebbles are down."""
-    out = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
+    out = {parent for parent, _ in _parents(pos)}
     if len(pos) < k:
         out.add(pos)
     return sorted(out)
-
-
-def reachable_positions(k: int, answers: Callable[[Position], list[Position]]
-                        ) -> list[Position]:
-    """Positions reachable from the empty board, breadth first, when
-    Duplicator's answers to the Spoiler moves from a base lead to
-    `answers(base)`."""
-    order, seen, expanded = [()], {()}, set()
-    for pos in order:
-        for base in pebble_bases(pos, k):
-            if base not in expanded:
-                expanded.add(base)
-                for nxt in answers(base):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        order.append(nxt)
-    return order
 
 
 def _parents(q: Position):
@@ -242,6 +225,23 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int, tier: int) -> set[Positi
     return live
 
 
+def pebble_game(A: Structure, B: Structure, k: int, tier: int,
+                build_certificate: bool) -> tuple[bool, Optional[dict]]:
+    """Decide the k-pebble game of a tier (`pebble_fixpoint`); on a win the
+    certificate answers each move with the first surviving response."""
+    require_same_signature(A, B)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if tier == 3 and len(A.universe) != len(B.universe):
+        return False, None
+    surviving = pebble_fixpoint(A, B, k, tier)
+    exists = () in surviving
+    if not exists or not build_certificate:
+        return exists, None
+    return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _: (
+        lambda a, b: _canon(base + ((a, b),)) in surviving))
+
+
 def pebble_game_exists(A: Structure, B: Structure, k: int,
                        build_strategy: bool = True) -> tuple[bool, Optional[dict]]:
     """Decide the existential k-pebble game from A to B.
@@ -251,53 +251,27 @@ def pebble_game_exists(A: Structure, B: Structure, k: int,
     response keeping the successor alive.  There is no round bound; the set
     of winning positions is a greatest fixpoint (`pebble_fixpoint`, tier 1).
     """
-    require_same_signature(A, B)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    surviving = pebble_fixpoint(A, B, k, 1)
-    exists = () in surviving
-    if not exists or not build_strategy:
-        return exists, None
-
-    # strategy: reachable closure from the empty board, least response first
-    @lru_cache(maxsize=None)
-    def respond(base: Position, a: str) -> str:
-        return next(b for b in B.universe if _canon(base + ((a, b),)) in surviving)
-
-    entries = []
-    for pos in reachable_positions(k, lambda base: [_canon(base + ((a, respond(base, a)),))
-                                                    for a in A.universe]):
-        position = [list(pr) for pr in pos]
-        for base in pebble_bases(pos, k):
-            keep = [list(pr) for pr in base]
-            entries.extend({"position": position, "keep": keep, "element": a,
-                            "response": respond(base, a)} for a in A.universe)
-    cert = {"comonad": "pebble", "game": "existential", "k": k, "strategy": entries}
-    return True, cert
+    return pebble_game(A, B, k, 1, build_strategy)
 
 
-def verify_pebble_strategy(cert: Mapping, A: Structure, B: Structure) -> tuple[bool, Optional[str]]:
-    """Check closure and the partial-homomorphism condition of a strategy table."""
-    k = int(cert["k"])
-    table: dict[tuple[Position, Position, str], str] = {}
-    positions = {()}
-    for entry in cert["strategy"]:
-        pos = _canon(tuple((a, b) for a, b in entry["position"]))
-        base = _canon(tuple((a, b) for a, b in entry["keep"]))
-        table[(pos, base, entry["element"])] = entry["response"]
-        positions.add(pos)
-    winning = lru_cache(maxsize=None)(lambda pos: is_partial_homomorphism(pos, A, B))
-    for pos in sorted(positions):
-        if not winning(pos):
-            return False, f"position {list(pos)} is not a partial homomorphism"
-        for base in pebble_bases(pos, k):
-            for a in A.universe:
-                key = (pos, base, a)
-                if key not in table:
-                    return False, f"no response recorded for move {a!r} from {list(pos)}"
-                nxt = _canon(base + ((a, table[key]),))
-                if not winning(nxt):
-                    return False, f"response {table[key]!r} to {a!r} breaks the winning condition"
-                if nxt not in positions:
-                    return False, f"strategy not closed: position {list(nxt)} missing"
-    return True, None
+class PebbleRules(PairRules):
+    """The pebble games for `strategy`: Duplicator answers from a base (see
+    `pebble_bases`), and the position after an answer is the base plus the
+    new pair."""
+
+    comonad = "pebble"
+
+    def start(self) -> Position:
+        return ()
+
+    def fault(self, pos: Position) -> Optional[str]:
+        return self.pairs_fault(pos)
+
+    def answering(self, pos: Position) -> list[Position]:
+        return pebble_bases(pos, self.k)
+
+    def step(self, base: Position, group, x: str, y: str) -> Position:
+        return _canon(base + ((x, y),))
+
+    def to_json(self, base: Position) -> dict:
+        return {"base": list(map(list, base))}

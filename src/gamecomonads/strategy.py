@@ -1,0 +1,175 @@
+"""One certificate shape for the game tiers, filled by one walk and replayed
+by one verifier.
+
+A certificate is {"comonad", "game", "k", "shape": "positions", "positions"}
+with one entry per position Duplicator answers from, in breadth-first order
+from the start.  An entry holds the position's fields and Duplicator's
+answers to Spoiler's challenges there, as lists [*group, challenge, response]
+("forth": to challenges in A, "back": to challenges in B) or, at tier 3,
+[*group, x, y] pairs that form a bijection per group ("bijection").
+
+The game itself is in the rules of each comonad (`ef.EfRules`,
+`pebble.PebbleRules`, `modal.ModalRules`): `start()`, `fault(state)` (None
+while Duplicator has not lost, else why), `answering(state)` (the positions
+Duplicator answers from next), `challenges(pos)` (the groups (group, xs, ys)
+of Spoiler's moves), `step(pos, group, x, y)`, `among(pos, group, side)`
+(what a response in A, side 0, or in B, side 1, must be) and `to_json(pos)`.
+The verifier reads only the certificate and the rules.
+"""
+
+from __future__ import annotations
+
+import json
+from functools import lru_cache
+from typing import Callable, Mapping, Optional, Union
+
+from .matching import perfect_matching
+from .structures import Structure, is_partial_homomorphism, is_partial_isomorphism
+
+GAMES = ("existential", "back-and-forth", "bijection")
+SHAPE = "positions"
+ANSWERS = {1: ("forth",), 2: ("forth", "back"), 3: ("bijection",)}
+FIELDS = ("forth", "back", "bijection")
+
+Reached = Union[list, str]  # the positions after the pairs played at one, or a fault
+
+
+def answers(tier: int, xs, ys, ok: Callable[[str, str], bool]
+            ) -> Optional[list[tuple[str, str]]]:
+    """Duplicator's answers to one group of challenges as (x, y) pairs, or
+    None if some challenge has no response `ok` accepts: the first accepted
+    y in order for each x, at tier 2 then the first accepted x for each y,
+    at tier 3 a perfect matching."""
+    if tier == 3:
+        matching = perfect_matching(xs, ys, ok)
+        return None if matching is None else sorted(matching.items())
+    out = []
+    for x in xs:
+        y = next((y for y in ys if ok(x, y)), None)
+        if y is None:
+            return None
+        out.append((x, y))
+    for y in ys if tier == 2 else ():
+        x = next((x for x in xs if ok(x, y)), None)
+        if x is None:
+            return None
+        out.append((x, y))
+    return out
+
+
+def _walk(rules, play: Callable[..., Reached]) -> Optional[str]:
+    """Breadth first from the start through the positions after the pairs
+    `play(pos)` returns; returns the first fault `play` finds."""
+    order = rules.answering(rules.start())
+    seen = set(order)
+    for pos in order:
+        states = play(pos)
+        if isinstance(states, str):
+            return states
+        for state in states:
+            for nxt in rules.answering(state):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+    return None
+
+
+def certificate(rules, tier: int, good: Callable) -> dict:
+    """The certificate of a won game: Duplicator answers with `answers` over
+    the pairs (x, y) that `good(pos, group)(x, y)`, the solver's verdict,
+    says keep a win."""
+    entries = []
+
+    def play(pos) -> Reached:
+        entry = {**rules.to_json(pos), **{name: [] for name in ANSWERS[tier]}}
+        entries.append(entry)
+        out = []
+        for group, xs, ys in rules.challenges(pos):
+            pairs = answers(tier, xs, ys, good(pos, group))
+            if tier == 3:
+                entry["bijection"] += [[*group, x, y] for x, y in pairs]
+            else:
+                entry["forth"] += [[*group, x, y] for x, y in pairs[:len(xs)]]
+            if tier == 2:
+                entry["back"] += [[*group, y, x] for x, y in pairs[len(xs):]]
+            out += [rules.step(pos, group, x, y) for x, y in pairs]
+        return out
+
+    _walk(rules, play)
+    return {"comonad": rules.comonad, "game": GAMES[tier - 1], "k": rules.k,
+            "shape": SHAPE, "positions": entries}
+
+
+def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
+    """Replay a certificate against the rules alone, from the start: every
+    position reached must be recorded, each challenge there needs an answer
+    of the right kind (tier 3: a bijection per group), and no answer may
+    lose."""
+    if cert.get("shape") != SHAPE:
+        return False, f"certificate is not in the {SHAPE!r} shape"
+    if rules.fault(rules.start()):
+        return False, f"the start position is lost: {rules.fault(rules.start())}"
+    table = {json.dumps({f: v for f, v in entry.items() if f not in FIELDS}, sort_keys=True):
+             entry for entry in cert["positions"]}
+
+    def play(pos) -> Reached:
+        at = json.dumps(rules.to_json(pos), sort_keys=True)
+        if at not in table:
+            return f"strategy not closed: no answers recorded at {at}"
+        out = []
+        for group, xs, ys in rules.challenges(pos):
+            along = "".join(f" along {label}" for label in group)
+            mine = {name: [tuple(a[len(group):]) for a in table[at].get(name, ())
+                           if tuple(a[:len(group)]) == group] for name in ANSWERS[tier]}
+            if tier == 3:
+                pairs = mine["bijection"]
+                if (sorted(x for x, _ in pairs) != sorted(xs)
+                        or sorted(y for _, y in pairs) != sorted(ys)):
+                    return (f"the answer{along} at {at} is not a bijection "
+                            f"of {list(xs)} onto {list(ys)}")
+                out += [(group, x, y) for x, y in pairs]
+                continue
+            # side: where the response lies, 1 for B (forth) and 0 for A (back)
+            for name, spoiler, duplicator, side in (("forth", xs, ys, 1),
+                                                    ("back", ys, xs, 0))[:tier]:
+                recorded = dict(mine[name])
+                for u in spoiler:
+                    if u not in recorded:
+                        return f"no {name} answer to {u!r}{along} at {at}"
+                    v = recorded[u]
+                    if v not in duplicator:
+                        return (f"response {v!r} to {u!r} at {at} is not "
+                                f"{rules.among(pos, group, side)}")
+                    out.append((group, u, v) if side else (group, v, u))
+        states = []
+        for group, x, y in out:
+            states.append(rules.step(pos, group, x, y))
+            if rules.fault(states[-1]):
+                return f"the answer ({x!r}, {y!r}) at {at} loses: {rules.fault(states[-1])}"
+        return states
+
+    fault = _walk(rules, play)
+    return fault is None, fault
+
+
+class PairRules:
+    """What the ef and pebble games share: Spoiler may pick any element of A
+    (at tier 2 also of B), and the pairs on the board must stay a partial
+    homomorphism (tier 1) or a partial isomorphism (tiers 2 and 3)."""
+
+    def __init__(self, A: Structure, B: Structure, k: int, tier: int):
+        self.A, self.B, self.k = A, B, k
+        self.kind = "homomorphism" if tier == 1 else "isomorphism"
+        check = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
+        self.holds = lru_cache(maxsize=None)(lambda pairs: check(pairs, A, B))
+
+    def pairs_fault(self, pairs) -> Optional[str]:
+        if self.holds(pairs):
+            return None
+        return f"{sorted(map(list, pairs))} is not a partial {self.kind}"
+
+    def challenges(self, pos) -> list:
+        return [((), self.A.universe, self.B.universe)]
+
+    def among(self, pos, group, side: int) -> str:
+        return f"an element of the {('source', 'target')[side]}"

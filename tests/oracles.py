@@ -16,7 +16,8 @@ from gamecomonads.decomposition import (ROOT, TREE_DEPTH_BOUND, TREE_WIDTH_BOUND
                                         TreeDecomposition)
 from gamecomonads.ef import coextend_play, ef_plays
 from gamecomonads.matching import perfect_matching
-from gamecomonads.structures import (BoundExceeded, Graph, Structure, gaifman_graph,
+from gamecomonads.modal import kripke_view
+from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, gaifman_graph,
                                      is_homomorphism, is_partial_homomorphism,
                                      is_partial_isomorphism,
                                      require_same_signature, validate_structure)
@@ -197,7 +198,6 @@ def brute_pebble_number(A: Structure) -> int:
 
 def brute_graded_bisim(P, Q, k: int) -> bool:
     """Pairwise recursion enumerating every successor bijection outright."""
-    from gamecomonads.modal import kripke_view
     KA, KB = kripke_view(P.base), kripke_view(Q.base)
     labels = sorted(set(KA.transitions))
 
@@ -217,6 +217,104 @@ def brute_graded_bisim(P, Q, k: int) -> bool:
         return True
 
     return eq(P.point, Q.point, k)
+
+
+# Modal approximants by naive level iteration on world pairs, and the
+# existential modal strategy as a table on plays of the unfolding.
+
+def _kripke_pair(P, Q, k: int):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    KA, KB = kripke_view(P.base), kripke_view(Q.base)
+    return KA, KB, sorted(KA.transitions)
+
+
+def _simulation_levels(P, Q, k: int) -> list[set]:
+    """Entry j: the world pairs from which Duplicator survives j more steps
+    of the existential game."""
+    KA, KB, labels = _kripke_pair(P, Q, k)
+    rel = [{(a, b) for a in KA.worlds for b in KB.worlds if KA.profile(a) <= KB.profile(b)}]
+    for _ in range(k):
+        prev = rel[-1]
+        rel.append({(a, b) for (a, b) in prev
+                    if all(any((ap, bp) in prev for bp in KB.successors(b, lab))
+                           for lab in labels for ap in KA.successors(a, lab))})
+    return rel
+
+
+def simulation_approx(P, Q, k: int) -> bool:
+    """Depth-k simulation: propositions must transfer forward and every
+    transition must be matched, recursively to depth k."""
+    return (P.point, Q.point) in _simulation_levels(P, Q, k)[k]
+
+
+def simulation_strategy(P, Q, k: int, cap: int = 200_000) -> Optional[dict]:
+    """A winning strategy of the existential modal game as a table from the
+    plays of P's depth-k unfolding to worlds of Q (the first simulated
+    successor in world order); None if Duplicator does not win."""
+    KA, KB, labels = _kripke_pair(P, Q, k)
+    rel = _simulation_levels(P, Q, k)
+    if (P.point, Q.point) not in rel[k]:
+        return None
+    table = {(P.point,): Q.point}
+    frontier = [((P.point,), Q.point)]
+    for depth in range(k, 0, -1):
+        nxt = []
+        for s, b in frontier:
+            for lab in labels:
+                for ap in KA.successors(s[-1], lab):
+                    bp = next(x for x in KB.successors(b, lab) if (ap, x) in rel[depth - 1])
+                    table[s + (lab, ap)] = bp
+                    nxt.append((s + (lab, ap), bp))
+        frontier = nxt
+        if len(table) > cap:
+            raise CapExceeded(len(table), cap, "strategy-table entries")
+    return table
+
+
+def bisim_approx(P, Q, k: int) -> bool:
+    """Depth-k bisimulation: propositions agree and transitions match both ways."""
+    KA, KB, labels = _kripke_pair(P, Q, k)
+    rel = {(a, b) for a in KA.worlds for b in KB.worlds if KA.profile(a) == KB.profile(b)}
+    for _ in range(k):
+        rel = {(a, b) for (a, b) in rel
+               if all(any((ap, bp) in rel for bp in KB.successors(b, lab))
+                      for lab in labels for ap in KA.successors(a, lab))
+               and all(any((ap, bp) in rel for ap in KA.successors(a, lab))
+                       for lab in labels for bp in KB.successors(b, lab))}
+    return (P.point, Q.point) in rel
+
+
+def graded_classes(P, Q, k: int) -> dict:
+    """Iterated partition refinement on the disjoint union of the two worlds.
+
+    Level-0 classes are the proposition profiles; the class at level j+1 is
+    the profile together with, per label, the multiset of level-j classes of
+    the successors.  Returns the level-k class id of every (side, world).
+    """
+    KA, KB, labels = _kripke_pair(P, Q, k)
+    views = {0: KA, 1: KB}
+    nodes = [(0, w) for w in KA.worlds] + [(1, w) for w in KB.worlds]
+    keys: dict = {}
+    cls = {(side, w): keys.setdefault(tuple(sorted(views[side].profile(w))), len(keys))
+           for side, w in nodes}
+    for _ in range(k):
+        keys = {}
+        cls = {(side, w): keys.setdefault(
+                   (tuple(sorted(views[side].profile(w))),
+                    tuple((lab, tuple(sorted(cls[(side, v)]
+                                             for v in views[side].successors(w, lab))))
+                          for lab in labels)), len(keys))
+               for side, w in nodes}
+    return cls
+
+
+def graded_bisim_approx(P, Q, k: int) -> bool:
+    """Graded bisimulation to depth k via partition refinement: a successor
+    bijection respecting the level-j relation exists iff the multisets of
+    level-j classes agree."""
+    cls = graded_classes(P, Q, k)
+    return cls[(0, P.point)] == cls[(1, Q.point)]
 
 
 def brute_bijection_round(A: Structure, B: Structure) -> bool:
@@ -380,22 +478,23 @@ def ef_back_and_forth_recursion(A: Structure, B: Structure, k: int
         if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
             continue
         seen.add((tuple(sorted(pairs)), rounds))
-        moves = []
+        forth, back = [], []
         for a in A.universe:
             b = next(x for x in B.universe
                      if is_partial_isomorphism(pairs | {(a, x)}, A, B)
                      and win(pairs | {(a, x)}, rounds - 1))
-            moves.append({"side": "left", "element": a, "response": b})
+            forth.append([a, b])
             queue.append((pairs | {(a, b)}, rounds - 1))
         for b in B.universe:
             a = next(x for x in A.universe
                      if is_partial_isomorphism(pairs | {(x, b)}, A, B)
                      and win(pairs | {(x, b)}, rounds - 1))
-            moves.append({"side": "right", "element": b, "response": a})
+            back.append([b, a])
             queue.append((pairs | {(a, b)}, rounds - 1))
         entries.append({"pairs": sorted(list(p) for p in pairs),
-                        "rounds_left": rounds, "moves": moves})
-    return True, {"comonad": "ef", "game": "back-and-forth", "k": k, "positions": entries}
+                        "rounds_left": rounds, "forth": forth, "back": back})
+    return True, {"comonad": "ef", "game": "back-and-forth", "k": k, "shape": "positions",
+                  "positions": entries}
 
 
 def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, dict | None]:
@@ -430,7 +529,8 @@ def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, di
                         "bijection": sorted([a, b] for a, b in psi.items())})
         for a, b in psi.items():
             queue.append((pairs | {(a, b)}, rounds - 1))
-    return True, {"comonad": "ef", "game": "bijection", "k": k, "positions": entries}
+    return True, {"comonad": "ef", "game": "bijection", "k": k, "shape": "positions",
+                  "positions": entries}
 
 
 # Winning-position predicates of the three comonads' games, on synchronized
@@ -455,7 +555,6 @@ def pebble_winning_position(s, t, A, B) -> bool:
 
 def modal_winning_position(s, t, P, Q) -> bool:
     """Labels agree and proposition profiles match at every step."""
-    from gamecomonads.modal import kripke_view
     if len(s) != len(t) or s[1::2] != t[1::2]:
         return False
     KA, KB = kripke_view(P.base), kripke_view(Q.base)

@@ -9,7 +9,8 @@ import pathlib
 import random
 import time
 
-from oracles import (all_digraphs, brute_graded_bisim, lin_closed_form, lin_game_textbook,
+from oracles import (all_digraphs, bisim_approx, brute_graded_bisim, graded_bisim_approx,
+                     lin_closed_form, lin_game_textbook, simulation_approx,
                      theta_fixpoint_oracle)
 
 from gamecomonads import zoo
@@ -26,8 +27,7 @@ from gamecomonads.equiv import (back_and_forth_equiv, bijection_game_equiv, deci
                                 pebble_back_and_forth, pebble_bijection_equiv)
 from gamecomonads.lawcheck import (GenConfig, random_pair, random_pointed_pair,
                                    run_law_suite)
-from gamecomonads.modal import (bisim_approx, graded_bisim_approx, graded_bisim_game,
-                                modal_back_and_forth, modal_unfold, simulation_approx)
+from gamecomonads.modal import graded_bisim_game, modal_back_and_forth, modal_unfold
 from gamecomonads.structures import (find_homomorphism, gaifman_graph,
                                      load_structure_file, validate_structure)
 

@@ -3,9 +3,10 @@ from functools import partial
 
 import pytest
 
-from gamecomonads import ef, equiv, zoo
+from gamecomonads import ef, equiv, modal, zoo
 from gamecomonads.cli import main
-from gamecomonads.structures import structure_to_dict
+from gamecomonads.modal import kripke_view
+from gamecomonads.structures import structure_from_dict, structure_to_dict
 
 
 def write(tmp_path, name, data):
@@ -227,3 +228,53 @@ def test_rejects_duplicate_json_keys(tmp_path, capsys):
 def test_usage_error_exit_code():
     assert main(["check", "--game", "ef"]) == 2
     assert main([]) == 2
+
+
+def _verifies(verdict, A, B):
+    cert = verdict["certificate"]
+    sides = ([(cert["forward"], A, B), (cert["backward"], B, A)] if verdict["tier"] == 1
+             else [(cert, A, B)])
+    return all(equiv.verify_certificate(c, src, dst) == (True, None) for c, src, dst in sides)
+
+
+def test_check_deep_k_on_one_element(tmp_path, capsys):
+    # past the unpebbled elements (ef) or |A| + |B| refinement steps (modal)
+    # more rounds change nothing, so the solvers recurse no deeper than that
+    data = {"signature": {"R": 2, "P": 1}, "universe": ["a"],
+            "relations": {"R": [["a", "a"]], "P": [["a"]]}, "point": "a"}
+    p = write(tmp_path, "one.json", data)
+    P = structure_from_dict(data)
+    for game in ("ef", "pebble", "modal"):
+        A = P if game == "modal" else P.base
+        for tier in (1, 2, 3):
+            assert main(["check", "--game", game, "--tier", str(tier), "-k", "1000", p, p]) == 0
+            verdict = out_json(capsys)
+            assert verdict["equiv"] is True and _verifies(verdict, A, A), (game, tier)
+
+
+def test_check_modal_tier1_certificate_on_a_complete_label(tmp_path, capsys):
+    # the unfolding has 6^7 plays, more than a play table may hold; the
+    # certificate over world pairs stays small
+    worlds = [f"w{i}" for i in range(6)]
+    data = {"signature": {"t": 2}, "universe": worlds,
+            "relations": {"t": [[u, v] for u in worlds for v in worlds]}, "point": "w0"}
+    p = write(tmp_path, "complete.json", data)
+    assert main(["check", "--game", "modal", "--tier", "1", "-k", "7", p, p]) == 0
+    verdict = out_json(capsys)
+    P = structure_from_dict(data)
+    assert verdict["certificate"] is not None and _verifies(verdict, P, P)
+
+
+def test_check_modal_builds_each_kripke_view_once(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting(A):
+        builds.append(A)
+        return kripke_view(A)
+
+    monkeypatch.setattr(modal, "kripke_view", counting)
+    P = plain(tmp_path, "pk.json", zoo.kripke_two_cycle())
+    for tier in ("1", "2", "3"):
+        builds.clear()
+        assert main(["check", "--game", "modal", "--tier", tier, "-k", "3", P, P]) == 0
+        assert len(builds) <= 2, (tier, len(builds))

@@ -88,3 +88,17 @@ def test_engine_matches_recursions(family):
             assert (exists, f and f.table) == ef_game_recursion(A, B, k), (A, B, k)
             assert ef_back_and_forth(A, B, k) == ef_back_and_forth_recursion(A, B, k), (A, B, k)
             assert bijection_game_equiv(A, B, k) == ef_bijection_recursion(A, B, k), (A, B, k)
+
+
+def test_rounds_past_the_unpebbled_elements_match_recursions():
+    """The engine stops recursing where no unpebbled element is left; the
+    uncapped recursions must agree at more rounds than elements."""
+    ds = all_digraphs(2)
+    for A, B in [(A, B) for A in ds for B in ds] + random_pairs(20, 7):
+        if len(A.universe) + len(B.universe) > 5:
+            continue
+        for k in (4, 6):
+            exists, f = ef_game_exists(A, B, k)
+            assert (exists, f and f.table) == ef_game_recursion(A, B, k), (A, B, k)
+            assert ef_back_and_forth(A, B, k) == ef_back_and_forth_recursion(A, B, k), (A, B, k)
+            assert bijection_game_equiv(A, B, k) == ef_bijection_recursion(A, B, k), (A, B, k)

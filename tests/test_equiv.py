@@ -3,16 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import (all_digraphs, brute_bijection_game, brute_bijection_round, build_theta,
-                     lin_closed_form, lin_game_textbook, theta_fixpoint_oracle,
+from oracles import (all_digraphs, bisim_approx, brute_bijection_game, brute_bijection_round,
+                     build_theta, lin_closed_form, lin_game_textbook, theta_fixpoint_oracle,
                      wl_distinguishes)
 from strategies import pointed_kripke_pairs, structure_pairs
 
 from gamecomonads import zoo
 from gamecomonads.equiv import (back_and_forth_equiv, bijection_game_equiv, decide,
                                 ef_back_and_forth, mutual_existential, pebble_back_and_forth,
-                                pebble_bijection_equiv)
-from gamecomonads.modal import bisim_approx, graded_bisim_game
+                                pebble_bijection_equiv, verify_certificate)
+from gamecomonads.modal import graded_bisim_game
 from gamecomonads.structures import BoundExceeded, validate_structure
 
 
@@ -288,7 +288,6 @@ def test_winning_set_predicates():
 
 
 def test_all_emitted_certificates_verify():
-    from gamecomonads.equiv import verify_certificate
     A = zoo.lin(2)
     for tier in (1, 2, 3):
         for tag in ("ef", "pebble"):
@@ -312,41 +311,42 @@ def test_all_emitted_certificates_verify():
         assert ok, (tier, msg)
 
 
+def _entry(cert, **fields):
+    return next(e for e in cert["positions"] if all(e[f] == v for f, v in fields.items()))
+
+
 def test_back_and_forth_certificate_rejects_tampering():
-    from gamecomonads.equiv import verify_ef_back_and_forth_certificate
     A = zoo.lin(2)
     verdict, cert = ef_back_and_forth(A, A, 2)
-    root = next(e for e in cert["positions"] if e["pairs"] == [])
-    move = next(m for m in root["moves"] if m["side"] == "left" and m["element"] == "e0")
-    move["response"] = "e1"
-    ok, msg = verify_ef_back_and_forth_certificate(cert, A, A)
+    root = _entry(cert, pairs=[])
+    assert root["forth"][0] == ["e0", "e0"]
+    root["forth"][0] = ["e0", "e1"]
+    ok, msg = verify_certificate(cert, A, A)
     assert not ok
 
 
 def test_pebble_bijection_certificate_rejects_tampering():
-    from gamecomonads.equiv import verify_pebble_bijection_certificate
     A = zoo.lin(2)
     verdict, cert = pebble_bijection_equiv(A, A, 2)
     assert verdict
-    cert["positions"][0]["moves"][0]["bijection"] = [["e0", "e0"], ["e1", "e0"]]
-    ok, msg = verify_pebble_bijection_certificate(cert, A, A)
+    cert["positions"][0]["bijection"] = [["e0", "e0"], ["e1", "e0"]]
+    ok, msg = verify_certificate(cert, A, A)
     assert not ok and "bijection" in msg
 
 
 def test_modal_bf_certificate_verifies_and_rejects_tampering():
-    from gamecomonads.modal import modal_back_and_forth, verify_modal_bf_certificate
+    from gamecomonads.modal import modal_back_and_forth
     P, Q = zoo.kripke_loop(), zoo.kripke_two_cycle()
     verdict, cert = modal_back_and_forth(P, Q, 3)
     assert verdict
-    ok, msg = verify_modal_bf_certificate(cert, P, Q)
+    ok, msg = verify_certificate(cert, P, Q)
     assert ok, msg
     cert["positions"] = cert["positions"][1:]
-    ok, msg = verify_modal_bf_certificate(cert, P, Q)
+    ok, msg = verify_certificate(cert, P, Q)
     assert not ok
 
 
 def test_modal_existential_certificate_rejects_tampering():
-    from gamecomonads.equiv import verify_certificate
     P = zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("a", "c"), ("b", "a")]},
                    {"p": ["b"]})
     verdict, cert = mutual_existential("modal", P, P, 2)
@@ -355,15 +355,90 @@ def test_modal_existential_certificate_rejects_tampering():
     assert (fwd["comonad"], fwd["game"], fwd["k"]) == ("modal", "existential", 2)
     assert verify_certificate(fwd, P, P) == (True, None)
     tampered = {
-        ("a",): ("b", "not answered by the point"),
-        ("a", "t", "b"): ("c", "propositions"),               # p holds at b, not at c
-        ("a", "t", "b", "t", "a"): ("c", "not a t-successor"),  # b -> a only
+        (("a", "a"), 2, "b"): ("c", "propositions"),        # p holds at b, not at c
+        (("b", "b"), 1, "a"): ("c", "not a t-successor"),   # b -> a only
     }
-    for play, (response, reason) in tampered.items():
-        bad = {**fwd, "strategy": [dict(e, response=response) if tuple(e["play"]) == play
-                                   else e for e in fwd["strategy"]]}
+    for (worlds, depth, x), (response, reason) in tampered.items():
+        bad = {**fwd, "positions": [
+            dict(e, forth=[[lab, u, response if u == x else v] for lab, u, v in e["forth"]])
+            if (tuple(e["worlds"]), e["depth_left"]) == (worlds, depth) else e
+            for e in fwd["positions"]]}
         ok, msg = verify_certificate(bad, P, P)
-        assert not ok and reason in msg, (play, msg)
-    short = {**fwd, "strategy": [e for e in fwd["strategy"] if len(e["play"]) < 5]}
+        assert not ok and reason in msg, (worlds, msg)
+    unanswered = {**fwd, "positions": [e for e in fwd["positions"] if e["worlds"] != ["a", "a"]]}
+    ok, msg = verify_certificate(unanswered, P, P)
+    assert not ok and "no answers recorded" in msg
+    short = {**fwd, "positions": [e for e in fwd["positions"] if e["depth_left"] == 2]}
     ok, msg = verify_certificate(short, P, P)
-    assert not ok and "no response recorded" in msg
+    assert not ok and "no answers recorded" in msg
+
+
+# the one verifier, one rule at a time
+
+def _tampered(cert, position: dict, name: str, edit):
+    """A copy of cert whose answers `name` at the given position go through edit."""
+    entries = [dict(e, **{name: edit(list(e[name]))})
+               if all(e[f] == v for f, v in position.items()) else e
+               for e in cert["positions"]]
+    return {**cert, "positions": entries}
+
+
+def test_verifier_rejects_missing_left_answer():
+    A = zoo.lin(2)
+    cert = ef_back_and_forth(A, A, 2)[1]
+    bad = _tampered(cert, {"pairs": []}, "forth", lambda ans: [a for a in ans if a[0] != "e0"])
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and msg.startswith("no forth answer to 'e0'"), msg
+
+
+def test_verifier_rejects_missing_right_answer_at_tier_2():
+    A = zoo.lin(2)
+    cert = ef_back_and_forth(A, A, 2)[1]
+    bad = _tampered(cert, {"pairs": []}, "back", lambda ans: ans[:1])
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and msg.startswith("no back answer to 'e1'"), msg
+
+
+def test_verifier_rejects_losing_response():
+    A = zoo.lin(2)
+    cert = ef_back_and_forth(A, A, 2)[1]
+    assert _entry(cert, pairs=[["e0", "e0"]])["forth"] == [["e0", "e0"], ["e1", "e1"]]
+    bad = _tampered(cert, {"pairs": [["e0", "e0"]]}, "forth",
+                    lambda ans: [["e0", "e0"], ["e1", "e0"]])
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and "('e1', 'e0')" in msg and "loses" in msg, msg
+    assert "is not a partial isomorphism" in msg, msg
+
+
+def test_verifier_rejects_non_bijection_at_tier_3():
+    A = zoo.lin(2)
+    cert = bijection_game_equiv(A, A, 2)[1]
+    bad = _tampered(cert, {"pairs": []}, "bijection", lambda ans: [["e0", "e0"], ["e1", "e0"]])
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and "is not a bijection" in msg, msg
+
+
+def test_verifier_rejects_modal_response_off_the_label():
+    from gamecomonads.modal import modal_back_and_forth
+    P = zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("b", "c")]})
+    cert = modal_back_and_forth(P, P, 2)[1]
+    assert _entry(cert, worlds=["a", "a"])["forth"] == [["t", "b", "b"]]
+    bad = _tampered(cert, {"worlds": ["a", "a"]}, "forth", lambda ans: [["t", "b", "c"]])
+    ok, msg = verify_certificate(bad, P, P)
+    assert not ok and "response 'c' to 'b'" in msg and "not a t-successor of 'a'" in msg, msg
+
+
+def test_verifier_rejects_pebble_base_without_answers():
+    A = zoo.lin(2)
+    cert = pebble_back_and_forth(A, A, 2)[1]
+    assert _entry(cert, base=[["e0", "e0"]])
+    bad = {**cert, "positions": [e for e in cert["positions"] if e["base"] != [["e0", "e0"]]]}
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and 'no answers recorded at {"base": [["e0", "e0"]]}' in msg, msg
+
+
+def test_verifier_rejects_other_shapes():
+    A = zoo.lin(2)
+    cert = pebble_back_and_forth(A, A, 2)[1]
+    ok, msg = verify_certificate({k: v for k, v in cert.items() if k != "shape"}, A, A)
+    assert not ok and "shape" in msg

@@ -1,16 +1,15 @@
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_graded_bisim
+from oracles import (bisim_approx, brute_graded_bisim, graded_bisim_approx, graded_classes,
+                     simulation_approx, simulation_strategy)
 from strategies import pointed_kripke_pairs, pointed_kripkes
 
 from gamecomonads import zoo
-from gamecomonads.modal import (ArityError, bisim_approx, graded_bisim_approx,
-                                graded_bisim_game, graded_classes, kripke_view,
+from gamecomonads.equiv import verify_certificate
+from gamecomonads.modal import (ArityError, graded_bisim_game, kripke_view,
                                 modal_back_and_forth, modal_coextend, modal_counit,
-                                modal_play_id, modal_plays, modal_unfold,
-                                simulation_approx, simulation_strategy,
-                                verify_graded_certificate)
+                                modal_play_id, modal_plays, modal_unfold)
 from gamecomonads.structures import (CapExceeded, find_homomorphism,
                                      is_homomorphism, validate_structure)
 
@@ -167,7 +166,7 @@ def test_graded_game_matches_approx_on_fixtures():
     P, Q = zoo.kripke_loop(), zoo.kripke_two_cycle()
     verdict, cert = graded_bisim_game(P, Q, 3)
     assert verdict
-    ok, msg = verify_graded_certificate(cert, P, Q)
+    ok, msg = verify_certificate(cert, P, Q)
     assert ok, msg
 
 
@@ -180,6 +179,18 @@ def test_graded_game_iff_approx_iff_bruteforce(pair):
         approx = graded_bisim_approx(P, Q, k)
         brute = brute_graded_bisim(P, Q, k)
         assert game == approx == brute
+
+
+@settings(max_examples=30)
+@given(pointed_kripke_pairs())
+def test_games_past_the_refinement_cap_match_approximants(pair):
+    # the recursion stops at |A| + |B| refinement steps, below these k
+    P, Q = pair
+    for k in (7, 9):
+        assert modal_back_and_forth(P, Q, k, build_certificate=False)[0] == \
+            bisim_approx(P, Q, k)
+        assert graded_bisim_game(P, Q, k, build_certificate=False)[0] == \
+            graded_bisim_approx(P, Q, k)
 
 
 @settings(max_examples=30)
@@ -244,8 +255,8 @@ def test_graded_classes_split_on_props():
 def test_graded_certificate_verifier_rejects_tampering():
     P, Q = zoo.kripke_loop(), zoo.kripke_two_cycle()
     verdict, cert = graded_bisim_game(P, Q, 2)
-    cert["rounds"][0]["bijection"] = []
-    ok, msg = verify_graded_certificate(cert, P, Q)
+    cert["positions"][0]["bijection"] = []
+    ok, msg = verify_certificate(cert, P, Q)
     assert not ok
 
 

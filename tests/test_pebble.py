@@ -5,10 +5,10 @@ from strategies import structure_pairs
 
 from gamecomonads import zoo
 from gamecomonads.ef import ef_game_exists
+from gamecomonads.equiv import verify_certificate
 from gamecomonads.pebble import (pebble_coextension_on_play, pebble_game_exists,
                                  pebble_play_id, pebble_play_of_id, pebble_plays,
-                                 pebble_relation_holds, pebble_truncate,
-                                 verify_pebble_strategy)
+                                 pebble_relation_holds, pebble_truncate)
 from gamecomonads.structures import CapExceeded, find_homomorphism
 
 
@@ -86,7 +86,7 @@ def test_game_identity():
     A = zoo.lin(3)
     verdict, cert = pebble_game_exists(A, A, 2)
     assert verdict
-    ok, msg = verify_pebble_strategy(cert, A, A)
+    ok, msg = verify_certificate(cert, A, A)
     assert ok, msg
 
 
@@ -151,11 +151,10 @@ def test_strategy_verifier_rejects_tampering():
     A = zoo.lin(2)
     verdict, cert = pebble_game_exists(A, A, 2)
     assert verdict
-    entry = next(e for e in cert["strategy"]
-                 if e["position"] == [] and e["element"] == "e0")
-    assert entry["response"] == "e0"
-    entry["response"] = "e1"  # position {(e0,e1)} is unreachable: closure breaks
-    ok, msg = verify_pebble_strategy(cert, A, A)
+    entry = next(e for e in cert["positions"] if e["base"] == [])
+    assert entry["forth"][0] == ["e0", "e0"]
+    entry["forth"][0] = ["e0", "e1"]  # base [(e0, e1)] is never answered: closure breaks
+    ok, msg = verify_certificate(cert, A, A)
     assert not ok
     assert "not closed" in msg or "winning condition" in msg
 
@@ -163,8 +162,8 @@ def test_strategy_verifier_rejects_tampering():
 def test_strategy_verifier_detects_missing_entry():
     A = zoo.lin(2)
     verdict, cert = pebble_game_exists(A, A, 1)
-    cert = {"k": cert["k"], "strategy": cert["strategy"][:1]}
-    ok, msg = verify_pebble_strategy(cert, A, A)
+    cert["positions"][0]["forth"] = cert["positions"][0]["forth"][:1]
+    ok, msg = verify_certificate(cert, A, A)
     assert not ok
 
 
