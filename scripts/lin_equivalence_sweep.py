@@ -3,21 +3,24 @@
 
 Prints, for each k, the matrix of LIN(m) ~ LIN(n) verdicts.  The classic
 pattern emerges: orders are equivalent at k rounds iff they are equal or both
-have at least 2^k - 1 elements.
+have at least 2^k - 1 elements.  Every verdict is checked against that closed
+form; a mismatch is marked "!" and makes the script exit with status 1.
 """
 
 import argparse
+import sys
 
 from gamecomonads import zoo
 from gamecomonads.equiv import ef_back_and_forth
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=8)
     ap.add_argument("--max-k", type=int, default=3)
     args = ap.parse_args()
 
+    mismatches = 0
     for k in range(1, args.max_k + 1):
         print(f"\nk = {k}   (threshold 2^k - 1 = {2 ** k - 1})")
         header = "     " + " ".join(f"{n:2d}" for n in range(1, args.max_n + 1))
@@ -27,9 +30,15 @@ def main() -> None:
             for n in range(1, args.max_n + 1):
                 eq = ef_back_and_forth(zoo.lin(m), zoo.lin(n), k,
                                        build_certificate=False)[0]
-                row.append(" =" if eq else " .")
+                expected = m == n or min(m, n) >= 2 ** k - 1
+                mismatches += eq != expected
+                row.append((" =" if eq else " .") if eq == expected else " !")
             print("".join(row))
+    if mismatches:
+        print(f"{mismatches} verdicts differ from the closed form", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,7 +10,6 @@ strategy prefix by prefix.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -114,28 +113,24 @@ Options = tuple[tuple[str, ...], ...]
 
 
 class EfGame:
-    """The ef game from A to B at one tier, solved by memoised recursion on
+    """The existential ef game from A to B, solved by memoised recursion on
     (pair set, rounds left).
 
     A position is the set of (Spoiler move, Duplicator response) pairs played
-    so far; Duplicator survives while it is a partial homomorphism (tier 1)
-    or a partial isomorphism (tiers 2 and 3).  The tiers differ only in
-    Duplicator's answer: at tier 1 every element of A needs a winning
-    response, at tier 2 also every element of B, and at tier 3 the winning
-    responses must contain a bijection A -> B.
-
-    One memo, local to the game, maps a pair set to its options (for each
-    element a of A in universe order, the responses b in B's universe order
-    that keep the position winning) and to whether Duplicator wins with each
-    number of rounds left.  A child's options are its parent's filtered
-    through the tuples that contain the new pair: both predicates are
-    hereditary, and every other tuple was checked at the parent.  With one
-    round left any option wins, so positions with none left are never built.
+    so far; Duplicator survives while it is a partial homomorphism, and must
+    answer every element of A.  One memo, local to the game, maps a pair set
+    to its options (for each element a of A in universe order, the responses
+    b in B's universe order that keep a partial homomorphism) and to whether
+    Duplicator wins with each number of rounds left.  A child's options are
+    its parent's filtered through the tuples that contain the new pair: the
+    predicate is hereditary, and every other tuple was checked at the parent.
+    With one round left any option wins, so positions with none left are
+    never built.
     """
 
-    def __init__(self, A: Structure, B: Structure, tier: int):
-        self.A, self.B, self.tier = A, B, tier
-        self.occ_a, self.occ_b = occurrences(A), occurrences(B)
+    def __init__(self, A: Structure, B: Structure):
+        self.A, self.B = A, B
+        self.occ_a = occurrences(A)
         root: frozenset = frozenset()
         self.memo: dict[frozenset, tuple[Options, dict[int, bool]]] = {
             root: (self._options(root, (B.universe,) * len(A.universe), None), {})}
@@ -144,34 +139,17 @@ class EfGame:
                  new: Optional[tuple[str, str]]) -> Options:
         """Options at pairs, which is a position with options parent plus the
         pair new (at the root new is None and every response is a candidate)."""
-        A, B, iso = self.A, self.B, self.tier > 1
         fwd = dict(pairs)
         a0, b0 = new or (None, None)
-
-        def through(occ: list, y: Optional[str]) -> list:
-            return occ if y is None else [o for o in occ if y in o[1]]
-
-        options = {}
-        for a, bs in zip(A.universe, parent):
+        options = []
+        for a, bs in zip(self.A.universe, parent):
             if a == a0:
                 bs = (b0,)
             elif a not in fwd:
-                if iso and b0 in bs:
-                    bs = tuple(b for b in bs if b != b0)
-                bs = extensions(through(self.occ_a[a], a0), fwd, a, bs, B.relations)
-            options[a] = bs
-        if iso:  # the same backwards, through the tuples of B
-            bwd = {b: a for a, b in pairs}
-            wanted: dict[str, list[str]] = defaultdict(list)
-            for a, bs in options.items():
-                if a not in fwd:
-                    for b in bs:
-                        wanted[b].append(a)
-            kept = {b: extensions(through(self.occ_b[b], b0), bwd, b, tuple(as_), A.relations)
-                    for b, as_ in wanted.items()}
-            options = {a: bs if a in fwd else tuple(b for b in bs if a in kept[b])
-                       for a, bs in options.items()}
-        return tuple(options.values())
+                occ = self.occ_a[a] if a0 is None else [o for o in self.occ_a[a] if a0 in o[1]]
+                bs = extensions(occ, fwd, a, bs, self.B.relations)
+            options.append(bs)
+        return tuple(options)
 
     def child(self, pairs: frozenset, a: str, b: str) -> frozenset:
         """pairs plus (a, b), an option at pairs, with its options memoised."""
@@ -186,28 +164,20 @@ class EfGame:
             return True
         wins = self.memo[pairs][1]
         if rounds not in wins:
-            # Rounds beyond the unpebbled elements change nothing: a move on a
-            # pebbled element is answered by its partner and leaves the
-            # position as it was, and every other move Duplicator survives
-            # pebbles a new element (on both sides at tiers 2 and 3).  So the
-            # recursion is never deeper than |A| + |B|.
-            fresh = (len(self.A.universe) - len(pairs)
-                     + len(self.B.universe) - len({b for _, b in pairs}))
+            # Rounds beyond the unpebbled elements of A change nothing: a move
+            # on a pebbled element is answered by its partner and leaves the
+            # position as it was.  So the recursion is never deeper than |A|.
+            fresh = len(self.A.universe) - len(pairs)
             wins[rounds] = (self.win(pairs, fresh) if rounds > fresh
                             else self.answers(pairs, rounds) is not None)
         return wins[rounds]
 
-    def keeps_win(self, pairs: frozenset, rounds: int) -> Callable[[str, str], bool]:
-        """Which pairs (a, b) at pairs, with rounds left, are options that
-        leave Duplicator a win."""
-        options = dict(zip(self.A.universe, self.memo[pairs][0]))
-        return lambda a, b: b in options[a] and (
-            rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1))
-
     def answers(self, pairs: frozenset, rounds: int) -> Optional[list[tuple[str, str]]]:
         """Duplicator's answers (`strategy.answers`) at pairs with rounds
         left, or None if Spoiler wins there."""
-        return answers(self.tier, self.A.universe, self.B.universe, self.keeps_win(pairs, rounds))
+        options = dict(zip(self.A.universe, self.memo[pairs][0]))
+        return answers(1, self.A.universe, self.B.universe, lambda a, b: b in options[a] and (
+            rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1)))
 
 
 def ef_game_exists(A: Structure, B: Structure, k: int,
@@ -216,14 +186,14 @@ def ef_game_exists(A: Structure, B: Structure, k: int,
     """Decide the k-round existential comparison game from A to B.
 
     Duplicator survives iff the induced partial map stays a partial
-    homomorphism (`EfGame`, tier 1).  On a win, the full strategy table (one
+    homomorphism (`EfGame`).  On a win, the full strategy table (one
     response per play) is returned as a coKleisli map; CapExceeded is raised
     if it would exceed strategy_cap entries.
     """
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
-    game = EfGame(A, B, 1)
+    game = EfGame(A, B)
     exists = game.win(frozenset(), k)
     if not exists or not build_strategy:
         return exists, None

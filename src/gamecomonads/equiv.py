@@ -10,8 +10,12 @@ per-comonad winning sets:
   modal   labels agree and proposition profiles match along the play
 
 Round structure follows the logics characterized: rank-bounded games (ef,
-modal) stop after k rounds, pebble games are unbounded and solved as greatest
-fixpoints over placement positions.
+modal) stop after k rounds, pebble games are unbounded.  Tier 1 is solved by
+game search (ef, modal) or a greatest fixpoint over placement positions
+(pebble).  For ef and pebble, tiers 2 and 3 are equalities of types, rank-k
+or k-variable FO at tier 2 and their counting versions at tier 3, computed
+by refinement on each structure alone (`refine.Types`); modal tiers 2 and 3
+stay a memoised search from the points.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from __future__ import annotations
 from typing import Optional
 
 from . import modal as modal_mod
-from .ef import (EfGame, EfRules, ef_game_exists, strategy_from_json, strategy_to_json,
+from .ef import (EfRules, ef_game_exists, strategy_from_json, strategy_to_json,
                  verify_ef_strategy)
 from .pebble import PebbleRules, pebble_game, pebble_game_exists
+from .refine import Types
 from .strategy import GAMES, certificate, verify
 from .structures import Structure, require_same_signature
 
@@ -55,49 +60,44 @@ def mutual_existential(tag: str, A, B, k: int) -> tuple[bool, Optional[dict]]:
 
 def _ef_game(A: Structure, B: Structure, k: int, tier: int,
              build_certificate: bool) -> tuple[bool, Optional[dict]]:
+    """Tiers 2 and 3 by rank-k types (`refine.Types`).  Duplicator answers a
+    pebbled element with its partner, and a new one with the first new
+    element, in universe order, whose extension has the same type (or by a
+    matching of those at tier 3)."""
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
     if tier == 3 and len(A.universe) != len(B.universe):
         return False, None
-    game = EfGame(A, B, tier)
-    exists = game.win(frozenset(), k)
-    if not exists or not build_certificate:
-        return exists, None
-    return True, certificate(EfRules(A, B, k, tier), tier, lambda pos, _: game.keeps_win(*pos))
+    types = Types(A, B, k, pebble=False, counting=tier == 3)
+    if not types.equal or not build_certificate:
+        return types.equal, None
+    return True, certificate(EfRules(A, B, k, tier), tier,
+                             lambda pos, _: types.same_after(sorted(pos[0]), pos[1] - 1))
 
 
 def ef_back_and_forth(A: Structure, B: Structure, k: int,
                       build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """k-round back-and-forth game (`EfGame`, tier 2)."""
+    """k-round back-and-forth game: rank-k types (`_ef_game`, tier 2)."""
     return _ef_game(A, B, k, 2, build_certificate)
 
 
 def bijection_game_equiv(A: Structure, B: Structure, k: int,
                          build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """k-round bijection game (`EfGame`, tier 3).
-
-    Spoiler wins outright on a cardinality mismatch.  Each round Duplicator
-    commits to a bijection and Spoiler picks a source element; the chosen
-    pairs must stay a partial isomorphism.  A usable bijection exists iff the
-    bipartite graph of recursively safe pairs has a perfect matching.
-    """
+    """k-round bijection game: counting rank-k types (`_ef_game`, tier 3).
+    Spoiler wins outright on a cardinality mismatch."""
     return _ef_game(A, B, k, 3, build_certificate)
 
 
 def pebble_back_and_forth(A: Structure, B: Structure, k: int,
                           build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """Unbounded two-sided k-pebble game as a greatest fixpoint.
-
-    The winning set depends only on current placements, so positions are
-    multisets of pebble pairs; Spoiler may re-place any pebble on either side.
-    """
+    """Unbounded two-sided k-pebble game: k-variable types (`pebble_game`)."""
     return pebble_game(A, B, k, 2, build_certificate)
 
 
 def pebble_bijection_equiv(A: Structure, B: Structure, k: int,
                            build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """k-pebble bijection game, unbounded rounds, greatest fixpoint."""
+    """k-pebble bijection game: counting k-variable types (`pebble_game`)."""
     return pebble_game(A, B, k, 3, build_certificate)
 
 

@@ -184,6 +184,10 @@ def simulation_game(P: PointedStructure, Q: PointedStructure, k: int
                              lambda pos, _: lambda x, y: (x, y) in rel[pos[2] - 1])
 
 
+class _Unsolved(Exception):
+    """A position of the modal game whose value is not known yet."""
+
+
 def _bisimulation_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
                        build_certificate: bool) -> tuple[bool, Optional[dict]]:
     """Tiers 2 and 3 by memoised recursion on (world, world, depth left).
@@ -201,19 +205,40 @@ def _bisimulation_game(P: PointedStructure, Q: PointedStructure, k: int, tier: i
     # nothing no later one does; so from |A| + |B| on the value is fixed.
     cap = len(KA.worlds) + len(KB.worlds)
 
+    floor = 0  # the least depth left the recursion may reach
+
     @lru_cache(maxsize=None)
     def win(a: str, b: str, depth: int) -> bool:
+        if depth < floor:
+            raise _Unsolved(a, b, depth)
         return depth == 0 or all(
-            answers(tier, KA.successors(a, lab), KB.successors(b, lab), keeps(depth - 1))
+            answers(tier, KA.successors(a, lab), KB.successors(b, lab), keeps(depth - 1, win))
             is not None for lab in rules.labels)
 
-    def keeps(depth: int) -> Callable[[str, str], bool]:
-        return lambda x, y: KA.profile(x) == KB.profile(y) and win(x, y, min(depth, cap))
+    def solve(a: str, b: str, depth: int) -> bool:
+        """win, with the recursion cut 50 levels down: a position below the
+        cut is solved first, on an explicit stack, and the one above played
+        out again from the start (its solved positions are cached)."""
+        nonlocal floor
+        stack = [(a, b, depth)]
+        while True:
+            floor = stack[-1][2] - 50
+            try:
+                value = win(*stack[-1])
+            except _Unsolved as cut:
+                stack.append(cut.args)
+                continue
+            stack.pop()
+            if not stack:
+                return value
 
-    exists = rules.fault(rules.start()) is None and win(P.point, Q.point, min(k, cap))
+    def keeps(depth: int, value: Callable) -> Callable[[str, str], bool]:
+        return lambda x, y: KA.profile(x) == KB.profile(y) and value(x, y, min(depth, cap))
+
+    exists = rules.fault(rules.start()) is None and solve(P.point, Q.point, min(k, cap))
     if not exists or not build_certificate:
         return exists, None
-    return True, certificate(rules, tier, lambda pos, _: keeps(pos[2] - 1))
+    return True, certificate(rules, tier, lambda pos, _: keeps(pos[2] - 1, solve))
 
 
 def modal_back_and_forth(P: PointedStructure, Q: PointedStructure, k: int,

@@ -3,19 +3,20 @@
 Plays are finite non-empty sequences of moves (pebble index, element) of
 arbitrary length, so the full play structure is infinite and is never built.
 Decisions run over pebble positions: what matters about a play is the current
-placement of the pebbles, and all three game tiers are solved as greatest
-fixpoints over those positions by one engine, `pebble_fixpoint`.
+placement of the pebbles.  The existential game is a greatest fixpoint over
+those positions (`pebble_fixpoint`); tiers 2 and 3 compare k-variable types of
+tuples, computed on each structure alone (`refine.Types`).
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import groupby, product
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .matching import perfect_matching
+from .refine import Types
 from .strategy import PairRules, certificate
 from .structures import (CapExceeded, Structure, extensions, occurrences,
                          require_same_signature, validate_structure)
@@ -128,14 +129,14 @@ def _parents(q: Position):
             yield q[:i] + q[i + 1:], pair
 
 
-def _arena(A: Structure, B: Structure, k: int, iso: bool) -> list[Position]:
-    """Every position of at most k pairs that is a partial homomorphism (or,
-    with iso, a partial isomorphism), smallest first.
+def _arena(A: Structure, B: Structure, k: int) -> list[Position]:
+    """Every position of at most k pairs that is a partial homomorphism,
+    smallest first.
 
-    Both predicates are hereditary, so each position is its largest pair added
+    The predicate is hereditary, so each position is its largest pair added
     to a smaller position; only tuples through the new pair are checked.
     """
-    occ_a, occ_b = occurrences(A), occurrences(B)
+    occ_a = occurrences(A)
     pairs = sorted((a, b) for a in A.universe for b in B.universe)
     first = {pair: i for i, pair in enumerate(pairs)}
     arena: list[Position] = [()]
@@ -144,72 +145,33 @@ def _arena(A: Structure, B: Structure, k: int, iso: bool) -> list[Position]:
         nxt = []
         for pos in level:
             fwd = dict(pos)
-            bwd = {b: a for a, b in pos}
             for a, group in groupby(pairs[first[pos[-1]] if pos else 0:], key=itemgetter(0)):
                 bs = tuple(b for _, b in group)
                 if a in fwd:
                     bs = (fwd[a],) if fwd[a] in bs else ()
                 else:
-                    if iso:
-                        bs = tuple(b for b in bs if b not in bwd)
                     bs = extensions(occ_a[a], fwd, a, bs, B.relations)
-                    if iso:
-                        bs = tuple(b for b in bs
-                                   if extensions(occ_b[b], bwd, b, (a,), A.relations))
                 nxt.extend(pos + ((a, b),) for b in bs)
         arena.extend(nxt)
         level = nxt
     return arena
 
 
-def pebble_fixpoint(A: Structure, B: Structure, k: int, tier: int) -> set[Position]:
-    """Winning positions of the k-pebble game of a tier: the greatest fixpoint.
+def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[Position]:
+    """Winning positions of the existential k-pebble game: the greatest
+    fixpoint over the partial homomorphisms of at most k pairs.
 
-    Tier 1 is the existential game over partial homomorphisms; tier 2 the
-    back-and-forth and tier 3 the bijection game, over partial isomorphisms.
-    A position lives iff each of its bases is good: every Spoiler move from
-    the base (an element of A, at tier 2 also of B) keeps a live response, or
-    at tier 3 the live responses contain a bijection A -> B.  Goodness depends
-    on the base alone, so each base keeps a count of live responses per move
-    (a matching at tier 3); a dying position decrements its parents' counts
-    and a base whose count hits zero kills every position built on it.
+    A position lives iff each of its bases is good: every Spoiler move (an
+    element of A) from the base keeps a live response.  Goodness depends on
+    the base alone, so each base keeps a count of live responses per move; a
+    dying position decrements its parents' counts and a base whose count hits
+    zero kills every position built on it.
     """
-    arena = _arena(A, B, k, iso=tier > 1)
+    arena = _arena(A, B, k)
     live = set(arena)
-    if tier < 3:
-        def answered(base: Position, x: str, y: str) -> list:
-            """The Spoiler moves from base that the response (x, y) answers."""
-            return [(base, 0, x), (base, 1, y)][:tier]
-
-        count = Counter(mv for q in arena for base, (x, y) in _parents(q)
-                        for mv in answered(base, x, y))
-
-        def is_bad(base: Position) -> bool:
-            return (any(count[base, 0, a] == 0 for a in A.universe)
-                    or tier == 2 and any(count[base, 1, b] == 0 for b in B.universe))
-
-        def lose(base: Position, x: str, y: str) -> bool:
-            moves = answered(base, x, y)
-            count.subtract(moves)
-            return any(count[mv] == 0 for mv in moves)
-    else:
-        responses: dict[Position, set] = defaultdict(set)
-        for q in arena:
-            for base, pair in _parents(q):
-                responses[base].add(pair)
-        matching: dict[Position, Optional[dict]] = {}
-
-        def is_bad(base: Position) -> bool:  # (re)computes the base's matching
-            live_pairs = responses[base]
-            matching[base] = perfect_matching(A.universe, B.universe,
-                                              lambda a, b: (a, b) in live_pairs)
-            return matching[base] is None
-
-        def lose(base: Position, x: str, y: str) -> bool:
-            responses[base].discard((x, y))
-            return matching[base].get(x) == y and is_bad(base)
-
-    queue = [base for base in arena if len(base) < k and is_bad(base)]
+    count = Counter((base, x) for q in arena for base, (x, _) in _parents(q))
+    queue = [base for base in arena
+             if len(base) < k and any(count[base, a] == 0 for a in A.universe)]
     bad = set(queue)
     pairs = [(a, b) for a in A.universe for b in B.universe]
     while queue:
@@ -218,28 +180,40 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int, tier: int) -> set[Positi
             if q not in live:
                 continue
             live.remove(q)
-            for parent, (x, y) in _parents(q):
-                if parent not in bad and lose(parent, x, y):
-                    bad.add(parent)
-                    queue.append(parent)
+            for parent, (x, _) in _parents(q):
+                if parent not in bad:
+                    count[parent, x] -= 1
+                    if count[parent, x] == 0:
+                        bad.add(parent)
+                        queue.append(parent)
     return live
 
 
 def pebble_game(A: Structure, B: Structure, k: int, tier: int,
                 build_certificate: bool) -> tuple[bool, Optional[dict]]:
-    """Decide the k-pebble game of a tier (`pebble_fixpoint`); on a win the
+    """Decide the k-pebble game of a tier: tier 1 by `pebble_fixpoint`, tiers
+    2 and 3 by k-variable (counting) types (`refine.Types`).  On a win the
     certificate answers each move with the first surviving response."""
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
     if tier == 3 and len(A.universe) != len(B.universe):
         return False, None
-    surviving = pebble_fixpoint(A, B, k, tier)
-    exists = () in surviving
+    if tier == 1:
+        surviving = pebble_fixpoint(A, B, k)
+        exists = () in surviving
+
+        def good(base, _):
+            return lambda a, b: _canon(base + ((a, b),)) in surviving
+    else:
+        types = Types(A, B, k, pebble=True, counting=tier == 3)
+        exists = types.equal
+
+        def good(base, _):
+            return types.same_after(base)
     if not exists or not build_certificate:
         return exists, None
-    return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _: (
-        lambda a, b: _canon(base + ((a, b),)) in surviving))
+    return True, certificate(PebbleRules(A, B, k, tier), tier, good)
 
 
 def pebble_game_exists(A: Structure, B: Structure, k: int,
@@ -249,7 +223,7 @@ def pebble_game_exists(A: Structure, B: Structure, k: int,
     A position survives iff its pairs form a partial homomorphism and every
     Spoiler move (place or re-place a pebble on a source element) has a
     response keeping the successor alive.  There is no round bound; the set
-    of winning positions is a greatest fixpoint (`pebble_fixpoint`, tier 1).
+    of winning positions is a greatest fixpoint (`pebble_fixpoint`).
     """
     return pebble_game(A, B, k, 1, build_strategy)
 

@@ -218,18 +218,14 @@ def is_homomorphism(h: Mapping[str, str], A: Structure, B: Structure) -> bool:
 
 def is_partial_homomorphism(pairs: Iterable[tuple[str, str]],
                             A: Structure, B: Structure) -> bool:
-    """Functional and relation-preserving on its domain (one direction only)."""
+    """Functional and relation-preserving on its domain (one direction only).
+    Only the tuples through the domain are read (`occurrences`)."""
     m: dict[str, str] = {}
     for a, b in pairs:
         if a in m and m[a] != b:
             return False
         m[a] = b
-    for name, tups in A.relations.items():
-        target = B.relations[name]
-        for t in tups:
-            if all(x in m for x in t) and tuple(m[x] for x in t) not in target:
-                return False
-    return True
+    return _preserved(m, A, B)
 
 
 def is_partial_isomorphism(pairs: Iterable[tuple[str, str]],
@@ -244,25 +240,29 @@ def is_partial_isomorphism(pairs: Iterable[tuple[str, str]],
             return False
         fwd[a] = b
         bwd[b] = a
-    for name in A.sig.relations:
-        ra, rb = A.relations[name], B.relations[name]
-        for t in ra:
-            if all(x in fwd for x in t) and tuple(fwd[x] for x in t) not in rb:
-                return False
-        for t in rb:
-            if all(y in bwd for y in t) and tuple(bwd[y] for y in t) not in ra:
-                return False
-    return True
+    return _preserved(fwd, A, B) and _preserved(bwd, B, A)
+
+
+def _preserved(m: Mapping[str, str], A: Structure, B: Structure) -> bool:
+    """Whether m maps into B every tuple of A whose elements it all maps."""
+    occ = occurrences(A)
+    return all(tuple(m[x] for x in t) in B.relations[name]
+               for a in m for name, t in occ.get(a, ()) if all(x in m for x in t))
 
 
 def occurrences(A: Structure) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-    """Element -> (relation name, tuple) for every tuple the element occurs in."""
-    occ: dict[str, list[tuple[str, tuple[str, ...]]]] = {a: [] for a in A.universe}
-    for name, tups in A.relations.items():
-        for t in tups:
-            for x in set(t):
-                occ[x].append((name, t))
-    return occ
+    """Element -> (relation name, tuple) for every tuple the element occurs in.
+
+    Built on first use and then kept on A (structures are not changed after
+    validation), so callers must not change it."""
+    if "_occurrences" not in vars(A):
+        occ: dict[str, list[tuple[str, tuple[str, ...]]]] = {a: [] for a in A.universe}
+        for name, tups in A.relations.items():
+            for t in tups:
+                for x in set(t):
+                    occ[x].append((name, t))
+        vars(A)["_occurrences"] = occ
+    return vars(A)["_occurrences"]
 
 
 def extensions(occ: Sequence[tuple[str, tuple[str, ...]]], m: Mapping[str, str], x: str,

@@ -8,18 +8,22 @@ partial homomorphism/isomorphism checks and bipartite matching).
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
-from typing import Optional
+from itertools import combinations_with_replacement, groupby, permutations, product
+from operator import itemgetter
+from typing import Callable, Optional
 
 from gamecomonads.decomposition import (ROOT, TREE_DEPTH_BOUND, TREE_WIDTH_BOUND, ForestCover,
                                         TreeDecomposition)
-from gamecomonads.ef import coextend_play, ef_plays
+from gamecomonads.ef import EfRules, Options, coextend_play, ef_plays
 from gamecomonads.matching import perfect_matching
 from gamecomonads.modal import kripke_view
-from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, gaifman_graph,
-                                     is_homomorphism, is_partial_homomorphism,
-                                     is_partial_isomorphism,
+from gamecomonads.pebble import PebbleRules, Position, _canon, _parents
+from gamecomonads.strategy import answers, certificate
+from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, extensions,
+                                     gaifman_graph, is_homomorphism, is_partial_homomorphism,
+                                     is_partial_isomorphism, occurrences,
                                      require_same_signature, validate_structure)
 
 
@@ -42,6 +46,15 @@ def all_digraphs(max_size: int) -> list[Structure]:
             tups = [[x, y] for (x, y), b in zip(cells, bits) if b]
             out.append(validate_structure({"R": 2}, universe, {"R": tups}))
     return out
+
+
+def relabelled(rng, A: Structure) -> Structure:
+    """An isomorphic copy of A on fresh names, listed in a shuffled order."""
+    names = {a: f"y{i}" for i, a in enumerate(rng.sample(A.universe, len(A.universe)))}
+    universe = rng.sample(sorted(names.values()), len(names))
+    return validate_structure(dict(A.sig.relations), universe,
+                              {r: [[names[x] for x in t] for t in ts]
+                               for r, ts in A.relations.items()})
 
 
 @lru_cache(maxsize=None)
@@ -531,6 +544,239 @@ def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, di
             queue.append((pairs | {(a, b)}, rounds - 1))
     return True, {"comonad": "ef", "game": "bijection", "k": k, "shape": "positions",
                   "positions": entries}
+
+
+# The game engines that decided ef and pebble tiers 2 and 3 before the
+# type refinement (`refine.Types`): one memoised recursion over pair sets
+# for ef and one counter-based greatest fixpoint over pebble positions for
+# all three tiers.  The library's engines must give the same verdicts and
+# the same certificates.
+
+class EfGameReference:
+    """The ef game from A to B at one tier, solved by memoised recursion on
+    (pair set, rounds left).
+
+    A position is the set of (Spoiler move, Duplicator response) pairs played
+    so far; Duplicator survives while it is a partial homomorphism (tier 1)
+    or a partial isomorphism (tiers 2 and 3).  The tiers differ only in
+    Duplicator's answer: at tier 1 every element of A needs a winning
+    response, at tier 2 also every element of B, and at tier 3 the winning
+    responses must contain a bijection A -> B.
+
+    One memo, local to the game, maps a pair set to its options (for each
+    element a of A in universe order, the responses b in B's universe order
+    that keep the position winning) and to whether Duplicator wins with each
+    number of rounds left.  A child's options are its parent's filtered
+    through the tuples that contain the new pair: both predicates are
+    hereditary, and every other tuple was checked at the parent.  With one
+    round left any option wins, so positions with none left are never built.
+    """
+
+    def __init__(self, A: Structure, B: Structure, tier: int):
+        self.A, self.B, self.tier = A, B, tier
+        self.occ_a, self.occ_b = occurrences(A), occurrences(B)
+        root: frozenset = frozenset()
+        self.memo: dict[frozenset, tuple[Options, dict[int, bool]]] = {
+            root: (self._options(root, (B.universe,) * len(A.universe), None), {})}
+
+    def _options(self, pairs: frozenset, parent: Options,
+                 new: Optional[tuple[str, str]]) -> Options:
+        """Options at pairs, which is a position with options parent plus the
+        pair new (at the root new is None and every response is a candidate)."""
+        A, B, iso = self.A, self.B, self.tier > 1
+        fwd = dict(pairs)
+        a0, b0 = new or (None, None)
+
+        def through(occ: list, y: Optional[str]) -> list:
+            return occ if y is None else [o for o in occ if y in o[1]]
+
+        options = {}
+        for a, bs in zip(A.universe, parent):
+            if a == a0:
+                bs = (b0,)
+            elif a not in fwd:
+                if iso and b0 in bs:
+                    bs = tuple(b for b in bs if b != b0)
+                bs = extensions(through(self.occ_a[a], a0), fwd, a, bs, B.relations)
+            options[a] = bs
+        if iso:  # the same backwards, through the tuples of B
+            bwd = {b: a for a, b in pairs}
+            wanted: dict[str, list[str]] = defaultdict(list)
+            for a, bs in options.items():
+                if a not in fwd:
+                    for b in bs:
+                        wanted[b].append(a)
+            kept = {b: extensions(through(self.occ_b[b], b0), bwd, b, tuple(as_), A.relations)
+                    for b, as_ in wanted.items()}
+            options = {a: bs if a in fwd else tuple(b for b in bs if a in kept[b])
+                       for a, bs in options.items()}
+        return tuple(options.values())
+
+    def child(self, pairs: frozenset, a: str, b: str) -> frozenset:
+        """pairs plus (a, b), an option at pairs, with its options memoised."""
+        nxt = pairs | {(a, b)}
+        if nxt not in self.memo:
+            self.memo[nxt] = (self._options(nxt, self.memo[pairs][0], (a, b)), {})
+        return nxt
+
+    def win(self, pairs: frozenset, rounds: int) -> bool:
+        """Whether Duplicator survives `rounds` more rounds from pairs."""
+        if rounds == 0:
+            return True
+        wins = self.memo[pairs][1]
+        if rounds not in wins:
+            # Rounds beyond the unpebbled elements change nothing: a move on a
+            # pebbled element is answered by its partner and leaves the
+            # position as it was, and every other move Duplicator survives
+            # pebbles a new element (on both sides at tiers 2 and 3).  So the
+            # recursion is never deeper than |A| + |B|.
+            fresh = (len(self.A.universe) - len(pairs)
+                     + len(self.B.universe) - len({b for _, b in pairs}))
+            wins[rounds] = (self.win(pairs, fresh) if rounds > fresh
+                            else self.answers(pairs, rounds) is not None)
+        return wins[rounds]
+
+    def keeps_win(self, pairs: frozenset, rounds: int) -> Callable[[str, str], bool]:
+        """Which pairs (a, b) at pairs, with rounds left, are options that
+        leave Duplicator a win."""
+        options = dict(zip(self.A.universe, self.memo[pairs][0]))
+        return lambda a, b: b in options[a] and (
+            rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1))
+
+    def answers(self, pairs: frozenset, rounds: int) -> Optional[list[tuple[str, str]]]:
+        """Duplicator's answers (`strategy.answers`) at pairs with rounds
+        left, or None if Spoiler wins there."""
+        return answers(self.tier, self.A.universe, self.B.universe, self.keeps_win(pairs, rounds))
+
+
+def ef_game_reference(A: Structure, B: Structure, k: int, tier: int,
+                      build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
+    """Decide the k-round ef game of a tier (`EfGameReference`)."""
+    require_same_signature(A, B)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if tier == 3 and len(A.universe) != len(B.universe):
+        return False, None
+    game = EfGameReference(A, B, tier)
+    exists = game.win(frozenset(), k)
+    if not exists or not build_certificate:
+        return exists, None
+    return True, certificate(EfRules(A, B, k, tier), tier, lambda pos, _: game.keeps_win(*pos))
+
+
+def _pebble_arena(A: Structure, B: Structure, k: int, iso: bool) -> list[Position]:
+    """Every position of at most k pairs that is a partial homomorphism (or,
+    with iso, a partial isomorphism), smallest first.
+
+    Both predicates are hereditary, so each position is its largest pair added
+    to a smaller position; only tuples through the new pair are checked.
+    """
+    occ_a, occ_b = occurrences(A), occurrences(B)
+    pairs = sorted((a, b) for a in A.universe for b in B.universe)
+    first = {pair: i for i, pair in enumerate(pairs)}
+    arena: list[Position] = [()]
+    level: list[Position] = [()]
+    for _ in range(k):
+        nxt = []
+        for pos in level:
+            fwd = dict(pos)
+            bwd = {b: a for a, b in pos}
+            for a, group in groupby(pairs[first[pos[-1]] if pos else 0:], key=itemgetter(0)):
+                bs = tuple(b for _, b in group)
+                if a in fwd:
+                    bs = (fwd[a],) if fwd[a] in bs else ()
+                else:
+                    if iso:
+                        bs = tuple(b for b in bs if b not in bwd)
+                    bs = extensions(occ_a[a], fwd, a, bs, B.relations)
+                    if iso:
+                        bs = tuple(b for b in bs
+                                   if extensions(occ_b[b], bwd, b, (a,), A.relations))
+                nxt.extend(pos + ((a, b),) for b in bs)
+        arena.extend(nxt)
+        level = nxt
+    return arena
+
+
+def pebble_fixpoint_reference(A: Structure, B: Structure, k: int, tier: int) -> set[Position]:
+    """Winning positions of the k-pebble game of a tier: the greatest fixpoint.
+
+    Tier 1 is the existential game over partial homomorphisms; tier 2 the
+    back-and-forth and tier 3 the bijection game, over partial isomorphisms.
+    A position lives iff each of its bases is good: every Spoiler move from
+    the base (an element of A, at tier 2 also of B) keeps a live response, or
+    at tier 3 the live responses contain a bijection A -> B.  Goodness depends
+    on the base alone, so each base keeps a count of live responses per move
+    (a matching at tier 3); a dying position decrements its parents' counts
+    and a base whose count hits zero kills every position built on it.
+    """
+    arena = _pebble_arena(A, B, k, iso=tier > 1)
+    live = set(arena)
+    if tier < 3:
+        def answered(base: Position, x: str, y: str) -> list:
+            """The Spoiler moves from base that the response (x, y) answers."""
+            return [(base, 0, x), (base, 1, y)][:tier]
+
+        count = Counter(mv for q in arena for base, (x, y) in _parents(q)
+                        for mv in answered(base, x, y))
+
+        def is_bad(base: Position) -> bool:
+            return (any(count[base, 0, a] == 0 for a in A.universe)
+                    or tier == 2 and any(count[base, 1, b] == 0 for b in B.universe))
+
+        def lose(base: Position, x: str, y: str) -> bool:
+            moves = answered(base, x, y)
+            count.subtract(moves)
+            return any(count[mv] == 0 for mv in moves)
+    else:
+        responses: dict[Position, set] = defaultdict(set)
+        for q in arena:
+            for base, pair in _parents(q):
+                responses[base].add(pair)
+        matching: dict[Position, Optional[dict]] = {}
+
+        def is_bad(base: Position) -> bool:  # (re)computes the base's matching
+            live_pairs = responses[base]
+            matching[base] = perfect_matching(A.universe, B.universe,
+                                              lambda a, b: (a, b) in live_pairs)
+            return matching[base] is None
+
+        def lose(base: Position, x: str, y: str) -> bool:
+            responses[base].discard((x, y))
+            return matching[base].get(x) == y and is_bad(base)
+
+    queue = [base for base in arena if len(base) < k and is_bad(base)]
+    bad = set(queue)
+    pairs = [(a, b) for a in A.universe for b in B.universe]
+    while queue:
+        base = queue.pop()
+        for q in [base] + [_canon(base + (pair,)) for pair in pairs]:
+            if q not in live:
+                continue
+            live.remove(q)
+            for parent, (x, y) in _parents(q):
+                if parent not in bad and lose(parent, x, y):
+                    bad.add(parent)
+                    queue.append(parent)
+    return live
+
+
+def pebble_game_reference(A: Structure, B: Structure, k: int, tier: int,
+                          build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
+    """Decide the k-pebble game of a tier (`pebble_fixpoint_reference`); on a win the
+    certificate answers each move with the first surviving response."""
+    require_same_signature(A, B)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if tier == 3 and len(A.universe) != len(B.universe):
+        return False, None
+    surviving = pebble_fixpoint_reference(A, B, k, tier)
+    exists = () in surviving
+    if not exists or not build_certificate:
+        return exists, None
+    return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _: (
+        lambda a, b: _canon(base + ((a, b),)) in surviving))
+
 
 
 # Winning-position predicates of the three comonads' games, on synchronized

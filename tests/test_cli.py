@@ -238,8 +238,10 @@ def _verifies(verdict, A, B):
 
 
 def test_check_deep_k_on_one_element(tmp_path, capsys):
-    # past the unpebbled elements (ef) or |A| + |B| refinement steps (modal)
-    # more rounds change nothing, so the solvers recurse no deeper than that
+    # ef tier 1 recurses no deeper than the unpebbled elements of A and the
+    # modal games no deeper than |A| + |B| depths (past them more rounds
+    # change nothing); ef and pebble tiers 2 and 3 refine tuple types in a
+    # loop that stops once a round splits no class
     data = {"signature": {"R": 2, "P": 1}, "universe": ["a"],
             "relations": {"R": [["a", "a"]], "P": [["a"]]}, "point": "a"}
     p = write(tmp_path, "one.json", data)

@@ -264,3 +264,16 @@ def test_coequaliser_parallel_pair():
 def test_play_id_round_trip():
     s = ("a", "b,c", 'd"e')
     assert play_of_id(play_id(s)) == s
+
+
+def test_lin_sweep_script_checks_the_closed_form(monkeypatch, capsys):
+    import pathlib
+    import runpy
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "lin_equivalence_sweep.py"
+    sweep = runpy.run_path(str(script))
+    monkeypatch.setattr("sys.argv", ["sweep", "--max-n", "7", "--max-k", "3"])
+    assert sweep["main"]() == 0
+    # a solver that calls every pair equivalent disagrees with the closed form
+    sweep["main"].__globals__["ef_back_and_forth"] = lambda *args, **kw: (True, None)
+    assert sweep["main"]() == 1
+    assert " !" in capsys.readouterr().out

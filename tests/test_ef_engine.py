@@ -1,12 +1,14 @@
-"""Differential tests of the ef engine against the plain partial hom/iso
-checks and against the separate memoised recursions of each tier."""
+"""Differential tests of the ef engines (the tier-1 game search and the
+rank-k types of tiers 2 and 3) against the plain partial hom/iso checks, the
+separate memoised recursions of each tier and the pair-set engine that the
+types replaced."""
 
 import random
 from itertools import combinations
 
 import pytest
-from oracles import (all_digraphs, ef_back_and_forth_recursion, ef_bijection_recursion,
-                     ef_game_recursion)
+from oracles import (EfGameReference, all_digraphs, ef_back_and_forth_recursion,
+                     ef_bijection_recursion, ef_game_recursion, ef_game_reference, relabelled)
 
 from gamecomonads import zoo
 from gamecomonads.ef import EfGame, ef_game_exists
@@ -22,15 +24,6 @@ def random_structure(rng: random.Random, prefix: str):
         "E": [[x, y] for x in u for y in u if rng.random() < 0.35],
         "P": [[x] for x in u if rng.random() < 0.5],
         "T": [[x, y, z] for x in u for y in u for z in u if rng.random() < 0.1]})
-
-
-def relabelled(rng: random.Random, A):
-    """An isomorphic copy of A on fresh names, listed in a shuffled order."""
-    names = {a: f"y{i}" for i, a in enumerate(rng.sample(A.universe, len(A.universe)))}
-    universe = rng.sample(sorted(names.values()), len(names))
-    return validate_structure(dict(A.sig.relations), universe,
-                              {r: [[names[x] for x in t] for t in ts]
-                               for r, ts in A.relations.items()})
 
 
 def random_pairs(count: int, seed: int):
@@ -49,7 +42,7 @@ def test_options_match_plain_checks(tier):
     are exactly the responses the plain check accepts."""
     winning = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
     for A, B in random_pairs(12, 4):
-        game = EfGame(A, B, tier)
+        game = EfGame(A, B) if tier == 1 else EfGameReference(A, B, 2)
         reached = {frozenset()}
         frontier = [frozenset()]
         for size in range(4):
@@ -77,6 +70,9 @@ def _pairs(family: str):
         return [(A, B) for A in ds for B in ds]
     if family == "random":
         return random_pairs(30, 20181004)
+    if family == "zoo":
+        graphs = [zoo.cycle(n) for n in (3, 4, 5)] + [zoo.path(n) for n in (2, 3, 4)]
+        return [(A, B) for A in graphs for B in graphs]
     return [(zoo.lin(m), zoo.lin(n)) for m in range(1, 7) for n in range(1, 7)]
 
 
@@ -102,3 +98,13 @@ def test_rounds_past_the_unpebbled_elements_match_recursions():
             assert (exists, f and f.table) == ef_game_recursion(A, B, k), (A, B, k)
             assert ef_back_and_forth(A, B, k) == ef_back_and_forth_recursion(A, B, k), (A, B, k)
             assert bijection_game_equiv(A, B, k) == ef_bijection_recursion(A, B, k), (A, B, k)
+
+
+@pytest.mark.parametrize("family", ["digraphs", "random", "lin", "zoo"])
+def test_types_match_pair_set_engine(family):
+    """Tiers 2 and 3 by rank-k types give the verdicts and certificates of the
+    pair-set engine they replaced, at more rounds than elements too."""
+    for A, B in _pairs(family):
+        for k in range(1, min(len(A.universe), 4) + 2):
+            assert ef_back_and_forth(A, B, k) == ef_game_reference(A, B, k, 2), (A, B, k)
+            assert bijection_game_equiv(A, B, k) == ef_game_reference(A, B, k, 3), (A, B, k)

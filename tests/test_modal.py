@@ -277,3 +277,31 @@ def test_unfolding_is_synchronization_tree_of_bounded_height(P):
         U = modal_unfold(P, k)
         height = modal_depth(U)
         assert height is not None and height <= k
+
+
+def _random_kripke(n: int, seed: int):
+    """n worlds, labels a and b with two successors each, propositions p and q."""
+    import random
+    rng = random.Random(seed)
+    worlds = [f"w{i}" for i in range(n)]
+    rels = {"a": [], "b": [], "p": [], "q": []}
+    for x in worlds:
+        for label in ("a", "b"):
+            rels[label] += [[x, y] for y in rng.sample(worlds, 2)]
+        for prop in ("p", "q"):
+            if rng.random() < 0.5:
+                rels[prop].append([x])
+    return rels
+
+
+def test_deep_k_on_eighty_worlds():
+    """At k=1000 the game is fixed from |A| + |B| = 160 rounds on; solving
+    must not recurse once per round (it used to raise RecursionError)."""
+    rels = _random_kripke(80, 3)
+    names = {f"w{i}": f"v{(i * 37) % 80}" for i in range(80)}
+    A = validate_structure({"a": 2, "b": 2, "p": 1, "q": 1}, list(names), rels)
+    B = validate_structure({"a": 2, "b": 2, "p": 1, "q": 1}, sorted(names.values()),
+                           {r: [[names[x] for x in t] for t in ts] for r, ts in rels.items()})
+    P, Q = zoo.structure_point(A, "w0"), zoo.structure_point(B, names["w0"])
+    assert modal_back_and_forth(P, Q, 1000, build_certificate=False) == (True, None)
+    assert graded_bisim_game(P, Q, 1000, build_certificate=False) == (True, None)

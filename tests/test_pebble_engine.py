@@ -1,14 +1,19 @@
-"""Differential tests of the pebble fixpoint engine against the re-sweep oracle."""
+"""Differential tests of the pebble engines (the tier-1 fixpoint and the
+k-variable types of tiers 2 and 3) against the re-sweep oracle and against
+the fixpoint engine that the types replaced."""
 
 import random
 from itertools import combinations_with_replacement
 
 import pytest
-from oracles import all_digraphs, pebble_resweep_fixpoint
+from oracles import (all_digraphs, pebble_fixpoint_reference, pebble_game_reference,
+                     pebble_resweep_fixpoint, relabelled)
 
 from gamecomonads import equiv, pebble, zoo
 from gamecomonads.matching import perfect_matching
-from gamecomonads.pebble import _canon, pebble_bases, pebble_fixpoint
+from gamecomonads.pebble import PebbleRules, _canon, pebble_bases, pebble_fixpoint
+from gamecomonads.refine import Types
+from gamecomonads.strategy import certificate
 from gamecomonads.structures import (is_partial_homomorphism, is_partial_isomorphism,
                                      validate_structure)
 
@@ -39,27 +44,56 @@ def _pairs(family: str):
         rng = random.Random(20180625)
         return [(random_structure(rng, "x"), random_structure(rng, rng.choice("xy")))
                 for _ in range(40)]
+    if family == "copies":  # positive pairs, whose whole winning sets are compared
+        rng = random.Random(20181004)
+        return [(A, relabelled(rng, A)) for A in (random_structure(rng, "x") for _ in range(30))]
     zoo_structures = ([zoo.cycle(n) for n in (3, 4, 5)] + [zoo.path(n) for n in (2, 3, 4)]
                       + [star(n) for n in (1, 2, 3)])
     return [(A, B) for A in zoo_structures for B in zoo_structures]
 
 
-def _solve_all(A, B, k):
-    return (pebble.pebble_game_exists(A, B, k), equiv.pebble_back_and_forth(A, B, k),
-            equiv.pebble_bijection_equiv(A, B, k))
+SOLVERS = {1: pebble.pebble_game_exists, 2: equiv.pebble_back_and_forth,
+           3: equiv.pebble_bijection_equiv}
 
 
-@pytest.mark.parametrize("family", ["digraphs", "random", "zoo"])
-def test_engine_matches_resweep(family, monkeypatch):
+def _live(A, B, k, tier):
+    """The positions the library's engine of a tier keeps: the fixpoint at
+    tier 1; at tiers 2 and 3 those whose two tuples have the same type, or
+    None when the empty tuples differ (refinement then stops early)."""
+    if tier == 1:
+        return pebble_fixpoint(A, B, k)
+    types = Types(A, B, k, pebble=True, counting=tier == 3)
+    if not types.equal:
+        return None
+    pairs = sorted((a, b) for a in A.universe for b in B.universe)
+    live = {()}
+    for size in range(k):
+        for base in combinations_with_replacement(pairs, size):
+            if base not in live:
+                continue  # nor is any position built on it
+            same = types.same_after(base)
+            live.update(base + (p,) for p in pairs[pairs.index(base[-1]) if base else 0:]
+                        if same(*p))
+    return live
+
+
+def _read_off(A, B, k, tier, live):
+    """The verdict and certificate of a tier's game with these live positions."""
+    if () not in live:
+        return False, None
+    return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _: (
+        lambda a, b: _canon(base + ((a, b),)) in live))
+
+
+@pytest.mark.parametrize("family", ["digraphs", "random", "copies", "zoo"])
+def test_engine_matches_resweep(family):
     for A, B in _pairs(family):
         for k in KS:
             for tier in TIERS:
-                assert pebble_fixpoint(A, B, k, tier) == pebble_resweep_fixpoint(A, B, k, tier), \
-                    (A, B, k, tier)
-            fast = _solve_all(A, B, k)
-            with monkeypatch.context() as m:
-                m.setattr(pebble, "pebble_fixpoint", pebble_resweep_fixpoint)
-                assert _solve_all(A, B, k) == fast, (A, B, k)
+                slow = pebble_resweep_fixpoint(A, B, k, tier)
+                live = _live(A, B, k, tier)
+                assert (() not in slow) if live is None else live == slow, (A, B, k, tier)
+                assert SOLVERS[tier](A, B, k) == _read_off(A, B, k, tier, slow), (A, B, k, tier)
 
 
 def _good_as_base(base, live, A, B, tier) -> bool:
@@ -76,7 +110,9 @@ def test_short_position_survives_only_if_good_as_its_own_base():
     for A, B in _pairs("zoo"):
         for k in (2, 3):
             for tier in TIERS:
-                live = pebble_fixpoint(A, B, k, tier)
+                live = _live(A, B, k, tier)
+                if live is None:  # refinement stopped early: the old engine's set
+                    live = pebble_fixpoint_reference(A, B, k, tier)
                 winning = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
                 pairs = sorted((a, b) for a in A.universe for b in B.universe)
                 short = [pos for size in range(k)
@@ -91,3 +127,15 @@ def test_short_position_survives_only_if_good_as_its_own_base():
                         assert not own
                         killed_by_itself += 1
     assert killed_by_itself > 0
+
+
+@pytest.mark.parametrize("family", ["digraphs", "random", "copies", "zoo"])
+def test_types_match_fixpoint_engine(family):
+    """Tiers 2 and 3 by k-variable types give the verdicts and certificates of
+    the fixpoint engine they replaced, up to one pebble more than elements
+    (at most 4 pebbles)."""
+    for A, B in _pairs(family):
+        for k in range(1, min(len(A.universe), 3) + 2):
+            for tier in (2, 3):
+                assert SOLVERS[tier](A, B, k) == pebble_game_reference(A, B, k, tier), \
+                    (A, B, k, tier)
