@@ -97,11 +97,9 @@ def _check_emitted_certificate(tier: int, cert, A, B) -> None:
 def cmd_param(args) -> int:
     if args.kind == "modal-depth":
         P = _load_pointed(args.A)
-        height = coalg_mod.modal_depth(P)
-        kappa = coalg_mod.modal_coalgebra_number(P)
+        height, kappa, alpha = coalg_mod.modal_parameters(P)
         witness = None
         if kappa is not None:
-            alpha = coalg_mod.modal_coalgebra(P, kappa)
             witness = {"comonad": "modal", "k": kappa,
                        "alpha": {a: list(s) for a, s in alpha.items()}}
             ok, msg = coalg_mod.verify_coalgebra("modal", P, kappa, alpha)

@@ -110,10 +110,10 @@ def _verify_modal(P: PointedStructure, k: int, alpha: Mapping[str, ModalPlay]) -
             label, tgt = s[i], s[i + 1]
             if label not in K.transitions or (s[i - 1], tgt) not in K.transitions[label]:
                 return False, f"play of {a!r} uses a missing transition {s[i - 1]!r} -{label}-> {tgt!r}"
-        for i in range(0, len(s), 2):
-            if tuple(alpha.get(s[i], ())) != s[:i + 1]:
-                return False, (f"comultiplication law fails at {a!r}: "
-                               f"play of {s[i]!r} is not the prefix through it")
+        # the predecessor's play must be s[:-2]; by induction on length, so every prefix is
+        if len(s) > 1 and tuple(alpha.get(s[-3], ())) != s[:-2]:
+            return False, (f"comultiplication law fails at {a!r}: "
+                           f"play of {s[-3]!r} is not the prefix through it")
     if tuple(alpha[P.point]) != (P.point,):
         return False, "the point must be sent to the one-step play at itself"
     for label, edges in K.transitions.items():
@@ -202,11 +202,17 @@ def pebble_coalgebra_number(A: Structure) -> tuple[int, PebbledForestCover]:
     return k, cover
 
 
-def _unfold(P: PointedStructure) -> tuple[Optional[int], ModalCoalgebra]:
-    """One breadth-first walk from the point: each reachable world with its
-    first path (labels in sorted order, successors in world order), and the
-    height of the generated submodel when it is a synchronization tree, else
-    None."""
+def modal_parameters(P: PointedStructure) -> tuple[Optional[int], Optional[int],
+                                                   Optional[ModalCoalgebra]]:
+    """Modal depth, coalgebra number and a least-depth coalgebra, from one
+    breadth-first walk that gives each reachable world its first path
+    (labels in sorted order, successors in world order).
+
+    The depth is the height of the generated submodel, or None unless it is a
+    synchronization tree (then no depth admits a coalgebra).  The coalgebra,
+    each world to its unique path, needs every world reachable; its number is
+    max(height, 1).  Otherwise number and coalgebra are None.
+    """
     K = view_of(P.base)
     paths: ModalCoalgebra = {P.point: (P.point,)}
     queue = [P.point]
@@ -223,38 +229,27 @@ def _unfold(P: PointedStructure) -> tuple[Optional[int], ModalCoalgebra]:
             if u in paths and v in paths:
                 indeg[v] += 1
     if indeg[P.point] != 0 or any(indeg[w] != 1 for w in paths if w != P.point):
-        return None, paths
-    return max(len(s) // 2 for s in paths.values()), paths
+        return None, None, None
+    height = max(len(s) // 2 for s in paths.values())
+    if len(paths) != len(P.base.universe):
+        return height, None, None
+    return height, max(height, 1), paths
 
 
 def modal_depth(P: PointedStructure) -> Optional[int]:
-    """Height of the generated submodel when it is a synchronization tree.
-
-    Returns None when some reachable world has more than one incoming path,
-    in which case no unfolding depth admits a coalgebra at all.  A height of
-    0 (no outgoing transitions) still admits a coalgebra at depth 1.
-    """
-    return _unfold(P)[0]
+    """Height of the generated submodel when it is a synchronization tree, else None."""
+    return modal_parameters(P)[0]
 
 
 def modal_coalgebra(P: PointedStructure, k: int) -> Optional[ModalCoalgebra]:
-    """The coalgebra sending each world to its unique path, if heights allow.
-
-    Worlds outside the generated submodel have no path from the point, so a
-    coalgebra exists only when everything is reachable.
-    """
-    height, alpha = _unfold(P)
-    if height is None or max(height, 1) > k or len(alpha) != len(P.base.universe):
-        return None
-    return alpha
+    """The coalgebra sending each world to its unique path, if one exists at depth k."""
+    _, kappa, alpha = modal_parameters(P)
+    return alpha if kappa is not None and kappa <= k else None
 
 
 def modal_coalgebra_number(P: PointedStructure) -> Optional[int]:
     """Least depth admitting a coalgebra: max(height, 1), or None."""
-    height, alpha = _unfold(P)
-    if height is None or len(alpha) != len(P.base.universe):
-        return None
-    return max(height, 1)
+    return modal_parameters(P)[1]
 
 
 def construct_coalgebra(tag: str, A, k: int) -> Optional[dict]:

@@ -2,7 +2,8 @@
 
 Both solvers are exact and desk-scale only, and work on integer vertex masks
 (components by flood fill): tree-depth by memoized recursion over connected
-masks, tree-width by a subset DP over elimination prefixes.  Ties go to the
+masks, whose root scan stops once td(C) >= td(C - v) proves the best root
+optimal, tree-width by a subset DP over elimination prefixes.  Ties go to the
 first vertex in universe order.  Each returns an independently verifiable witness.
 """
 
@@ -219,6 +220,11 @@ def tree_depth(A: Structure) -> tuple[int, ForestCover]:
     deletion, the first root in universe order among the best); a
     disconnected one is the maximum over its components.  Only connected
     masks are memoised, with their depth and root.
+
+    Tree-depth is monotone under subgraphs, so every depth seen for C - v,
+    even a partial maximum over its components, bounds td(C) from below; the
+    scan stops once the best root meets that bound, a proved optimum.  Roots
+    are taken only on strict improvement, so it is still the first optimal one.
     """
     if len(A.universe) > TREE_DEPTH_BOUND:
         raise BoundExceeded(f"tree-depth solver handles at most {TREE_DEPTH_BOUND} elements")
@@ -228,17 +234,18 @@ def tree_depth(A: Structure) -> tuple[int, ForestCover]:
     def solve(C: int) -> int:
         """Depth of the connected mask C, not yet in memo; records it there
         with its best root."""
-        best, root = len(A.universe) + 1, 0
+        best, root, lb = len(A.universe) + 1, 0, 2  # td(C) >= 2 once C has an edge
         for v in _bits(C):
             d = 0
             for comp in G.components(C ^ v):
                 d = max(d, memo[comp][0] if comp in memo else solve(comp))
-                if d + 1 >= best:
+                if d >= best:
                     break
             if d + 1 < best:
                 best, root = d + 1, v
-                if best == 2:  # C has an edge: no root does better
-                    break
+            lb = max(lb, d)  # td(C) >= td(C - v) >= d
+            if best <= lb:
+                break
         memo[C] = (best, root)
         return best
 

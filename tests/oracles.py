@@ -134,6 +134,36 @@ def is_cover_of(parent: dict, edges) -> bool:
 
 
 def brute_tree_depth(A: Structure) -> int:
+    """Minimum height over all vertex orders of the elimination forest: each
+    component is rooted at its first vertex in the order, and what is left
+    of it below that root is split the same way.
+
+    Every elimination forest covers the graph (an edge never leaves a
+    component, so its later end lies below its earlier one), and an
+    optimal cover listed root-first gives a forest no higher than itself.
+    """
+    G = gaifman_graph(A)
+    adj = {v: set(G.neighbors(v)) for v in G.vertices}
+
+    def height(order: tuple[str, ...]) -> int:
+        left = set(order)
+        best = 0
+        for v in order:
+            if v not in left:
+                continue
+            comp, stack = {v}, [v]
+            while stack:
+                for w in adj[stack.pop()] & left - comp:
+                    comp.add(w)
+                    stack.append(w)
+            left -= comp
+            best = max(best, 1 + height(tuple(w for w in order if w in comp and w != v)))
+        return best
+
+    return min(height(order) for order in permutations(G.vertices))
+
+
+def brute_tree_depth_by_forests(A: Structure) -> int:
     """Minimum height over all forest covers of the Gaifman graph."""
     G = gaifman_graph(A)
     best = None

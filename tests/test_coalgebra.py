@@ -178,6 +178,40 @@ def test_modal_coalgebra_requires_reachability():
     assert modal_coalgebra_number(P) is None
 
 
+def _tampered_modal(case):
+    """A pointed structure and a map that breaks one modal coalgebra law."""
+    if case == "wrong play at the point":
+        # the point's play runs round the cycle and back; its counit holds
+        P = zoo.kripke(["r", "a"], "r", {"t": [("r", "a"), ("a", "r")]})
+        return P, {"r": ("r", "t", "a", "t", "r"), "a": ("r", "t", "a")}
+    if case == "skipped step":
+        # c's play takes the shortcut r -> c and skips a, its parent through a -> c
+        P = zoo.kripke(["r", "a", "c"], "r", {"t": [("r", "a"), ("a", "c"), ("r", "c")]})
+        return P, {"r": ("r",), "a": ("r", "t", "a"), "c": ("r", "t", "c")}
+    if case == "missing transition":
+        # r -u-> a is not a transition, though r -t-> a is
+        P = zoo.kripke(["r", "a", "c"], "r", {"t": [("r", "a"), ("a", "c")], "u": []})
+        return P, {"r": ("r",), "a": ("r", "t", "a"), "c": ("r", "u", "a", "t", "c")}
+    # prefix mismatch: c's play reaches a through b, a's own play does not
+    P = zoo.kripke(["r", "a", "b", "c"], "r",
+                   {"t": [("r", "a"), ("r", "b"), ("b", "a"), ("a", "c")]})
+    return P, {"r": ("r",), "a": ("r", "t", "a"), "b": ("r", "t", "b"),
+               "c": ("r", "t", "b", "t", "a", "t", "c")}
+
+
+@pytest.mark.parametrize("case", ["wrong play at the point", "skipped step",
+                                  "missing transition", "prefix mismatch"])
+def test_verify_modal_rejects_tampered_coalgebra(case):
+    P, alpha = _tampered_modal(case)
+    ok, msg = verify_coalgebra("modal", P, 3, alpha)
+    assert not ok
+    expected = {"wrong play at the point": "comultiplication law fails",
+                "skipped step": "homomorphism condition fails",
+                "missing transition": "missing transition",
+                "prefix mismatch": "comultiplication law fails"}[case]
+    assert expected in msg
+
+
 def test_ef_to_pebble_play():
     assert ef_to_pebble_play(("a",)) == ((1, "a"),)
     assert ef_to_pebble_play(("a", "b")) == ((1, "a"), (2, "b"))

@@ -292,3 +292,21 @@ def test_json_round_trips():
     C = decomposition_to_pebble_cover(T, width + 1)
     C2 = pebbled_cover_from_json(pebbled_cover_to_json(C))
     assert C2.pebbles == C.pebbles and C2.cover.parent == C.cover.parent
+
+
+def test_parameter_survey_script_checks_every_witness(monkeypatch, capsys):
+    import pathlib
+    import runpy
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "parameter_survey.py"
+    survey = runpy.run_path(str(script))
+    monkeypatch.setattr("sys.argv", ["survey", "--max-size", "12"])
+    assert survey["main"]() == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+    def one_short(A):  # reports one less than its own cover's height
+        depth, cover = tree_depth(A)
+        return depth - 1, cover
+
+    survey["main"].__globals__["tree_depth"] = one_short
+    assert survey["main"]() == 1
+    assert "FAIL" in capsys.readouterr().out

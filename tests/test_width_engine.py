@@ -2,15 +2,18 @@
 the frozenset recursions they replaced (values and full witnesses) and
 against brute force (values)."""
 
+import json
 import random
 
-from oracles import (brute_tree_depth, brute_tree_width, tree_depth_reference,
-                     tree_width_reference)
+from oracles import (brute_tree_depth, brute_tree_depth_by_forests, brute_tree_width,
+                     tree_depth_reference, tree_width_reference)
 
 from gamecomonads import zoo
-from gamecomonads.decomposition import (decomposition_to_json, forest_cover_to_json,
-                                        tree_depth, tree_width)
-from gamecomonads.structures import validate_structure
+from gamecomonads.cli import main
+from gamecomonads.decomposition import (decomposition_to_json, forest_cover_from_json,
+                                        forest_cover_to_json, tree_depth, tree_width,
+                                        verify_forest_cover)
+from gamecomonads.structures import gaifman_graph, structure_to_dict, validate_structure
 
 
 def graph(universe, edges):
@@ -97,3 +100,42 @@ def test_values_match_bruteforce_up_to_six_vertices():
     for A in small:
         assert tree_width(A)[0] == brute_tree_width(A)
         assert tree_depth(A)[0] == brute_tree_depth(A)
+
+
+def test_order_bruteforce_matches_forest_enumeration_up_to_five_vertices():
+    rng = random.Random(23)
+    small = [A for A in families() if len(A.universe) <= 5]
+    for _ in range(30):
+        A = random_graph(rng)
+        while len(A.universe) > 5:
+            A = random_graph(rng)
+        small.append(A)
+    for A in small:
+        assert brute_tree_depth(A) == brute_tree_depth_by_forests(A)
+
+
+def test_root_scan_stop_matches_reference_on_larger_graphs():
+    # 11-13 vertices: deep enough that the scan stops early at most masks
+    rng = random.Random(24)
+    for p in (0.15, 0.25, 0.35, 0.5, 0.7):
+        for _ in range(4):
+            u = [f"v{i}" for i in range(rng.randint(11, 13))]
+            rng.shuffle(u)
+            A = graph(u, [(x, y) for i, x in enumerate(u) for y in u[i + 1:] if rng.random() < p])
+            depth, F = tree_depth(A)
+            ref_depth, ref_F = tree_depth_reference(A)
+            assert depth == ref_depth
+            assert forest_cover_to_json(F) == forest_cover_to_json(ref_F)
+
+
+def test_param_tree_depth_at_the_bound(tmp_path, capsys):
+    A = grid(4, 5)
+    assert len(A.universe) == 20
+    path = tmp_path / "grid45.json"
+    path.write_text(json.dumps(structure_to_dict(A)))
+    assert main(["param", "--kind", "tree-depth", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == 8
+    cover = forest_cover_from_json(out["witness"])
+    assert verify_forest_cover(cover, gaifman_graph(A)) == (True, None)
+    assert cover.height == 8
