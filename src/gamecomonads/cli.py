@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = equivalent / success, 1 = not equivalent, 2 = usage or input
-error.  All outputs are JSON on stdout; diagnostics go to stderr.
+error, or an answer that failed its own re-verification.  All outputs are
+JSON on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ from .structures import (BoundExceeded, CapExceeded, PointedStructure,
 
 class UsageError(Exception):
     pass
+
+
+class SelfCheckFailed(Exception):
+    """An answer failed its re-verification before being printed: a fault in
+    the program, not in the input."""
+
+
+def _self_check(what: str, ok: bool, msg: Optional[str]) -> None:
+    if not ok:
+        raise SelfCheckFailed(f"{what} failed verification: {msg}")
 
 
 def _load(path: str):
@@ -80,18 +91,11 @@ def cmd_check(args) -> int:
 
 def _check_emitted_certificate(tier: int, cert, A, B) -> None:
     """Re-verify a strategy certificate before handing it out."""
-    if tier == 1:
-        sides = [(cert.get("forward"), A, B), (cert.get("backward"), B, A)]
-        for side_cert, src, dst in sides:
-            if isinstance(side_cert, dict) and "game" in side_cert:
-                ok, msg = equiv_mod.verify_certificate(side_cert, src, dst)
-                if not ok:
-                    raise AssertionError(f"emitted certificate failed verification: {msg}")
-        return
-    if isinstance(cert, dict) and "game" in cert:
-        ok, msg = equiv_mod.verify_certificate(cert, A, B)
-        if not ok:
-            raise AssertionError(f"emitted certificate failed verification: {msg}")
+    sides = ([(cert.get("forward"), A, B), (cert.get("backward"), B, A)] if tier == 1
+             else [(cert, A, B)])
+    for side_cert, src, dst in sides:
+        if isinstance(side_cert, dict) and "game" in side_cert:
+            _self_check("emitted certificate", *equiv_mod.verify_certificate(side_cert, src, dst))
 
 
 def cmd_param(args) -> int:
@@ -102,9 +106,7 @@ def cmd_param(args) -> int:
         if kappa is not None:
             witness = {"comonad": "modal", "k": kappa,
                        "alpha": {a: list(s) for a, s in alpha.items()}}
-            ok, msg = coalg_mod.verify_coalgebra("modal", P, kappa, alpha)
-            if not ok:
-                raise AssertionError(f"witness failed verification: {msg}")
+            _self_check("witness", *coalg_mod.verify_coalgebra("modal", P, kappa, alpha))
         out = {"parameter": "modal-depth", "value": height,
                "coalgebra_number": kappa, "witness": witness}
     else:
@@ -112,15 +114,13 @@ def cmd_param(args) -> int:
         if args.kind == "tree-depth":
             value, cover = dec_mod.tree_depth(A)
             ok, msg = dec_mod.verify_forest_cover(cover, gaifman_graph(A))
-            if not ok or cover.height != value:
-                raise AssertionError(f"witness failed verification: {msg}")
+            _self_check("witness", ok and cover.height == value, msg)
             out = {"parameter": "tree-depth", "value": value,
                    "witness": dec_mod.forest_cover_to_json(cover)}
         else:
             value, T = dec_mod.tree_width(A)
             ok, msg = dec_mod.verify_tree_decomposition(T, gaifman_graph(A))
-            if not ok or T.width != value:
-                raise AssertionError(f"witness failed verification: {msg}")
+            _self_check("witness", ok and T.width == value, msg)
             out = {"parameter": "tree-width", "value": value,
                    "witness": dec_mod.decomposition_to_json(T)}
     if args.witness:
@@ -140,9 +140,8 @@ def cmd_coalgebra(args) -> int:
                              sort_keys=True))
             return 1
         parsed = _parse_alpha(tag, alpha)
-        ok, msg = coalg_mod.verify_coalgebra(tag, A, args.k, parsed)
-        if not ok:
-            raise AssertionError(f"constructed coalgebra failed verification: {msg}")
+        _self_check("constructed coalgebra",
+                    *coalg_mod.verify_coalgebra(tag, A, args.k, parsed))
         out = {"comonad": tag, "k": args.k, "coalgebra": alpha}
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -235,6 +234,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SelfCheckFailed as exc:
+        print(f"error: self-check failed, no answer printed: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, BoundExceeded, SignatureMismatch, ArityError,
             StructureError, ValueError) as exc:

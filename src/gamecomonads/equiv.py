@@ -11,11 +11,12 @@ per-comonad winning sets:
 
 Round structure follows the logics characterized: rank-bounded games (ef,
 modal) stop after k rounds, pebble games are unbounded.  Tier 1 is solved by
-game search (ef, modal) or a greatest fixpoint over placement positions
-(pebble).  For ef and pebble, tiers 2 and 3 are equalities of types, rank-k
-or k-variable FO at tier 2 and their counting versions at tier 3, computed
-by refinement on each structure alone (`refine.Types`); modal tiers 2 and 3
-stay a memoised search from the points.
+game search (ef) or a greatest fixpoint over sets of pebbled pairs (pebble).
+For ef and pebble, tiers 2 and 3 are equalities of types, rank-k or
+k-variable FO at tier 2 and their counting versions at tier 3, computed by
+refinement on each structure alone (`refine.Types`).  All three modal tiers
+are one sweep over the world pairs reachable from the points
+(`modal.modal_game`).
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def mutual_existential(tag: str, A, B, k: int) -> tuple[bool, Optional[dict]]:
         fwd, cert_f = pebble_game_exists(A, B, k)
         bwd, cert_b = pebble_game_exists(B, A, k)
     elif tag == "modal":
-        fwd, cert_f = modal_mod.simulation_game(A, B, k)
-        bwd, cert_b = modal_mod.simulation_game(B, A, k)
+        fwd, cert_f = modal_mod.modal_game(A, B, k, 1)
+        bwd, cert_b = modal_mod.modal_game(B, A, k, 1)
     else:
         raise ValueError(f"unknown comonad tag {tag!r}")
     if not (fwd and bwd):

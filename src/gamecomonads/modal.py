@@ -3,13 +3,15 @@
 A structure whose symbols all have arity at most 2 is read as a Kripke
 structure: unary symbols are propositions, binary symbols are labelled
 transitions.  Unfolding a pointed structure to depth k gives the comonad's
-play structure; simulation, bisimulation and graded bisimulation approximants
-give the three equivalence tiers.
+play structure.  The three equivalence tiers are the k-round games on the
+unfoldings from the points, simulation, bisimulation and graded bisimulation
+to depth k, and one solver plays them all (`modal_game`): a breadth-first
+pass over the world pairs reachable from the points, then one sweep back
+over the rounds left.
 
-All operations require k >= 1.  The depth-0 approximants are a convention
-mismatch with the games (the games check propositions at every position they
-visit, including the deepest), so the base relations used here are the
-proposition-aware ones: anything coarser would disagree with homomorphism
+All operations require k >= 1.  The games check propositions at every
+position they visit, including the deepest, so the depth-0 relation is the
+proposition-aware one: anything coarser would disagree with homomorphism
 existence into the unfolding at finite depth.
 """
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .strategy import answers, certificate
@@ -160,103 +161,66 @@ def modal_coextend(f: Callable[[ModalPlay], str], s: ModalPlay) -> ModalPlay:
     return tuple(out)
 
 
-def simulation_game(P: PointedStructure, Q: PointedStructure, k: int
-                    ) -> tuple[bool, Optional[dict]]:
-    """Decide the k-round existential game from P to Q: depth-k simulation.
+def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
+               build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
+    """Decide the k-round modal game of a tier: depth-k simulation (1),
+    bisimulation (2) or graded bisimulation (3).
 
-    Level j of `rel` holds the world pairs from which Duplicator survives j
-    more steps.  The certificate answers each move with the first successor
-    in world order that is still simulated with the depth left.
-    """
-    _check_k(k)
-    KA, KB = _require_kripke_pair(P, Q)
-    labels = sorted(set(KA.transitions))
-    rel = [{(a, b) for a in KA.worlds for b in KB.worlds
-            if KA.profile(a) <= KB.profile(b)}]
-    for _ in range(k):
-        prev = rel[-1]
-        rel.append({(a, b) for (a, b) in prev
-                    if all(any((ap, bp) in prev for bp in KB.successors(b, lab))
-                           for lab in labels for ap in KA.successors(a, lab))})
-    if (P.point, Q.point) not in rel[k]:
-        return False, None
-    return True, certificate(ModalRules(P, Q, k, 1), 1,
-                             lambda pos, _: lambda x, y: (x, y) in rel[pos[2] - 1])
-
-
-class _Unsolved(Exception):
-    """A position of the modal game whose value is not known yet."""
-
-
-def _bisimulation_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
-                       build_certificate: bool) -> tuple[bool, Optional[dict]]:
-    """Tiers 2 and 3 by memoised recursion on (world, world, depth left).
-
-    Each round Spoiler picks a label and a successor on either side, and
-    Duplicator answers along the same label (tier 3: with a bijection of the
-    successor sets, along which Spoiler moves); the new pair's proposition
-    profiles must agree.
+    Spoiler picks a label and a successor (tier 1: in P; tier 2: on either
+    side; tier 3: along Duplicator's bijection of the successor sets), and
+    Duplicator answers along the same label; propositions must transfer
+    forward (tier 1) or agree (tiers 2 and 3).  The pairs met within i steps
+    from the points, along one label and with passing propositions, are the
+    first `ends[i]` of `order`.  `win[d]` holds those met within k - d steps
+    from which Duplicator survives d more rounds: every label's challenges
+    have `answers` into `win[d - 1]`.  Values only fall with d, so once a
+    round drops no pair it could, later rounds drop none; this happens by
+    round |A| * |B| at tier 1 (a decreasing chain of relations on A x B) and
+    |A| + |B| at tiers 2 and 3 (a partition of the disjoint union that each
+    round refines).
     """
     _check_k(k)
     rules = ModalRules(P, Q, k, tier)
-    KA, KB = rules.KA, rules.KB
-    # The pairs of equal game value at depth j partition the disjoint union
-    # of the worlds, each depth refines the last, and once a step refines
-    # nothing no later one does; so from |A| + |B| on the value is fixed.
-    cap = len(KA.worlds) + len(KB.worlds)
+    KA, KB, labels = rules.KA, rules.KB, rules.labels
+    order = [rules.points] if rules.passes(*rules.points) else []
+    seen, ends, start = set(order), [len(order)], 0
+    while len(ends) <= k and start < len(order):
+        for a, b in order[start:]:
+            for lab in labels:
+                for x in KA.successors(a, lab):
+                    for y in KB.successors(b, lab):
+                        if (x, y) not in seen and rules.passes(x, y):
+                            seen.add((x, y))
+                            order.append((x, y))
+        start = ends[-1]
+        ends.append(len(order))
 
-    floor = 0  # the least depth left the recursion may reach
-
-    @lru_cache(maxsize=None)
-    def win(a: str, b: str, depth: int) -> bool:
-        if depth < floor:
-            raise _Unsolved(a, b, depth)
-        return depth == 0 or all(
-            answers(tier, KA.successors(a, lab), KB.successors(b, lab), keeps(depth - 1, win))
-            is not None for lab in rules.labels)
-
-    def solve(a: str, b: str, depth: int) -> bool:
-        """win, with the recursion cut 50 levels down: a position below the
-        cut is solved first, on an explicit stack, and the one above played
-        out again from the start (its solved positions are cached)."""
-        nonlocal floor
-        stack = [(a, b, depth)]
-        while True:
-            floor = stack[-1][2] - 50
-            try:
-                value = win(*stack[-1])
-            except _Unsolved as cut:
-                stack.append(cut.args)
-                continue
-            stack.pop()
-            if not stack:
-                return value
-
-    def keeps(depth: int, value: Callable) -> Callable[[str, str], bool]:
-        return lambda x, y: KA.profile(x) == KB.profile(y) and value(x, y, min(depth, cap))
-
-    exists = rules.fault(rules.start()) is None and solve(P.point, Q.point, min(k, cap))
-    if not exists or not build_certificate:
-        return exists, None
-    return True, certificate(rules, tier, lambda pos, _: keeps(pos[2] - 1, solve))
+    win = [seen]
+    for d in range(1, k + 1):
+        prev = win[-1]
+        kept = [p for p in order[:ends[min(k - d, len(ends) - 1)]] if p in prev]
+        win.append({(a, b) for a, b in kept if all(
+            answers(tier, KA.successors(a, lab), KB.successors(b, lab),
+                    lambda x, y: (x, y) in prev) is not None for lab in labels)})
+        if rules.points not in win[-1] or len(win[-1]) == len(kept):
+            break
+    top = len(win) - 1
+    if rules.points not in win[top] or not build_certificate:
+        return rules.points in win[top], None
+    return True, certificate(rules, tier, lambda pos, _: (
+        lambda x, y: (x, y) in win[min(pos[2] - 1, top)]))
 
 
 def modal_back_and_forth(P: PointedStructure, Q: PointedStructure, k: int,
                          build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """Back-and-forth game on the depth-k unfoldings: depth-k bisimulation.
-
-    Positions are synchronized plays; the winning set requires equal labels
-    and matching proposition profiles at every step, so the game value
-    depends only on the current endpoints and the remaining depth.
-    """
-    return _bisimulation_game(P, Q, k, 2, build_certificate)
+    """Depth-k bisimulation: `modal_game` at tier 2."""
+    return modal_game(P, Q, k, 2, build_certificate)
 
 
 def graded_bisim_game(P: PointedStructure, Q: PointedStructure, k: int,
                       build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """Decide the k-round graded bisimulation game (Duplicator's bijections
-    found by bipartite matching over the recursively winning pairs)."""
-    return _bisimulation_game(P, Q, k, 3, build_certificate)
+    """Depth-k graded bisimulation: `modal_game` at tier 3."""
+    return modal_game(P, Q, k, 3, build_certificate)
 
 
 class ModalRules:
@@ -274,12 +238,17 @@ class ModalRules:
     def start(self) -> tuple[str, str, int]:
         return (*self.points, self.k)
 
+    def passes(self, a: str, b: str) -> bool:
+        pa, pb = self.KA.profile(a), self.KB.profile(b)
+        return pa <= pb if self.tier == 1 else pa == pb
+
     def fault(self, state) -> Optional[str]:
         a, b, _ = state
-        pa, pb = self.KA.profile(a), self.KB.profile(b)
+        if self.passes(a, b):
+            return None
         if self.tier == 1:
-            return None if pa <= pb else f"propositions of {a!r} do not hold at {b!r}"
-        return None if pa == pb else f"{a!r} and {b!r} differ in their propositions"
+            return f"propositions of {a!r} do not hold at {b!r}"
+        return f"{a!r} and {b!r} differ in their propositions"
 
     def answering(self, state) -> list:
         return [state] if state[2] else []

@@ -2,10 +2,10 @@
 
 Plays are finite non-empty sequences of moves (pebble index, element) of
 arbitrary length, so the full play structure is infinite and is never built.
-Decisions run over pebble positions: what matters about a play is the current
-placement of the pebbles.  The existential game is a greatest fixpoint over
-those positions (`pebble_fixpoint`); tiers 2 and 3 compare k-variable types of
-tuples, computed on each structure alone (`refine.Types`).
+Decisions run over pebble positions: what matters about a play is the set of
+pairs its pebbles mark (see `Position`).  The existential game is a greatest
+fixpoint over those positions (`pebble_fixpoint`); tiers 2 and 3 compare
+k-variable types of tuples, computed on each structure alone (`refine.Types`).
 """
 
 from __future__ import annotations
@@ -26,9 +26,12 @@ PebblePlay = tuple[Move, ...]
 
 DEFAULT_CAP = 200_000
 
-# A position of the existential game is the multiset of (source, target)
-# pebble pairs currently on the board, canonically sorted.  Pebble indices
-# are interchangeable, so the multiset determines the game value.
+# A position of the pebble games is the set of (source, target) pairs the
+# pebbles mark, as a sorted tuple of distinct pairs.  Pebble indices are
+# interchangeable and winning families are closed under restriction, so the
+# set determines the game value (Kolaitis & Vardi, AAAI 2000): two pebbles on
+# one pair count as one, and a move onto a pebbled element is answered by its
+# partner, which leaves the set as it was.
 Position = tuple[tuple[str, str], ...]
 
 
@@ -110,7 +113,7 @@ def pebble_coextension_on_play(f: Callable[[PebblePlay], str], s: PebblePlay) ->
 
 
 def _canon(pairs: Sequence[tuple[str, str]]) -> Position:
-    return tuple(sorted(pairs))
+    return tuple(sorted(set(pairs)))
 
 
 def pebble_bases(pos: Position, k: int) -> list[Position]:
@@ -123,10 +126,9 @@ def pebble_bases(pos: Position, k: int) -> list[Position]:
 
 
 def _parents(q: Position):
-    """(q with one copy of pair removed, pair) for each distinct pair of q."""
+    """(q without pair, pair) for each pair of q."""
     for i, pair in enumerate(q):
-        if i == 0 or q[i - 1] != pair:
-            yield q[:i] + q[i + 1:], pair
+        yield q[:i] + q[i + 1:], pair
 
 
 def _arena(A: Structure, B: Structure, k: int) -> list[Position]:
@@ -134,7 +136,8 @@ def _arena(A: Structure, B: Structure, k: int) -> list[Position]:
     smallest first.
 
     The predicate is hereditary, so each position is its largest pair added
-    to a smaller position; only tuples through the new pair are checked.
+    to a smaller position, on an element of A not pebbled yet; only tuples
+    through the new pair are checked.
     """
     occ_a = occurrences(A)
     pairs = sorted((a, b) for a in A.universe for b in B.universe)
@@ -146,12 +149,9 @@ def _arena(A: Structure, B: Structure, k: int) -> list[Position]:
         for pos in level:
             fwd = dict(pos)
             for a, group in groupby(pairs[first[pos[-1]] if pos else 0:], key=itemgetter(0)):
-                bs = tuple(b for _, b in group)
-                if a in fwd:
-                    bs = (fwd[a],) if fwd[a] in bs else ()
-                else:
-                    bs = extensions(occ_a[a], fwd, a, bs, B.relations)
-                nxt.extend(pos + ((a, b),) for b in bs)
+                if a not in fwd:
+                    bs = extensions(occ_a[a], fwd, a, tuple(b for _, b in group), B.relations)
+                    nxt.extend(pos + ((a, b),) for b in bs)
         arena.extend(nxt)
         level = nxt
     return arena
@@ -162,16 +162,19 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[Position]:
     fixpoint over the partial homomorphisms of at most k pairs.
 
     A position lives iff each of its bases is good: every Spoiler move (an
-    element of A) from the base keeps a live response.  Goodness depends on
-    the base alone, so each base keeps a count of live responses per move; a
-    dying position decrements its parents' counts and a base whose count hits
-    zero kills every position built on it.
+    element of A) from the base keeps a live response.  A move onto a pebbled
+    element is answered in place and leaves the base, which lives whenever a
+    position built on it does (winning positions are closed under
+    restriction), so only moves onto new elements are counted.  Goodness
+    depends on the base alone, so each base keeps a count of live responses
+    per move; a dying position decrements its parents' counts and a base
+    whose count hits zero kills every position built on it.
     """
     arena = _arena(A, B, k)
     live = set(arena)
     count = Counter((base, x) for q in arena for base, (x, _) in _parents(q))
-    queue = [base for base in arena
-             if len(base) < k and any(count[base, a] == 0 for a in A.universe)]
+    queue = [base for base in arena if len(base) < k and any(
+        count[base, a] == 0 for a in A.universe if a not in dict(base))]
     bad = set(queue)
     pairs = [(a, b) for a in A.universe for b in B.universe]
     while queue:

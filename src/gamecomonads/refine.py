@@ -11,8 +11,8 @@ one-element extensions by new elements).  A tuple is its own base; for
 pebble, as is a position with one pebble lifted, so are the tuple with one
 entry dropped, and the tuple itself only below length k.  A move onto a
 pebbled element must be answered by its partner and leaves the position's
-pairs as they were, so tuples never repeat an element.  README.md gives the
-details.
+set of pairs as it was, so positions never repeat a pair and tuples never
+repeat an element.  README.md gives the details.
 """
 
 from __future__ import annotations
@@ -100,11 +100,10 @@ class Types:
 
     def same_after(self, pairs: Sequence[tuple[str, str]], rank: int = -1
                    ) -> Callable[[str, str], bool]:
-        """Whether the pairs (a partial isomorphism, repeats allowed) plus a
-        pair (a, b) pair tuples of the same colour after round `rank` (by
-        default the last; no later round splits a class).  A pebbled a must
-        go to its partner, and the position's pairs are then as they were."""
-        pairs = list(dict.fromkeys(pairs))
+        """Whether the pairs (a partial isomorphism) plus a pair (a, b) pair
+        tuples of the same colour after round `rank` (by default the last; no
+        later round splits a class).  A pebbled a must go to its partner, and
+        the position's pairs are then as they were."""
         fwd = dict(pairs)
         col = self.history[min(rank, len(self.history) - 1)]
         colours = []

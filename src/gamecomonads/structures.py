@@ -177,7 +177,7 @@ def load_structure_file(path: str) -> Structure | PointedStructure:
             keys = [k for k, _ in pairs]
             if len(keys) != len(set(keys)):
                 dup = next(k for k in keys if keys.count(k) > 1)
-                raise StructureError(f"duplicate relation name {dup!r}")
+                raise StructureError(f"duplicate key {dup!r}")
             return dict(pairs)
         data = json.load(fh, object_pairs_hook=no_dup_keys)
     if not isinstance(data, dict):

@@ -19,7 +19,7 @@ from gamecomonads.decomposition import (ROOT, TREE_DEPTH_BOUND, TREE_WIDTH_BOUND
 from gamecomonads.ef import EfRules, Options, coextend_play, ef_plays
 from gamecomonads.matching import perfect_matching
 from gamecomonads.modal import kripke_view
-from gamecomonads.pebble import PebbleRules, Position, _canon, _parents
+from gamecomonads.pebble import PebbleRules, Position
 from gamecomonads.strategy import answers, certificate
 from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, extensions,
                                      gaifman_graph, is_homomorphism, is_partial_homomorphism,
@@ -315,41 +315,53 @@ def simulation_strategy(P, Q, k: int, cap: int = 200_000) -> Optional[dict]:
     return table
 
 
+def _bisimulation_levels(P, Q, k: int) -> list[set]:
+    """Entry j: the world pairs from which Duplicator survives j more steps
+    of the back-and-forth game."""
+    KA, KB, labels = _kripke_pair(P, Q, k)
+    rel = [{(a, b) for a in KA.worlds for b in KB.worlds if KA.profile(a) == KB.profile(b)}]
+    for _ in range(k):
+        prev = rel[-1]
+        rel.append({(a, b) for (a, b) in prev
+                    if all(any((ap, bp) in prev for bp in KB.successors(b, lab))
+                           for lab in labels for ap in KA.successors(a, lab))
+                    and all(any((ap, bp) in prev for ap in KA.successors(a, lab))
+                            for lab in labels for bp in KB.successors(b, lab))})
+    return rel
+
+
 def bisim_approx(P, Q, k: int) -> bool:
     """Depth-k bisimulation: propositions agree and transitions match both ways."""
-    KA, KB, labels = _kripke_pair(P, Q, k)
-    rel = {(a, b) for a in KA.worlds for b in KB.worlds if KA.profile(a) == KB.profile(b)}
-    for _ in range(k):
-        rel = {(a, b) for (a, b) in rel
-               if all(any((ap, bp) in rel for bp in KB.successors(b, lab))
-                      for lab in labels for ap in KA.successors(a, lab))
-               and all(any((ap, bp) in rel for ap in KA.successors(a, lab))
-                       for lab in labels for bp in KB.successors(b, lab))}
-    return (P.point, Q.point) in rel
+    return (P.point, Q.point) in _bisimulation_levels(P, Q, k)[k]
 
 
-def graded_classes(P, Q, k: int) -> dict:
+def graded_levels(P, Q, k: int) -> list[dict]:
     """Iterated partition refinement on the disjoint union of the two worlds.
 
     Level-0 classes are the proposition profiles; the class at level j+1 is
     the profile together with, per label, the multiset of level-j classes of
-    the successors.  Returns the level-k class id of every (side, world).
+    the successors.  Entry j maps every (side, world) to its level-j class id.
     """
     KA, KB, labels = _kripke_pair(P, Q, k)
     views = {0: KA, 1: KB}
     nodes = [(0, w) for w in KA.worlds] + [(1, w) for w in KB.worlds]
     keys: dict = {}
-    cls = {(side, w): keys.setdefault(tuple(sorted(views[side].profile(w))), len(keys))
-           for side, w in nodes}
+    levels = [{(side, w): keys.setdefault(tuple(sorted(views[side].profile(w))), len(keys))
+               for side, w in nodes}]
     for _ in range(k):
-        keys = {}
-        cls = {(side, w): keys.setdefault(
-                   (tuple(sorted(views[side].profile(w))),
-                    tuple((lab, tuple(sorted(cls[(side, v)]
-                                             for v in views[side].successors(w, lab))))
-                          for lab in labels)), len(keys))
-               for side, w in nodes}
-    return cls
+        keys, cls = {}, levels[-1]
+        levels.append({(side, w): keys.setdefault(
+                           (tuple(sorted(views[side].profile(w))),
+                            tuple((lab, tuple(sorted(cls[(side, v)]
+                                                     for v in views[side].successors(w, lab))))
+                                  for lab in labels)), len(keys))
+                       for side, w in nodes})
+    return levels
+
+
+def graded_classes(P, Q, k: int) -> dict:
+    """The level-k classes of `graded_levels`."""
+    return graded_levels(P, Q, k)[k]
 
 
 def graded_bisim_approx(P, Q, k: int) -> bool:
@@ -692,6 +704,22 @@ def ef_game_reference(A: Structure, B: Structure, k: int, tier: int,
     if not exists or not build_certificate:
         return exists, None
     return True, certificate(EfRules(A, B, k, tier), tier, lambda pos, _: game.keeps_win(*pos))
+
+
+# The pebble games over multisets of pairs: two pebbles may mark one pair,
+# and a move onto a pebbled element adds its pair again.  On the positions
+# that repeat no pair, the library's positions (sets of pairs) must win
+# exactly where these do.
+
+def _canon(pairs) -> Position:
+    return tuple(sorted(pairs))
+
+
+def _parents(q: Position):
+    """(q with one copy of pair removed, pair) for each distinct pair of q."""
+    for i, pair in enumerate(q):
+        if i == 0 or q[i - 1] != pair:
+            yield q[:i] + q[i + 1:], pair
 
 
 def _pebble_arena(A: Structure, B: Structure, k: int, iso: bool) -> list[Position]:

@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from gamecomonads import ef, equiv, modal, zoo
+from gamecomonads import coalgebra, decomposition, ef, equiv, modal, zoo
 from gamecomonads.cli import main
 from gamecomonads.modal import kripke_view
 from gamecomonads.structures import structure_from_dict, structure_to_dict
@@ -222,7 +222,40 @@ def test_rejects_duplicate_json_keys(tmp_path, capsys):
                  encoding="utf-8")
     assert main(["check", "--game", "ef", "--tier", "1", "-k", "1",
                  str(p), str(p)]) == 2
-    assert "duplicate relation name" in capsys.readouterr().err
+    assert "duplicate key 'R'" in capsys.readouterr().err
+
+
+def test_rejects_duplicate_top_level_json_keys(tmp_path, capsys):
+    # a repeated field is not a relation name
+    p = tmp_path / "dup.json"
+    p.write_text('{"signature": {"R": 2}, "universe": ["a"], "relations": {},'
+                 ' "point": "a", "point": "a"}', encoding="utf-8")
+    assert main(["check", "--game", "modal", "--tier", "1", "-k", "1",
+                 str(p), str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate key 'point'" in err and "relation" not in err
+
+
+def _fails(*args):
+    return False, "tampered"
+
+
+@pytest.mark.parametrize("target, argv", [
+    ((equiv, "verify_certificate"), ["check", "--game", "pebble", "--tier", "2", "-k", "2"]),
+    ((equiv, "verify_certificate"), ["check", "--game", "ef", "--tier", "1", "-k", "1"]),
+    ((decomposition, "verify_tree_decomposition"), ["param", "--kind", "tree-width"]),
+    ((decomposition, "verify_forest_cover"), ["param", "--kind", "tree-depth"]),
+    ((coalgebra, "verify_coalgebra"), ["coalgebra", "--comonad", "ef", "-k", "2"]),
+])
+def test_failed_self_check_exits_2_and_prints_nothing(monkeypatch, capsys, lin2, target, argv):
+    # a failed re-verification is a fault of the program, and exit 1 would
+    # read as "not equivalent"
+    monkeypatch.setattr(*target, _fails)
+    files = [lin2, lin2] if argv[0] == "check" else [lin2]
+    assert main(argv + files) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "self-check failed" in err and "tampered" in err
 
 
 def test_usage_error_exit_code():
@@ -238,10 +271,11 @@ def _verifies(verdict, A, B):
 
 
 def test_check_deep_k_on_one_element(tmp_path, capsys):
-    # ef tier 1 recurses no deeper than the unpebbled elements of A and the
-    # modal games no deeper than |A| + |B| depths (past them more rounds
-    # change nothing); ef and pebble tiers 2 and 3 refine tuple types in a
-    # loop that stops once a round splits no class
+    # ef tier 1 recurses no deeper than the unpebbled elements of A, the
+    # modal sweep stops once a round drops no pair (later rounds change
+    # nothing), pebble tier 1 has two positions, and ef and pebble tiers 2
+    # and 3 refine tuple types in a loop that stops once a round splits no
+    # class
     data = {"signature": {"R": 2, "P": 1}, "universe": ["a"],
             "relations": {"R": [["a", "a"]], "P": [["a"]]}, "point": "a"}
     p = write(tmp_path, "one.json", data)
@@ -250,8 +284,11 @@ def test_check_deep_k_on_one_element(tmp_path, capsys):
         A = P if game == "modal" else P.base
         for tier in (1, 2, 3):
             assert main(["check", "--game", game, "--tier", str(tier), "-k", "1000", p, p]) == 0
-            verdict = out_json(capsys)
+            out = capsys.readouterr().out
+            verdict = json.loads(out)
             assert verdict["equiv"] is True and _verifies(verdict, A, A), (game, tier)
+            if game == "pebble":  # positions are sets: only () and {(a, a)}
+                assert len(out) < 1024, (tier, len(out))
 
 
 def test_check_modal_tier1_certificate_on_a_complete_label(tmp_path, capsys):

@@ -1,15 +1,17 @@
 import pytest
 from hypothesis import given, settings
 
-from oracles import (bisim_approx, brute_graded_bisim, graded_bisim_approx, graded_classes,
+from oracles import (_bisimulation_levels, _simulation_levels, bisim_approx,
+                     brute_graded_bisim, graded_bisim_approx, graded_classes, graded_levels,
                      simulation_approx, simulation_strategy)
 from strategies import pointed_kripke_pairs, pointed_kripkes
 
 from gamecomonads import zoo
 from gamecomonads.equiv import verify_certificate
-from gamecomonads.modal import (ArityError, graded_bisim_game, kripke_view,
+from gamecomonads.modal import (ArityError, ModalRules, graded_bisim_game, kripke_view,
                                 modal_back_and_forth, modal_coextend, modal_counit,
-                                modal_play_id, modal_plays, modal_unfold)
+                                modal_game, modal_play_id, modal_plays, modal_unfold)
+from gamecomonads.strategy import certificate
 from gamecomonads.structures import (CapExceeded, find_homomorphism,
                                      is_homomorphism, validate_structure)
 
@@ -181,16 +183,55 @@ def test_graded_game_iff_approx_iff_bruteforce(pair):
         assert game == approx == brute
 
 
+def _past_both_caps(P, Q) -> int:
+    """A depth past |A| + |B| (tiers 2 and 3) and |A| * |B| (tier 1), from
+    which more rounds change no pair's value."""
+    m, n = len(P.base.universe), len(Q.base.universe)
+    return max(m * n, m + n) + 1
+
+
 @settings(max_examples=30)
 @given(pointed_kripke_pairs())
 def test_games_past_the_refinement_cap_match_approximants(pair):
-    # the recursion stops at |A| + |B| refinement steps, below these k
+    # the sweep stops once a round drops no pair, at the latest after
+    # |A| + |B| rounds at tiers 2 and 3 and |A| * |B| at tier 1
     P, Q = pair
     for k in (7, 9):
         assert modal_back_and_forth(P, Q, k, build_certificate=False)[0] == \
             bisim_approx(P, Q, k)
         assert graded_bisim_game(P, Q, k, build_certificate=False)[0] == \
             graded_bisim_approx(P, Q, k)
+    k = len(P.base.universe) * len(Q.base.universe) + 1
+    assert modal_game(P, Q, k, 1, build_certificate=False)[0] == simulation_approx(P, Q, k)
+
+
+def _oracle_levels(P, Q, k: int, tier: int) -> list[set]:
+    """Entry j: the world pairs from which Duplicator survives j more rounds
+    of the tier's game, by the oracles' level iteration."""
+    if tier == 1:
+        return _simulation_levels(P, Q, k)
+    if tier == 2:
+        return _bisimulation_levels(P, Q, k)
+    return [{(a, b) for a in P.base.universe for b in Q.base.universe
+             if cls[(0, a)] == cls[(1, b)]} for cls in graded_levels(P, Q, k)]
+
+
+@settings(max_examples=30)
+@given(pointed_kripke_pairs())
+def test_certificates_match_oracle_levels(pair):
+    """Verdict and certificate, at every tier and at depths up to past both
+    caps, are those read off the oracles' levels: the answers go to the
+    first successor that survives the rounds left."""
+    P, Q = pair
+    for k in (1, 2, 3, 5, 9, _past_both_caps(P, Q)):
+        for tier in (1, 2, 3):
+            levels = _oracle_levels(P, Q, k, tier)
+            if (P.point, Q.point) not in levels[k]:
+                assert modal_game(P, Q, k, tier) == (False, None), (k, tier)
+                continue
+            expected = certificate(ModalRules(P, Q, k, tier), tier, lambda pos, _: (
+                lambda x, y: (x, y) in levels[pos[2] - 1]))
+            assert modal_game(P, Q, k, tier) == (True, expected), (k, tier)
 
 
 @settings(max_examples=30)
@@ -295,8 +336,9 @@ def _random_kripke(n: int, seed: int):
 
 
 def test_deep_k_on_eighty_worlds():
-    """At k=1000 the game is fixed from |A| + |B| = 160 rounds on; solving
-    must not recurse once per round (it used to raise RecursionError)."""
+    """At k=1000: the values are fixed by round |A| + |B| = 160 at the latest
+    (|A| * |B| at tier 1), and the sweep stops once a round drops no pair; a
+    recursion once per round used to raise RecursionError here."""
     rels = _random_kripke(80, 3)
     names = {f"w{i}": f"v{(i * 37) % 80}" for i in range(80)}
     A = validate_structure({"a": 2, "b": 2, "p": 1, "q": 1}, list(names), rels)
@@ -305,3 +347,4 @@ def test_deep_k_on_eighty_worlds():
     P, Q = zoo.structure_point(A, "w0"), zoo.structure_point(B, names["w0"])
     assert modal_back_and_forth(P, Q, 1000, build_certificate=False) == (True, None)
     assert graded_bisim_game(P, Q, 1000, build_certificate=False) == (True, None)
+    assert modal_game(P, Q, 1000, 1, build_certificate=False) == (True, None)

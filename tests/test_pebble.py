@@ -5,7 +5,7 @@ from strategies import structure_pairs
 
 from gamecomonads import zoo
 from gamecomonads.ef import ef_game_exists
-from gamecomonads.equiv import verify_certificate
+from gamecomonads.equiv import decide, verify_certificate
 from gamecomonads.pebble import (pebble_coextension_on_play, pebble_game_exists,
                                  pebble_play_id, pebble_play_of_id, pebble_plays,
                                  pebble_relation_holds, pebble_truncate)
@@ -139,6 +139,24 @@ def test_pebble_win_implies_rank_win(pair):
     for k in (1, 2):
         if pebble_game_exists(A, B, k, build_strategy=False)[0]:
             assert ef_game_exists(A, B, k, build_strategy=False)[0]
+
+
+@settings(max_examples=25)
+@given(structure_pairs(max_size=3))
+def test_certificate_bases_repeat_no_pair(pair):
+    # a position is the set of pebbled pairs: a move onto a pebbled element
+    # is answered by its partner and leaves the base as it was
+    A, B = pair
+    for k in (1, 2, 3, 4):
+        for tier in (1, 2, 3):
+            verdict = decide("pebble", tier, A, B, k)
+            cert = verdict["certificate"]
+            if cert is None:
+                continue
+            for side in ([cert["forward"], cert["backward"]] if tier == 1 else [cert]):
+                for entry in side["positions"]:
+                    base = [tuple(p) for p in entry["base"]]
+                    assert len(set(base)) == len(base) < k and base == sorted(base)
 
 
 def test_rank_win_does_not_imply_pebble_win():

@@ -1,9 +1,13 @@
 """Differential tests of the pebble engines (the tier-1 fixpoint and the
 k-variable types of tiers 2 and 3) against the re-sweep oracle and against
-the fixpoint engine that the types replaced."""
+the fixpoint engine that the types replaced.
+
+The engines' positions are sets of pairs; the references play over
+multisets, so their winning positions are compared on the positions without
+a repeated pair."""
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 import pytest
 from oracles import (all_digraphs, pebble_fixpoint_reference, pebble_game_reference,
@@ -56,6 +60,11 @@ SOLVERS = {1: pebble.pebble_game_exists, 2: equiv.pebble_back_and_forth,
            3: equiv.pebble_bijection_equiv}
 
 
+def _sets(positions) -> set:
+    """The positions of a multiset reference that repeat no pair."""
+    return {pos for pos in positions if len(set(pos)) == len(pos)}
+
+
 def _live(A, B, k, tier):
     """The positions the library's engine of a tier keeps: the fixpoint at
     tier 1; at tiers 2 and 3 those whose two tuples have the same type, or
@@ -68,21 +77,22 @@ def _live(A, B, k, tier):
     pairs = sorted((a, b) for a in A.universe for b in B.universe)
     live = {()}
     for size in range(k):
-        for base in combinations_with_replacement(pairs, size):
+        for base in combinations(pairs, size):
             if base not in live:
                 continue  # nor is any position built on it
             same = types.same_after(base)
-            live.update(base + (p,) for p in pairs[pairs.index(base[-1]) if base else 0:]
+            live.update(base + (p,) for p in pairs[pairs.index(base[-1]) + 1 if base else 0:]
                         if same(*p))
     return live
 
 
 def _read_off(A, B, k, tier, live):
-    """The verdict and certificate of a tier's game with these live positions."""
+    """The verdict and certificate of a tier's game with the live positions of
+    a multiset reference."""
     if () not in live:
         return False, None
     return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _: (
-        lambda a, b: _canon(base + ((a, b),)) in live))
+        lambda a, b: tuple(sorted(base + ((a, b),))) in live))
 
 
 @pytest.mark.parametrize("family", ["digraphs", "random", "copies", "zoo"])
@@ -92,7 +102,8 @@ def test_engine_matches_resweep(family):
             for tier in TIERS:
                 slow = pebble_resweep_fixpoint(A, B, k, tier)
                 live = _live(A, B, k, tier)
-                assert (() not in slow) if live is None else live == slow, (A, B, k, tier)
+                assert (() not in slow) if live is None else live == _sets(slow), \
+                    (A, B, k, tier)
                 assert SOLVERS[tier](A, B, k) == _read_off(A, B, k, tier, slow), (A, B, k, tier)
 
 
@@ -112,11 +123,11 @@ def test_short_position_survives_only_if_good_as_its_own_base():
             for tier in TIERS:
                 live = _live(A, B, k, tier)
                 if live is None:  # refinement stopped early: the old engine's set
-                    live = pebble_fixpoint_reference(A, B, k, tier)
+                    live = _sets(pebble_fixpoint_reference(A, B, k, tier))
                 winning = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
                 pairs = sorted((a, b) for a in A.universe for b in B.universe)
                 short = [pos for size in range(k)
-                         for pos in combinations_with_replacement(pairs, size)
+                         for pos in combinations(pairs, size)
                          if winning(pos, A, B)]
                 for pos in short:
                     own = _good_as_base(pos, live, A, B, tier)
