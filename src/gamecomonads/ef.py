@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional
 
@@ -221,8 +220,8 @@ class EfRules(PairRules):
     def start(self) -> tuple[frozenset, int]:
         return frozenset(), self.k
 
-    def fault(self, state) -> Optional[str]:
-        return self.pairs_fault(state[0])
+    def fault(self, state, new=None) -> Optional[str]:
+        return self.pairs_fault(state[0], new)
 
     def answering(self, state) -> list:
         return [state] if state[1] else []
@@ -239,17 +238,19 @@ def verify_ef_strategy(f: EfCoKleisli) -> tuple[bool, Optional[str]]:
 
     The table must cover every play up to rank k, and for each play the
     induced pairs of moves and responses must form a partial homomorphism.
+    Plays come prefixes first from the empty play, so each play is checked
+    only through its own pair: the rest are its prefix's, already verified.
     """
     A, B, k = f.source, f.target, f.k
-    winning = lru_cache(maxsize=None)(lambda pairs: is_partial_homomorphism(pairs, A, B))
     induced = {(): frozenset()}  # the pairs of each play and its coextension
     for s in ef_plays(A, k):  # prefixes first
         if s not in f.table:
             return False, f"strategy undefined on play {list(s)}"
         if f.table[s] not in B.universe:
             return False, f"response to {list(s)} is not a target element"
-        induced[s] = induced[s[:-1]] | {(s[-1], f.table[s])}
-        if not winning(induced[s]):
+        new = (s[-1], f.table[s])
+        induced[s] = induced[s[:-1]] | {new}
+        if not is_partial_homomorphism(induced[s], A, B, new):
             return False, f"position after play {list(s)} is not a partial homomorphism"
     return True, None
 

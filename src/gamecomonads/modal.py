@@ -242,7 +242,7 @@ class ModalRules:
         pa, pb = self.KA.profile(a), self.KB.profile(b)
         return pa <= pb if self.tier == 1 else pa == pb
 
-    def fault(self, state) -> Optional[str]:
+    def fault(self, state, new=None) -> Optional[str]:
         a, b, _ = state
         if self.passes(a, b):
             return None

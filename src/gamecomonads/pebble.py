@@ -241,8 +241,8 @@ class PebbleRules(PairRules):
     def start(self) -> Position:
         return ()
 
-    def fault(self, pos: Position) -> Optional[str]:
-        return self.pairs_fault(pos)
+    def fault(self, pos: Position, new=None) -> Optional[str]:
+        return self.pairs_fault(pos, new)
 
     def answering(self, pos: Position) -> list[Position]:
         return pebble_bases(pos, self.k)

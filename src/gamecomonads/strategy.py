@@ -9,8 +9,9 @@ answers to Spoiler's challenges there, as lists [*group, challenge, response]
 [*group, x, y] pairs that form a bijection per group ("bijection").
 
 The game itself is in the rules of each comonad (`ef.EfRules`,
-`pebble.PebbleRules`, `modal.ModalRules`): `start()`, `fault(state)` (None
-while Duplicator has not lost, else why), `answering(state)` (the positions
+`pebble.PebbleRules`, `modal.ModalRules`): `start()`, `fault(state, new)`
+(None while Duplicator has not lost, else why; `new` is the pair just
+played, or None for a full check), `answering(state)` (the positions
 Duplicator answers from next), `challenges(pos)` (the groups (group, xs, ys)
 of Spoiler's moves), `step(pos, group, x, y)`, `among(pos, group, side)`
 (what a response in A, side 0, or in B, side 1, must be) and `to_json(pos)`.
@@ -20,7 +21,6 @@ The verifier reads only the certificate and the rules.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from typing import Callable, Mapping, Optional, Union
 
 from .matching import perfect_matching
@@ -104,11 +104,15 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
     """Replay a certificate against the rules alone, from the start: every
     position reached must be recorded, each challenge there needs an answer
     of the right kind (tier 3: a bijection per group), and no answer may
-    lose."""
+    lose.  Only the start gets the full check, later states only through the
+    pair (x, y) just played: Duplicator answers from a verified state (ef,
+    modal) or a subset of one (pebble bases), and the predicates are
+    hereditary."""
     if cert.get("shape") != SHAPE:
         return False, f"certificate is not in the {SHAPE!r} shape"
-    if rules.fault(rules.start()):
-        return False, f"the start position is lost: {rules.fault(rules.start())}"
+    fault = rules.fault(rules.start())
+    if fault:
+        return False, f"the start position is lost: {fault}"
     table = {json.dumps({f: v for f, v in entry.items() if f not in FIELDS}, sort_keys=True):
              entry for entry in cert["positions"]}
 
@@ -144,8 +148,9 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
         states = []
         for group, x, y in out:
             states.append(rules.step(pos, group, x, y))
-            if rules.fault(states[-1]):
-                return f"the answer ({x!r}, {y!r}) at {at} loses: {rules.fault(states[-1])}"
+            fault = rules.fault(states[-1], (x, y))
+            if fault:
+                return f"the answer ({x!r}, {y!r}) at {at} loses: {fault}"
         return states
 
     fault = _walk(rules, play)
@@ -155,16 +160,19 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
 class PairRules:
     """What the ef and pebble games share: Spoiler may pick any element of A
     (at tier 2 also of B), and the pairs on the board must stay a partial
-    homomorphism (tier 1) or a partial isomorphism (tiers 2 and 3)."""
+    homomorphism (tier 1) or a partial isomorphism (tiers 2 and 3), kept
+    per pair set (with `new` the one-pair check gives the full verdict)."""
 
     def __init__(self, A: Structure, B: Structure, k: int, tier: int):
         self.A, self.B, self.k = A, B, k
         self.kind = "homomorphism" if tier == 1 else "isomorphism"
-        check = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
-        self.holds = lru_cache(maxsize=None)(lambda pairs: check(pairs, A, B))
+        self.check = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
+        self.holds: dict = {}
 
-    def pairs_fault(self, pairs) -> Optional[str]:
-        if self.holds(pairs):
+    def pairs_fault(self, pairs, new=None) -> Optional[str]:
+        if pairs not in self.holds:
+            self.holds[pairs] = self.check(pairs, self.A, self.B, new)
+        if self.holds[pairs]:
             return None
         return f"{sorted(map(list, pairs))} is not a partial {self.kind}"
 

@@ -217,20 +217,23 @@ def is_homomorphism(h: Mapping[str, str], A: Structure, B: Structure) -> bool:
 
 
 def is_partial_homomorphism(pairs: Iterable[tuple[str, str]],
-                            A: Structure, B: Structure) -> bool:
+                            A: Structure, B: Structure, new: Optional[tuple] = None) -> bool:
     """Functional and relation-preserving on its domain (one direction only).
-    Only the tuples through the domain are read (`occurrences`)."""
+    Only the tuples through the domain are read (`occurrences`); with
+    `new=(a, b)`, one of the pairs, the others are promised to be a partial
+    homomorphism and only the tuples through a are read."""
     m: dict[str, str] = {}
     for a, b in pairs:
         if a in m and m[a] != b:
             return False
         m[a] = b
-    return _preserved(m, A, B)
+    return _preserved(m, A, B, new and new[0])
 
 
 def is_partial_isomorphism(pairs: Iterable[tuple[str, str]],
-                           A: Structure, B: Structure) -> bool:
-    """Functional, injective, and relation-reflecting in both directions."""
+                           A: Structure, B: Structure, new: Optional[tuple] = None) -> bool:
+    """Functional, injective, and relation-reflecting in both directions;
+    `new` as above, reading the tuples through a in A and through b in B."""
     fwd: dict[str, str] = {}
     bwd: dict[str, str] = {}
     for a, b in pairs:
@@ -240,14 +243,18 @@ def is_partial_isomorphism(pairs: Iterable[tuple[str, str]],
             return False
         fwd[a] = b
         bwd[b] = a
-    return _preserved(fwd, A, B) and _preserved(bwd, B, A)
+    return _preserved(fwd, A, B, new and new[0]) and _preserved(bwd, B, A, new and new[1])
 
 
-def _preserved(m: Mapping[str, str], A: Structure, B: Structure) -> bool:
-    """Whether m maps into B every tuple of A whose elements it all maps."""
-    occ = occurrences(A)
-    return all(tuple(m[x] for x in t) in B.relations[name]
-               for a in m for name, t in occ.get(a, ()) if all(x in m for x in t))
+def _preserved(m: Mapping[str, str], A: Structure, B: Structure, through: Optional[str]) -> bool:
+    """Whether m maps into B every tuple of A (through `through`, if given)
+    whose elements it all maps."""
+    occ, rel = occurrences(A), B.relations
+    for a in m if through is None else (through,):
+        for name, t in occ.get(a, ()):
+            if all(map(m.__contains__, t)) and tuple(map(m.__getitem__, t)) not in rel[name]:
+                return False
+    return True
 
 
 def occurrences(A: Structure) -> dict[str, list[tuple[str, tuple[str, ...]]]]:

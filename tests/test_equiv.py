@@ -410,6 +410,63 @@ def test_verifier_rejects_losing_response():
     assert "is not a partial isomorphism" in msg, msg
 
 
+# Answers that lose two pairs deep: the only broken tuple, (e3, e4) of the
+# order mapped to (e3, e2), goes through the pair just played.
+
+DEEP = [["e1", "e1"], ["e3", "e3"]]
+
+
+def _swap_e0_e2(ans):
+    return [[x, {"e0": "e2", "e2": "e0"}.get(y, y)] for x, y in ans]
+
+
+def _e4_to_e2(ans):
+    return [[x, "e2" if x == "e4" else y] for x, y in ans]
+
+
+@pytest.mark.parametrize("tier, name, edit, pair", [
+    (2, "forth", _e4_to_e2, "('e4', 'e2')"),
+    (3, "bijection", _swap_e0_e2, "('e0', 'e2')"),
+])
+def test_verifier_rejects_losing_ef_answer_two_pairs_deep(tier, name, edit, pair):
+    A = zoo.lin(5)
+    cert = decide("ef", tier, A, A, 3)["certificate"]
+    assert _entry(cert, pairs=DEEP)[name][4] == ["e4", "e4"]
+    bad = _tampered(cert, {"pairs": DEEP}, name, edit)
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and pair in msg and "loses" in msg, msg
+    assert '"pairs": [["e1", "e1"], ["e3", "e3"]]' in msg, msg
+    assert "is not a partial isomorphism" in msg, msg
+
+
+@pytest.mark.parametrize("tier, name, edit, pair, kind", [
+    (1, "forth", _e4_to_e2, "('e4', 'e2')", "homomorphism"),
+    (3, "bijection", _swap_e0_e2, "('e0', 'e2')", "isomorphism"),
+])
+def test_verifier_rejects_losing_pebble_answer_two_pairs_deep(tier, name, edit, pair, kind):
+    A = zoo.lin(5)
+    cert = decide("pebble", tier, A, A, 3)["certificate"]
+    cert = cert["forward"] if tier == 1 else cert
+    assert _entry(cert, base=DEEP)[name][4] == ["e4", "e4"]
+    bad = _tampered(cert, {"base": DEEP}, name, edit)
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and pair in msg and "loses" in msg, msg
+    assert '{"base": [["e1", "e1"], ["e3", "e3"]]}' in msg, msg
+    assert f"is not a partial {kind}" in msg, msg
+
+
+def test_play_table_rejects_losing_response_three_moves_deep():
+    A = zoo.lin(5)
+    cert = decide("ef", 1, A, A, 3)["certificate"]["forward"]
+    responses = {tuple(e["play"]): e["response"] for e in cert["strategy"]}
+    assert [responses[("e1",)], responses[("e1", "e3")]] == ["e1", "e3"]
+    bad = {**cert, "strategy": [dict(e, response="e2") if e["play"] == ["e1", "e3", "e4"]
+                                else e for e in cert["strategy"]]}
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok, msg
+    assert msg == "position after play ['e1', 'e3', 'e4'] is not a partial homomorphism", msg
+
+
 def test_verifier_rejects_non_bijection_at_tier_3():
     A = zoo.lin(2)
     cert = bijection_game_equiv(A, A, 2)[1]

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given
 
@@ -7,7 +10,8 @@ from strategies import structure_pairs, structures
 from gamecomonads import zoo
 from gamecomonads.structures import (SignatureMismatch, StructureError,
                                      find_homomorphism, gaifman_graph,
-                                     is_homomorphism, is_partial_isomorphism,
+                                     is_homomorphism, is_partial_homomorphism,
+                                     is_partial_isomorphism,
                                      structure_from_dict, structure_to_dict,
                                      validate_structure)
 
@@ -184,3 +188,46 @@ def test_partial_isomorphism_inverse(pair):
         for ps in combinations(all_pairs, n):
             if is_partial_isomorphism(ps, A, B):
                 assert is_partial_isomorphism([(b, a) for a, b in ps], B, A)
+
+
+# the one-pair check against the full check
+
+def _random_structure(rng, n):
+    """Unary, binary and ternary relations on n elements, each tuple drawn
+    with probability 0.4."""
+    u = [f"x{i}" for i in range(n)]
+    sig = {"P": 1, "R": 2, "T": 3}
+    return validate_structure(sig, u, {name: [list(t) for t in product(u, repeat=ar)
+                                              if rng.random() < 0.4]
+                                       for name, ar in sig.items()})
+
+
+def _one_pair_cases():
+    rng = random.Random(5)
+    cases = [(_random_structure(rng, rng.randint(2, 4)), _random_structure(rng, rng.randint(2, 4)))
+             for _ in range(6)]
+    families = [zoo.lin(3), zoo.lin(4), zoo.cycle(4), zoo.path(3), zoo.clique(3), zoo.loop(),
+                zoo.edge(), zoo.edge2()]
+    return cases + [(A, B) for A in families for B in families]
+
+
+@pytest.mark.parametrize("check", [is_partial_homomorphism, is_partial_isomorphism])
+def test_one_pair_check_matches_full_check(check):
+    seen = {"repeat": 0, "remapped": 0, "hit": 0, "unary": 0, "false": 0}
+    for A, B in _one_pair_cases():
+        pairs = list(product(A.universe, B.universe))
+        for size in range(4):
+            for P in combinations(pairs, size):
+                if not check(P, A, B):
+                    continue
+                for a, b in pairs:
+                    grown = P if (a, b) in P else P + ((a, b),)
+                    full = check(grown, A, B)
+                    assert check(grown, A, B, new=(a, b)) == full, (P, (a, b))
+                    seen["repeat"] += (a, b) in P
+                    seen["remapped"] += any(x == a and y != b for x, y in P)
+                    seen["hit"] += any(y == b and x != a for x, y in P)
+                    seen["unary"] += "P" in A.sig.relations and (
+                        ((a,) in A.relations["P"]) != ((b,) in B.relations["P"]))
+                    seen["false"] += not full
+    assert all(seen.values()), seen
