@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Time solving against re-verifying the certificate on three large game cases.
+"""Time solving against re-verifying the certificate on four large game cases.
 
 Usage: python3 scripts/verify_cost.py
 
-The cases are the large certificates of ROADMAP direction 3: ef tier 2 on
-lin(15) vs lin(16) at k=4, pebble tier 2 on cycle(8) vs itself at k=3, and
-pebble tier 1 on cycle(8) vs the benchmark's relabelled copy (pebble-games,
-key "c8-copy") at k=3.  For each it prints the seconds `equiv.decide` takes
-(solving and building the certificate) and the seconds
+The cases are large certificates: ef tier 1 on lin(12) vs itself at k=4,
+ef tier 2 on lin(15) vs lin(16) at k=4, pebble tier 2 on cycle(8) vs itself
+at k=3, and pebble tier 1 on cycle(8) vs the benchmark's relabelled copy
+(pebble-games, key "c8-copy") at k=3.  For each it prints the seconds
+`equiv.decide` takes (solving and building the certificate) and the seconds
 `equiv.verify_certificate` takes on what it returned (both sides at tier 1,
 as `check` does), and exits 1 if any re-verification fails or takes more
 than twice the solve.  One run each, wall time, so figures from a loaded
@@ -37,7 +37,8 @@ def cases():
     C8 = zoo.cycle(8)
     copy = structure_from_dict(workloads.fixed_copy(workloads.cycle(8), "c8-copy",
                                                     random.Random(1)))
-    return [("ef tier 2, lin(15) vs lin(16), k=4", "ef", 2, zoo.lin(15), zoo.lin(16), 4),
+    return [("ef tier 1, lin(12) vs lin(12), k=4", "ef", 1, zoo.lin(12), zoo.lin(12), 4),
+            ("ef tier 2, lin(15) vs lin(16), k=4", "ef", 2, zoo.lin(15), zoo.lin(16), 4),
             ("pebble tier 2, cycle(8) vs cycle(8), k=3", "pebble", 2, C8, C8, 3),
             ("pebble tier 1, cycle(8) vs relabelled copy, k=3", "pebble", 1, C8, copy, 3)]
 

@@ -8,6 +8,7 @@ JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -182,7 +183,9 @@ def cmd_selftest(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="gamecomonads",
         description="Game comonads on finite relational structures: "

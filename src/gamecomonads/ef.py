@@ -10,13 +10,12 @@ strategy prefix by prefix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Optional
 
-from .strategy import PairRules, answers
-from .structures import (CapExceeded, Structure, extensions, is_partial_homomorphism,
-                         occurrences, require_same_signature, validate_structure)
+from .strategy import PairRules, answers, certificate
+from .structures import (CapExceeded, Structure, extensions, occurrences,
+                         require_same_signature, validate_structure)
 
 EfPlay = tuple[str, ...]
 
@@ -44,10 +43,6 @@ def ef_plays(A: Structure, k: int) -> list[EfPlay]:
         frontier = [s + (a,) for s in frontier for a in A.universe]
         out.extend(frontier)
     return out
-
-
-def prefix_comparable(s: EfPlay, t: EfPlay) -> bool:
-    return s[:len(t)] == t or t[:len(s)] == s
 
 
 def ef_counit(s: EfPlay) -> str:
@@ -86,17 +81,48 @@ def ef_materialize(A: Structure, k: int, cap: int = DEFAULT_CAP) -> Structure:
     return validate_structure(dict(A.sig.relations), [play_id(s) for s in plays], interp)
 
 
-@dataclass
 class EfCoKleisli:
-    """A total map from plays over `source` to elements of `target`."""
+    """A total map from plays over `source` to elements of `target`: a
+    Duplicator strategy.  It is given as its table, or as the positions
+    certificate of the game (`strategy.certificate` under `EfRules`), from
+    which the table is read off when first asked for."""
 
-    source: Structure
-    target: Structure
-    k: int
-    table: dict[EfPlay, str]
+    def __init__(self, source: Structure, target: Structure, k: int,
+                 table: Optional[dict[EfPlay, str]] = None,
+                 certificate: Optional[dict] = None):
+        self.source, self.target, self.k = source, target, k
+        self.certificate = certificate
+        self._table = table
+
+    @property
+    def table(self) -> dict[EfPlay, str]:
+        if self._table is None:
+            self._table = _table_of(self.certificate,
+                                    EfRules(self.source, self.target, self.k, 1))
+        return self._table
 
     def __call__(self, s: EfPlay) -> str:
         return self.table[s]
+
+
+def _table_of(cert: Mapping, rules: EfRules) -> dict[EfPlay, str]:
+    """The play table of a positions certificate: the response to a play s
+    is the partner of s[-1] if the prefix pebbled it, else the answer to
+    s[-1] at the position the prefix reached, its rounds left capped by the
+    rules."""
+    forth = {(tuple(map(tuple, e["pairs"])), e["rounds_left"]): dict(e["forth"])
+             for e in cert["positions"]}
+    table: dict[EfPlay, str] = {}
+    stack: list[tuple[EfPlay, dict[str, str]]] = [((), {})]
+    while stack:
+        s, fwd = stack.pop()
+        pairs, rounds = rules.capped(frozenset(fwd.items()), rules.k - len(s))
+        for a in rules.A.universe:
+            b = fwd[a] if a in fwd else forth[tuple(sorted(pairs)), rounds][a]
+            table[s + (a,)] = b
+            if len(s) + 1 < rules.k:
+                stack.append((s + (a,), {**fwd, a: b}))
+    return table
 
 
 def coextend_play(f: Callable[[EfPlay], str], s: EfPlay) -> EfPlay:
@@ -171,23 +197,27 @@ class EfGame:
                             else self.answers(pairs, rounds) is not None)
         return wins[rounds]
 
+    def good(self, pairs: frozenset, rounds: int) -> Callable[[str, str], bool]:
+        """The predicate on (a, b): answering a with b at pairs, with rounds
+        left, keeps a win."""
+        options = dict(zip(self.A.universe, self.memo[pairs][0]))
+        return lambda a, b: b in options[a] and (
+            rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1))
+
     def answers(self, pairs: frozenset, rounds: int) -> Optional[list[tuple[str, str]]]:
         """Duplicator's answers (`strategy.answers`) at pairs with rounds
         left, or None if Spoiler wins there."""
-        options = dict(zip(self.A.universe, self.memo[pairs][0]))
-        return answers(1, self.A.universe, self.B.universe, lambda a, b: b in options[a] and (
-            rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1)))
+        return answers(1, self.A.universe, self.B.universe, self.good(pairs, rounds))
 
 
 def ef_game_exists(A: Structure, B: Structure, k: int,
-                   build_strategy: bool = True,
-                   strategy_cap: int = DEFAULT_CAP) -> tuple[bool, Optional[EfCoKleisli]]:
+                   build_strategy: bool = True) -> tuple[bool, Optional[EfCoKleisli]]:
     """Decide the k-round existential comparison game from A to B.
 
     Duplicator survives iff the induced partial map stays a partial
-    homomorphism (`EfGame`).  On a win, the full strategy table (one
-    response per play) is returned as a coKleisli map; CapExceeded is raised
-    if it would exceed strategy_cap entries.
+    homomorphism (`EfGame`).  On a win, the strategy is returned as a
+    coKleisli map holding its positions certificate (`strategy.certificate`
+    under `EfRules`); its play table is built only when asked for.
     """
     require_same_signature(A, B)
     if k < 1:
@@ -196,63 +226,41 @@ def ef_game_exists(A: Structure, B: Structure, k: int,
     exists = game.win(frozenset(), k)
     if not exists or not build_strategy:
         return exists, None
-    size = ef_universe_size(len(A.universe), k)
-    if size > strategy_cap:
-        raise CapExceeded(size, strategy_cap, "strategy-table entries")
-
-    table: dict[EfPlay, str] = {}
-    stack = [((), frozenset(), k)]
-    while stack:
-        s, pairs, rounds_left = stack.pop()
-        for a, b in game.answers(pairs, rounds_left):
-            table[s + (a,)] = b
-            if rounds_left > 1:
-                stack.append((s + (a,), game.child(pairs, a, b), rounds_left - 1))
-    return True, EfCoKleisli(A, B, k, table)
+    cert = certificate(EfRules(A, B, k, 1), 1, lambda pos, _: game.good(*pos))
+    return True, EfCoKleisli(A, B, k, certificate=cert)
 
 
 class EfRules(PairRules):
     """The ef game for `strategy`: a position is (pair set, rounds left), and
-    Duplicator answers while rounds are left."""
+    Duplicator answers while rounds are left.  A move on a pebbled element is
+    answered by its partner and leaves the pairs as they were, so only the
+    moves on fresh elements count.  Rounds left are capped at the fresh
+    elements of A (tier 1), or of the larger side at tiers 2 and 3, where
+    the pairs are injective: later rounds cannot change the position."""
 
     comonad = "ef"
 
+    def __init__(self, A: Structure, B: Structure, k: int, tier: int):
+        super().__init__(A, B, k, tier)
+        self.size = len(A.universe) if tier == 1 else max(len(A.universe), len(B.universe))
+
+    def capped(self, pairs: frozenset, rounds: int) -> tuple[frozenset, int]:
+        return pairs, min(rounds, self.size - len(pairs))
+
     def start(self) -> tuple[frozenset, int]:
-        return frozenset(), self.k
+        return self.capped(frozenset(), self.k)
 
     def fault(self, state, new=None) -> Optional[str]:
         return self.pairs_fault(state[0], new)
 
     def answering(self, state) -> list:
-        return [state] if state[1] else []
+        return [state] if state[1] > 0 else []
 
     def step(self, pos, group, x: str, y: str) -> tuple[frozenset, int]:
-        return pos[0] | {(x, y)}, pos[1] - 1
+        return self.capped(pos[0] | {(x, y)}, pos[1] - 1)
 
     def to_json(self, pos) -> dict:
         return {"pairs": sorted([a, b] for a, b in pos[0]), "rounds_left": pos[1]}
-
-
-def verify_ef_strategy(f: EfCoKleisli) -> tuple[bool, Optional[str]]:
-    """Replay a strategy table against the winning condition.
-
-    The table must cover every play up to rank k, and for each play the
-    induced pairs of moves and responses must form a partial homomorphism.
-    Plays come prefixes first from the empty play, so each play is checked
-    only through its own pair: the rest are its prefix's, already verified.
-    """
-    A, B, k = f.source, f.target, f.k
-    induced = {(): frozenset()}  # the pairs of each play and its coextension
-    for s in ef_plays(A, k):  # prefixes first
-        if s not in f.table:
-            return False, f"strategy undefined on play {list(s)}"
-        if f.table[s] not in B.universe:
-            return False, f"response to {list(s)} is not a target element"
-        new = (s[-1], f.table[s])
-        induced[s] = induced[s[:-1]] | {new}
-        if not is_partial_homomorphism(induced[s], A, B, new):
-            return False, f"position after play {list(s)} is not a partial homomorphism"
-    return True, None
 
 
 def i_morphism_normalize(f: EfCoKleisli) -> EfCoKleisli:
@@ -278,18 +286,3 @@ def is_i_morphism(f: EfCoKleisli) -> bool:
         if f.table[s] != f.table[s[:first + 1]]:
             return False
     return True
-
-
-def strategy_to_json(f: EfCoKleisli) -> dict:
-    return {
-        "comonad": "ef",
-        "game": "existential",
-        "k": f.k,
-        "strategy": [{"play": list(s), "response": f.table[s]}
-                     for s in sorted(f.table, key=lambda s: (len(s), s))],
-    }
-
-
-def strategy_from_json(data: Mapping, A: Structure, B: Structure) -> EfCoKleisli:
-    table = {tuple(entry["play"]): entry["response"] for entry in data["strategy"]}
-    return EfCoKleisli(A, B, int(data["k"]), table)

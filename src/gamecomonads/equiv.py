@@ -24,8 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import modal as modal_mod
-from .ef import (EfRules, ef_game_exists, strategy_from_json, strategy_to_json,
-                 verify_ef_strategy)
+from .ef import EfRules, ef_game_exists
 from .pebble import PebbleRules, pebble_game, pebble_game_exists
 from .refine import Types
 from .strategy import GAMES, certificate, verify
@@ -37,23 +36,27 @@ RULES = {"ef": EfRules, "pebble": PebbleRules, "modal": modal_mod.ModalRules}
 
 # ---------------------------------------------------------------- tier 1
 
+def _existential(tag: str, A, B, k: int) -> tuple[bool, Optional[dict]]:
+    """The existential game from A to B and its positions certificate."""
+    if tag == "ef":
+        exists, f = ef_game_exists(A, B, k)
+        return exists, f and f.certificate
+    if tag == "pebble":
+        return pebble_game_exists(A, B, k)
+    if tag == "modal":
+        return modal_mod.modal_game(A, B, k, 1)
+    raise ValueError(f"unknown comonad tag {tag!r}")
+
+
 def mutual_existential(tag: str, A, B, k: int) -> tuple[bool, Optional[dict]]:
-    """Existential game decisions in both directions."""
-    if tag == "ef":
-        fwd, cert_f = ef_game_exists(A, B, k)
-        bwd, cert_b = ef_game_exists(B, A, k)
-    elif tag == "pebble":
-        fwd, cert_f = pebble_game_exists(A, B, k)
-        bwd, cert_b = pebble_game_exists(B, A, k)
-    elif tag == "modal":
-        fwd, cert_f = modal_mod.modal_game(A, B, k, 1)
-        bwd, cert_b = modal_mod.modal_game(B, A, k, 1)
-    else:
-        raise ValueError(f"unknown comonad tag {tag!r}")
-    if not (fwd and bwd):
+    """Existential game decisions in both directions; the backward game is
+    not played once the forward one is lost."""
+    fwd, cert_f = _existential(tag, A, B, k)
+    if not fwd:
         return False, None
-    if tag == "ef":
-        cert_f, cert_b = strategy_to_json(cert_f), strategy_to_json(cert_b)
+    bwd, cert_b = _existential(tag, B, A, k)
+    if not bwd:
+        return False, None
     return True, {"forward": cert_f, "backward": cert_b}
 
 
@@ -113,12 +116,9 @@ def back_and_forth_equiv(tag: str, A, B, k: int) -> tuple[bool, Optional[dict]]:
 
 
 def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
-    """Check a certificate against A and B by its (comonad, game) stamp: the
-    ef existential play table as a coKleisli map, every other game by
-    `strategy.verify` under its comonad's rules."""
+    """Check a certificate against A and B by its (comonad, game) stamp,
+    with `strategy.verify` under its comonad's rules."""
     comonad, game = cert.get("comonad"), cert.get("game")
-    if (comonad, game) == ("ef", "existential"):
-        return verify_ef_strategy(strategy_from_json(cert, A, B))
     if comonad not in RULES or game not in GAMES:
         return False, f"unknown certificate kind {(comonad, game)}"
     tier = GAMES.index(game) + 1

@@ -505,6 +505,14 @@ def ef_game_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, dict | 
     return True, table
 
 
+def _capped(A: Structure, B: Structure, pairs: frozenset, rounds: int) -> tuple:
+    """A position as certificates record it: the rounds left past the fresh
+    elements of the larger side cannot change the position, and are cut.
+    The recursions' own `win` is not capped, so the answers they record at a
+    capped position check that the cut changes nothing."""
+    return pairs, min(rounds, max(len(A.universe), len(B.universe)) - len(pairs))
+
+
 def ef_back_and_forth_recursion(A: Structure, B: Structure, k: int
                                 ) -> tuple[bool, dict | None]:
     """Back-and-forth k-round game; the certificate on a win."""
@@ -527,7 +535,7 @@ def ef_back_and_forth_recursion(A: Structure, B: Structure, k: int
         return False, None
     entries = []
     seen = set()
-    queue = [(frozenset(), k)]
+    queue = [_capped(A, B, frozenset(), k)]
     while queue:
         pairs, rounds = queue.pop(0)
         if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
@@ -539,13 +547,13 @@ def ef_back_and_forth_recursion(A: Structure, B: Structure, k: int
                      if is_partial_isomorphism(pairs | {(a, x)}, A, B)
                      and win(pairs | {(a, x)}, rounds - 1))
             forth.append([a, b])
-            queue.append((pairs | {(a, b)}, rounds - 1))
+            queue.append(_capped(A, B, pairs | {(a, b)}, rounds - 1))
         for b in B.universe:
             a = next(x for x in A.universe
                      if is_partial_isomorphism(pairs | {(x, b)}, A, B)
                      and win(pairs | {(x, b)}, rounds - 1))
             back.append([b, a])
-            queue.append((pairs | {(a, b)}, rounds - 1))
+            queue.append(_capped(A, B, pairs | {(a, b)}, rounds - 1))
         entries.append({"pairs": sorted(list(p) for p in pairs),
                         "rounds_left": rounds, "forth": forth, "back": back})
     return True, {"comonad": "ef", "game": "back-and-forth", "k": k, "shape": "positions",
@@ -572,7 +580,7 @@ def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, di
         return False, None
     entries = []
     seen = set()
-    queue = [(frozenset(), k)]
+    queue = [_capped(A, B, frozenset(), k)]
     while queue:
         pairs, rounds = queue.pop(0)
         if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
@@ -583,7 +591,7 @@ def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, di
                         "rounds_left": rounds,
                         "bijection": sorted([a, b] for a, b in psi.items())})
         for a, b in psi.items():
-            queue.append((pairs | {(a, b)}, rounds - 1))
+            queue.append(_capped(A, B, pairs | {(a, b)}, rounds - 1))
     return True, {"comonad": "ef", "game": "bijection", "k": k, "shape": "positions",
                   "positions": entries}
 

@@ -1,10 +1,9 @@
 import json
-from functools import partial
 
 import pytest
 
-from gamecomonads import coalgebra, decomposition, ef, equiv, modal, zoo
-from gamecomonads.cli import main
+from gamecomonads import coalgebra, decomposition, equiv, modal, zoo
+from gamecomonads.cli import build_parser, main
 from gamecomonads.modal import kripke_view
 from gamecomonads.structures import structure_from_dict, structure_to_dict
 
@@ -54,12 +53,35 @@ def test_check_all_games_and_tiers_run(tmp_path, capsys, lin2):
         assert main(["check", "--game", "modal", "--tier", tier, "-k", "2", P, P]) == 0
 
 
-def test_check_ef_strategy_cap_is_usage_error(monkeypatch, capsys, lin2):
-    monkeypatch.setattr(equiv, "ef_game_exists", partial(ef.ef_game_exists, strategy_cap=5))
-    assert main(["check", "--game", "ef", "--tier", "1", "-k", "2", lin2, lin2]) == 2
-    err = capsys.readouterr().err
-    assert "cap is 5" in err
-    assert "strategy-table entries" in err and "elements" not in err
+def test_check_ef_tier1_past_the_old_table_cap(tmp_path, capsys):
+    # a play table would hold 960,799 entries here; the positions certificate
+    # is re-verified and printed
+    p = plain(tmp_path, "lin7.json", zoo.lin(7))
+    assert main(["check", "--game", "ef", "--tier", "1", "-k", "7", p, p]) == 0
+    verdict = out_json(capsys)
+    assert verdict["certificate"]["forward"]["shape"] == "positions"
+    assert _verifies(verdict, zoo.lin(7), zoo.lin(7))
+
+
+@pytest.mark.parametrize("game, module, name", [("ef", equiv, "ef_game_exists"),
+                                                ("pebble", equiv, "pebble_game_exists"),
+                                                ("modal", modal, "modal_game")])
+def test_tier1_skips_the_backward_game_once_the_forward_one_is_lost(
+        monkeypatch, game, module, name):
+    calls = []
+    solver = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    if game == "modal":
+        A, B = zoo.kripke_chain(2), zoo.kripke_chain(1)
+    else:
+        A, B = zoo.clique(3), zoo.edge2()
+    assert equiv.mutual_existential(game, A, B, 3) == (False, None)
+    assert calls == [(A, B)]
 
 
 def test_check_writes_certificate(tmp_path, capsys, lin2):
@@ -67,7 +89,7 @@ def test_check_writes_certificate(tmp_path, capsys, lin2):
     assert main(["check", "--game", "ef", "--tier", "1", "-k", "2",
                  lin2, lin2, "--cert", str(cert_path)]) == 0
     cert = json.loads(cert_path.read_text())
-    assert cert["forward"]["strategy"]
+    assert cert["forward"]["shape"] == "positions" and cert["forward"]["positions"]
 
 
 def test_check_modal_requires_point(tmp_path, capsys, lin2):
@@ -263,6 +285,15 @@ def test_usage_error_exit_code():
     assert main([]) == 2
 
 
+def test_parser_is_built_once_and_reused(capsys, lin2):
+    assert build_parser() is build_parser()
+    assert main(["check", "--game", "ef"]) == 2
+    first = capsys.readouterr()
+    assert main(["check", "--game", "ef"]) == 2
+    assert capsys.readouterr() == first
+    assert main(["check", "--game", "ef", "--tier", "2", "-k", "2", lin2, lin2]) == 0
+
+
 def _verifies(verdict, A, B):
     cert = verdict["certificate"]
     sides = ([(cert["forward"], A, B), (cert["backward"], B, A)] if verdict["tier"] == 1
@@ -271,11 +302,10 @@ def _verifies(verdict, A, B):
 
 
 def test_check_deep_k_on_one_element(tmp_path, capsys):
-    # ef tier 1 recurses no deeper than the unpebbled elements of A, the
-    # modal sweep stops once a round drops no pair (later rounds change
-    # nothing), pebble tier 1 has two positions, and ef and pebble tiers 2
-    # and 3 refine tuple types in a loop that stops once a round splits no
-    # class
+    # ef caps rounds left at the fresh elements (one here), the modal sweep
+    # stops once a round drops no pair (later rounds change nothing), pebble
+    # tier 1 has two positions, and ef and pebble tiers 2 and 3 refine tuple
+    # types in a loop that stops once a round splits no class
     data = {"signature": {"R": 2, "P": 1}, "universe": ["a"],
             "relations": {"R": [["a", "a"]], "P": [["a"]]}, "point": "a"}
     p = write(tmp_path, "one.json", data)
@@ -287,8 +317,8 @@ def test_check_deep_k_on_one_element(tmp_path, capsys):
             out = capsys.readouterr().out
             verdict = json.loads(out)
             assert verdict["equiv"] is True and _verifies(verdict, A, A), (game, tier)
-            if game == "pebble":  # positions are sets: only () and {(a, a)}
-                assert len(out) < 1024, (tier, len(out))
+            if game != "modal":  # at most two positions: none or one pair
+                assert len(out) < 1024, (game, tier, len(out))
 
 
 def test_check_modal_tier1_certificate_on_a_complete_label(tmp_path, capsys):

@@ -12,7 +12,7 @@ from gamecomonads.coalgebra import (construct_coalgebra, ef_coalgebra_number,
                                     ef_to_pebble_coalgebra, ef_to_pebble_play,
                                     forest_cover_to_ef_coalgebra, modal_coalgebra,
                                     modal_coalgebra_number, modal_depth,
-                                    pebble_coalgebra_number,
+                                    pebble_coalgebra_number, pebble_coalgebra_to_cover,
                                     pebbled_cover_to_coalgebra, verify_coalgebra)
 from gamecomonads.decomposition import ForestCover, tree_depth, tree_width
 from gamecomonads.ef import ef_materialize, play_id
@@ -122,6 +122,17 @@ def test_verify_pebble_coalgebra_from_cover():
     alpha = pebbled_cover_to_coalgebra(cover)
     ok, msg = verify_coalgebra("pebble", A, k, alpha)
     assert ok, msg
+
+
+def test_pebble_cover_coalgebra_round_trip():
+    for A in (zoo.clique(3), zoo.path(4), zoo.cycle(5), zoo.lin(1)):
+        k, cover = pebble_coalgebra_number(A)
+        back = pebble_coalgebra_to_cover(A, k, pebbled_cover_to_coalgebra(cover))
+        assert back.cover.parent == cover.cover.parent
+        assert back.pebbles == cover.pebbles and back.k == k
+    # one pebble cannot hold both ends of an edge
+    with pytest.raises(ValueError, match="not a coalgebra"):
+        pebble_coalgebra_to_cover(zoo.edge(), 1, {"a": ((1, "a"),), "b": ((1, "a"), (1, "b"))})
 
 
 def test_pebble_coalgebra_number_fixtures():

@@ -1,16 +1,22 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
 from strategies import structure_pairs, structures
 
 from gamecomonads import zoo
-from gamecomonads.ef import (EfCoKleisli, coextend_play, ef_coextension, ef_counit,
-                             ef_game_exists, ef_materialize, ef_plays,
+from gamecomonads.ef import (EfCoKleisli, EfRules, coextend_play, ef_coextension,
+                             ef_counit, ef_game_exists, ef_materialize, ef_plays,
                              i_morphism_normalize, is_i_morphism, play_id,
-                             play_of_id, strategy_from_json, strategy_to_json,
-                             verify_ef_strategy)
+                             play_of_id)
+from gamecomonads.strategy import verify
 from gamecomonads.structures import (CapExceeded, find_homomorphism,
                                      is_homomorphism)
+
+
+def verify_ef(f: EfCoKleisli):
+    return verify(EfRules(f.source, f.target, f.k, 1), 1, f.certificate)
 
 
 def ids(plays):
@@ -95,19 +101,21 @@ def test_game_identity():
     A = zoo.lin(3)
     verdict, cert = ef_game_exists(A, A, 2)
     assert verdict
-    ok, msg = verify_ef_strategy(cert)
+    ok, msg = verify_ef(cert)
     assert ok, msg
+    assert cert.certificate["shape"] == "positions"
+    assert cert.certificate["game"] == "existential"
 
 
-def test_game_strategy_cap():
-    # a win whose strategy table would exceed the cap raises rather than
-    # answering without a certificate; a loss, or no table asked for, answers
-    with pytest.raises(CapExceeded) as exc:
-        ef_game_exists(zoo.lin(3), zoo.lin(3), 2, strategy_cap=5)
-    assert exc.value.cap == 5 and exc.value.required == 3 + 9
-    assert ef_game_exists(zoo.lin(3), zoo.lin(3), 2, build_strategy=False,
-                          strategy_cap=5) == (True, None)
-    assert ef_game_exists(zoo.lin(3), zoo.lin(2), 2, strategy_cap=5) == (False, None)
+def test_rounds_left_capped_at_the_unpebbled_elements():
+    # two elements leave at most two rounds that can add a pair; the play
+    # table still answers every play up to rank 5, from that one certificate
+    A = zoo.lin(2)
+    verdict, cert = ef_game_exists(A, A, 5)
+    assert verdict and verify_ef(cert) == (True, None)
+    assert max(e["rounds_left"] for e in cert.certificate["positions"]) == 2
+    assert len(cert.table) == sum(2 ** i for i in range(1, 6))
+    assert all(cert(s) == s[-1] for s in ef_plays(A, 5))
 
 
 def test_game_lin3_to_lin2():
@@ -165,18 +173,29 @@ def test_strategy_table_is_cokleisli_hom():
 
 
 def test_strategy_verifier_rejects_tampering():
+    # answering e1 with e0 after e0 -> e0 breaks the order upstream
     A = zoo.lin(2)
     verdict, cert = ef_game_exists(A, A, 2)
-    cert.table[("e0", "e1")] = "e0"  # duplicate response breaks injectivity upstream
-    ok, msg = verify_ef_strategy(cert)
+    at = next(e for e in cert.certificate["positions"] if e["pairs"] == [["e0", "e0"]])
+    at["forth"] = [[a, "e0"] for a, _ in at["forth"]]
+    ok, msg = verify_ef(cert)
     assert not ok and "partial homomorphism" in msg
 
 
+def test_strategy_verifier_rejects_a_dropped_position():
+    A = zoo.lin(3)
+    verdict, cert = ef_game_exists(A, A, 2)
+    del cert.certificate["positions"][-1]
+    ok, msg = verify_ef(cert)
+    assert not ok and "no answers recorded" in msg
+
+
 def test_strategy_json_round_trip():
+    # the certificate is the strategy's JSON form: its play table survives
     A = zoo.lin(2)
     verdict, cert = ef_game_exists(A, A, 2)
-    data = strategy_to_json(cert)
-    back = strategy_from_json(data, A, A)
+    data = json.loads(json.dumps(cert.certificate))
+    back = EfCoKleisli(A, A, 2, certificate=data)
     assert back.table == cert.table
 
 

@@ -439,6 +439,20 @@ def test_verifier_rejects_losing_ef_answer_two_pairs_deep(tier, name, edit, pair
     assert "is not a partial isomorphism" in msg, msg
 
 
+def test_verifier_rejects_losing_ef_tier1_answer_two_pairs_deep():
+    # the line e1 -> e1, e3 -> e3, then e4 -> e2 breaks the order
+    A = zoo.lin(5)
+    cert = decide("ef", 1, A, A, 3)["certificate"]["forward"]
+    assert _entry(cert, pairs=[])["forth"][1] == ["e1", "e1"]
+    assert _entry(cert, pairs=[["e1", "e1"]], rounds_left=2)["forth"][3] == ["e3", "e3"]
+    assert _entry(cert, pairs=DEEP)["forth"][4] == ["e4", "e4"]
+    bad = _tampered(cert, {"pairs": DEEP}, "forth", _e4_to_e2)
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and "('e4', 'e2')" in msg and "loses" in msg, msg
+    assert '"pairs": [["e1", "e1"], ["e3", "e3"]]' in msg, msg
+    assert "is not a partial homomorphism" in msg, msg
+
+
 @pytest.mark.parametrize("tier, name, edit, pair, kind", [
     (1, "forth", _e4_to_e2, "('e4', 'e2')", "homomorphism"),
     (3, "bijection", _swap_e0_e2, "('e0', 'e2')", "isomorphism"),
@@ -453,18 +467,6 @@ def test_verifier_rejects_losing_pebble_answer_two_pairs_deep(tier, name, edit, 
     assert not ok and pair in msg and "loses" in msg, msg
     assert '{"base": [["e1", "e1"], ["e3", "e3"]]}' in msg, msg
     assert f"is not a partial {kind}" in msg, msg
-
-
-def test_play_table_rejects_losing_response_three_moves_deep():
-    A = zoo.lin(5)
-    cert = decide("ef", 1, A, A, 3)["certificate"]["forward"]
-    responses = {tuple(e["play"]): e["response"] for e in cert["strategy"]}
-    assert [responses[("e1",)], responses[("e1", "e3")]] == ["e1", "e3"]
-    bad = {**cert, "strategy": [dict(e, response="e2") if e["play"] == ["e1", "e3", "e4"]
-                                else e for e in cert["strategy"]]}
-    ok, msg = verify_certificate(bad, A, A)
-    assert not ok, msg
-    assert msg == "position after play ['e1', 'e3', 'e4'] is not a partial homomorphism", msg
 
 
 def test_verifier_rejects_non_bijection_at_tier_3():
