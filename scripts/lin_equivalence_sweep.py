@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from gamecomonads import zoo
-from gamecomonads.equiv import ef_back_and_forth
+from gamecomonads.ef import ef_game
 
 
 def main() -> int:
@@ -28,8 +28,7 @@ def main() -> int:
         for m in range(1, args.max_n + 1):
             row = [f"{m:3d}: "]
             for n in range(1, args.max_n + 1):
-                eq = ef_back_and_forth(zoo.lin(m), zoo.lin(n), k,
-                                       build_certificate=False)[0]
+                eq = ef_game(zoo.lin(m), zoo.lin(n), k, 2, build_certificate=False)[0]
                 expected = m == n or min(m, n) >= 2 ** k - 1
                 mismatches += eq != expected
                 row.append((" =" if eq else " .") if eq == expected else " !")

@@ -81,7 +81,7 @@ def cmd_check(args) -> int:
             raise UsageError(str(exc))
     verdict = equiv_mod.decide(args.game, args.tier, A, B, args.k)
     cert = verdict["certificate"]
-    if cert is not None:
+    if verdict["equiv"]:
         _check_emitted_certificate(args.tier, cert, A, B)
     if args.cert and cert is not None:
         with open(args.cert, "w", encoding="utf-8") as fh:
@@ -91,12 +91,18 @@ def cmd_check(args) -> int:
 
 
 def _check_emitted_certificate(tier: int, cert, A, B) -> None:
-    """Re-verify a strategy certificate before handing it out."""
-    sides = ([(cert.get("forward"), A, B), (cert.get("backward"), B, A)] if tier == 1
-             else [(cert, A, B)])
-    for side_cert, src, dst in sides:
-        if isinstance(side_cert, dict) and "game" in side_cert:
-            _self_check("emitted certificate", *equiv_mod.verify_certificate(side_cert, src, dst))
+    """Re-verify the certificate of a positive verdict before handing it out:
+    it must be there, and so must each of its parts (forward and backward at
+    tier 1), and every part must verify."""
+    if tier == 1 and isinstance(cert, dict):
+        parts = [("forward certificate", cert.get("forward"), A, B),
+                 ("backward certificate", cert.get("backward"), B, A)]
+    else:
+        parts = [("certificate", cert, A, B)]
+    for what, part, src, dst in parts:
+        if not isinstance(part, dict):
+            raise SelfCheckFailed(f"a positive verdict came without its {what}")
+        _self_check(f"emitted {what}", *equiv_mod.verify_certificate(part, src, dst))
 
 
 def cmd_param(args) -> int:
@@ -193,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide an equivalence tier between two structures")
-    p.add_argument("--game", choices=("ef", "pebble", "modal"), required=True)
+    p.add_argument("--game", choices=tuple(equiv_mod.SOLVERS), required=True)
     p.add_argument("--tier", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("-k", type=int, required=True, help="resource bound (>= 1)")
     p.add_argument("A")
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_param)
 
     p = sub.add_parser("coalgebra", help="construct or verify a coalgebra")
-    p.add_argument("--comonad", choices=("ef", "pebble", "modal"), required=True)
+    p.add_argument("--comonad", choices=tuple(equiv_mod.SOLVERS), required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("A")
     p.add_argument("alpha", nargs="?", default=None,

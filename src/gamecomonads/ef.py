@@ -4,7 +4,7 @@ A play of rank k over a structure is a non-empty sequence of at most k
 elements.  The comonad sends a structure to the structure of all such plays;
 a coKleisli map (plays -> target elements) is exactly a Duplicator strategy
 for the k-round existential comparison game, and its coextension replays the
-strategy prefix by prefix.
+strategy prefix by prefix.  `ef_game` decides the games of all three tiers.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 from itertools import product
 from typing import Callable, Mapping, Optional
 
+from .refine import Types
 from .strategy import PairRules, answers, certificate
 from .structures import (CapExceeded, Structure, extensions, occurrences,
                          require_same_signature, validate_structure)
@@ -210,24 +211,46 @@ class EfGame:
         return answers(1, self.A.universe, self.B.universe, self.good(pairs, rounds))
 
 
-def ef_game_exists(A: Structure, B: Structure, k: int,
-                   build_strategy: bool = True) -> tuple[bool, Optional[EfCoKleisli]]:
-    """Decide the k-round existential comparison game from A to B.
+def ef_game(A: Structure, B: Structure, k: int, tier: int,
+            build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
+    """Decide the k-round ef game of a tier: tier 1 by game search
+    (`EfGame`), tiers 2 and 3 by rank-k (counting) types (`refine.Types`).
 
-    Duplicator survives iff the induced partial map stays a partial
-    homomorphism (`EfGame`).  On a win, the strategy is returned as a
-    coKleisli map holding its positions certificate (`strategy.certificate`
-    under `EfRules`); its play table is built only when asked for.
+    On a win the certificate answers each move with the first winning
+    response: at tiers 2 and 3, a pebbled element with its partner and a new
+    one with the first new element, in universe order, whose extension has
+    the same type (or by a matching of those at tier 3).  Spoiler wins tier 3
+    outright on a cardinality mismatch.
     """
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
-    game = EfGame(A, B)
-    exists = game.win(frozenset(), k)
-    if not exists or not build_strategy:
-        return exists, None
-    cert = certificate(EfRules(A, B, k, 1), 1, lambda pos, _: game.good(*pos))
-    return True, EfCoKleisli(A, B, k, certificate=cert)
+    if tier == 3 and len(A.universe) != len(B.universe):
+        return False, None
+    if tier == 1:
+        game = EfGame(A, B)
+        won = game.win(frozenset(), k)
+
+        def good(pos, _):
+            return game.good(*pos)
+    else:
+        types = Types(A, B, k, pebble=False, counting=tier == 3)
+        won = types.equal
+
+        def good(pos, _):
+            return types.same_after(sorted(pos[0]), pos[1] - 1)
+    if not won or not build_certificate:
+        return won, None
+    return True, certificate(EfRules(A, B, k, tier), tier, good)
+
+
+def ef_game_exists(A: Structure, B: Structure, k: int,
+                   build_strategy: bool = True) -> tuple[bool, Optional[EfCoKleisli]]:
+    """The existential ef game (`ef_game` at tier 1), with a winning strategy
+    returned as a coKleisli map that holds its positions certificate; its
+    play table is built only when asked for."""
+    exists, cert = ef_game(A, B, k, 1, build_strategy)
+    return exists, cert and EfCoKleisli(A, B, k, certificate=cert)
 
 
 class EfRules(PairRules):

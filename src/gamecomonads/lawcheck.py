@@ -22,8 +22,6 @@ from . import pebble as pebble_mod
 from .structures import (PointedStructure, Structure, find_homomorphism,
                          is_homomorphism, validate_structure)
 
-EF_CAP = 200_000
-
 
 @dataclass
 class GenConfig:
@@ -48,7 +46,7 @@ class GenConfig:
             raise ValueError("iterations must be >= 0")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError("ks must be non-empty with every k >= 1")
-        if ef_mod.ef_universe_size(self.max_universe_size, max(self.ks)) > EF_CAP:
+        if ef_mod.ef_universe_size(self.max_universe_size, max(self.ks)) > ef_mod.DEFAULT_CAP:
             raise ValueError("configuration exceeds the materialization cap")
 
 
@@ -357,9 +355,10 @@ def _run_modal_iteration(cfg: GenConfig, i: int) -> Optional[dict]:
     law = check(P, k)
     if law is None:
         return None
-    P_small, k_small = _shrink_pointed(P, k, lambda s, kk: check(s, kk) == law)
+    A_small, k_small = _shrink(
+        P.base, k, lambda s, kk: check(PointedStructure(s, P.point), kk) == law, keep=P.point)
     return {"comonad": "modal", "law": law, "iteration": i, "k": k_small,
-            "structure": _structure_json(P_small)}
+            "structure": _structure_json(PointedStructure(A_small, P.point))}
 
 
 def _structure_json(A) -> dict:
@@ -367,9 +366,9 @@ def _structure_json(A) -> dict:
     return structure_to_dict(A)
 
 
-def _shrink(A: Structure, k: int, still_fails: Callable[[Structure, int], bool]
-            ) -> tuple[Structure, int]:
-    """Greedy shrink: drop tuples, then elements, then lower k."""
+def _shrink(A: Structure, k: int, still_fails: Callable[[Structure, int], bool],
+            keep: Optional[str] = None) -> tuple[Structure, int]:
+    """Greedy shrink: drop tuples, then elements other than keep, then lower k."""
     current, cur_k = A, k
     improved = True
     while improved:
@@ -387,6 +386,8 @@ def _shrink(A: Structure, k: int, still_fails: Callable[[Structure, int], bool]
             continue
         if len(current.universe) > 1:
             for e in current.universe:
+                if e == keep:
+                    continue
                 cand = _drop_element(current, e)
                 if still_fails(cand, cur_k):
                     current = cand
@@ -411,43 +412,6 @@ def _drop_element(A: Structure, e: str) -> Structure:
     rels = {n: [list(t) for t in sorted(tups) if e not in t]
             for n, tups in A.relations.items()}
     return validate_structure(dict(A.sig.relations), universe, rels)
-
-
-def _shrink_pointed(P: PointedStructure, k: int,
-                    still_fails: Callable[[PointedStructure, int], bool]
-                    ) -> tuple[PointedStructure, int]:
-    def wrap(A: Structure) -> PointedStructure:
-        return PointedStructure(A, P.point)
-
-    current, cur_k = P, k
-    improved = True
-    while improved:
-        improved = False
-        for name in sorted(current.base.relations):
-            for t in sorted(current.base.relations[name]):
-                cand = wrap(_drop_tuple(current.base, name, t))
-                if still_fails(cand, cur_k):
-                    current = cand
-                    improved = True
-                    break
-            if improved:
-                break
-        if improved:
-            continue
-        for e in current.base.universe:
-            if e == P.point or len(current.base.universe) == 1:
-                continue
-            cand = wrap(_drop_element(current.base, e))
-            if still_fails(cand, cur_k):
-                current = cand
-                improved = True
-                break
-        if improved:
-            continue
-        if cur_k > 1 and still_fails(current, cur_k - 1):
-            cur_k -= 1
-            improved = True
-    return current, cur_k
 
 
 def run_law_suite(cfg: GenConfig) -> LawReport:

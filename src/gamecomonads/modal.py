@@ -211,18 +211,6 @@ def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
         lambda x, y: (x, y) in win[min(pos[2] - 1, top)]))
 
 
-def modal_back_and_forth(P: PointedStructure, Q: PointedStructure, k: int,
-                         build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """Depth-k bisimulation: `modal_game` at tier 2."""
-    return modal_game(P, Q, k, 2, build_certificate)
-
-
-def graded_bisim_game(P: PointedStructure, Q: PointedStructure, k: int,
-                      build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """Depth-k graded bisimulation: `modal_game` at tier 3."""
-    return modal_game(P, Q, k, 3, build_certificate)
-
-
 class ModalRules:
     """The modal games for `strategy`: a position is (world of P, world of Q,
     depth left), Spoiler's challenges are grouped by label, and the worlds'

@@ -193,10 +193,11 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[Position]:
 
 
 def pebble_game(A: Structure, B: Structure, k: int, tier: int,
-                build_certificate: bool) -> tuple[bool, Optional[dict]]:
+                build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
     """Decide the k-pebble game of a tier: tier 1 by `pebble_fixpoint`, tiers
-    2 and 3 by k-variable (counting) types (`refine.Types`).  On a win the
-    certificate answers each move with the first surviving response."""
+    2 and 3 by k-variable (counting) types (`refine.Types`).  There is no
+    round bound.  On a win the certificate answers each move with the first
+    surviving response."""
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -217,18 +218,6 @@ def pebble_game(A: Structure, B: Structure, k: int, tier: int,
     if not exists or not build_certificate:
         return exists, None
     return True, certificate(PebbleRules(A, B, k, tier), tier, good)
-
-
-def pebble_game_exists(A: Structure, B: Structure, k: int,
-                       build_strategy: bool = True) -> tuple[bool, Optional[dict]]:
-    """Decide the existential k-pebble game from A to B.
-
-    A position survives iff its pairs form a partial homomorphism and every
-    Spoiler move (place or re-place a pebble on a source element) has a
-    response keeping the successor alive.  There is no round bound; the set
-    of winning positions is a greatest fixpoint (`pebble_fixpoint`).
-    """
-    return pebble_game(A, B, k, 1, build_strategy)
 
 
 class PebbleRules(PairRules):

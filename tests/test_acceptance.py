@@ -21,13 +21,12 @@ from gamecomonads.coalgebra import (construct_coalgebra, ef_coalgebra_to_forest_
 from gamecomonads.decomposition import (pebble_cover_to_decomposition, tree_depth,
                                         tree_width, verify_pebbled_forest_cover,
                                         verify_tree_decomposition)
-from gamecomonads.ef import ef_game_exists, ef_materialize
-from gamecomonads.equiv import (back_and_forth_equiv, bijection_game_equiv, decide,
-                                ef_back_and_forth, mutual_existential,
-                                pebble_back_and_forth, pebble_bijection_equiv)
+from gamecomonads.ef import ef_game, ef_game_exists, ef_materialize
+from gamecomonads.equiv import decide
 from gamecomonads.lawcheck import (GenConfig, random_pair, random_pointed_pair,
                                    run_law_suite)
-from gamecomonads.modal import graded_bisim_game, modal_back_and_forth, modal_unfold
+from gamecomonads.modal import modal_game, modal_unfold
+from gamecomonads.pebble import pebble_game
 from gamecomonads.structures import (find_homomorphism, gaifman_graph,
                                      load_structure_file, validate_structure)
 
@@ -94,7 +93,7 @@ def test_criterion_04_theta_oracle_vs_back_and_forth():
             for k in (1, 2):
                 runs += 1
                 oracle = theta_fixpoint_oracle(A, B, k)
-                game = ef_back_and_forth(A, B, k, build_certificate=False)[0]
+                game = ef_game(A, B, k, 2, build_certificate=False)[0]
                 disagreements += (oracle != game)
     report(4, disagreements == 0,
            f"descending-fixpoint oracle vs back-and-forth game on all "
@@ -107,8 +106,7 @@ def test_criterion_05_linear_order_fixture():
     for m in range(1, 9):
         for n in range(1, 9):
             for k in (1, 2, 3):
-                engine = ef_back_and_forth(zoo.lin(m), zoo.lin(n), k,
-                                           build_certificate=False)[0]
+                engine = ef_game(zoo.lin(m), zoo.lin(n), k, 2, build_certificate=False)[0]
                 textbook = lin_game_textbook(m, n, k)
                 closed = lin_closed_form(m, n, k)
                 mismatches += (engine != textbook) + (engine != closed)
@@ -140,24 +138,24 @@ def test_criterion_06_tier_ordering_and_strictness():
     strict = []
     # rank: mutual existential holds, back-and-forth fails (stored fixtures)
     A, B = fixture("edge2"), fixture("path3")
-    strict.append(mutual_existential("ef", A, B, 2)[0]
-                  and not ef_back_and_forth(A, B, 2, build_certificate=False)[0])
+    strict.append(decide("ef", 1, A, B, 2)["equiv"]
+                  and not ef_game(A, B, 2, 2, build_certificate=False)[0])
     C, D = fixture("one-empty"), fixture("two-empty")
-    strict.append(ef_back_and_forth(C, D, 1, build_certificate=False)[0]
-                  and not bijection_game_equiv(C, D, 1)[0])
+    strict.append(ef_game(C, D, 1, 2, build_certificate=False)[0]
+                  and not ef_game(C, D, 1, 3)[0])
     # pebble
-    strict.append(mutual_existential("pebble", A, B, 2)[0]
-                  and not pebble_back_and_forth(A, B, 2, build_certificate=False)[0])
+    strict.append(decide("pebble", 1, A, B, 2)["equiv"]
+                  and not pebble_game(A, B, 2, 2, build_certificate=False)[0])
     K3, K4 = fixture("k3"), fixture("k4")
-    strict.append(pebble_back_and_forth(K3, K4, 2, build_certificate=False)[0]
-                  and not pebble_bijection_equiv(K3, K4, 2)[0])
+    strict.append(pebble_game(K3, K4, 2, 2, build_certificate=False)[0]
+                  and not pebble_game(K3, K4, 2, 3)[0])
     # modal
     MA, MB = fixture("branchy-marked"), fixture("straight-marked")
-    strict.append(mutual_existential("modal", MA, MB, 2)[0]
-                  and not back_and_forth_equiv("modal", MA, MB, 1)[0])
+    strict.append(decide("modal", 1, MA, MB, 2)["equiv"]
+                  and not decide("modal", 2, MA, MB, 1)["equiv"])
     M1, M2 = fixture("one-successor"), fixture("two-successors")
-    strict.append(back_and_forth_equiv("modal", M1, M2, 2)[0]
-                  and not graded_bisim_game(M1, M2, 1, build_certificate=False)[0])
+    strict.append(decide("modal", 2, M1, M2, 2)["equiv"]
+                  and not modal_game(M1, M2, 1, 3, build_certificate=False)[0])
 
     report(6, violations == 0 and all(strict),
            f"tier ordering on random pairs ({violations} violations) and "
@@ -253,10 +251,10 @@ def test_criterion_10_modal_tier_equivalences():
     for i in range(100):
         P, Q = random_pointed_pair(rng, max_worlds=5)
         k = rng.choice((1, 2, 3, 4))
-        game = graded_bisim_game(P, Q, k, build_certificate=False)[0]
+        game = modal_game(P, Q, k, 3, build_certificate=False)[0]
         approx = graded_bisim_approx(P, Q, k)
         brute = brute_graded_bisim(P, Q, k)
-        bf = modal_back_and_forth(P, Q, k, build_certificate=False)[0]
+        bf = modal_game(P, Q, k, 2, build_certificate=False)[0]
         bis = bisim_approx(P, Q, k)
         disagreements += (game != approx) + (approx != brute) + (bf != bis)
     report(10, disagreements == 0,

@@ -63,24 +63,22 @@ def test_check_ef_tier1_past_the_old_table_cap(tmp_path, capsys):
     assert _verifies(verdict, zoo.lin(7), zoo.lin(7))
 
 
-@pytest.mark.parametrize("game, module, name", [("ef", equiv, "ef_game_exists"),
-                                                ("pebble", equiv, "pebble_game_exists"),
-                                                ("modal", modal, "modal_game")])
-def test_tier1_skips_the_backward_game_once_the_forward_one_is_lost(
-        monkeypatch, game, module, name):
+@pytest.mark.parametrize("game", tuple(equiv.SOLVERS))
+def test_tier1_skips_the_backward_game_once_the_forward_one_is_lost(monkeypatch, game):
     calls = []
-    solver = getattr(module, name)
+    solver = equiv.SOLVERS[game]
 
     def counting(*args, **kwargs):
         calls.append(args[:2])
         return solver(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setitem(equiv.SOLVERS, game, counting)
     if game == "modal":
         A, B = zoo.kripke_chain(2), zoo.kripke_chain(1)
     else:
         A, B = zoo.clique(3), zoo.edge2()
-    assert equiv.mutual_existential(game, A, B, 3) == (False, None)
+    verdict = equiv.decide(game, 1, A, B, 3)
+    assert (verdict["equiv"], verdict["certificate"]) == (False, None)
     assert calls == [(A, B)]
 
 
@@ -258,26 +256,58 @@ def test_rejects_duplicate_top_level_json_keys(tmp_path, capsys):
     assert "duplicate key 'point'" in err and "relation" not in err
 
 
-def _fails(*args):
-    return False, "tampered"
+def _fails(real):
+    """A verifier that rejects everything."""
+    return lambda *args: (False, "tampered")
 
 
+def _uncertified(real):
+    """A solver that wins without a certificate."""
+    return lambda *args, **kwargs: (True, None)
+
+
+def _certifies_once(real):
+    """A solver that certifies only the first game it plays."""
+    played = []
+
+    def solver(*args, **kwargs):
+        won, cert = real(*args, **kwargs)
+        played.append(cert)
+        return won, cert if len(played) == 1 else None
+    return solver
+
+
+# target: (module or table, name, stub maker, text the error names)
 @pytest.mark.parametrize("target, argv", [
-    ((equiv, "verify_certificate"), ["check", "--game", "pebble", "--tier", "2", "-k", "2"]),
-    ((equiv, "verify_certificate"), ["check", "--game", "ef", "--tier", "1", "-k", "1"]),
-    ((decomposition, "verify_tree_decomposition"), ["param", "--kind", "tree-width"]),
-    ((decomposition, "verify_forest_cover"), ["param", "--kind", "tree-depth"]),
-    ((coalgebra, "verify_coalgebra"), ["coalgebra", "--comonad", "ef", "-k", "2"]),
+    ((equiv, "verify_certificate", _fails, "tampered"),
+     ["check", "--game", "pebble", "--tier", "2", "-k", "2"]),
+    ((equiv, "verify_certificate", _fails, "tampered"),
+     ["check", "--game", "ef", "--tier", "1", "-k", "1"]),
+    ((decomposition, "verify_tree_decomposition", _fails, "tampered"),
+     ["param", "--kind", "tree-width"]),
+    ((decomposition, "verify_forest_cover", _fails, "tampered"),
+     ["param", "--kind", "tree-depth"]),
+    ((coalgebra, "verify_coalgebra", _fails, "tampered"),
+     ["coalgebra", "--comonad", "ef", "-k", "2"]),
+    ((equiv.SOLVERS, "ef", _uncertified, "without its certificate"),
+     ["check", "--game", "ef", "--tier", "2", "-k", "2"]),
+    ((equiv.SOLVERS, "pebble", _uncertified, "without its forward certificate"),
+     ["check", "--game", "pebble", "--tier", "1", "-k", "2"]),
+    ((equiv.SOLVERS, "ef", _certifies_once, "without its backward certificate"),
+     ["check", "--game", "ef", "--tier", "1", "-k", "2"]),
 ])
 def test_failed_self_check_exits_2_and_prints_nothing(monkeypatch, capsys, lin2, target, argv):
     # a failed re-verification is a fault of the program, and exit 1 would
-    # read as "not equivalent"
-    monkeypatch.setattr(*target, _fails)
+    # read as "not equivalent"; so is a positive verdict with a part of its
+    # certificate missing
+    owner, name, stub, reason = target
+    table = owner if isinstance(owner, dict) else vars(owner)
+    monkeypatch.setitem(table, name, stub(table[name]))
     files = [lin2, lin2] if argv[0] == "check" else [lin2]
     assert main(argv + files) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "self-check failed" in err and "tampered" in err
+    assert "self-check failed" in err and reason in err, err
 
 
 def test_usage_error_exit_code():

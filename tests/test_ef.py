@@ -293,6 +293,6 @@ def test_lin_sweep_script_checks_the_closed_form(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["sweep", "--max-n", "7", "--max-k", "3"])
     assert sweep["main"]() == 0
     # a solver that calls every pair equivalent disagrees with the closed form
-    sweep["main"].__globals__["ef_back_and_forth"] = lambda *args, **kw: (True, None)
+    sweep["main"].__globals__["ef_game"] = lambda *args, **kw: (True, None)
     assert sweep["main"]() == 1
     assert " !" in capsys.readouterr().out

@@ -11,8 +11,7 @@ from oracles import (EfGameReference, all_digraphs, ef_back_and_forth_recursion,
                      ef_bijection_recursion, ef_game_recursion, ef_game_reference, relabelled)
 
 from gamecomonads import zoo
-from gamecomonads.ef import EfGame, ef_game_exists
-from gamecomonads.equiv import bijection_game_equiv, ef_back_and_forth
+from gamecomonads.ef import EfGame, ef_game, ef_game_exists
 from gamecomonads.structures import (is_partial_homomorphism, is_partial_isomorphism,
                                      validate_structure)
 
@@ -82,8 +81,8 @@ def test_engine_matches_recursions(family):
         for k in (1, 2, 3):
             exists, f = ef_game_exists(A, B, k)
             assert (exists, f and f.table) == ef_game_recursion(A, B, k), (A, B, k)
-            assert ef_back_and_forth(A, B, k) == ef_back_and_forth_recursion(A, B, k), (A, B, k)
-            assert bijection_game_equiv(A, B, k) == ef_bijection_recursion(A, B, k), (A, B, k)
+            assert ef_game(A, B, k, 2) == ef_back_and_forth_recursion(A, B, k), (A, B, k)
+            assert ef_game(A, B, k, 3) == ef_bijection_recursion(A, B, k), (A, B, k)
 
 
 def test_rounds_past_the_unpebbled_elements_match_recursions():
@@ -96,8 +95,8 @@ def test_rounds_past_the_unpebbled_elements_match_recursions():
         for k in (4, 6):
             exists, f = ef_game_exists(A, B, k)
             assert (exists, f and f.table) == ef_game_recursion(A, B, k), (A, B, k)
-            assert ef_back_and_forth(A, B, k) == ef_back_and_forth_recursion(A, B, k), (A, B, k)
-            assert bijection_game_equiv(A, B, k) == ef_bijection_recursion(A, B, k), (A, B, k)
+            assert ef_game(A, B, k, 2) == ef_back_and_forth_recursion(A, B, k), (A, B, k)
+            assert ef_game(A, B, k, 3) == ef_bijection_recursion(A, B, k), (A, B, k)
 
 
 @pytest.mark.parametrize("family", ["digraphs", "random", "lin", "zoo"])
@@ -106,5 +105,5 @@ def test_types_match_pair_set_engine(family):
     pair-set engine they replaced, at more rounds than elements too."""
     for A, B in _pairs(family):
         for k in range(1, min(len(A.universe), 4) + 2):
-            assert ef_back_and_forth(A, B, k) == ef_game_reference(A, B, k, 2), (A, B, k)
-            assert bijection_game_equiv(A, B, k) == ef_game_reference(A, B, k, 3), (A, B, k)
+            assert ef_game(A, B, k, 2) == ef_game_reference(A, B, k, 2), (A, B, k)
+            assert ef_game(A, B, k, 3) == ef_game_reference(A, B, k, 3), (A, B, k)

@@ -9,52 +9,51 @@ from oracles import (all_digraphs, bisim_approx, brute_bijection_game, brute_bij
 from strategies import pointed_kripke_pairs, structure_pairs
 
 from gamecomonads import zoo
-from gamecomonads.equiv import (back_and_forth_equiv, bijection_game_equiv, decide,
-                                ef_back_and_forth, mutual_existential, pebble_back_and_forth,
-                                pebble_bijection_equiv, verify_certificate)
-from gamecomonads.modal import graded_bisim_game
+from gamecomonads.ef import ef_game
+from gamecomonads.equiv import decide, verify_certificate
+from gamecomonads.modal import modal_game
+from gamecomonads.pebble import pebble_game
 from gamecomonads.structures import BoundExceeded, validate_structure
 
 
 def test_mutual_existential_identity_all_tags():
     A = zoo.lin(2)
     for tag in ("ef", "pebble"):
-        assert mutual_existential(tag, A, A, 2)[0]
+        assert decide(tag, 1, A, A, 2)["equiv"]
     P = zoo.kripke_two_cycle()
-    assert mutual_existential("modal", P, P, 2)[0]
+    assert decide("modal", 1, P, P, 2)["equiv"]
 
 
 def test_mutual_existential_lin23():
     # LIN(3) -> LIN(2) already fails at two rounds, so no mutual equivalence
-    assert not mutual_existential("ef", zoo.lin(2), zoo.lin(3), 2)[0]
-    assert mutual_existential("ef", zoo.lin(2), zoo.lin(3), 1)[0]
+    assert not decide("ef", 1, zoo.lin(2), zoo.lin(3), 2)["equiv"]
+    assert decide("ef", 1, zoo.lin(2), zoo.lin(3), 1)["equiv"]
 
 
 def test_mutual_existential_certificates_round_trip():
     A, B = zoo.edge2(), zoo.path(3)
-    verdict, cert = mutual_existential("ef", A, B, 2)
-    assert verdict and cert["forward"] and cert["backward"]
-    verdict, cert = mutual_existential("pebble", A, B, 2)
-    assert verdict and cert["forward"] and cert["backward"]
+    for tag in ("ef", "pebble"):
+        v = decide(tag, 1, A, B, 2)
+        verdict, cert = v["equiv"], v["certificate"]
+        assert verdict and cert["forward"] and cert["backward"]
 
 
 def test_back_and_forth_identity():
     A = zoo.lin(3)
-    verdict, cert = ef_back_and_forth(A, A, 2)
+    verdict, cert = ef_game(A, A, 2, 2)
     assert verdict and cert["positions"]
 
 
 def test_back_and_forth_lin2_lin3():
-    assert ef_back_and_forth(zoo.lin(2), zoo.lin(3), 1, build_certificate=False)[0]
-    assert not ef_back_and_forth(zoo.lin(2), zoo.lin(3), 2, build_certificate=False)[0]
+    assert ef_game(zoo.lin(2), zoo.lin(3), 1, 2, build_certificate=False)[0]
+    assert not ef_game(zoo.lin(2), zoo.lin(3), 2, 2, build_certificate=False)[0]
 
 
 def test_back_and_forth_matches_textbook_lin_recursion():
     for m in range(1, 6):
         for n in range(1, 6):
             for k in (1, 2):
-                engine = ef_back_and_forth(zoo.lin(m), zoo.lin(n), k,
-                                           build_certificate=False)[0]
+                engine = ef_game(zoo.lin(m), zoo.lin(n), k, 2, build_certificate=False)[0]
                 assert engine == lin_game_textbook(m, n, k)
                 assert engine == lin_closed_form(m, n, k)
 
@@ -62,25 +61,25 @@ def test_back_and_forth_matches_textbook_lin_recursion():
 def test_back_and_forth_modal_delegates_to_bisim():
     P, Q = zoo.kripke_loop(), zoo.kripke_two_cycle()
     for k in (1, 3):
-        assert back_and_forth_equiv("modal", P, Q, k)[0] == bisim_approx(P, Q, k)
+        assert decide("modal", 2, P, Q, k)["equiv"] == bisim_approx(P, Q, k)
 
 
 def test_bijection_game_identity():
     A = zoo.lin(3)
-    verdict, cert = bijection_game_equiv(A, A, 2)
+    verdict, cert = ef_game(A, A, 2, 3)
     assert verdict
     assert cert["positions"][0]["bijection"]
 
 
 def test_bijection_game_cardinality_rule():
-    assert not bijection_game_equiv(zoo.lin(2), zoo.lin(3), 1)[0]
-    assert not pebble_bijection_equiv(zoo.lin(2), zoo.lin(3), 1)[0]
+    assert not ef_game(zoo.lin(2), zoo.lin(3), 1, 3)[0]
+    assert not pebble_game(zoo.lin(2), zoo.lin(3), 1, 3)[0]
 
 
 def test_bijection_game_loop_vs_empty():
     A = validate_structure({"R": 2}, ["a", "b", "c", "d"], {"R": [["a", "a"]]})
     B = validate_structure({"R": 2}, ["a", "b", "c", "d"], {"R": []})
-    assert not bijection_game_equiv(A, B, 1, build_certificate=False)[0]
+    assert not ef_game(A, B, 1, 3, build_certificate=False)[0]
     assert not brute_bijection_round(A, B)
 
 
@@ -88,14 +87,14 @@ def test_bijection_game_loop_vs_empty():
 @given(structure_pairs(max_size=3))
 def test_bijection_one_round_matches_bruteforce(pair):
     A, B = pair
-    assert bijection_game_equiv(A, B, 1, build_certificate=False)[0] == \
+    assert ef_game(A, B, 1, 3, build_certificate=False)[0] == \
         brute_bijection_round(A, B)
 
 
 def test_pebble_bijection_degree_multisets():
     A = validate_structure({"R": 2}, ["x", "y", "z"], {"R": [["x", "y"], ["x", "z"]]})
     B = validate_structure({"R": 2}, ["x", "y", "z"], {"R": [["x", "y"], ["y", "z"]]})
-    assert not pebble_bijection_equiv(A, B, 2, build_certificate=False)[0]
+    assert not pebble_game(A, B, 2, 3, build_certificate=False)[0]
 
 
 @settings(max_examples=20)
@@ -103,7 +102,7 @@ def test_pebble_bijection_degree_multisets():
 def test_bijection_game_matches_permutation_enumeration(pair):
     A, B = pair
     for k in (1, 2):
-        assert bijection_game_equiv(A, B, k, build_certificate=False)[0] == \
+        assert ef_game(A, B, k, 3, build_certificate=False)[0] == \
             brute_bijection_game(A, B, k)
 
 
@@ -124,7 +123,7 @@ def test_two_pebble_counting_game_matches_color_refinement():
                         tups += [[universe[i], universe[j]], [universe[j], universe[i]]]
             pair.append(validate_structure({"R": 2}, universe, {"R": tups}))
         A, B = pair
-        game = pebble_bijection_equiv(A, B, 2, build_certificate=False)[0]
+        game = pebble_game(A, B, 2, 3, build_certificate=False)[0]
         wl = not wl_distinguishes(A, B)
         assert game == wl
         agree += 1
@@ -135,10 +134,10 @@ def test_cliques_need_three_resources_to_separate():
     # without an order to walk, two pebbles or two rounds cannot count a
     # clique; three of either pin three distinct vertices
     K2, K3 = zoo.clique(2), zoo.clique(3)
-    assert ef_back_and_forth(K2, K3, 2, build_certificate=False)[0]
-    assert not ef_back_and_forth(K2, K3, 3, build_certificate=False)[0]
-    assert pebble_back_and_forth(K2, K3, 2, build_certificate=False)[0]
-    assert not pebble_back_and_forth(K2, K3, 3, build_certificate=False)[0]
+    assert ef_game(K2, K3, 2, 2, build_certificate=False)[0]
+    assert not ef_game(K2, K3, 3, 2, build_certificate=False)[0]
+    assert pebble_game(K2, K3, 2, 2, build_certificate=False)[0]
+    assert not pebble_game(K2, K3, 3, 2, build_certificate=False)[0]
 
 
 def test_pebble_back_and_forth_counts_along_linear_orders():
@@ -147,10 +146,9 @@ def test_pebble_back_and_forth_counts_along_linear_orders():
     for m in (2, 3):
         for n in (3, 4):
             expected = (m == n)
-            assert pebble_back_and_forth(zoo.lin(m), zoo.lin(n), 2,
-                                         build_certificate=False)[0] == expected
-            assert pebble_back_and_forth(zoo.lin(m), zoo.lin(n), 1,
-                                         build_certificate=False)[0]
+            assert pebble_game(zoo.lin(m), zoo.lin(n), 2, 2,
+                               build_certificate=False)[0] == expected
+            assert pebble_game(zoo.lin(m), zoo.lin(n), 1, 2, build_certificate=False)[0]
 
 
 def test_theta_empty_set_is_fixpoint():
@@ -179,40 +177,40 @@ def test_theta_agrees_with_back_and_forth_on_digraphs():
         for B in digraphs[:6]:
             for k in (1, 2):
                 assert theta_fixpoint_oracle(A, B, k) == \
-                    ef_back_and_forth(A, B, k, build_certificate=False)[0]
+                    ef_game(A, B, k, 2, build_certificate=False)[0]
 
 
 # tier ordering and strictness fixtures
 
 def test_tier_strictness_ef():
     A, B = zoo.edge2(), zoo.path(3)
-    assert mutual_existential("ef", A, B, 2)[0]
-    assert not ef_back_and_forth(A, B, 2, build_certificate=False)[0]
+    assert decide("ef", 1, A, B, 2)["equiv"]
+    assert not ef_game(A, B, 2, 2, build_certificate=False)[0]
     # tier 2 holds, tier 3 fails: same rank-1 theory, different cardinality
     C = validate_structure({"R": 2}, ["a"], {"R": []})
     D = validate_structure({"R": 2}, ["a", "b"], {"R": []})
-    assert ef_back_and_forth(C, D, 1, build_certificate=False)[0]
-    assert not bijection_game_equiv(C, D, 1)[0]
+    assert ef_game(C, D, 1, 2, build_certificate=False)[0]
+    assert not ef_game(C, D, 1, 3)[0]
 
 
 def test_tier_strictness_pebble():
     A, B = zoo.edge2(), zoo.path(3)
-    assert mutual_existential("pebble", A, B, 2)[0]
-    assert not pebble_back_and_forth(A, B, 2, build_certificate=False)[0]
+    assert decide("pebble", 1, A, B, 2)["equiv"]
+    assert not pebble_game(A, B, 2, 2, build_certificate=False)[0]
     K3, K4 = zoo.clique(3), zoo.clique(4)
-    assert pebble_back_and_forth(K3, K4, 2, build_certificate=False)[0]
-    assert not pebble_bijection_equiv(K3, K4, 2)[0]
+    assert pebble_game(K3, K4, 2, 2, build_certificate=False)[0]
+    assert not pebble_game(K3, K4, 2, 3)[0]
 
 
 def test_tier_strictness_modal():
     A = zoo.kripke(["r", "x", "y"], "r", {"t": [("r", "x"), ("r", "y")]}, {"p": ["x"]})
     B = zoo.kripke(["r", "x"], "r", {"t": [("r", "x")]}, {"p": ["x"]})
-    assert mutual_existential("modal", A, B, 2)[0]
-    assert not back_and_forth_equiv("modal", A, B, 1)[0]
+    assert decide("modal", 1, A, B, 2)["equiv"]
+    assert not decide("modal", 2, A, B, 1)["equiv"]
     one = zoo.kripke(["r", "x"], "r", {"t": [("r", "x")]})
     two = zoo.kripke(["r", "x", "y"], "r", {"t": [("r", "x"), ("r", "y")]})
-    assert back_and_forth_equiv("modal", one, two, 2)[0]
-    assert not graded_bisim_game(one, two, 1, build_certificate=False)[0]
+    assert decide("modal", 2, one, two, 2)["equiv"]
+    assert not modal_game(one, two, 1, 3, build_certificate=False)[0]
 
 
 @settings(max_examples=15)
@@ -271,6 +269,14 @@ def test_decide_verdict_shape():
     assert v["equiv"] is True and v["comonad"] == "ef" and v["tier"] == 2
 
 
+@pytest.mark.parametrize("tag, tier, named", [("rank", 2, "'rank'"), ("ef", 0, "0"),
+                                              ("ef", 4, "4")], ids=["tag", "tier0", "tier4"])
+def test_decide_rejects_unknown_tag_and_tier(tag, tier, named):
+    A = zoo.lin(2)
+    with pytest.raises(ValueError, match=named):
+        decide(tag, tier, A, A, 2)
+
+
 # winning-set predicates and certificate verifiers
 
 def test_winning_set_predicates():
@@ -317,7 +323,7 @@ def _entry(cert, **fields):
 
 def test_back_and_forth_certificate_rejects_tampering():
     A = zoo.lin(2)
-    verdict, cert = ef_back_and_forth(A, A, 2)
+    verdict, cert = ef_game(A, A, 2, 2)
     root = _entry(cert, pairs=[])
     assert root["forth"][0] == ["e0", "e0"]
     root["forth"][0] = ["e0", "e1"]
@@ -327,7 +333,7 @@ def test_back_and_forth_certificate_rejects_tampering():
 
 def test_pebble_bijection_certificate_rejects_tampering():
     A = zoo.lin(2)
-    verdict, cert = pebble_bijection_equiv(A, A, 2)
+    verdict, cert = pebble_game(A, A, 2, 3)
     assert verdict
     cert["positions"][0]["bijection"] = [["e0", "e0"], ["e1", "e0"]]
     ok, msg = verify_certificate(cert, A, A)
@@ -335,9 +341,8 @@ def test_pebble_bijection_certificate_rejects_tampering():
 
 
 def test_modal_bf_certificate_verifies_and_rejects_tampering():
-    from gamecomonads.modal import modal_back_and_forth
     P, Q = zoo.kripke_loop(), zoo.kripke_two_cycle()
-    verdict, cert = modal_back_and_forth(P, Q, 3)
+    verdict, cert = modal_game(P, Q, 3, 2)
     assert verdict
     ok, msg = verify_certificate(cert, P, Q)
     assert ok, msg
@@ -349,7 +354,8 @@ def test_modal_bf_certificate_verifies_and_rejects_tampering():
 def test_modal_existential_certificate_rejects_tampering():
     P = zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("a", "c"), ("b", "a")]},
                    {"p": ["b"]})
-    verdict, cert = mutual_existential("modal", P, P, 2)
+    v = decide("modal", 1, P, P, 2)
+    verdict, cert = v["equiv"], v["certificate"]
     assert verdict
     fwd = cert["forward"]
     assert (fwd["comonad"], fwd["game"], fwd["k"]) == ("modal", "existential", 2)
@@ -385,7 +391,7 @@ def _tampered(cert, position: dict, name: str, edit):
 
 def test_verifier_rejects_missing_left_answer():
     A = zoo.lin(2)
-    cert = ef_back_and_forth(A, A, 2)[1]
+    cert = ef_game(A, A, 2, 2)[1]
     bad = _tampered(cert, {"pairs": []}, "forth", lambda ans: [a for a in ans if a[0] != "e0"])
     ok, msg = verify_certificate(bad, A, A)
     assert not ok and msg.startswith("no forth answer to 'e0'"), msg
@@ -393,7 +399,7 @@ def test_verifier_rejects_missing_left_answer():
 
 def test_verifier_rejects_missing_right_answer_at_tier_2():
     A = zoo.lin(2)
-    cert = ef_back_and_forth(A, A, 2)[1]
+    cert = ef_game(A, A, 2, 2)[1]
     bad = _tampered(cert, {"pairs": []}, "back", lambda ans: ans[:1])
     ok, msg = verify_certificate(bad, A, A)
     assert not ok and msg.startswith("no back answer to 'e1'"), msg
@@ -401,7 +407,7 @@ def test_verifier_rejects_missing_right_answer_at_tier_2():
 
 def test_verifier_rejects_losing_response():
     A = zoo.lin(2)
-    cert = ef_back_and_forth(A, A, 2)[1]
+    cert = ef_game(A, A, 2, 2)[1]
     assert _entry(cert, pairs=[["e0", "e0"]])["forth"] == [["e0", "e0"], ["e1", "e1"]]
     bad = _tampered(cert, {"pairs": [["e0", "e0"]]}, "forth",
                     lambda ans: [["e0", "e0"], ["e1", "e0"]])
@@ -471,16 +477,15 @@ def test_verifier_rejects_losing_pebble_answer_two_pairs_deep(tier, name, edit, 
 
 def test_verifier_rejects_non_bijection_at_tier_3():
     A = zoo.lin(2)
-    cert = bijection_game_equiv(A, A, 2)[1]
+    cert = ef_game(A, A, 2, 3)[1]
     bad = _tampered(cert, {"pairs": []}, "bijection", lambda ans: [["e0", "e0"], ["e1", "e0"]])
     ok, msg = verify_certificate(bad, A, A)
     assert not ok and "is not a bijection" in msg, msg
 
 
 def test_verifier_rejects_modal_response_off_the_label():
-    from gamecomonads.modal import modal_back_and_forth
     P = zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("b", "c")]})
-    cert = modal_back_and_forth(P, P, 2)[1]
+    cert = modal_game(P, P, 2, 2)[1]
     assert _entry(cert, worlds=["a", "a"])["forth"] == [["t", "b", "b"]]
     bad = _tampered(cert, {"worlds": ["a", "a"]}, "forth", lambda ans: [["t", "b", "c"]])
     ok, msg = verify_certificate(bad, P, P)
@@ -489,7 +494,7 @@ def test_verifier_rejects_modal_response_off_the_label():
 
 def test_verifier_rejects_pebble_base_without_answers():
     A = zoo.lin(2)
-    cert = pebble_back_and_forth(A, A, 2)[1]
+    cert = pebble_game(A, A, 2, 2)[1]
     assert _entry(cert, base=[["e0", "e0"]])
     bad = {**cert, "positions": [e for e in cert["positions"] if e["base"] != [["e0", "e0"]]]}
     ok, msg = verify_certificate(bad, A, A)
@@ -498,6 +503,6 @@ def test_verifier_rejects_pebble_base_without_answers():
 
 def test_verifier_rejects_other_shapes():
     A = zoo.lin(2)
-    cert = pebble_back_and_forth(A, A, 2)[1]
+    cert = pebble_game(A, A, 2, 2)[1]
     ok, msg = verify_certificate({k: v for k, v in cert.items() if k != "shape"}, A, A)
     assert not ok and "shape" in msg

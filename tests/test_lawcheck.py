@@ -155,3 +155,25 @@ def test_failure_report_contains_shrunken_instance(monkeypatch):
     assert failure["law"].startswith("counit")
     assert failure["structure"]["universe"]  # shrunken instance serialized
     assert any("counterexample" in line for line in report.lines())
+
+
+def test_pointed_failure_report_keeps_the_point(monkeypatch):
+    # the modal check shrinks a pointed structure: its point is never dropped
+    import gamecomonads.lawcheck as lc
+
+    real = lc.modal_law_failure
+
+    def sabotaged(P, k, f, g, **kw):
+        kw.pop("counit", None)
+        return real(P, k, f, g, counit=lambda s: s[0], **kw)
+
+    monkeypatch.setattr(lc, "modal_law_failure", sabotaged)
+    monkeypatch.setattr(lc, "ef_law_failure", lambda *args, **kw: None)
+    monkeypatch.setattr(lc, "pebble_law_failure", lambda *args, **kw: None)
+    report = run_law_suite(GenConfig(seed=0, iterations=2))
+    assert not report.passed
+    failure = report.first_failure
+    assert failure["comonad"] == "modal" and failure["law"].startswith("counit")
+    structure = failure["structure"]
+    assert structure["point"] in structure["universe"]
+    assert any(failure["law"] in line for line in report.lines())

@@ -8,9 +8,9 @@ from strategies import pointed_kripke_pairs, pointed_kripkes
 
 from gamecomonads import zoo
 from gamecomonads.equiv import verify_certificate
-from gamecomonads.modal import (ArityError, ModalRules, graded_bisim_game, kripke_view,
-                                modal_back_and_forth, modal_coextend, modal_counit,
-                                modal_game, modal_play_id, modal_plays, modal_unfold)
+from gamecomonads.modal import (ArityError, ModalRules, kripke_view, modal_coextend,
+                                modal_counit, modal_game, modal_play_id, modal_plays,
+                                modal_unfold)
 from gamecomonads.strategy import certificate
 from gamecomonads.structures import (CapExceeded, find_homomorphism,
                                      is_homomorphism, validate_structure)
@@ -164,9 +164,9 @@ def test_graded_loop_vs_two_cycle():
 def test_graded_game_matches_approx_on_fixtures():
     one = zoo.kripke(["r", "x"], "r", {"t": [("r", "x")]})
     two = zoo.kripke(["r", "x", "y"], "r", {"t": [("r", "x"), ("r", "y")]})
-    assert graded_bisim_game(one, two, 1, build_certificate=False)[0] is False
+    assert modal_game(one, two, 1, 3, build_certificate=False)[0] is False
     P, Q = zoo.kripke_loop(), zoo.kripke_two_cycle()
-    verdict, cert = graded_bisim_game(P, Q, 3)
+    verdict, cert = modal_game(P, Q, 3, 3)
     assert verdict
     ok, msg = verify_certificate(cert, P, Q)
     assert ok, msg
@@ -177,7 +177,7 @@ def test_graded_game_matches_approx_on_fixtures():
 def test_graded_game_iff_approx_iff_bruteforce(pair):
     P, Q = pair
     for k in (1, 2, 3):
-        game = graded_bisim_game(P, Q, k, build_certificate=False)[0]
+        game = modal_game(P, Q, k, 3, build_certificate=False)[0]
         approx = graded_bisim_approx(P, Q, k)
         brute = brute_graded_bisim(P, Q, k)
         assert game == approx == brute
@@ -197,9 +197,9 @@ def test_games_past_the_refinement_cap_match_approximants(pair):
     # |A| + |B| rounds at tiers 2 and 3 and |A| * |B| at tier 1
     P, Q = pair
     for k in (7, 9):
-        assert modal_back_and_forth(P, Q, k, build_certificate=False)[0] == \
+        assert modal_game(P, Q, k, 2, build_certificate=False)[0] == \
             bisim_approx(P, Q, k)
-        assert graded_bisim_game(P, Q, k, build_certificate=False)[0] == \
+        assert modal_game(P, Q, k, 3, build_certificate=False)[0] == \
             graded_bisim_approx(P, Q, k)
     k = len(P.base.universe) * len(Q.base.universe) + 1
     assert modal_game(P, Q, k, 1, build_certificate=False)[0] == simulation_approx(P, Q, k)
@@ -251,7 +251,7 @@ def test_tier_implications_graded_bisim_sim(pair):
 def test_back_and_forth_is_bisimulation(pair):
     P, Q = pair
     for k in (1, 2, 3):
-        assert modal_back_and_forth(P, Q, k, build_certificate=False)[0] == \
+        assert modal_game(P, Q, k, 2, build_certificate=False)[0] == \
             bisim_approx(P, Q, k)
 
 
@@ -295,7 +295,7 @@ def test_graded_classes_split_on_props():
 
 def test_graded_certificate_verifier_rejects_tampering():
     P, Q = zoo.kripke_loop(), zoo.kripke_two_cycle()
-    verdict, cert = graded_bisim_game(P, Q, 2)
+    verdict, cert = modal_game(P, Q, 2, 3)
     cert["positions"][0]["bijection"] = []
     ok, msg = verify_certificate(cert, P, Q)
     assert not ok
@@ -345,6 +345,6 @@ def test_deep_k_on_eighty_worlds():
     B = validate_structure({"a": 2, "b": 2, "p": 1, "q": 1}, sorted(names.values()),
                            {r: [[names[x] for x in t] for t in ts] for r, ts in rels.items()})
     P, Q = zoo.structure_point(A, "w0"), zoo.structure_point(B, names["w0"])
-    assert modal_back_and_forth(P, Q, 1000, build_certificate=False) == (True, None)
-    assert graded_bisim_game(P, Q, 1000, build_certificate=False) == (True, None)
+    assert modal_game(P, Q, 1000, 2, build_certificate=False) == (True, None)
+    assert modal_game(P, Q, 1000, 3, build_certificate=False) == (True, None)
     assert modal_game(P, Q, 1000, 1, build_certificate=False) == (True, None)

@@ -6,7 +6,7 @@ from strategies import structure_pairs
 from gamecomonads import zoo
 from gamecomonads.ef import ef_game_exists
 from gamecomonads.equiv import decide, verify_certificate
-from gamecomonads.pebble import (pebble_coextension_on_play, pebble_game_exists,
+from gamecomonads.pebble import (pebble_coextension_on_play, pebble_game,
                                  pebble_play_id, pebble_play_of_id, pebble_plays,
                                  pebble_relation_holds, pebble_truncate)
 from gamecomonads.structures import CapExceeded, find_homomorphism
@@ -84,7 +84,7 @@ def test_coextension_undefined_prefix():
 
 def test_game_identity():
     A = zoo.lin(3)
-    verdict, cert = pebble_game_exists(A, A, 2)
+    verdict, cert = pebble_game(A, A, 2, 1)
     assert verdict
     ok, msg = verify_certificate(cert, A, A)
     assert ok, msg
@@ -92,14 +92,14 @@ def test_game_identity():
 
 def test_game_triangle_two_pebbles_survive():
     # two pebbles cannot expose the triangle; three can
-    assert pebble_game_exists(zoo.clique(3), zoo.edge2(), 2, build_strategy=False)[0]
-    assert not pebble_game_exists(zoo.clique(3), zoo.edge2(), 3, build_strategy=False)[0]
+    assert pebble_game(zoo.clique(3), zoo.edge2(), 2, 1, build_certificate=False)[0]
+    assert not pebble_game(zoo.clique(3), zoo.edge2(), 3, 1, build_certificate=False)[0]
 
 
 def test_game_lin_walks_beat_short_orders():
     # with 2 pebbles Spoiler walks up the longer order and runs Duplicator out
-    assert not pebble_game_exists(zoo.lin(3), zoo.lin(2), 2, build_strategy=False)[0]
-    assert pebble_game_exists(zoo.lin(2), zoo.lin(4), 2, build_strategy=False)[0]
+    assert not pebble_game(zoo.lin(3), zoo.lin(2), 2, 1, build_certificate=False)[0]
+    assert pebble_game(zoo.lin(2), zoo.lin(4), 2, 1, build_certificate=False)[0]
 
 
 @settings(max_examples=20)
@@ -108,17 +108,17 @@ def test_game_yes_whenever_hom_exists(pair):
     A, B = pair
     if find_homomorphism(A, B) is not None:
         for k in (1, 2):
-            assert pebble_game_exists(A, B, k, build_strategy=False)[0]
+            assert pebble_game(A, B, k, 1, build_certificate=False)[0]
 
 
 @settings(max_examples=20)
 @given(structure_pairs(max_size=3))
 def test_game_monotone_in_k(pair):
     A, B = pair
-    if pebble_game_exists(A, B, 2, build_strategy=False)[0]:
-        assert pebble_game_exists(A, B, 1, build_strategy=False)[0]
-    if pebble_game_exists(A, B, 3, build_strategy=False)[0]:
-        assert pebble_game_exists(A, B, 2, build_strategy=False)[0]
+    if pebble_game(A, B, 2, 1, build_certificate=False)[0]:
+        assert pebble_game(A, B, 1, 1, build_certificate=False)[0]
+    if pebble_game(A, B, 3, 1, build_certificate=False)[0]:
+        assert pebble_game(A, B, 2, 1, build_certificate=False)[0]
 
 
 @settings(max_examples=15)
@@ -126,7 +126,7 @@ def test_game_monotone_in_k(pair):
 def test_game_with_enough_pebbles_is_hom_existence(pair):
     A, B = pair
     k = len(A.universe)
-    assert pebble_game_exists(A, B, k, build_strategy=False)[0] == \
+    assert pebble_game(A, B, k, 1, build_certificate=False)[0] == \
         (find_homomorphism(A, B) is not None)
 
 
@@ -137,7 +137,7 @@ def test_pebble_win_implies_rank_win(pair):
     # strategies into rank strategies, never the other way around
     A, B = pair
     for k in (1, 2):
-        if pebble_game_exists(A, B, k, build_strategy=False)[0]:
+        if pebble_game(A, B, k, 1, build_certificate=False)[0]:
             assert ef_game_exists(A, B, k, build_strategy=False)[0]
 
 
@@ -162,12 +162,12 @@ def test_certificate_bases_repeat_no_pair(pair):
 def test_rank_win_does_not_imply_pebble_win():
     assert ef_game_exists(zoo.lin(3), zoo.lin(2), 1, build_strategy=False)[0]
     assert ef_game_exists(zoo.lin(4), zoo.lin(3), 2, build_strategy=False)[0]
-    assert not pebble_game_exists(zoo.lin(4), zoo.lin(3), 2, build_strategy=False)[0]
+    assert not pebble_game(zoo.lin(4), zoo.lin(3), 2, 1, build_certificate=False)[0]
 
 
 def test_strategy_verifier_rejects_tampering():
     A = zoo.lin(2)
-    verdict, cert = pebble_game_exists(A, A, 2)
+    verdict, cert = pebble_game(A, A, 2, 1)
     assert verdict
     entry = next(e for e in cert["positions"] if e["base"] == [])
     assert entry["forth"][0] == ["e0", "e0"]
@@ -179,7 +179,7 @@ def test_strategy_verifier_rejects_tampering():
 
 def test_strategy_verifier_detects_missing_entry():
     A = zoo.lin(2)
-    verdict, cert = pebble_game_exists(A, A, 1)
+    verdict, cert = pebble_game(A, A, 1, 1)
     cert["positions"][0]["forth"] = cert["positions"][0]["forth"][:1]
     ok, msg = verify_certificate(cert, A, A)
     assert not ok

@@ -13,9 +13,9 @@ import pytest
 from oracles import (all_digraphs, pebble_fixpoint_reference, pebble_game_reference,
                      pebble_resweep_fixpoint, relabelled)
 
-from gamecomonads import equiv, pebble, zoo
+from gamecomonads import zoo
 from gamecomonads.matching import perfect_matching
-from gamecomonads.pebble import PebbleRules, _canon, pebble_bases, pebble_fixpoint
+from gamecomonads.pebble import PebbleRules, _canon, pebble_bases, pebble_fixpoint, pebble_game
 from gamecomonads.refine import Types
 from gamecomonads.strategy import certificate
 from gamecomonads.structures import (is_partial_homomorphism, is_partial_isomorphism,
@@ -54,10 +54,6 @@ def _pairs(family: str):
     zoo_structures = ([zoo.cycle(n) for n in (3, 4, 5)] + [zoo.path(n) for n in (2, 3, 4)]
                       + [star(n) for n in (1, 2, 3)])
     return [(A, B) for A in zoo_structures for B in zoo_structures]
-
-
-SOLVERS = {1: pebble.pebble_game_exists, 2: equiv.pebble_back_and_forth,
-           3: equiv.pebble_bijection_equiv}
 
 
 def _sets(positions) -> set:
@@ -104,7 +100,7 @@ def test_engine_matches_resweep(family):
                 live = _live(A, B, k, tier)
                 assert (() not in slow) if live is None else live == _sets(slow), \
                     (A, B, k, tier)
-                assert SOLVERS[tier](A, B, k) == _read_off(A, B, k, tier, slow), (A, B, k, tier)
+                assert pebble_game(A, B, k, tier) == _read_off(A, B, k, tier, slow), (A, B, k, tier)
 
 
 def _good_as_base(base, live, A, B, tier) -> bool:
@@ -148,5 +144,5 @@ def test_types_match_fixpoint_engine(family):
     for A, B in _pairs(family):
         for k in range(1, min(len(A.universe), 3) + 2):
             for tier in (2, 3):
-                assert SOLVERS[tier](A, B, k) == pebble_game_reference(A, B, k, tier), \
+                assert pebble_game(A, B, k, tier) == pebble_game_reference(A, B, k, tier), \
                     (A, B, k, tier)
