@@ -16,7 +16,6 @@ from typing import Optional
 from . import coalgebra as coalg_mod
 from . import decomposition as dec_mod
 from . import equiv as equiv_mod
-from . import lawcheck as law_mod
 from .modal import ArityError, view_of
 from .structures import (BoundExceeded, CapExceeded, PointedStructure,
                          SignatureMismatch, Structure, StructureError,
@@ -181,6 +180,8 @@ def _parse_alpha(tag: str, raw: dict) -> dict:
 
 
 def cmd_selftest(args) -> int:
+    from . import lawcheck as law_mod  # only the law suite needs it
+
     cfg = law_mod.GenConfig(seed=args.seed, iterations=args.iters)
     report = law_mod.run_law_suite(cfg)
     for line in report.lines():

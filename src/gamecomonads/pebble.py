@@ -11,12 +11,12 @@ k-variable types of tuples, computed on each structure alone (`refine.Types`).
 from __future__ import annotations
 
 import json
-from collections import Counter
-from itertools import groupby, product
-from operator import itemgetter
+from bisect import bisect_left
+from collections import defaultdict
+from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .refine import Types
+from .refine import CAP, Types
 from .strategy import PairRules, certificate
 from .structures import (CapExceeded, Structure, extensions, occurrences,
                          require_same_signature, validate_structure)
@@ -112,54 +112,59 @@ def pebble_coextension_on_play(f: Callable[[PebblePlay], str], s: PebblePlay) ->
     return tuple(out)
 
 
-def _canon(pairs: Sequence[tuple[str, str]]) -> Position:
-    return tuple(sorted(set(pairs)))
-
-
 def pebble_bases(pos: Position, k: int) -> list[Position]:
     """What Spoiler may keep before placing a pebble: the position with one
     pebble lifted, or the whole position while fewer than k pebbles are down."""
-    out = {parent for parent, _ in _parents(pos)}
+    out = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
     if len(pos) < k:
         out.add(pos)
     return sorted(out)
 
 
-def _parents(q: Position):
-    """(q without pair, pair) for each pair of q."""
-    for i, pair in enumerate(q):
-        yield q[:i] + q[i + 1:], pair
+def pair_bits(A: Structure, B: Structure) -> dict[tuple[str, str], int]:
+    """The encoding of the fixpoint's positions: pair i of A×B in sorted
+    order is bit i, and a position is the int with the bits of its pairs."""
+    pairs = sorted((a, b) for a in A.universe for b in B.universe)
+    return {pair: 1 << i for i, pair in enumerate(pairs)}
 
 
-def _arena(A: Structure, B: Structure, k: int) -> list[Position]:
+def _arena(A: Structure, B: Structure, k: int, pairs: list[tuple[str, str]],
+           rows: list[tuple[str, tuple[str, ...], dict[str, int]]]) -> list[int]:
     """Every position of at most k pairs that is a partial homomorphism,
-    smallest first.
+    smallest first, as masks over `pairs` (see `pebble_fixpoint` for `rows`).
 
-    The predicate is hereditary, so each position is its largest pair added
-    to a smaller position, on an element of A not pebbled yet; only tuples
-    through the new pair are checked.
+    The predicate is hereditary, so each position is its highest pair added
+    to a smaller position, on an element of A after those pebbled (the pairs
+    of one element of A are consecutive bits); only tuples through the new
+    pair are checked.  Raises `CapExceeded` past `CAP` positions.
     """
     occ_a = occurrences(A)
-    pairs = sorted((a, b) for a in A.universe for b in B.universe)
-    first = {pair: i for i, pair in enumerate(pairs)}
-    arena: list[Position] = [()]
-    level: list[Position] = [()]
+    # after[i]: the first row after that of bit i - 1, where the extensions
+    # of a position with highest bit i - 1 start (after[0] = 0: the empty one)
+    after = [0] + [x + 1 for x, (_, bs, _) in enumerate(rows) for _ in bs]
+    arena, level = [0], [0]
     for _ in range(k):
         nxt = []
         for pos in level:
-            fwd = dict(pos)
-            for a, group in groupby(pairs[first[pos[-1]] if pos else 0:], key=itemgetter(0)):
-                if a not in fwd:
-                    bs = extensions(occ_a[a], fwd, a, tuple(b for _, b in group), B.relations)
-                    nxt.extend(pos + ((a, b),) for b in bs)
+            fwd, rest = {}, pos
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a, b = pairs[low.bit_length() - 1]
+                fwd[a] = b
+            for a, bs, row_bits in rows[after[pos.bit_length()]:]:
+                nxt.extend(pos | row_bits[b] for b in extensions(occ_a[a], fwd, a, bs, B.relations))
+            if len(arena) + len(nxt) > CAP:
+                raise CapExceeded(len(arena) + len(nxt), CAP, "positions or more")
         arena.extend(nxt)
         level = nxt
     return arena
 
 
-def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[Position]:
-    """Winning positions of the existential k-pebble game: the greatest
-    fixpoint over the partial homomorphisms of at most k pairs.
+def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[int]:
+    """Winning positions of the existential k-pebble game, as masks
+    (`pair_bits`): the greatest fixpoint over the partial homomorphisms of at
+    most k pairs.
 
     A position lives iff each of its bases is good: every Spoiler move (an
     element of A) from the base keeps a live response.  A move onto a pebbled
@@ -167,26 +172,46 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[Position]:
     position built on it does (winning positions are closed under
     restriction), so only moves onto new elements are counted.  Goodness
     depends on the base alone, so each base keeps a count of live responses
-    per move; a dying position decrements its parents' counts and a base
-    whose count hits zero kills every position built on it.
+    per move, keyed base * |A| + row of the move; a dying position decrements
+    its parents' counts and a base whose count hits zero kills every position
+    built on it.
     """
-    arena = _arena(A, B, k)
-    live = set(arena)
-    count = Counter((base, x) for q in arena for base, (x, _) in _parents(q))
-    queue = [base for base in arena if len(base) < k and any(
-        count[base, a] == 0 for a in A.universe if a not in dict(base))]
+    bits = pair_bits(A, B)
+    # a row per element of A in order: (element, its targets, target -> bit)
+    rows = []
+    for a in sorted(A.universe):
+        row_bits = {b: bits[a, b] for b in sorted(B.universe)}
+        rows.append((a, tuple(row_bits), row_bits))
+    arena = _arena(A, B, k, list(bits), rows)
+    row = {bit: x for x, (_, _, row_bits) in enumerate(rows) for bit in row_bits.values()}
+    row_mask = [sum(row_bits.values()) for _, _, row_bits in rows]
+    n = len(rows)
+    count: defaultdict[int, int] = defaultdict(int)
+    for q in arena:
+        rest = q
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            count[(q ^ low) * n + row[low]] += 1
+    queue = [base for base in arena if base.bit_count() < k and any(
+        not base & row_mask[x] and not count.get(base * n + x) for x in range(n))]
     bad = set(queue)
-    pairs = [(a, b) for a in A.universe for b in B.universe]
+    live = set(arena)
     while queue:
         base = queue.pop()
-        for q in [base] + [_canon(base + (pair,)) for pair in pairs]:
+        for q in [base, *(base | bit for bit in bits.values())]:
             if q not in live:
                 continue
             live.remove(q)
-            for parent, (x, _) in _parents(q):
+            rest = q
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                parent = q ^ low
                 if parent not in bad:
-                    count[parent, x] -= 1
-                    if count[parent, x] == 0:
+                    key = parent * n + row[low]
+                    count[key] -= 1
+                    if not count[key]:
                         bad.add(parent)
                         queue.append(parent)
     return live
@@ -205,10 +230,12 @@ def pebble_game(A: Structure, B: Structure, k: int, tier: int,
         return False, None
     if tier == 1:
         surviving = pebble_fixpoint(A, B, k)
-        exists = () in surviving
+        exists = 0 in surviving
+        bits = pair_bits(A, B)
 
         def good(base, _):
-            return lambda a, b: _canon(base + ((a, b),)) in surviving
+            mask = sum(map(bits.__getitem__, base))
+            return lambda a, b: (mask | bits[a, b]) in surviving
     else:
         types = Types(A, B, k, pebble=True, counting=tier == 3)
         exists = types.equal
@@ -227,6 +254,10 @@ class PebbleRules(PairRules):
 
     comonad = "pebble"
 
+    def __init__(self, A: Structure, B: Structure, k: int, tier: int):
+        super().__init__(A, B, k, tier)
+        self.bases: dict[Position, list[Position]] = {}
+
     def start(self) -> Position:
         return ()
 
@@ -234,10 +265,15 @@ class PebbleRules(PairRules):
         return self.pairs_fault(pos, new)
 
     def answering(self, pos: Position) -> list[Position]:
-        return pebble_bases(pos, self.k)
+        if pos not in self.bases:
+            self.bases[pos] = pebble_bases(pos, self.k)
+        return self.bases[pos]
 
     def step(self, base: Position, group, x: str, y: str) -> Position:
-        return _canon(base + ((x, y),))
+        i = bisect_left(base, (x, y))
+        if i < len(base) and base[i] == (x, y):
+            return base
+        return base[:i] + ((x, y),) + base[i:]
 
     def to_json(self, base: Position) -> dict:
         return {"base": list(map(list, base))}

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -322,6 +326,29 @@ def test_parser_is_built_once_and_reused(capsys, lin2):
     assert main(["check", "--game", "ef"]) == 2
     assert capsys.readouterr() == first
     assert main(["check", "--game", "ef", "--tier", "2", "-k", "2", lin2, lin2]) == 0
+
+
+def test_check_pebble_tier1_past_the_positions_cap(tmp_path, capsys):
+    # k=4 on lin(15) into lin(14) would build ~1.5 million positions
+    a = plain(tmp_path, "lin15.json", zoo.lin(15))
+    b = plain(tmp_path, "lin14.json", zoo.lin(14))
+    start = time.perf_counter()
+    assert main(["check", "--game", "pebble", "--tier", "1", "-k", "4", a, b]) == 2
+    assert time.perf_counter() - start < 30
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "positions" in out.err and "cap is 300000" in out.err
+
+
+def test_check_does_not_import_the_law_suite(lin2):
+    code = ("import sys\n"
+            "from gamecomonads.cli import main\n"
+            f"assert main(['check', '--game', 'pebble', '--tier', '1', '-k', '2', {lin2!r}, {lin2!r}]) == 0\n"
+            "assert 'gamecomonads.lawcheck' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiv.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _verifies(verdict, A, B):
