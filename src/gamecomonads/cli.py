@@ -145,7 +145,7 @@ def cmd_coalgebra(args) -> int:
             print(json.dumps({"comonad": tag, "k": args.k, "coalgebra": None},
                              sort_keys=True))
             return 1
-        parsed = _parse_alpha(tag, alpha)
+        parsed = coalg_mod.read_coalgebra(tag, alpha)
         _self_check("constructed coalgebra",
                     *coalg_mod.verify_coalgebra(tag, A, args.k, parsed))
         out = {"comonad": tag, "k": args.k, "coalgebra": alpha}
@@ -162,21 +162,15 @@ def cmd_coalgebra(args) -> int:
             raw = data.get("alpha", data.get("coalgebra", data))
         if not isinstance(raw, dict):
             raise UsageError(f"{args.alpha}: malformed coalgebra (expected an object)")
-        parsed = _parse_alpha(tag, raw)
+        parsed = coalg_mod.read_coalgebra(tag, raw)
     except FileNotFoundError:
         raise UsageError(f"no such file: {args.alpha}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError) as exc:
+    except ValueError as exc:  # invalid JSON, or a play its reader rejects
         raise UsageError(f"{args.alpha}: malformed coalgebra ({exc})")
     ok, msg = coalg_mod.verify_coalgebra(tag, A, args.k, parsed)
     print(json.dumps({"comonad": tag, "k": args.k, "valid": ok,
                       "violation": msg}, sort_keys=True))
     return 0 if ok else 1
-
-
-def _parse_alpha(tag: str, raw: dict) -> dict:
-    if tag == "pebble":
-        return {a: tuple((int(p), x) for p, x in s) for a, s in raw.items()}
-    return {a: tuple(s) for a, s in raw.items()}
 
 
 def cmd_selftest(args) -> int:

@@ -10,117 +10,61 @@ admitting one is tree-depth, tree-width + 1, and modal depth respectively.
 
 from __future__ import annotations
 
+import json
 from typing import Mapping, Optional
 
+from .comonad import play_id
 from .decomposition import (ForestCover, PebbledForestCover,
                             decomposition_to_pebble_cover, tree_depth, tree_width,
                             verify_pebbled_forest_cover)
-from .ef import EfPlay
-from .modal import ModalPlay, view_of
-from .pebble import PebblePlay, pebble_relation_holds
+from .ef import EF, EfPlay
+from .modal import MODAL, ModalPlay, view_of
+from .pebble import PEBBLE, PebblePlay
 from .structures import PointedStructure, Structure, gaifman_graph
 
 EfCoalgebra = dict[str, EfPlay]
 PebbleCoalgebra = dict[str, PebblePlay]
 ModalCoalgebra = dict[str, ModalPlay]
 
-
-def _comparable(s: tuple, t: tuple) -> bool:
-    return s[:len(t)] == t or t[:len(s)] == s
+COMONADS = {"ef": EF, "pebble": PEBBLE, "modal": MODAL}
 
 
 def verify_coalgebra(tag: str, A, k: int, alpha: Mapping) -> tuple[bool, Optional[str]]:
-    """Check the counit law, the prefix (comultiplication) law, and the
-    homomorphism condition; reports the first failure."""
-    if tag == "ef":
-        return _verify_ef(A, k, alpha)
-    if tag == "pebble":
-        return _verify_pebble(A, k, alpha)
-    if tag == "modal":
-        return _verify_modal(A, k, alpha)
-    raise ValueError(f"unknown comonad tag {tag!r}")
+    """Check that alpha, element -> play, is a coalgebra of the comonad tag
+    at index k (A pointed for modal); reports the first failure.
 
-
-def _verify_ef(A: Structure, k: int, alpha: Mapping[str, EfPlay]) -> tuple[bool, Optional[str]]:
-    for a in A.universe:
+    Every element must have a play over A at index k that ends at it (the
+    counit law), and the play of the element before its last step must be
+    its play without that step (the comultiplication law; by induction on
+    length, every prefix of a play is then the play of the element it ends
+    at).  The plays of every tuple of a relation must be in the lifted
+    relation (alpha is a homomorphism into the play structure).
+    """
+    if tag not in COMONADS:
+        raise ValueError(f"unknown comonad tag {tag!r}")
+    R = COMONADS[tag]
+    S = A.base if isinstance(A, PointedStructure) else A
+    for a in S.universe:
         if a not in alpha:
             return False, f"coalgebra undefined on {a!r}"
-        s = tuple(alpha[a])
-        if not (1 <= len(s) <= k):
-            return False, f"play of {a!r} has length {len(s)}, not in 1..{k}"
-        if any(x not in A.universe for x in s):
-            return False, f"play of {a!r} leaves the universe"
-        if s[-1] != a:
-            return False, f"counit law fails at {a!r}: play ends at {s[-1]!r}"
-        for i in range(1, len(s) + 1):
-            if tuple(alpha.get(s[i - 1], ())) != s[:i]:
-                return False, (f"comultiplication law fails at {a!r}: "
-                               f"play of {s[i - 1]!r} is not the prefix of length {i}")
-    for name, tups in A.relations.items():
+        s = alpha[a]
+        why = R.malformed(A, k, s)
+        if why is not None:
+            return False, f"play of {a!r} {why}"
+        end = R.counit(s)
+        if end != a:
+            return False, f"counit law fails at {a!r}: play ends at {end!r}"
+        p = R.before(s)
+        if p is not None and alpha.get(R.counit(p)) != p:
+            return False, (f"comultiplication law fails at {a!r}: play of "
+                           f"{R.counit(p)!r} is not the play of {a!r} without its last step")
+    # the plays of t end at t, so they are in the lifted relation iff they
+    # meet the comonad's condition
+    for name, tups in S.relations.items():
         for t in sorted(tups):
-            plays = [tuple(alpha[x]) for x in t]
-            for s in plays:
-                for u in plays:
-                    if not _comparable(s, u):
-                        return False, (f"homomorphism condition fails on {name}{t}: "
-                                       "plays are not prefix-comparable")
-    return True, None
-
-
-def _verify_pebble(A: Structure, k: int, alpha: Mapping[str, PebblePlay]) -> tuple[bool, Optional[str]]:
-    for a in A.universe:
-        if a not in alpha:
-            return False, f"coalgebra undefined on {a!r}"
-        s = tuple((int(p), x) for p, x in alpha[a])
-        if len(s) < 1:
-            return False, f"play of {a!r} is empty"
-        if any(not (1 <= p <= k) for p, _ in s):
-            return False, f"play of {a!r} uses a pebble outside 1..{k}"
-        if any(x not in A.universe for _, x in s):
-            return False, f"play of {a!r} leaves the universe"
-        if s[-1][1] != a:
-            return False, f"counit law fails at {a!r}: play ends at {s[-1][1]!r}"
-        for i in range(1, len(s) + 1):
-            x = s[i - 1][1]
-            if tuple((int(p), y) for p, y in alpha.get(x, ())) != s[:i]:
-                return False, (f"comultiplication law fails at {a!r}: "
-                               f"play of {x!r} is not the prefix of length {i}")
-    for name, tups in A.relations.items():
-        for t in sorted(tups):
-            plays = [tuple((int(p), x) for p, x in alpha[y]) for y in t]
-            if not pebble_relation_holds(name, plays, A):
-                return False, f"homomorphism condition fails on {name}{t}"
-    return True, None
-
-
-def _verify_modal(P: PointedStructure, k: int, alpha: Mapping[str, ModalPlay]) -> tuple[bool, Optional[str]]:
-    K = view_of(P.base)
-    A = P.base
-    for a in A.universe:
-        if a not in alpha:
-            return False, f"coalgebra undefined on {a!r}"
-        s = tuple(alpha[a])
-        if len(s) % 2 != 1 or (len(s) - 1) // 2 > k:
-            return False, f"play of {a!r} is malformed or longer than depth {k}"
-        if s[0] != P.point:
-            return False, f"play of {a!r} does not start at the point"
-        if s[-1] != a:
-            return False, f"counit law fails at {a!r}: play ends at {s[-1]!r}"
-        for i in range(1, len(s), 2):
-            label, tgt = s[i], s[i + 1]
-            if label not in K.transitions or (s[i - 1], tgt) not in K.transitions[label]:
-                return False, f"play of {a!r} uses a missing transition {s[i - 1]!r} -{label}-> {tgt!r}"
-        # the predecessor's play must be s[:-2]; by induction on length, so every prefix is
-        if len(s) > 1 and tuple(alpha.get(s[-3], ())) != s[:-2]:
-            return False, (f"comultiplication law fails at {a!r}: "
-                           f"play of {s[-3]!r} is not the prefix through it")
-    if tuple(alpha[P.point]) != (P.point,):
-        return False, "the point must be sent to the one-step play at itself"
-    for label, edges in K.transitions.items():
-        for (a, b) in sorted(edges):
-            if tuple(alpha[b]) != tuple(alpha[a]) + (label, b):
-                return False, (f"homomorphism condition fails on {label}({a!r},{b!r}): "
-                               "target play does not extend source play by this step")
+            why = R.unrelated(name, [alpha[x] for x in t])
+            if why is not None:
+                return False, f"homomorphism condition fails on {name}{t}: {why}"
     return True, None
 
 
@@ -137,12 +81,12 @@ def forest_cover_to_ef_coalgebra(F: ForestCover, k: int) -> EfCoalgebra:
 
 def ef_coalgebra_to_forest_cover(A: Structure, k: int, alpha: Mapping[str, EfPlay]) -> ForestCover:
     """Order elements by prefix order of their plays; inverse of the above."""
-    ok, msg = _verify_ef(A, k, alpha)
+    ok, msg = verify_coalgebra("ef", A, k, alpha)
     if not ok:
         raise ValueError(f"not a coalgebra: {msg}")
     parent = {}
     for a in A.universe:
-        s = tuple(alpha[a])
+        s = alpha[a]
         parent[a] = s[-2] if len(s) >= 2 else None
     return ForestCover(parent)
 
@@ -154,13 +98,13 @@ def pebbled_cover_to_coalgebra(C: PebbledForestCover) -> PebbleCoalgebra:
 
 def pebble_coalgebra_to_cover(A: Structure, k: int,
                               alpha: Mapping[str, PebblePlay]) -> PebbledForestCover:
-    ok, msg = _verify_pebble(A, k, alpha)
+    ok, msg = verify_coalgebra("pebble", A, k, alpha)
     if not ok:
         raise ValueError(f"not a coalgebra: {msg}")
     parent = {}
     pebbles = {}
     for a in A.universe:
-        s = tuple((int(p), x) for p, x in alpha[a])
+        s = alpha[a]
         parent[a] = s[-2][1] if len(s) >= 2 else None
         pebbles[a] = s[-1][0]
     return PebbledForestCover(ForestCover(parent), pebbles, k)
@@ -252,23 +196,32 @@ def modal_coalgebra_number(P: PointedStructure) -> Optional[int]:
     return modal_parameters(P)[1]
 
 
+def _ef_coalgebra(A: Structure, k: int) -> Optional[EfCoalgebra]:
+    depth, cover = tree_depth(A)
+    return forest_cover_to_ef_coalgebra(cover, k) if depth <= k else None
+
+
+def _pebble_coalgebra(A: Structure, k: int) -> Optional[PebbleCoalgebra]:
+    width, T = tree_width(A)
+    if width + 1 > k:
+        return None
+    return pebbled_cover_to_coalgebra(decomposition_to_pebble_cover(T, k))
+
+
+# tag -> a coalgebra at index k, from an optimal decomposition, or None
+_CONSTRUCT = {"ef": _ef_coalgebra, "pebble": _pebble_coalgebra, "modal": modal_coalgebra}
+
+
 def construct_coalgebra(tag: str, A, k: int) -> Optional[dict]:
-    """Build a coalgebra at resource index k if one exists, else None."""
-    if tag == "ef":
-        depth, cover = tree_depth(A)
-        if depth > k:
-            return None
-        return {a: list(s) for a, s in forest_cover_to_ef_coalgebra(cover, k).items()}
-    if tag == "pebble":
-        width, T = tree_width(A)
-        if width + 1 > k:
-            return None
-        cover = decomposition_to_pebble_cover(T, k)
-        return {a: [[p, x] for p, x in s]
-                for a, s in pebbled_cover_to_coalgebra(cover).items()}
-    if tag == "modal":
-        alpha = modal_coalgebra(A, k)
-        if alpha is None:
-            return None
-        return {a: list(s) for a, s in alpha.items()}
-    raise ValueError(f"unknown comonad tag {tag!r}")
+    """Build a coalgebra at resource index k if one exists, else None; the
+    plays are written in their JSON form (`read_coalgebra` reads them)."""
+    if tag not in COMONADS:
+        raise ValueError(f"unknown comonad tag {tag!r}")
+    alpha = _CONSTRUCT[tag](A, k)
+    return None if alpha is None else {a: json.loads(play_id(s)) for a, s in alpha.items()}
+
+
+def read_coalgebra(tag: str, raw: Mapping) -> dict:
+    """alpha with each play read from its JSON form by the comonad's reader;
+    raises ValueError on a play that is not one."""
+    return {a: COMONADS[tag].read(s) for a, s in raw.items()}

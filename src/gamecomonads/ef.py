@@ -9,35 +9,30 @@ strategy prefix by prefix.  `ef_game` decides the games of all three tiers.
 
 from __future__ import annotations
 
-import json
-from itertools import product
 from typing import Callable, Mapping, Optional
 
+from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
+                      read_list)
 from .refine import Types
 from .strategy import PairRules, answers, certificate
 from .structures import (CapExceeded, Structure, extensions, occurrences,
-                         require_same_signature, validate_structure)
+                         require_same_signature)
 
 EfPlay = tuple[str, ...]
-
-DEFAULT_CAP = 200_000
-
-
-def play_id(s: EfPlay) -> str:
-    """Stable string id for a play, used as an element of a materialized structure."""
-    return json.dumps(list(s), separators=(",", ":"))
-
-
-def play_of_id(pid: str) -> EfPlay:
-    return tuple(json.loads(pid))
 
 
 def ef_universe_size(n: int, k: int) -> int:
     return sum(n ** i for i in range(1, k + 1))
 
 
-def ef_plays(A: Structure, k: int) -> list[EfPlay]:
-    """All plays of length 1..k, ordered by length then componentwise universe order."""
+def ef_plays(A: Structure, k: int, cap: int = DEFAULT_CAP) -> list[EfPlay]:
+    """All plays of length 1..k, ordered by length then componentwise
+    universe order; raises `CapExceeded` past cap plays."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    size = ef_universe_size(len(A.universe), k)
+    if size > cap:
+        raise CapExceeded(size, cap, "plays")
     out: list[EfPlay] = []
     frontier: list[EfPlay] = [()]
     for _ in range(k):
@@ -52,34 +47,27 @@ def ef_counit(s: EfPlay) -> str:
     return s[-1]
 
 
-def ef_materialize(A: Structure, k: int, cap: int = DEFAULT_CAP) -> Structure:
-    """Build the play structure explicitly.
+def coextend_play(f: Callable[[EfPlay], str], s: EfPlay) -> EfPlay:
+    """Replay f along the prefixes of s; output has the same length as s."""
+    return tuple(f(s[:i]) for i in range(1, len(s) + 1))
 
-    Plays become elements (see play_id); a relation holds of a tuple of plays
-    iff they are pairwise prefix-comparable and the relation holds of their
-    last elements in A.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    size = ef_universe_size(len(A.universe), k)
-    if size > cap:
-        raise CapExceeded(size, cap)
-    plays = ef_plays(A, k)
-    interp: dict[str, list[list[str]]] = {}
-    for name, tups in A.relations.items():
-        ar = A.sig.arity(name)
-        rows = []
-        # every pairwise-comparable tuple has a unique longest member, so
-        # enumerate tuples of prefixes of each play that actually use it
-        for s in plays:
-            prefixes = [s[:i] for i in range(1, len(s) + 1)]
-            for combo in product(prefixes, repeat=ar):
-                if s not in combo:
-                    continue
-                if tuple(c[-1] for c in combo) in tups:
-                    rows.append([play_id(c) for c in combo])
-        interp[name] = rows
-    return validate_structure(dict(A.sig.relations), [play_id(s) for s in plays], interp)
+
+def _ef_malformed(A: Structure, k: int, s: EfPlay) -> Optional[str]:
+    if not 1 <= len(s) <= k:
+        return f"has length {len(s)}, not in 1..{k}"
+    if any(x not in A.universe for x in s):
+        return "leaves the universe"
+    return None
+
+
+# A tuple of plays is related iff they are pairwise prefix-comparable (and the
+# relation holds of their last elements, as for every comonad).
+EF = Comonad(
+    before=drop_move, counit=ef_counit, coextend=coextend_play,
+    unrelated=lambda name, plays: (
+        None if comparable(plays) else "plays are not prefix-comparable"),
+    malformed=_ef_malformed,
+    read=lambda raw: read_list(raw, "elements"))
 
 
 class EfCoKleisli:
@@ -124,11 +112,6 @@ def _table_of(cert: Mapping, rules: EfRules) -> dict[EfPlay, str]:
             if len(s) + 1 < rules.k:
                 stack.append((s + (a,), {**fwd, a: b}))
     return table
-
-
-def coextend_play(f: Callable[[EfPlay], str], s: EfPlay) -> EfPlay:
-    """Replay f along the prefixes of s; output has the same length as s."""
-    return tuple(f(s[:i]) for i in range(1, len(s) + 1))
 
 
 def ef_coextension(f: EfCoKleisli) -> dict[EfPlay, EfPlay]:

@@ -5,8 +5,11 @@ theorems, so any failure is an implementation fault; on failure the suite
 shrinks the instance (drop tuples, then elements, then lower the resource
 index) and reports the smallest still-failing counterexample.
 
-The per-comonad check functions take the comonad operations as keyword
-arguments so tests can inject faulty ones and watch the right law fail.
+The laws every comonad shares are checked once (`shared_law_failure`), on
+the comonad's record (`comonad.Comonad`); each comonad adds its own laws.
+The checks take the record as an argument, and the suite reads it from
+`coalgebra.COMONADS`, so tests can pass a faulty one (such as
+`dataclasses.replace(EF, counit=...)`) and watch the right law fail.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import ef as ef_mod
-from . import modal as modal_mod
-from . import pebble as pebble_mod
+from .coalgebra import COMONADS
+from .comonad import DEFAULT_CAP, Comonad, play_id, play_structure
+from .ef import ef_plays, ef_universe_size
+from .modal import modal_plays
+from .pebble import pebble_plays
 from .structures import (PointedStructure, Structure, find_homomorphism,
-                         is_homomorphism, validate_structure)
+                         is_homomorphism, structure_to_dict, validate_structure)
 
 
 @dataclass
@@ -46,7 +51,12 @@ class GenConfig:
             raise ValueError("iterations must be >= 0")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError("ks must be non-empty with every k >= 1")
-        if ef_mod.ef_universe_size(self.max_universe_size, max(self.ks)) > ef_mod.DEFAULT_CAP:
+        if self.pebble_play_length < 1:
+            raise ValueError("pebble_play_length must be >= 1")
+        # the ef plays, and the pebble plays over k * n moves
+        n, k = self.max_universe_size, max(self.ks)
+        if max(ef_universe_size(n, k),
+               ef_universe_size(k * n, self.pebble_play_length)) > DEFAULT_CAP:
             raise ValueError("configuration exceeds the materialization cap")
 
 
@@ -114,144 +124,108 @@ def random_pointed_pair(rng: random.Random, max_worlds: int = 4, n_props: int = 
 
 # ------------------------------------------------------------- law checks
 
-def ef_law_failure(A: Structure, B: Structure, C: Structure, k: int,
-                   f_table: dict, g_table: dict, h_values: dict,
-                   *, counit: Callable = ef_mod.ef_counit,
-                   coextend: Callable = ef_mod.coextend_play,
-                   coeq_samples: int = 50, rng: Optional[random.Random] = None
-                   ) -> Optional[str]:
-    """Check the rank-comonad equations pointwise; return the first failed law."""
-    plays_a = ef_mod.ef_plays(A, k)
-    f = f_table.__getitem__
-    g = g_table.__getitem__
-    for s in plays_a:
-        if coextend(counit, s) != s:
+def shared_law_failure(R: Comonad, plays: list, f: Callable, g: Callable) -> Optional[str]:
+    """The laws of every comonad, checked on plays (a list closed under
+    prefixes) with coKleisli maps f and g (f's targets are g's plays);
+    return the first failed law."""
+    for s in plays:
+        if R.coextend(R.counit, s) != s:
             return "counit-coextension-identity"
-    for s in plays_a:
-        if counit(coextend(f, s)) != f(s):
+    ext = {s: R.coextend(f, s) for s in plays}
+    for s in plays:
+        if R.counit(ext[s]) != f(s):
             return "counit-after-coextension"
-    for s in plays_a:
-        lhs = coextend(lambda t: g(coextend(f, t)), s)
-        rhs = coextend(g, coextend(f, s))
-        if lhs != rhs:
+    for s in plays:
+        lhs = R.coextend(lambda t: g(R.coextend(f, t)), s)
+        if lhs != R.coextend(g, ext[s]):
             return "coextension-composition"
-    for s in plays_a:
-        for a in A.universe:
-            if len(s) < k:
-                longer = coextend(f, s + (a,))
-                if longer[:-1] != coextend(f, s):
-                    return "covering-preservation"
+    for s in plays:
+        # coextension commutes with dropping the last step
+        p = R.before(s)
+        if p is not None and ext[s][:len(p)] != ext[p]:
+            return "covering-preservation"
+    return None
+
+
+def hom_law_failure(R: Comonad, A, B, plays_a: list, plays_b: list, h: dict) -> Optional[str]:
+    """With h a homomorphism from A to B (pointed, for modal), the coextension
+    of h after the counit must be a homomorphism between the play structures
+    on plays_a and plays_b (a pointed one, for modal)."""
+    table = {s: h[R.counit(s)] for s in plays_a}
+    mapped = {play_id(s): play_id(R.coextend(table.__getitem__, s)) for s in plays_a}
+    SA, SB = play_structure(R, A, plays_a), play_structure(R, B, plays_b)
+    pointed = isinstance(SA, PointedStructure)
+    if not is_homomorphism(mapped, SA.base if pointed else SA, SB.base if pointed else SB):
+        return "coextension-homomorphism"
+    if pointed and mapped[SA.point] != SB.point:
+        return "point-preservation"
+    return None
+
+
+def ef_law_failure(R: Comonad, A: Structure, B: Structure, k: int,
+                   f_table: dict, g_table: dict, h_values: dict,
+                   rng: Optional[random.Random] = None) -> Optional[str]:
+    """Check the rank-comonad equations pointwise; return the first failed law."""
+    plays_a = ef_plays(A, k)
+    law = shared_law_failure(R, plays_a, f_table.__getitem__, g_table.__getitem__)
+    if law is not None:
+        return law
     # parallel-pair equation on plays of plays, sampled
     rng = rng or random.Random(0)
-    for _ in range(coeq_samples):
+    for _ in range(50):
         length = rng.randint(1, k)
         S = tuple(rng.choice(plays_a) for _ in range(length))
-        lifted = tuple(counit(x) for x in S)       # elementwise counit
-        if counit(lifted) != counit(S[-1]):
+        lifted = tuple(R.counit(x) for x in S)       # elementwise counit
+        if R.counit(lifted) != R.counit(S[-1]):
             return "coequaliser"
-    # a homomorphism's coextension is again a homomorphism
-    hf = {s: h_values[counit(s)] for s in plays_a}
-    mat_a = ef_mod.ef_materialize(A, k)
-    mat_b = ef_mod.ef_materialize(B, k)
-    mapped = {ef_mod.play_id(s): ef_mod.play_id(coextend(hf.__getitem__, s))
-              for s in plays_a}
-    if not is_homomorphism(mapped, mat_a, mat_b):
-        return "coextension-homomorphism"
-    return None
+    return hom_law_failure(R, A, B, plays_a, ef_plays(B, k), h_values)
 
 
-def pebble_law_failure(A: Structure, B: Structure, k: int, n: int,
-                       f_table: dict, g_table: dict,
-                       *, coextend: Callable = pebble_mod.pebble_coextension_on_play,
-                       counit: Callable = lambda s: s[-1][1],
-                       coeq_samples: int = 25, rng: Optional[random.Random] = None
-                       ) -> Optional[str]:
-    plays_a = pebble_mod.pebble_plays(A, k, n)
-    f = f_table.__getitem__
-    g = g_table.__getitem__
-    for s in plays_a:
-        if coextend(counit, s) != s:
-            return "counit-coextension-identity"
-    for s in plays_a:
-        if counit(coextend(f, s)) != f(s):
-            return "counit-after-coextension"
-    for s in plays_a:
-        lhs = coextend(lambda t: g(coextend(f, t)), s)
-        rhs = coextend(g, coextend(f, s))
-        if lhs != rhs:
-            return "coextension-composition"
-    for s in plays_a:
-        if len(s) < n:
-            move = (1, A.universe[0])
-            if coextend(f, s + (move,))[:-1] != coextend(f, s):
-                return "covering-preservation"
-    rng = rng or random.Random(0)
-    for _ in range(coeq_samples):
+def pebble_law_failure(R: Comonad, A: Structure, k: int, n: int,
+                       f_table: dict, g_table: dict) -> Optional[str]:
+    """Check the pebbling-comonad equations on plays of length at most n;
+    return the first failed law."""
+    plays_a = pebble_plays(A, k, n)
+    law = shared_law_failure(R, plays_a, f_table.__getitem__, g_table.__getitem__)
+    if law is not None:
+        return law
+    rng = random.Random(0)
+    for _ in range(25):
         length = rng.randint(1, n)
         S = tuple((rng.randint(1, k), rng.choice(plays_a)) for _ in range(length))
-        lifted = tuple((p, counit(x)) for p, x in S)
-        if counit(lifted) != counit(S[-1][1]):
+        lifted = tuple((p, R.counit(x)) for p, x in S)
+        if R.counit(lifted) != R.counit(S[-1][1]):
             return "coequaliser"
     return None
 
 
-def modal_law_failure(P: PointedStructure, k: int, f_table: dict,
-                      g_of_world: dict,
-                      *, counit: Callable = modal_mod.modal_counit,
-                      coextend: Callable = modal_mod.modal_coextend
-                      ) -> Optional[str]:
-    plays = modal_mod.modal_plays(P, k)
+def modal_law_failure(R: Comonad, P: PointedStructure, k: int, f_table: dict,
+                      g_of_world: dict) -> Optional[str]:
+    """Check the modal-comonad equations, with g read off the last world;
+    return the first failed law."""
+    plays = modal_plays(P, k)
     f = f_table.__getitem__
 
     def g(s):
-        return g_of_world[counit(s)]
+        return g_of_world[R.counit(s)]
 
+    law = shared_law_failure(R, plays, f, g)
+    if law is not None:
+        return law
     for s in plays:
-        if coextend(counit, s) != s:
-            return "counit-coextension-identity"
-    for s in plays:
-        out = coextend(f, s)
-        if counit(out) != f(s):
-            return "counit-after-coextension"
+        out = R.coextend(f, s)
         if out[:1] != (f(s[:1]),):
             return "point-preservation"
         if len(out) != len(s) or out[1::2] != s[1::2]:
             return "label-preservation"
-    for s in plays:
-        lhs = coextend(lambda t: g(coextend(f, t)), s)
-        rhs = coextend(g, coextend(f, s))
-        if lhs != rhs:
-            return "coextension-composition"
-    for s in plays:
-        # coextension preserves each one-step extension
-        if len(s) >= 3 and coextend(f, s)[:-2] != coextend(f, s[:-2]):
-            return "covering-preservation"
     # parallel-pair equation on paths of the unfolded structure
-    unfolded = modal_mod.modal_unfold(P, k)
-    for S in modal_mod.modal_plays(unfolded, k):
-        inner = [modal_mod.modal_play_of_id(w) for w in S[::2]]
+    unfolded = play_structure(R, P, plays)
+    for S in modal_plays(unfolded, k):
+        inner = [R.of_id(w) for w in S[::2]]
         lifted = list(S)
-        lifted[::2] = [counit(x) for x in inner]
-        if counit(tuple(lifted)) != counit(inner[-1]):
+        lifted[::2] = [R.counit(x) for x in inner]
+        if R.counit(tuple(lifted)) != R.counit(inner[-1]):
             return "coequaliser"
-    return None
-
-
-def modal_hom_law_failure(P: PointedStructure, Q: PointedStructure, k: int,
-                          h: dict) -> Optional[str]:
-    """With a pointed homomorphism h, the lifted strategy's coextension must be
-    a homomorphism between the unfoldings."""
-    plays = modal_mod.modal_plays(P, k)
-    table = {s: h[modal_mod.modal_counit(s)] for s in plays}
-    unf_p = modal_mod.modal_unfold(P, k)
-    unf_q = modal_mod.modal_unfold(Q, k)
-    mapped = {modal_mod.modal_play_id(s):
-              modal_mod.modal_play_id(modal_mod.modal_coextend(table.__getitem__, s))
-              for s in plays}
-    if not is_homomorphism(mapped, unf_p.base, unf_q.base):
-        return "coextension-homomorphism"
-    if mapped[unf_p.point] != unf_q.point:
-        return "point-preservation"
     return None
 
 
@@ -281,89 +255,83 @@ class LawReport:
                 "checks_run": self.checks_run, "first_failure": self.first_failure}
 
 
-def _run_ef_iteration(cfg: GenConfig, i: int) -> Optional[dict]:
+# Each comonad's instance at iteration i: a random structure, the element
+# shrinking must keep (the point, for modal) and the check of the comonad's
+# laws on a shrunk copy of it, given the record R.
+
+def _ef_instance(R: Comonad, cfg: GenConfig, i: int):
     rng = _rng(cfg, i)
     sig = random_signature(cfg, rng)
-    A = random_structure_with_signature(cfg, rng, sig)
-    B = random_structure_with_signature(cfg, rng, sig)
-    C = random_structure_with_signature(cfg, rng, sig)
-    k = cfg.ks[i % len(cfg.ks)]
+    A, B, C = (random_structure_with_signature(cfg, rng, sig) for _ in range(3))
 
     def check(A_: Structure, k_: int) -> Optional[str]:
         r = random.Random(f"{cfg.seed}:{i}:tables")
-        plays = ef_mod.ef_plays(A_, k_)
+        plays = ef_plays(A_, k_)
         f_table = {s: r.choice(B.universe) for s in plays}
-        g_table = {s: r.choice(C.universe) for s in ef_mod.ef_plays(B, k_)}
-        h = find_homomorphism(A_, B)
-        if h is not None:
-            return ef_law_failure(A_, B, C, k_, f_table, g_table, h,
-                                  rng=random.Random(f"{cfg.seed}:{i}:coeq"))
-        ident = {a: a for a in A_.universe}
-        f_self = {s: r.choice(A_.universe) for s in plays}
-        g_self = {s: r.choice(C.universe) for s in ef_mod.ef_plays(A_, k_)}
-        return ef_law_failure(A_, A_, C, k_, f_self, g_self, ident,
+        g_table = {s: r.choice(C.universe) for s in ef_plays(B, k_)}
+        h, target = find_homomorphism(A_, B), B
+        if h is None:  # lift the identity of A_ instead
+            h, target = {a: a for a in A_.universe}, A_
+            f_table = {s: r.choice(A_.universe) for s in plays}
+            g_table = {s: r.choice(C.universe) for s in ef_plays(A_, k_)}
+        return ef_law_failure(R, A_, target, k_, f_table, g_table, h,
                               rng=random.Random(f"{cfg.seed}:{i}:coeq"))
 
-    law = check(A, k)
-    if law is None:
-        return None
-    A_small, k_small = _shrink(A, k, lambda s, kk: check(s, kk) == law)
-    return {"comonad": "ef", "law": law, "iteration": i, "k": k_small,
-            "structure": _structure_json(A_small)}
+    return A, None, check
 
 
-def _run_pebble_iteration(cfg: GenConfig, i: int) -> Optional[dict]:
+def _pebble_instance(R: Comonad, cfg: GenConfig, i: int):
     rng = _rng(cfg, 10_000 + i)
     A = random_structure(cfg, rng)
     B = random_structure(cfg, rng)
-    k = cfg.ks[i % len(cfg.ks)]
     n = cfg.pebble_play_length
 
     def check(A_: Structure, k_: int) -> Optional[str]:
         r = random.Random(f"{cfg.seed}:{i}:ptables")
-        f_table = {s: r.choice(B.universe) for s in pebble_mod.pebble_plays(A_, k_, n)}
-        g_table = {s: r.choice(A_.universe) for s in pebble_mod.pebble_plays(B, k_, n)}
-        return pebble_law_failure(A_, B, k_, n, f_table, g_table)
+        f_table = {s: r.choice(B.universe) for s in pebble_plays(A_, k_, n)}
+        g_table = {s: r.choice(A_.universe) for s in pebble_plays(B, k_, n)}
+        return pebble_law_failure(R, A_, k_, n, f_table, g_table)
 
-    law = check(A, k)
-    if law is None:
-        return None
-    A_small, k_small = _shrink(A, k, lambda s, kk: check(s, kk) == law)
-    return {"comonad": "pebble", "law": law, "iteration": i, "k": k_small,
-            "structure": _structure_json(A_small)}
+    return A, None, check
 
 
-def _run_modal_iteration(cfg: GenConfig, i: int) -> Optional[dict]:
+def _modal_instance(R: Comonad, cfg: GenConfig, i: int):
     rng = _rng(cfg, 20_000 + i)
     P = random_pointed(rng, max_worlds=min(cfg.max_universe_size, 4))
     Q = random_pointed(rng, max_worlds=min(cfg.max_universe_size, 4))
-    k = cfg.ks[i % len(cfg.ks)]
 
-    def check(P_: PointedStructure, k_: int) -> Optional[str]:
+    def check(A_: Structure, k_: int) -> Optional[str]:
+        P_ = PointedStructure(A_, P.point)
         r = random.Random(f"{cfg.seed}:{i}:mtables")
-        plays = modal_mod.modal_plays(P_, k_)
+        plays = modal_plays(P_, k_)
         f_table = {s: r.choice(Q.base.universe) for s in plays}
-        g_of_world = {w: r.choice(P_.base.universe) for w in Q.base.universe}
-        law = modal_law_failure(P_, k_, f_table, g_of_world)
+        g_of_world = {w: r.choice(A_.universe) for w in Q.base.universe}
+        law = modal_law_failure(R, P_, k_, f_table, g_of_world)
         if law is not None:
             return law
-        h = find_homomorphism(P_.base, Q.base, pre={P_.point: Q.point})
-        if h is not None:
-            return modal_hom_law_failure(P_, Q, k_, h)
-        return modal_hom_law_failure(P_, P_, k_, {w: w for w in P_.base.universe})
+        h, target = find_homomorphism(A_, Q.base, pre={P.point: Q.point}), Q
+        if h is None:
+            h, target = {w: w for w in A_.universe}, P_
+        return hom_law_failure(R, P_, target, plays, modal_plays(target, k_), h)
 
-    law = check(P, k)
+    return P.base, P.point, check
+
+
+INSTANCES = {"ef": _ef_instance, "pebble": _pebble_instance, "modal": _modal_instance}
+
+
+def _run_iteration(cfg: GenConfig, i: int, tag: str) -> Optional[dict]:
+    """Check one comonad's laws at iteration i; on a failure, the report of
+    the instance shrunk while the same law fails first."""
+    A, keep, check = INSTANCES[tag](COMONADS[tag], cfg, i)
+    k = cfg.ks[i % len(cfg.ks)]
+    law = check(A, k)
     if law is None:
         return None
-    A_small, k_small = _shrink(
-        P.base, k, lambda s, kk: check(PointedStructure(s, P.point), kk) == law, keep=P.point)
-    return {"comonad": "modal", "law": law, "iteration": i, "k": k_small,
-            "structure": _structure_json(PointedStructure(A_small, P.point))}
-
-
-def _structure_json(A) -> dict:
-    from .structures import structure_to_dict
-    return structure_to_dict(A)
+    small, k_small = _shrink(A, k, lambda S, kk: check(S, kk) == law, keep)
+    return {"comonad": tag, "law": law, "iteration": i, "k": k_small,
+            "structure": structure_to_dict(small if keep is None
+                                           else PointedStructure(small, keep))}
 
 
 def _shrink(A: Structure, k: int, still_fails: Callable[[Structure, int], bool],
@@ -417,8 +385,8 @@ def _drop_element(A: Structure, e: str) -> Structure:
 def run_law_suite(cfg: GenConfig) -> LawReport:
     checks = 0
     for i in range(cfg.iterations):
-        for runner in (_run_ef_iteration, _run_pebble_iteration, _run_modal_iteration):
-            failure = runner(cfg, i)
+        for tag in INSTANCES:
+            failure = _run_iteration(cfg, i, tag)
             checks += 1
             if failure is not None:
                 return LawReport(False, cfg.iterations, checks, failure)

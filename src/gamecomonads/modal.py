@@ -17,18 +17,16 @@ existence into the unfolding at finite depth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .comonad import DEFAULT_CAP, Comonad, read_list
 from .strategy import answers, certificate
 from .structures import (CapExceeded, PointedStructure, SignatureMismatch,
-                         Structure, StructureError, validate_structure)
+                         Structure, StructureError)
 
 # A play is a flat alternating tuple (a0, label1, a1, ..., labelj, aj).
 ModalPlay = tuple[str, ...]
-
-DEFAULT_CAP = 200_000
 
 
 class ArityError(StructureError):
@@ -97,16 +95,10 @@ def _check_k(k: int) -> None:
         raise ValueError("k must be >= 1")
 
 
-def modal_play_id(s: ModalPlay) -> str:
-    return json.dumps(list(s), separators=(",", ":"))
-
-
-def modal_play_of_id(pid: str) -> ModalPlay:
-    return tuple(json.loads(pid))
-
-
 def modal_plays(P: PointedStructure, k: int, cap: int = DEFAULT_CAP) -> list[ModalPlay]:
-    """All transition sequences from the point, up to k steps, breadth first."""
+    """All transition sequences from the point, up to k steps, breadth first;
+    raises `CapExceeded` past cap plays."""
+    _check_k(k)
     K = view_of(P.base)
     labels = sorted(K.transitions)
     plays: list[ModalPlay] = [(P.point,)]
@@ -128,30 +120,6 @@ def modal_counit(s: ModalPlay) -> str:
     return s[-1]
 
 
-def modal_unfold(P: PointedStructure, k: int, cap: int = DEFAULT_CAP) -> PointedStructure:
-    """Unravel the structure from its point to depth k.
-
-    Worlds of the result are plays; a proposition holds of a play iff it holds
-    of its last element, and a labelled transition connects each play to its
-    one-step extensions.
-    """
-    _check_k(k)
-    K = view_of(P.base)  # raises on arity violation
-    plays = modal_plays(P, k, cap)
-    interp: dict[str, list[list[str]]] = {}
-    for name, ws in K.props.items():
-        interp[name] = [[modal_play_id(s)] for s in plays if s[-1] in ws]
-    for label in K.transitions:
-        rows = []
-        for s in plays:
-            if len(s) > 1 and s[-2] == label:
-                rows.append([modal_play_id(s[:-2]), modal_play_id(s)])
-        interp[label] = rows
-    base = validate_structure(dict(P.base.sig.relations),
-                              [modal_play_id(s) for s in plays], interp)
-    return PointedStructure(base, modal_play_id((P.point,)))
-
-
 def modal_coextend(f: Callable[[ModalPlay], str], s: ModalPlay) -> ModalPlay:
     """f*[a] = [f[a]]; f*(s[label, a']) = f*(s)[label, f(s[label, a'])]."""
     out = [f(s[:1])]
@@ -159,6 +127,30 @@ def modal_coextend(f: Callable[[ModalPlay], str], s: ModalPlay) -> ModalPlay:
         out.append(s[i])
         out.append(f(s[:i + 2]))
     return tuple(out)
+
+
+def _modal_malformed(P: PointedStructure, k: int, s: ModalPlay) -> Optional[str]:
+    if len(s) % 2 != 1 or (len(s) - 1) // 2 > k:
+        return f"is malformed or longer than depth {k}"
+    if s[0] != P.point:
+        return "does not start at the point"
+    transitions = view_of(P.base).transitions
+    for u, label, v in zip(s[::2], s[1::2], s[2::2]):
+        if label not in transitions or (u, v) not in transitions[label]:
+            return f"uses a missing transition {u!r} -{label}-> {v!r}"
+    return None
+
+
+# A proposition holds of a play iff it holds of its last world, and a labelled
+# transition joins each play to its one-step extensions along the label.
+MODAL = Comonad(
+    before=lambda s: s[:-2] if len(s) > 2 else None,
+    counit=modal_counit, coextend=modal_coextend,
+    unrelated=lambda name, plays: (
+        None if len(plays) == 1 or plays[1][:-2] == plays[0] and plays[1][-2] == name
+        else "target play does not extend source play by this step"),
+    malformed=_modal_malformed,
+    read=lambda raw: read_list(raw, "worlds and labels"))
 
 
 def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,

@@ -10,21 +10,19 @@ k-variable types of tuples, computed on each structure alone (`refine.Types`).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import product
 from typing import Callable, Optional, Sequence
 
+from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
+                      read_list)
 from .refine import CAP, Types
 from .strategy import PairRules, certificate
 from .structures import (CapExceeded, Structure, extensions, occurrences,
-                         require_same_signature, validate_structure)
+                         require_same_signature)
 
 Move = tuple[int, str]
 PebblePlay = tuple[Move, ...]
-
-DEFAULT_CAP = 200_000
 
 # A position of the pebble games is the set of (source, target) pairs the
 # pebbles mark, as a sorted tuple of distinct pairs.  Pebble indices are
@@ -35,69 +33,38 @@ DEFAULT_CAP = 200_000
 Position = tuple[tuple[str, str], ...]
 
 
-def pebble_play_id(s: PebblePlay) -> str:
-    return json.dumps([[p, a] for p, a in s], separators=(",", ":"))
+def pebble_counit(s: PebblePlay) -> str:
+    return s[-1][1]
 
 
-def pebble_play_of_id(pid: str) -> PebblePlay:
-    return tuple((int(p), a) for p, a in json.loads(pid))
-
-
-def pebble_relation_holds(rel: str, plays: Sequence[PebblePlay], A: Structure) -> bool:
-    """The lifted relation on plays.
-
-    Holds iff (1) the plays are pairwise prefix-comparable, (2) the pebble
-    placed last in each play is not moved again within any longer play of the
-    tuple, and (3) the relation holds of the last elements in A.
-    """
+def _pebble_unrelated(name: str, plays: Sequence[PebblePlay]) -> Optional[str]:
+    """The pebble condition on a tuple of the lifted relation: the plays are
+    pairwise prefix-comparable, and the pebble placed last in each is not
+    moved again within any longer play of the tuple."""
+    if not comparable(plays):
+        return "plays are not prefix-comparable"
     for s in plays:
-        if not s:
-            return False
-    for s, t in product(plays, plays):
-        if s[:len(t)] != t and t[:len(s)] != s:
-            return False
-    for s in plays:
-        last_pebble = s[-1][0]
         for t in plays:
-            if len(t) >= len(s) and t[:len(s)] == s:
-                if any(p == last_pebble for p, _ in t[len(s):]):
-                    return False
-    return tuple(s[-1][1] for s in plays) in A.relations[rel]
+            if len(t) > len(s) and any(p == s[-1][0] for p, _ in t[len(s):]):
+                return f"pebble {s[-1][0]} is moved again after {s[-1][1]!r}"
+    return None
 
 
-def pebble_plays(A: Structure, k: int, n: int) -> list[PebblePlay]:
-    """All plays of length 1..n over k pebbles, in breadth-first order."""
+def pebble_plays(A: Structure, k: int, n: int, cap: int = DEFAULT_CAP) -> list[PebblePlay]:
+    """All plays of length 1..n over k pebbles, in breadth-first order;
+    raises `CapExceeded` past cap plays."""
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be >= 1")
     moves = [(p, a) for p in range(1, k + 1) for a in A.universe]
+    size = sum(len(moves) ** i for i in range(1, n + 1))
+    if size > cap:
+        raise CapExceeded(size, cap, "plays")
     out: list[PebblePlay] = []
     frontier: list[PebblePlay] = [()]
     for _ in range(n):
         frontier = [s + (m,) for s in frontier for m in moves]
         out.extend(frontier)
     return out
-
-
-def pebble_truncate(A: Structure, k: int, n: int, cap: int = DEFAULT_CAP) -> Structure:
-    """Induced substructure of the play structure on plays of length <= n."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
-    size = sum((k * len(A.universe)) ** i for i in range(1, n + 1))
-    if size > cap:
-        raise CapExceeded(size, cap)
-    plays = pebble_plays(A, k, n)
-    interp: dict[str, list[list[str]]] = {}
-    for name in A.sig.relations:
-        ar = A.sig.arity(name)
-        rows = []
-        for s in plays:
-            prefixes = [s[:i] for i in range(1, len(s) + 1)]
-            for combo in product(prefixes, repeat=ar):
-                if s not in combo:
-                    continue
-                if pebble_relation_holds(name, combo, A):
-                    rows.append([pebble_play_id(c) for c in combo])
-        interp[name] = rows
-    return validate_structure(dict(A.sig.relations),
-                              [pebble_play_id(s) for s in plays], interp)
 
 
 def pebble_coextension_on_play(f: Callable[[PebblePlay], str], s: PebblePlay) -> PebblePlay:
@@ -110,6 +77,29 @@ def pebble_coextension_on_play(f: Callable[[PebblePlay], str], s: PebblePlay) ->
             raise ValueError(f"strategy undefined on prefix {s[:i]}") from None
         out.append((s[i - 1][0], b))
     return tuple(out)
+
+
+def _pebble_malformed(A: Structure, k: int, s: PebblePlay) -> Optional[str]:
+    if not s:
+        return "is empty"
+    if any(not 1 <= p <= k for p, _ in s):
+        return f"uses a pebble outside 1..{k}"
+    if any(x not in A.universe for _, x in s):
+        return "leaves the universe"
+    return None
+
+
+def _move(m) -> Optional[Move]:
+    ok = (isinstance(m, list) and len(m) == 2 and type(m[0]) is int
+          and isinstance(m[1], str))
+    return (m[0], m[1]) if ok else None
+
+
+PEBBLE = Comonad(
+    before=drop_move, counit=pebble_counit,
+    coextend=pebble_coextension_on_play, unrelated=_pebble_unrelated,
+    malformed=_pebble_malformed,
+    read=lambda raw: read_list(raw, "[pebble, element] pairs", _move))
 
 
 def pebble_bases(pos: Position, k: int) -> list[Position]:

@@ -22,10 +22,10 @@ class SignatureMismatch(StructureError):
 
 
 class CapExceeded(RuntimeError):
-    """A materialization or strategy table would exceed the requested size
-    cap; `what` names the things counted (elements, plays, table entries)."""
+    """A computation would exceed its size cap; `what` names the things
+    counted, such as plays, tuples or positions."""
 
-    def __init__(self, required: int, cap: int, what: str = "elements"):
+    def __init__(self, required: int, cap: int, what: str):
         super().__init__(f"size cap exceeded: would need {required} {what}, cap is {cap}")
         self.required = required
         self.cap = cap
@@ -47,9 +47,6 @@ class Signature:
     def arity(self, name: str) -> int:
         return self.relations[name]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.relations)
-
 
 @dataclass
 class Structure:
@@ -58,12 +55,6 @@ class Structure:
     sig: Signature
     universe: tuple[str, ...]
     relations: dict[str, frozenset[tuple[str, ...]]]
-
-    def index(self, element: str) -> int:
-        return self.universe.index(element)
-
-    def tuples(self, name: str) -> frozenset[tuple[str, ...]]:
-        return self.relations[name]
 
 
 @dataclass

@@ -14,12 +14,14 @@ from itertools import combinations_with_replacement, groupby, permutations, prod
 from operator import itemgetter
 from typing import Callable, Optional
 
+from gamecomonads.coalgebra import COMONADS
+from gamecomonads.comonad import play_id, play_structure
 from gamecomonads.decomposition import (ROOT, TREE_DEPTH_BOUND, TREE_WIDTH_BOUND, ForestCover,
                                         TreeDecomposition)
 from gamecomonads.ef import EfRules, Options, coextend_play, ef_plays
 from gamecomonads.matching import perfect_matching
-from gamecomonads.modal import kripke_view
-from gamecomonads.pebble import PebbleRules, Position
+from gamecomonads.modal import kripke_view, modal_plays
+from gamecomonads.pebble import PebbleRules, Position, pebble_plays
 from gamecomonads.strategy import answers, certificate
 from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, extensions,
                                      gaifman_graph, is_homomorphism, is_partial_homomorphism,
@@ -237,6 +239,34 @@ def brute_pebble_number(A: Structure) -> int:
                 best = min(best, k)
                 break
     return best
+
+
+def brute_coalgebra(tag: str, A, k: int, alpha: dict) -> bool:
+    """Whether alpha, element -> play, is a coalgebra of the comonad tag at
+    index k (A pointed for modal), by the definition: every play ends at its
+    element, every prefix p of every play is the play of the element p ends
+    at, and alpha, read as play ids, is a homomorphism into the structure of
+    all plays (a pointed one, for modal; for pebble, of plays no longer than
+    the longest play of alpha)."""
+    base = A.base if tag == "modal" else A
+    counit = (lambda s: s[-1][1]) if tag == "pebble" else (lambda s: s[-1])
+    step = 2 if tag == "modal" else 1
+    if any(a not in alpha or not alpha[a] or counit(alpha[a]) != a for a in base.universe):
+        return False
+    for s in map(alpha.get, base.universe):
+        if any(alpha.get(counit(s[:i])) != s[:i] for i in range(1, len(s) + 1, step)):
+            return False
+    if tag == "ef":
+        plays = ef_plays(A, k)
+    elif tag == "pebble":
+        plays = pebble_plays(A, k, max(len(s) for s in alpha.values()))
+    else:
+        plays = modal_plays(A, k)
+    M = play_structure(COMONADS[tag], A, plays)
+    h = {a: play_id(alpha[a]) for a in base.universe}
+    if tag == "modal":
+        return is_homomorphism(h, base, M.base) and h[A.point] == M.point
+    return is_homomorphism(h, A, M)
 
 
 def brute_graded_bisim(P, Q, k: int) -> bool:

@@ -18,14 +18,15 @@ from gamecomonads.cli import main
 from gamecomonads.coalgebra import (construct_coalgebra, ef_coalgebra_to_forest_cover,
                                     ef_to_pebble_coalgebra, forest_cover_to_ef_coalgebra,
                                     pebble_coalgebra_number, verify_coalgebra)
+from gamecomonads.comonad import play_structure
 from gamecomonads.decomposition import (pebble_cover_to_decomposition, tree_depth,
                                         tree_width, verify_pebbled_forest_cover,
                                         verify_tree_decomposition)
-from gamecomonads.ef import ef_game, ef_game_exists, ef_materialize
+from gamecomonads.ef import EF, ef_game, ef_game_exists, ef_plays
 from gamecomonads.equiv import decide
 from gamecomonads.lawcheck import (GenConfig, random_pair, random_pointed_pair,
                                    run_law_suite)
-from gamecomonads.modal import modal_game, modal_unfold
+from gamecomonads.modal import MODAL, modal_game, modal_plays
 from gamecomonads.pebble import pebble_game
 from gamecomonads.structures import (find_homomorphism, gaifman_graph,
                                      load_structure_file, validate_structure)
@@ -63,7 +64,7 @@ def test_criterion_02_rank_game_vs_materialized_hom():
         A, B = random_pair(cfg, rng, max_size=3)
         k = rng.choice((1, 2))
         game = ef_game_exists(A, B, k, build_strategy=False)[0]
-        hom = find_homomorphism(ef_materialize(A, k), B) is not None
+        hom = find_homomorphism(play_structure(EF, A, ef_plays(A, k)), B) is not None
         disagreements += (game != hom)
     report(2, disagreements == 0,
            f"existential rank game vs hom into materialized plays, "
@@ -77,7 +78,7 @@ def test_criterion_03_simulation_vs_hom_into_unfolding():
         P, Q = random_pointed_pair(rng, max_worlds=4)
         k = rng.choice((1, 2, 3))
         sim = simulation_approx(P, Q, k)
-        U = modal_unfold(P, k)
+        U = play_structure(MODAL, P, modal_plays(P, k))
         hom = find_homomorphism(U.base, Q.base, pre={U.point: Q.point}) is not None
         disagreements += (sim != hom)
     report(3, disagreements == 0,

@@ -214,6 +214,20 @@ def test_coalgebra_malformed_alpha(tmp_path, capsys):
     assert main(["coalgebra", "--comonad", "ef", "-k", "2", p, str(alpha)]) == 2
 
 
+@pytest.mark.parametrize("comonad,alpha", [
+    ("ef", {"a": "a", "b": "ab"}),
+    ("pebble", {"a": ["1a"], "b": ["1a", "2b"]}),
+    ("modal", {"a": "a", "b": "atb"}),
+])
+def test_coalgebra_rejects_a_string_as_a_play(tmp_path, capsys, comonad, alpha):
+    # each string spells a valid play letter by letter; a play must be a list
+    p = plain(tmp_path, "edge.json", zoo.kripke(["a", "b"], "a", {"t": [("a", "b")]}))
+    alpha = write(tmp_path, "alpha.json", {"alpha": alpha})
+    assert main(["coalgebra", "--comonad", comonad, "-k", "2", p, alpha]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "malformed coalgebra" in err
+
+
 def test_coalgebra_pebble_and_modal(tmp_path, capsys):
     p = plain(tmp_path, "k3.json", zoo.clique(3))
     assert main(["coalgebra", "--comonad", "pebble", "-k", "3", p]) == 0

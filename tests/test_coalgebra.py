@@ -1,9 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
-from oracles import all_forests, brute_pebble_number, is_cover_of
+from oracles import all_forests, brute_coalgebra, brute_pebble_number, is_cover_of
 from strategies import structures
 
 from gamecomonads import zoo
@@ -14,8 +18,11 @@ from gamecomonads.coalgebra import (construct_coalgebra, ef_coalgebra_number,
                                     modal_coalgebra_number, modal_depth,
                                     pebble_coalgebra_number, pebble_coalgebra_to_cover,
                                     pebbled_cover_to_coalgebra, verify_coalgebra)
-from gamecomonads.decomposition import ForestCover, tree_depth, tree_width
-from gamecomonads.ef import ef_materialize, play_id
+from gamecomonads.comonad import play_id, play_structure
+from gamecomonads.decomposition import (ForestCover, PebbledForestCover, tree_depth,
+                                        tree_width)
+from gamecomonads.lawcheck import GenConfig, random_structure
+from gamecomonads.ef import EF, ef_plays
 from gamecomonads.structures import gaifman_graph, is_homomorphism, validate_structure
 
 
@@ -51,7 +58,7 @@ def test_verify_ef_agrees_with_materialized_hom():
     ok, msg = verify_coalgebra("ef", A, depth, alpha)
     assert ok, msg
     mapped = {a: play_id(s) for a, s in alpha.items()}
-    assert is_homomorphism(mapped, A, ef_materialize(A, depth))
+    assert is_homomorphism(mapped, A, play_structure(EF, A, ef_plays(A, depth)))
 
 
 def test_forest_cover_to_coalgebra_examples():
@@ -269,3 +276,91 @@ def test_construct_coalgebra_driver():
     assert construct_coalgebra("modal", zoo.kripke_loop(), 3) is None
     out = construct_coalgebra("modal", zoo.kripke_chain(1), 1)
     assert out == {"w0": ["w0"], "w1": ["w0", "t", "w1"]}
+
+
+def _random_tree(rng: random.Random):
+    """A pointed Kripke structure that is a tree from its point, sometimes with
+    one more transition or an unreachable world, and each world's path from
+    the point (the unreachable world's play is the world alone)."""
+    worlds = [f"w{i}" for i in range(rng.randint(1, 5))]
+    edges = {"s": [], "t": []}
+    paths = {"w0": ("w0",)}
+    for i, w in enumerate(worlds[1:], 1):
+        u, label = rng.choice(worlds[:i]), rng.choice("st")
+        edges[label].append((u, w))
+        paths[w] = paths[u] + (label, w)
+    if rng.random() < 0.3:
+        edges[rng.choice("st")].append((rng.choice(worlds), rng.choice(worlds)))
+    if rng.random() < 0.2:
+        worlds.append("u")
+        paths["u"] = ("u",)
+    return zoo.kripke(worlds, "w0", edges, {"p": worlds[::2]}), paths
+
+
+def _changed(tag: str, universe, k: int, alpha: dict, rng: random.Random) -> dict:
+    """alpha with one entry changed: dropped, or its play replaced by another
+    element's, emptied, cut by a move, or with its first move replaced, its
+    last move replaced or a move added (on an element of the universe or
+    not, with a pebble up to k + 1)."""
+    def move():
+        x = rng.choice([*universe, "z"])
+        return {"ef": (x,), "pebble": ((rng.randint(1, k + 1), x),),
+                "modal": (rng.choice("st"), x)}[tag]
+    unit = 2 if tag == "modal" else 1
+    a = rng.choice(universe)
+    s = alpha[a]
+    out = dict(alpha)
+    choice = rng.randrange(7)
+    if choice == 0:
+        del out[a]
+    elif choice == 1:
+        out[a] = alpha[rng.choice(universe)]
+    elif choice == 2:
+        out[a] = ()
+    elif choice == 3:
+        out[a] = s[:-unit]
+    elif choice == 4:
+        out[a] = move()[-1:] + s[1:]
+    else:
+        out[a] = s[:-unit if choice == 5 else len(s)] + move()
+    return out
+
+
+def test_verify_coalgebra_matches_the_definition():
+    # covers and unfoldings give coalgebras at some indices, and one-entry
+    # changes of them break the laws in every way the verifier checks
+    rng = random.Random(14)
+    cases = []
+    for i in range(60):
+        A = random_structure(GenConfig(max_universe_size=4, max_arity=2, density=0.4), rng)
+        G = gaifman_graph(A)
+        forests = all_forests(G.vertices)
+        # covers at even i, forests that are not covers (if any) at odd i
+        F = ForestCover(rng.choice(
+            [p for p in forests if is_cover_of(p, G.edges) == (i % 2 == 0)] or forests))
+        k = min(4, max(1, F.height + rng.randint(-1, 1)))
+        cases.append(("ef", A, k, {v: tuple(F.chain(v)) for v in A.universe}))
+        if len(A.universe) <= 3:
+            pebbles = {v: rng.randint(1, 2) for v in A.universe}
+            k = rng.randint(1, 2)
+            cases.append(("pebble", A, k, pebbled_cover_to_coalgebra(
+                PebbledForestCover(F, pebbles, k))))
+        P, paths = _random_tree(rng)
+        cases.append(("modal", P, rng.randint(1, 3), paths))
+    verdicts = {True: 0, False: 0}
+    for tag, A, k, alpha in cases:
+        universe = (A.base if tag == "modal" else A).universe
+        for beta in [alpha] + [_changed(tag, universe, k, alpha, rng) for _ in range(4)]:
+            ok, msg = verify_coalgebra(tag, A, k, beta)
+            assert ok == brute_coalgebra(tag, A, k, beta), (tag, k, beta, msg)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
+def test_parameter_survey_script_runs():
+    root = pathlib.Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "parameter_survey.py"), "--samples", "5"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

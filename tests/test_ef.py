@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from strategies import structure_pairs, structures
 
 from gamecomonads import zoo
-from gamecomonads.ef import (EfCoKleisli, EfRules, coextend_play, ef_coextension,
-                             ef_counit, ef_game_exists, ef_materialize, ef_plays,
-                             i_morphism_normalize, is_i_morphism, play_id,
-                             play_of_id)
+from gamecomonads.comonad import play_id, play_structure
+from gamecomonads.ef import (EF, EfCoKleisli, EfRules, coextend_play, ef_coextension,
+                             ef_counit, ef_game_exists, ef_plays,
+                             i_morphism_normalize, is_i_morphism)
 from gamecomonads.strategy import verify
 from gamecomonads.structures import (CapExceeded, find_homomorphism,
                                      is_homomorphism)
@@ -23,8 +23,13 @@ def ids(plays):
     return {play_id(s) for s in plays}
 
 
+def materialize(A, k):
+    """The ef play structure of rank k."""
+    return play_structure(EF, A, ef_plays(A, k))
+
+
 def test_materialize_loop_k2():
-    M = ef_materialize(zoo.loop(), 2)
+    M = materialize(zoo.loop(), 2)
     assert set(M.universe) == ids([("a",), ("a", "a")])
     one, two = play_id(("a",)), play_id(("a", "a"))
     assert M.relations["R"] == frozenset({(one, one), (one, two), (two, one), (two, two)})
@@ -32,14 +37,14 @@ def test_materialize_loop_k2():
 
 def test_materialize_edge_k1():
     # distinct length-1 plays are prefix-incomparable, so no tuple relates them
-    M = ef_materialize(zoo.edge(), 1)
+    M = materialize(zoo.edge(), 1)
     assert set(M.universe) == ids([("a",), ("b",)])
     assert M.relations["R"] == frozenset()
 
 
 @given(structures(max_size=3))
 def test_materialize_k1_keeps_exactly_diagonal_tuples(A):
-    M = ef_materialize(A, 1)
+    M = materialize(A, 1)
     assert len(M.universe) == len(A.universe)
     for name, tups in A.relations.items():
         expected = {tuple(play_id((t[0],)) for _ in t)
@@ -49,14 +54,14 @@ def test_materialize_k1_keeps_exactly_diagonal_tuples(A):
 
 @given(structures(max_size=3))
 def test_materialize_k1_counit_is_homomorphism(A):
-    M = ef_materialize(A, 1)
+    M = materialize(A, 1)
     rename = {play_id((a,)): a for a in A.universe}
     assert is_homomorphism(rename, M, A)
 
 
 def test_materialize_cap():
     with pytest.raises(CapExceeded) as exc:
-        ef_materialize(zoo.lin(4), 3, cap=10)
+        ef_plays(zoo.lin(4), 3, cap=10)
     assert exc.value.required == 4 + 16 + 64
 
 
@@ -140,7 +145,7 @@ def test_game_triangle_to_k2():
 def test_game_matches_materialized_hom_on_triangle():
     for k in (1, 2, 3):
         game = ef_game_exists(zoo.clique(3), zoo.edge2(), k, build_strategy=False)[0]
-        hom = find_homomorphism(ef_materialize(zoo.clique(3), k), zoo.edge2())
+        hom = find_homomorphism(materialize(zoo.clique(3), k), zoo.edge2())
         assert game == (hom is not None)
 
 
@@ -150,7 +155,7 @@ def test_game_matches_materialized_hom(pair):
     A, B = pair
     for k in (1, 2):
         game = ef_game_exists(A, B, k, build_strategy=False)[0]
-        hom = find_homomorphism(ef_materialize(A, k), B)
+        hom = find_homomorphism(materialize(A, k), B)
         assert game == (hom is not None)
 
 
@@ -169,7 +174,7 @@ def test_strategy_table_is_cokleisli_hom():
     verdict, cert = ef_game_exists(A, B, 2)
     assert verdict
     mapped = {play_id(s): cert.table[s] for s in ef_plays(A, 2)}
-    assert is_homomorphism(mapped, ef_materialize(A, 2), B)
+    assert is_homomorphism(mapped, materialize(A, 2), B)
 
 
 def test_strategy_verifier_rejects_tampering():
@@ -232,7 +237,7 @@ def test_normalized_strategy_still_homomorphism():
     verdict, cert = ef_game_exists(A, B, 2)
     g = i_morphism_normalize(cert)
     mapped = {play_id(s): g.table[s] for s in ef_plays(A, 2)}
-    assert is_homomorphism(mapped, ef_materialize(A, 2), B)
+    assert is_homomorphism(mapped, materialize(A, 2), B)
 
 
 # Kleisli-form equations, checked pointwise on materialized instances
@@ -282,7 +287,7 @@ def test_coequaliser_parallel_pair():
 
 def test_play_id_round_trip():
     s = ("a", "b,c", 'd"e')
-    assert play_of_id(play_id(s)) == s
+    assert EF.of_id(play_id(s)) == s
 
 
 def test_lin_sweep_script_checks_the_closed_form(monkeypatch, capsys):

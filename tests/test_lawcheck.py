@@ -1,14 +1,18 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from gamecomonads import zoo
-from gamecomonads.ef import coextend_play, ef_plays
+from gamecomonads.coalgebra import COMONADS
+from gamecomonads.ef import EF, coextend_play, ef_plays
 from gamecomonads.lawcheck import (GenConfig, ef_law_failure, modal_law_failure,
                                    pebble_law_failure, random_pair,
                                    random_pointed, random_structure,
                                    run_law_suite)
+from gamecomonads.modal import MODAL
+from gamecomonads.pebble import PEBBLE
 from gamecomonads.structures import Structure
 
 
@@ -21,6 +25,10 @@ def test_genconfig_validation():
         GenConfig(ks=())
     with pytest.raises(ValueError):
         GenConfig(max_universe_size=10, ks=(6,))  # blows the materialization cap
+    with pytest.raises(ValueError):
+        GenConfig(pebble_play_length=5)  # 12 moves: 271,452 pebble plays
+    with pytest.raises(ValueError):
+        GenConfig(pebble_play_length=0)
 
 
 def test_random_structure_deterministic_and_valid():
@@ -90,7 +98,7 @@ def test_injected_counit_fault_is_caught():
     def bad_counit(s):
         return s[0]
 
-    law = ef_law_failure(A, B, A, 2, f, g, ident, counit=bad_counit)
+    law = ef_law_failure(replace(EF, counit=bad_counit), A, B, 2, f, g, ident)
     assert law in ("counit-coextension-identity", "counit-after-coextension")
 
 
@@ -102,7 +110,7 @@ def test_injected_coextension_fault_is_caught():
     def bad_coextend(fn, s):
         return tuple(reversed(coextend_play(fn, s)))
 
-    law = ef_law_failure(A, B, A, 2, f, g, ident, coextend=bad_coextend)
+    law = ef_law_failure(replace(EF, coextend=bad_coextend), A, B, 2, f, g, ident)
     assert law is not None
 
 
@@ -119,8 +127,8 @@ def test_pebble_law_fault_injection():
             out.append((1, fn(s[:i])))  # forgets the pebble indices
         return tuple(out)
 
-    assert pebble_law_failure(A, B, 2, 2, f, g) is None
-    assert pebble_law_failure(A, B, 2, 2, f, g, coextend=bad_coextend) == \
+    assert pebble_law_failure(PEBBLE, A, 2, 2, f, g) is None
+    assert pebble_law_failure(replace(PEBBLE, coextend=bad_coextend), A, 2, 2, f, g) == \
         "counit-coextension-identity"
 
 
@@ -130,25 +138,17 @@ def test_modal_law_fault_injection():
     from gamecomonads.modal import modal_plays
     f = {s: rng.choice(P.base.universe) for s in modal_plays(P, 2)}
     g = {w: rng.choice(P.base.universe) for w in P.base.universe}
-    assert modal_law_failure(P, 2, f, g) is None
+    assert modal_law_failure(MODAL, P, 2, f, g) is None
 
     def bad_counit(s):
         return s[0]
 
-    assert modal_law_failure(P, 2, f, g, counit=bad_counit) is not None
+    assert modal_law_failure(replace(MODAL, counit=bad_counit), P, 2, f, g) is not None
 
 
 def test_failure_report_contains_shrunken_instance(monkeypatch):
-    # force the ef check to fail by sabotaging the counit inside lawcheck
-    import gamecomonads.lawcheck as lc
-
-    real = lc.ef_law_failure
-
-    def sabotaged(A, B, C, k, f, g, h, **kw):
-        kw.pop("counit", None)
-        return real(A, B, C, k, f, g, h, counit=lambda s: s[0], **kw)
-
-    monkeypatch.setattr(lc, "ef_law_failure", sabotaged)
+    # force the ef check to fail by sabotaging the counit the suite reads
+    monkeypatch.setitem(COMONADS, "ef", replace(EF, counit=lambda s: s[0]))
     report = run_law_suite(GenConfig(seed=0, iterations=2))
     assert not report.passed
     failure = report.first_failure
@@ -159,17 +159,7 @@ def test_failure_report_contains_shrunken_instance(monkeypatch):
 
 def test_pointed_failure_report_keeps_the_point(monkeypatch):
     # the modal check shrinks a pointed structure: its point is never dropped
-    import gamecomonads.lawcheck as lc
-
-    real = lc.modal_law_failure
-
-    def sabotaged(P, k, f, g, **kw):
-        kw.pop("counit", None)
-        return real(P, k, f, g, counit=lambda s: s[0], **kw)
-
-    monkeypatch.setattr(lc, "modal_law_failure", sabotaged)
-    monkeypatch.setattr(lc, "ef_law_failure", lambda *args, **kw: None)
-    monkeypatch.setattr(lc, "pebble_law_failure", lambda *args, **kw: None)
+    monkeypatch.setitem(COMONADS, "modal", replace(MODAL, counit=lambda s: s[0]))
     report = run_law_suite(GenConfig(seed=0, iterations=2))
     assert not report.passed
     failure = report.first_failure
@@ -177,3 +167,33 @@ def test_pointed_failure_report_keeps_the_point(monkeypatch):
     structure = failure["structure"]
     assert structure["point"] in structure["universe"]
     assert any(failure["law"] in line for line in report.lines())
+
+
+def _forget_pebbles(fn, s):
+    return tuple((1, fn(s[:i])) for i in range(1, len(s) + 1))
+
+
+# The reports of the suite at seed 0, two iterations, under one fault each.
+PINNED_REPORTS = {
+    "ef counit": (EF, {"counit": lambda s: s[0]}, 4, {
+        "comonad": "ef", "law": "counit-after-coextension", "iteration": 1, "k": 2,
+        "structure": {"signature": {"R": 1}, "universe": ["x0"], "relations": {"R": []}}}),
+    "pebble coextension": (PEBBLE, {"coextend": _forget_pebbles}, 5, {
+        "comonad": "pebble", "law": "counit-coextension-identity", "iteration": 1, "k": 2,
+        "structure": {"signature": {"R": 2, "S": 1}, "universe": ["x2"],
+                      "relations": {"R": [], "S": []}}}),
+    "modal counit": (MODAL, {"counit": lambda s: s[0]}, 3, {
+        "comonad": "modal", "law": "counit-coextension-identity", "iteration": 0, "k": 1,
+        "structure": {"signature": {"p0": 1, "p1": 1, "t0": 2, "t1": 2},
+                      "universe": ["w2", "w3"], "point": "w2",
+                      "relations": {"p0": [], "p1": [], "t0": [["w2", "w3"]], "t1": []}}}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PINNED_REPORTS))
+def test_failure_reports_are_pinned(monkeypatch, fault):
+    record, change, checks, failure = PINNED_REPORTS[fault]
+    monkeypatch.setitem(COMONADS, failure["comonad"], replace(record, **change))
+    report = run_law_suite(GenConfig(seed=0, iterations=2)).to_json()
+    assert report == {"passed": False, "iterations": 2, "checks_run": checks,
+                      "first_failure": failure}

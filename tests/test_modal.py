@@ -8,12 +8,17 @@ from strategies import pointed_kripke_pairs, pointed_kripkes
 
 from gamecomonads import zoo
 from gamecomonads.equiv import verify_certificate
-from gamecomonads.modal import (ArityError, ModalRules, kripke_view, modal_coextend,
-                                modal_counit, modal_game, modal_play_id, modal_plays,
-                                modal_unfold)
+from gamecomonads.comonad import play_id, play_structure
+from gamecomonads.modal import (MODAL, ArityError, ModalRules, kripke_view, modal_coextend,
+                                modal_counit, modal_game, modal_plays)
 from gamecomonads.strategy import certificate
 from gamecomonads.structures import (CapExceeded, find_homomorphism,
                                      is_homomorphism, validate_structure)
+
+
+def unfold(P, k):
+    """The modal play structure of depth k, pointed at the point's play."""
+    return play_structure(MODAL, P, modal_plays(P, k))
 
 
 def test_kripke_view_rejects_high_arity():
@@ -24,43 +29,43 @@ def test_kripke_view_rejects_high_arity():
 
 def test_unfold_loop_depth2_is_chain():
     P = zoo.kripke_loop()
-    U = modal_unfold(P, 2)
+    U = unfold(P, 2)
     assert len(U.base.universe) == 3
     t = U.base.relations["t"]
     assert len(t) == 2  # chain of three worlds, two steps
-    assert U.point == modal_play_id(("a",))
+    assert U.point == play_id(("a",))
 
 
 def test_unfold_no_transitions_single_world():
     P = zoo.kripke(["a"], "a", {"t": []})
     for k in (1, 3):
-        U = modal_unfold(P, k)
+        U = unfold(P, k)
         assert len(U.base.universe) == 1
 
 
 def test_unfold_two_cycle_depth1():
     P = zoo.kripke_two_cycle()
-    U = modal_unfold(P, 1)
+    U = unfold(P, 1)
     assert len(U.base.universe) == 2
     assert len(U.base.relations["t"]) == 1
 
 
 def test_unfold_keeps_props_of_last_element():
     P = zoo.kripke(["a", "b"], "a", {"t": [("a", "b")]}, {"p": ["b"]})
-    U = modal_unfold(P, 1)
+    U = unfold(P, 1)
     marked = {t[0] for t in U.base.relations["p"]}
-    assert marked == {modal_play_id(("a", "t", "b"))}
+    assert marked == {play_id(("a", "t", "b"))}
 
 
 def test_unfold_cap():
     P = zoo.kripke(["a"], "a", {"s": [("a", "a")], "t": [("a", "a")]})
     with pytest.raises(CapExceeded, match="plays, cap is 50"):
-        modal_unfold(P, 10, cap=50)
+        modal_plays(P, 10, cap=50)
 
 
 def test_unfold_rejects_k0():
     with pytest.raises(ValueError):
-        modal_unfold(zoo.kripke_loop(), 0)
+        unfold(zoo.kripke_loop(), 0)
 
 
 def test_counit_and_coextension_recursion():
@@ -104,7 +109,7 @@ def test_simulation_rejects_k0():
 
 
 def pointed_hom_exists(P, Q, k):
-    U = modal_unfold(P, k)
+    U = unfold(P, k)
     pre = {U.point: Q.point}
     return find_homomorphism(U.base, Q.base, pre=pre) is not None
 
@@ -122,8 +127,8 @@ def test_simulation_strategy_is_pointed_hom():
     k = 3
     assert simulation_approx(P, Q, k)
     table = simulation_strategy(P, Q, k)
-    U = modal_unfold(P, k)
-    mapped = {modal_play_id(s): b for s, b in table.items()}
+    U = unfold(P, k)
+    mapped = {play_id(s): b for s, b in table.items()}
     assert is_homomorphism(mapped, U.base, Q.base)
     assert mapped[U.point] == Q.point
 
@@ -315,7 +320,7 @@ def test_simulation_transitive(P, Q, R):
 def test_unfolding_is_synchronization_tree_of_bounded_height(P):
     from gamecomonads.coalgebra import modal_depth
     for k in (1, 2):
-        U = modal_unfold(P, k)
+        U = unfold(P, k)
         height = modal_depth(U)
         assert height is not None and height <= k
 

@@ -4,59 +4,68 @@ from hypothesis import given, settings
 from strategies import structure_pairs
 
 from gamecomonads import zoo
+from gamecomonads.comonad import play_id, play_structure
 from gamecomonads.ef import ef_game_exists
 from gamecomonads.equiv import decide, verify_certificate
-from gamecomonads.pebble import (pebble_coextension_on_play, pebble_game,
-                                 pebble_play_id, pebble_play_of_id, pebble_plays,
-                                 pebble_relation_holds, pebble_truncate)
+from gamecomonads.pebble import (PEBBLE, pebble_coextension_on_play, pebble_game,
+                                 pebble_plays)
 from gamecomonads.structures import CapExceeded, find_homomorphism
+
+
+def related(name, plays, A):
+    return PEBBLE.lifted(name, plays, A) is None
+
+
+def truncate(A, k, n):
+    """The pebble play structure on plays of length at most n."""
+    return play_structure(PEBBLE, A, pebble_plays(A, k, n))
 
 
 def test_relation_conditions_loop():
     A = zoo.loop()
-    assert pebble_relation_holds("R", [((1, "a"),), ((1, "a"),)], A)
+    assert related("R", [((1, "a"),), ((1, "a"),)], A)
 
 
 def test_relation_condition_pebble_reuse_fails():
     A = zoo.edge()
     s = ((1, "a"),)
     t = ((1, "a"), (1, "b"))
-    assert not pebble_relation_holds("R", [s, t], A)
+    assert not related("R", [s, t], A)
 
 
 def test_relation_condition_fresh_pebble_ok():
     A = zoo.edge()
     s = ((1, "a"),)
     t = ((1, "a"), (2, "b"))
-    assert pebble_relation_holds("R", [s, t], A)
+    assert related("R", [s, t], A)
 
 
 def test_relation_incomparable_fails():
     A = zoo.edge2()
-    assert not pebble_relation_holds("R", [((1, "a"),), ((2, "b"),)], A)
+    assert not related("R", [((1, "a"),), ((2, "b"),)], A)
 
 
 def test_truncate_loop_k1_n1():
-    T = pebble_truncate(zoo.loop(), 1, 1)
-    pid = pebble_play_id(((1, "a"),))
+    T = truncate(zoo.loop(), 1, 1)
+    pid = play_id(((1, "a"),))
     assert set(T.universe) == {pid}
     assert T.relations["R"] == frozenset({(pid, pid)})
 
 
 def test_truncate_length_one_keeps_diagonal_only():
-    T = pebble_truncate(zoo.edge2(), 2, 1)
+    T = truncate(zoo.edge2(), 2, 1)
     assert len(T.universe) == 4
     assert T.relations["R"] == frozenset()  # edge2 has no loops
 
 
 def test_truncate_counts_edge_k2_n2():
-    T = pebble_truncate(zoo.edge(), 2, 2)
+    T = truncate(zoo.edge(), 2, 2)
     assert len(T.universe) == 4 + 16
 
 
 def test_truncate_cap():
     with pytest.raises(CapExceeded):
-        pebble_truncate(zoo.lin(4), 3, 3, cap=100)
+        pebble_plays(zoo.lin(4), 3, 3, cap=100)
 
 
 def test_coextension_constant():
@@ -187,7 +196,7 @@ def test_strategy_verifier_detects_missing_entry():
 
 def test_play_id_round_trip():
     s = ((1, "a"), (3, "b,c"))
-    assert pebble_play_of_id(pebble_play_id(s)) == s
+    assert PEBBLE.of_id(play_id(s)) == s
 
 
 def test_coextension_of_lifted_hom_is_homomorphism_between_truncations():
@@ -195,7 +204,7 @@ def test_coextension_of_lifted_hom_is_homomorphism_between_truncations():
     A, B = zoo.edge(), zoo.loop()
     h = {"a": "a", "b": "a"}
     k, n = 2, 2
-    mapped = {pebble_play_id(s):
-              pebble_play_id(pebble_coextension_on_play(lambda t: h[t[-1][1]], s))
+    mapped = {play_id(s):
+              play_id(pebble_coextension_on_play(lambda t: h[t[-1][1]], s))
               for s in pebble_plays(A, k, n)}
-    assert is_homomorphism(mapped, pebble_truncate(A, k, n), pebble_truncate(B, k, n))
+    assert is_homomorphism(mapped, truncate(A, k, n), truncate(B, k, n))
