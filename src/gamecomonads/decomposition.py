@@ -1,10 +1,15 @@
 """Forest covers, tree decompositions, and exact tree-depth / tree-width.
 
 Both solvers are exact and desk-scale only, and work on integer vertex masks
-(components by flood fill): tree-depth by memoized recursion over connected
-masks, whose root scan stops once td(C) >= td(C - v) proves the best root
-optimal, tree-width by a subset DP over elimination prefixes.  Ties go to the
-first vertex in universe order.  Each returns an independently verifiable witness.
+(components by flood fill).  Tree-depth is a memoized recursion over connected
+masks, whose root scan stops once td(C) >= td(C - v), or a root adjacent to
+all of C, proves the best root optimal.  Tree-width is a memoized recursion
+over elimination prefixes S that is asked only whether tw[S] lies below a
+bound: an answer at or above it is kept as a lower bound on tw[S], and the
+scan over the last vertex stops once the best meets the lower bound that each
+component of S gives (its fill-in and its least degree).  Ties go to the first
+vertex in universe order, and the tree-width order is rebuilt by the same rule
+from threshold queries.  Each returns an independently verifiable witness.
 """
 
 from __future__ import annotations
@@ -110,14 +115,34 @@ class TreeDecomposition:
 
 # ----------------------------------------------------------------- verifiers
 
+def _parent_fault(parent: dict[str, Optional[str]], one_root: bool) -> Optional[str]:
+    """Why `parent` is not a forest on its keys (a tree when one_root), or None.
+
+    Every parent must be a key or None, and every key must reach a root
+    without repeating a key."""
+    for n, p in parent.items():
+        if p is not None and p not in parent:
+            return f"parent {p!r} of {n!r} is not a node"
+    rooted = {n for n, p in parent.items() if p is None}
+    if one_root and len(rooted) != 1:
+        return f"parent map has {len(rooted)} roots, not exactly one"
+    for cur in parent:
+        seen: set[str] = set()
+        while cur not in rooted:
+            if cur in seen:
+                return f"parent map has a cycle through {cur!r}"
+            seen.add(cur)
+            cur = parent[cur]
+        rooted |= seen
+    return None
+
+
 def verify_forest_cover(F: ForestCover, G: Graph) -> tuple[bool, Optional[str]]:
     if set(F.parent) != set(G.vertices):
         return False, "cover universe differs from the graph's vertices"
-    try:
-        for v in G.vertices:
-            F.chain(v)
-    except ValueError:
-        return False, "parent map has a cycle"
+    fault = _parent_fault(F.parent, one_root=False)
+    if fault:
+        return False, fault
     for (u, v) in sorted(G.edges):
         if not F.comparable(u, v):
             return False, f"edge ({u!r}, {v!r}) joins incomparable vertices"
@@ -144,10 +169,11 @@ def verify_pebbled_forest_cover(C: PebbledForestCover, G: Graph,
 
 
 def verify_tree_decomposition(T: TreeDecomposition, G: Graph) -> tuple[bool, Optional[str]]:
-    try:
-        T.root
-    except ValueError as exc:
-        return False, str(exc)
+    if set(T.parent) != set(T.nodes):
+        return False, "parent map does not name exactly the nodes"
+    fault = _parent_fault(T.parent, one_root=True)
+    if fault:
+        return False, fault
     placed = set().union(*(T.bags[n] for n in T.nodes)) if T.nodes else set()
     for v in G.vertices:
         if v not in placed:
@@ -171,16 +197,24 @@ class _MaskGraph:
     """The Gaifman graph of A on integer vertex masks, bit i being `A.universe[i]`.
 
     One table per 8 vertices holds the union of the adjacency masks of every
-    subset of them, so the neighborhood of a mask is three lookups (n <= 24).
+    subset of them, so the neighborhood of a mask is three lookups (n <= 24);
+    a second such table holds the least degree over every subset.
     """
 
     def __init__(self, A: Structure):
         G, pos = gaifman_graph(A), {a: i for i, a in enumerate(A.universe)}
         adj = [sum(1 << pos[w] for w in G.neighbors(v)) for v in A.universe]
-        self.tables = [[0] * (1 << len(adj[lo:lo + 8])) for lo in (0, 8, 16)]
-        for lo, table in zip((0, 8, 16), self.tables):
-            for x in range(1, len(table)):
-                table[x] = table[x & (x - 1)] | adj[lo + (x & -x).bit_length() - 1]
+        self.tables: list[list[int]] = []
+        self.degree_tables: list[list[int]] = []
+        for lo in (0, 8, 16):
+            # the subsets holding vertex lo + i follow those without it
+            table, degree = [0], [len(adj)]
+            for a in adj[lo:lo + 8]:
+                d = a.bit_count()
+                table += [t | a for t in table]
+                degree += [e if e < d else d for e in degree]
+            self.tables.append(table)
+            self.degree_tables.append(degree)
 
     def neighbors(self, X: int) -> int:
         t0, t1, t2 = self.tables
@@ -200,6 +234,11 @@ class _MaskGraph:
             out.append(comp)
             S ^= comp
         return out
+
+    def least_degree(self, X: int) -> int:
+        """The least degree in the whole graph of a vertex of the nonempty X."""
+        d0, d1, d2 = self.degree_tables
+        return min(d0[X & 255], d1[X >> 8 & 255], d2[X >> 16])
 
     def fill_neighbors(self, v: int, eliminated: int) -> int:
         """Vertices outside `eliminated` and v adjacent to v through eliminated ones."""
@@ -223,12 +262,16 @@ def tree_depth(A: Structure) -> tuple[int, ForestCover]:
 
     Tree-depth is monotone under subgraphs, so every depth seen for C - v,
     even a partial maximum over its components, bounds td(C) from below; the
-    scan stops once the best root meets that bound, a proved optimum.  Roots
-    are taken only on strict improvement, so it is still the first optimal one.
+    scan stops once the best root meets that bound, a proved optimum.  A root
+    adjacent to all of C - v is optimal outright, td(C) = 1 + td(C - v), so it
+    raises the bound to d + 1.  Roots are taken only on strict improvement, so
+    the kept root is still the first optimal one.
     """
     if len(A.universe) > TREE_DEPTH_BOUND:
         raise BoundExceeded(f"tree-depth solver handles at most {TREE_DEPTH_BOUND} elements")
     G = _MaskGraph(A)
+    full = (1 << len(A.universe)) - 1
+    closed = {v: G.neighbors(v) | v for v in _bits(full)}
     memo: dict[int, tuple[int, int]] = {}
 
     def solve(C: int) -> int:
@@ -243,13 +286,14 @@ def tree_depth(A: Structure) -> tuple[int, ForestCover]:
                     break
             if d + 1 < best:
                 best, root = d + 1, v
-            lb = max(lb, d)  # td(C) >= td(C - v) >= d
+            # td(C) >= td(C - v) >= d, and td(C) = 1 + td(C - v) when v is
+            # adjacent to all of C - v
+            lb = max(lb, d + 1 if C & ~closed[v] == 0 else d)
             if best <= lb:
                 break
         memo[C] = (best, root)
         return best
 
-    full = (1 << len(A.universe)) - 1
     depth = max((solve(comp) for comp in G.components(full)), default=0)
 
     parent: dict[str, Optional[str]] = {}
@@ -265,40 +309,68 @@ def tree_depth(A: Structure) -> tuple[int, ForestCover]:
 
 
 def tree_width(A: Structure) -> tuple[int, TreeDecomposition]:
-    """Exact tree-width via dynamic programming over elimination prefixes.
+    """Exact tree-width via a bounded search over elimination prefixes.
 
     The width of an elimination order is the largest fill-in degree at
     elimination time; minimizing over orders equals the tree-width.  tw[S], for
     orders eliminating the mask S first, is the min over v in S of
     max(tw[S - v], |fill-in of v|), the fill-in being shared by v's component
-    of S.  The witness decomposition is rebuilt from an optimal order.
+    of S.  Each S is asked only for a value below a bound, the best found so
+    far; a failed query memoises that bound as a lower bound on tw[S].  Each
+    component C of S also bounds tw[S] from below, by its fill-in (when its last
+    vertex goes) and its least degree (when its first goes), and the scan over v
+    stops once the best meets these bounds.  The witness is rebuilt from the
+    order whose last vertex in each prefix S is the first in universe order with
+    fill-in <= tw[S] and tw[S - v] < tw[S] + 1, the tie-break of the full table.
     """
     if len(A.universe) > TREE_WIDTH_BOUND:
         raise BoundExceeded(f"tree-width solver handles at most {TREE_WIDTH_BOUND} elements")
     n = len(A.universe)
     G = _MaskGraph(A)
-    tw = [-1] * (1 << n)
-    for S in range(1, 1 << n):
-        best = n
+    exact: dict[int, int] = {0: -1}
+    floor: dict[int, int] = {}
+
+    def below(S: int, ub: int) -> int:
+        """tw[S] if it is below ub, else a lower bound on it that is at least ub."""
+        if S in exact:
+            return exact[S]
+        lb = floor.get(S, -1)
+        if lb >= ub:
+            return lb
+        comps = []
         for comp in G.components(S):
             fill = (G.neighbors(comp) & ~S).bit_count()
-            while comp and fill < best:
+            comps.append((comp, fill))
+            lb = max(lb, fill, G.least_degree(comp))
+        best = ub
+        for comp, fill in comps:
+            while comp and fill < best and lb < best:
                 v = comp & -comp
                 comp ^= v
-                if tw[S ^ v] < best:
-                    best = max(tw[S ^ v], fill)
-        tw[S] = best
+                t = exact.get(S ^ v)  # saves a call on the most common answer
+                if t is None:
+                    t = below(S ^ v, best)
+                if t < best:
+                    best = max(t, fill)
+        if best < ub:
+            exact[S] = best
+            return best
+        floor[S] = max(ub, lb)
+        return floor[S]
+
+    width = below((1 << n) - 1, n)  # tw < n, so this is exact
 
     # reconstruct an optimal elimination order, last eliminated first
     elim: list[int] = []
     S = (1 << n) - 1
     while S:
+        t = exact[S]
         v = next(v for v in _bits(S)
-                 if max(tw[S ^ v], G.fill_neighbors(v, S ^ v).bit_count()) == tw[S])
+                 if G.fill_neighbors(v, S ^ v).bit_count() <= t and below(S ^ v, t + 1) <= t)
         elim.append(v)
         S ^= v
     elim.reverse()
-    return tw[-1], _decomposition_from_order(A, G, elim)
+    return width, _decomposition_from_order(A, G, elim)
 
 
 def _decomposition_from_order(A: Structure, G: _MaskGraph, elim: list[int]) -> TreeDecomposition:

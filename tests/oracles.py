@@ -17,7 +17,8 @@ from typing import Callable, Optional
 from gamecomonads.coalgebra import COMONADS
 from gamecomonads.comonad import play_id, play_structure
 from gamecomonads.decomposition import (ROOT, TREE_DEPTH_BOUND, TREE_WIDTH_BOUND, ForestCover,
-                                        TreeDecomposition)
+                                        TreeDecomposition, _bits, _decomposition_from_order,
+                                        _MaskGraph)
 from gamecomonads.ef import EfRules, Options, coextend_play, ef_plays
 from gamecomonads.matching import perfect_matching
 from gamecomonads.modal import kripke_view, modal_plays
@@ -1141,3 +1142,40 @@ def _set_decomposition_from_order(A: Structure, G: Graph, adj: dict[str, set[str
         for root in comp_roots:
             parent[root] = top
     return TreeDecomposition(tuple(nodes), parent, bags)
+
+
+def tree_width_table(A: Structure) -> tuple[int, TreeDecomposition]:
+    """Exact tree-width by filling the whole subset table, on the library's
+    bitmask graph: tw[S] for every one of the 2^n masks, in increasing order.
+
+    tw[S], for orders eliminating the mask S first, is the min over v in S of
+    max(tw[S - v], |fill-in of v|), the fill-in being shared by v's component
+    of S.  The order is rebuilt last vertex first, each the first in universe
+    order that keeps the width; `decomposition.tree_width` must give the same
+    value and the same decomposition from a bounded search.
+    """
+    if len(A.universe) > TREE_WIDTH_BOUND:
+        raise BoundExceeded(f"tree-width solver handles at most {TREE_WIDTH_BOUND} elements")
+    n = len(A.universe)
+    G = _MaskGraph(A)
+    tw = [-1] * (1 << n)
+    for S in range(1, 1 << n):
+        best = n
+        for comp in G.components(S):
+            fill = (G.neighbors(comp) & ~S).bit_count()
+            while comp and fill < best:
+                v = comp & -comp
+                comp ^= v
+                if tw[S ^ v] < best:
+                    best = max(tw[S ^ v], fill)
+        tw[S] = best
+
+    elim: list[int] = []
+    S = (1 << n) - 1
+    while S:
+        v = next(v for v in _bits(S)
+                 if max(tw[S ^ v], G.fill_neighbors(v, S ^ v).bit_count()) == tw[S])
+        elim.append(v)
+        S ^= v
+    elim.reverse()
+    return tw[-1], _decomposition_from_order(A, G, elim)

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,55 @@ def test_verify_forest_cover_rejects_cycle():
     bad = ForestCover({"a": "b", "b": "a"})
     ok, msg = verify_forest_cover(bad, gaifman_graph(A))
     assert not ok
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail, instead of hanging, when the body runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_verify_forest_cover_rejects_parent_outside_the_nodes():
+    A = validate_structure({"E": 2}, ["x", "y"], {"E": [["x", "y"]]})
+    bad = ForestCover({"x": None, "y": "zz"})
+    ok, msg = verify_forest_cover(bad, gaifman_graph(A))
+    assert not ok and "'zz'" in msg and "not a node" in msg
+
+
+def test_verify_tree_decomposition_rejects_cycle_that_avoids_the_root():
+    A = zoo.edge()
+    bags = {"r": frozenset({"a", "b"}), "b": frozenset({"a"}), "c": frozenset({"a"})}
+    T = TreeDecomposition(("r", "b", "c"), {"r": None, "b": "c", "c": "b"}, bags)
+    with deadline(5):
+        ok, msg = verify_tree_decomposition(T, gaifman_graph(A))
+    assert not ok and "cycle" in msg
+
+
+def test_verify_tree_decomposition_rejects_parent_outside_the_nodes():
+    A = zoo.edge()
+    bags = {"r": frozenset({"a", "b"}), "b": frozenset({"a"})}
+    T = TreeDecomposition(("r", "b"), {"r": None, "b": "zz"}, bags)
+    ok, msg = verify_tree_decomposition(T, gaifman_graph(A))
+    assert not ok and "'zz'" in msg and "not a node" in msg
+    T = TreeDecomposition(("r", "b"), {"r": None}, bags)
+    ok, msg = verify_tree_decomposition(T, gaifman_graph(A))
+    assert not ok and "exactly the nodes" in msg
+
+
+def test_verify_tree_decomposition_rejects_two_roots():
+    A = zoo.edge()
+    bags = {"r": frozenset({"a", "b"}), "s": frozenset({"a"})}
+    T = TreeDecomposition(("r", "s"), {"r": None, "s": None}, bags)
+    ok, msg = verify_tree_decomposition(T, gaifman_graph(A))
+    assert not ok and "2 roots" in msg
 
 
 def test_tree_depth_equals_min_over_all_covers_exhaustively():

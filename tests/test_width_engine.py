@@ -1,18 +1,20 @@
 """Differential tests of the bitmask tree-width and tree-depth solvers against
-the frozenset recursions they replaced (values and full witnesses) and
+the frozenset recursions they replaced (values and full witnesses), of the
+bounded tree-width search against the full subset table it replaced, and
 against brute force (values)."""
 
 import json
 import random
 
 from oracles import (brute_tree_depth, brute_tree_depth_by_forests, brute_tree_width,
-                     tree_depth_reference, tree_width_reference)
+                     tree_depth_reference, tree_width_reference, tree_width_table)
 
 from gamecomonads import zoo
 from gamecomonads.cli import main
 from gamecomonads.decomposition import (decomposition_to_json, forest_cover_from_json,
-                                        forest_cover_to_json, tree_depth, tree_width,
-                                        verify_forest_cover)
+                                        decomposition_from_json, forest_cover_to_json,
+                                        tree_depth, tree_width, verify_forest_cover,
+                                        verify_tree_decomposition)
 from gamecomonads.structures import gaifman_graph, structure_to_dict, validate_structure
 
 
@@ -139,3 +141,57 @@ def test_param_tree_depth_at_the_bound(tmp_path, capsys):
     cover = forest_cover_from_json(out["witness"])
     assert verify_forest_cover(cover, gaifman_graph(A)) == (True, None)
     assert cover.height == 8
+
+
+def test_bounded_search_matches_full_table_on_larger_graphs():
+    # 13-16 vertices, where most of the 2^n table goes unvisited; sparse
+    # draws leave some graphs disconnected
+    rng = random.Random(25)
+    cases = [zoo.clique(n) for n in (12, 14)] + [zoo.path(n) for n in (13, 16)]
+    cases += [grid(3, 5), grid(4, 4), grid(2, 7)]
+    for p in (0.15, 0.25, 0.35, 0.5, 0.7):
+        for _ in range(2):
+            u = [f"v{i}" for i in range(rng.randint(13, 16))]
+            rng.shuffle(u)
+            cases.append(graph(u, [(x, y) for i, x in enumerate(u) for y in u[i + 1:]
+                                   if rng.random() < p]))
+    disconnected = 0
+    for A in cases:
+        width, T = tree_width(A)
+        ref_width, ref_T = tree_width_table(A)
+        assert width == ref_width
+        assert decomposition_to_json(T) == decomposition_to_json(ref_T)
+        disconnected += any(not T.bags[node] for node in T.nodes)  # the virtual root
+    assert disconnected
+
+
+def test_tree_depth_of_cliques_stops_at_a_universal_root(tmp_path, capsys):
+    for n in range(1, 11):
+        A = zoo.clique(n)
+        depth, F = tree_depth(A)
+        ref_depth, ref_F = tree_depth_reference(A)
+        assert depth == ref_depth == n
+        assert forest_cover_to_json(F) == forest_cover_to_json(ref_F)
+    A = zoo.clique(20)
+    path = tmp_path / "k20.json"
+    path.write_text(json.dumps(structure_to_dict(A)))
+    assert main(["param", "--kind", "tree-depth", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == 20
+    cover = forest_cover_from_json(out["witness"])
+    assert verify_forest_cover(cover, gaifman_graph(A)) == (True, None)
+    assert cover.height == 20
+
+
+def test_param_tree_width_at_the_bound(tmp_path, capsys):
+    for name, A, value in (("grid36", grid(3, 6), 3), ("k18", zoo.clique(18), 17),
+                           ("path18", zoo.path(18), 1)):
+        assert len(A.universe) == 18
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(structure_to_dict(A)))
+        assert main(["param", "--kind", "tree-width", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == value
+        T = decomposition_from_json(out["witness"])
+        assert verify_tree_decomposition(T, gaifman_graph(A)) == (True, None)
+        assert T.width == value
