@@ -91,27 +91,6 @@ class TreeDecomposition:
     def children(self, n: str) -> list[str]:
         return [m for m in self.nodes if self.parent[m] == n]
 
-    def path_nodes(self, x: str, y: str) -> set[str]:
-        """Nodes on the unique tree path between x and y."""
-        anc_x = {x}
-        cur = x
-        while self.parent[cur] is not None:
-            cur = self.parent[cur]
-            anc_x.add(cur)
-        path_y = [y]
-        cur = y
-        while cur not in anc_x:
-            cur = self.parent[cur]
-            path_y.append(cur)
-        meet = cur
-        out = set(path_y)
-        cur = x
-        while cur != meet:
-            out.add(cur)
-            cur = self.parent[cur]
-        out.add(meet)
-        return out
-
 
 # ----------------------------------------------------------------- verifiers
 
@@ -174,20 +153,25 @@ def verify_tree_decomposition(T: TreeDecomposition, G: Graph) -> tuple[bool, Opt
     fault = _parent_fault(T.parent, one_root=True)
     if fault:
         return False, fault
-    placed = set().union(*(T.bags[n] for n in T.nodes)) if T.nodes else set()
+    bags = [T.bags[n] for n in T.nodes]
+    placed = set().union(*bags)
     for v in G.vertices:
         if v not in placed:
             return False, f"element {v!r} is in no bag"
     for (u, v) in sorted(G.edges):
-        if not any({u, v} <= T.bags[n] for n in T.nodes):
+        if not any(u in bag and v in bag for bag in bags):
             return False, f"edge ({u!r}, {v!r}) is inside no bag"
+    # the bags holding v are connected iff exactly one holding node has no
+    # parent or a parent that lacks v (the parent map is a tree by now)
+    tops: dict[str, int] = {}
+    for n in T.nodes:
+        p = T.parent[n]
+        for v in T.bags[n]:
+            if p is None or v not in T.bags[p]:
+                tops[v] = tops.get(v, 0) + 1
     for v in G.vertices:
-        holding = [n for n in T.nodes if v in T.bags[n]]
-        for x in holding:
-            for y in holding:
-                for z in T.path_nodes(x, y):
-                    if v not in T.bags[z]:
-                        return False, f"bags containing {v!r} are not connected"
+        if tops[v] != 1:
+            return False, f"bags containing {v!r} are not connected"
     return True, None
 
 

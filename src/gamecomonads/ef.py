@@ -15,8 +15,7 @@ from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
                       read_list)
 from .refine import Types
 from .strategy import PairRules, answers, certificate
-from .structures import (CapExceeded, Structure, extensions, occurrences,
-                         require_same_signature)
+from .structures import CapExceeded, Structure, extensions, require_same_signature
 
 EfPlay = tuple[str, ...]
 
@@ -118,7 +117,7 @@ def ef_coextension(f: EfCoKleisli) -> dict[EfPlay, EfPlay]:
     return {s: coextend_play(f, s) for s in ef_plays(f.source, f.k)}
 
 
-Options = tuple[tuple[str, ...], ...]
+Options = tuple[int, ...]
 
 
 class EfGame:
@@ -128,43 +127,33 @@ class EfGame:
     A position is the set of (Spoiler move, Duplicator response) pairs played
     so far; Duplicator survives while it is a partial homomorphism, and must
     answer every element of A.  One memo, local to the game, maps a pair set
-    to its options (for each element a of A in universe order, the responses
-    b in B's universe order that keep a partial homomorphism) and to whether
-    Duplicator wins with each number of rounds left.  A child's options are
-    its parent's filtered through the tuples that contain the new pair: the
-    predicate is hereditary, and every other tuple was checked at the parent.
-    With one round left any option wins, so positions with none left are
-    never built.
+    to its options (for each element a of A in universe order, the mask over
+    B's universe of the responses that keep a partial homomorphism, see
+    `structures.extensions`) and to whether Duplicator wins with each number
+    of rounds left.  A child's options are its parent's ANDed with the
+    extensions through the new pair: the predicate is hereditary, and every
+    other tuple was checked at the parent.  With one round left any option
+    wins, so positions with none left are never built.
     """
 
     def __init__(self, A: Structure, B: Structure):
         self.A, self.B = A, B
-        self.occ_a = occurrences(A)
-        root: frozenset = frozenset()
+        self.bit = {b: 1 << i for i, b in enumerate(B.universe)}
         self.memo: dict[frozenset, tuple[Options, dict[int, bool]]] = {
-            root: (self._options(root, (B.universe,) * len(A.universe), None), {})}
-
-    def _options(self, pairs: frozenset, parent: Options,
-                 new: Optional[tuple[str, str]]) -> Options:
-        """Options at pairs, which is a position with options parent plus the
-        pair new (at the root new is None and every response is a candidate)."""
-        fwd = dict(pairs)
-        a0, b0 = new or (None, None)
-        options = []
-        for a, bs in zip(self.A.universe, parent):
-            if a == a0:
-                bs = (b0,)
-            elif a not in fwd:
-                occ = self.occ_a[a] if a0 is None else [o for o in self.occ_a[a] if a0 in o[1]]
-                bs = extensions(occ, fwd, a, bs, self.B.relations)
-            options.append(bs)
-        return tuple(options)
+            frozenset(): (tuple(extensions(A, B, {}, a) for a in A.universe), {})}
 
     def child(self, pairs: frozenset, a: str, b: str) -> frozenset:
         """pairs plus (a, b), an option at pairs, with its options memoised."""
         nxt = pairs | {(a, b)}
         if nxt not in self.memo:
-            self.memo[nxt] = (self._options(nxt, self.memo[pairs][0], (a, b)), {})
+            fwd, options = dict(nxt), []
+            for x, bs in zip(self.A.universe, self.memo[pairs][0]):
+                if x == a:
+                    bs = self.bit[b]
+                elif bs and x not in fwd:
+                    bs &= extensions(self.A, self.B, fwd, x, through=a)
+                options.append(bs)
+            self.memo[nxt] = (tuple(options), {})
         return nxt
 
     def win(self, pairs: frozenset, rounds: int) -> bool:
@@ -184,8 +173,8 @@ class EfGame:
     def good(self, pairs: frozenset, rounds: int) -> Callable[[str, str], bool]:
         """The predicate on (a, b): answering a with b at pairs, with rounds
         left, keeps a win."""
-        options = dict(zip(self.A.universe, self.memo[pairs][0]))
-        return lambda a, b: b in options[a] and (
+        options, bit = dict(zip(self.A.universe, self.memo[pairs][0])), self.bit
+        return lambda a, b: bool(options[a] & bit[b]) and (
             rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1))
 
     def answers(self, pairs: frozenset, rounds: int) -> Optional[list[tuple[str, str]]]:

@@ -18,8 +18,7 @@ from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
                       read_list)
 from .refine import CAP, Types
 from .strategy import PairRules, certificate
-from .structures import (CapExceeded, Structure, extensions, occurrences,
-                         require_same_signature)
+from .structures import CapExceeded, Structure, extensions, require_same_signature
 
 Move = tuple[int, str]
 PebblePlay = tuple[Move, ...]
@@ -119,19 +118,18 @@ def pair_bits(A: Structure, B: Structure) -> dict[tuple[str, str], int]:
 
 
 def _arena(A: Structure, B: Structure, k: int, pairs: list[tuple[str, str]],
-           rows: list[tuple[str, tuple[str, ...], dict[str, int]]]) -> list[int]:
+           rows: list[tuple[str, list[tuple[int, int]]]]) -> list[int]:
     """Every position of at most k pairs that is a partial homomorphism,
     smallest first, as masks over `pairs` (see `pebble_fixpoint` for `rows`).
 
     The predicate is hereditary, so each position is its highest pair added
     to a smaller position, on an element of A after those pebbled (the pairs
-    of one element of A are consecutive bits); only tuples through the new
-    pair are checked.  Raises `CapExceeded` past `CAP` positions.
+    of one element of A are consecutive bits), whose targets are filtered by
+    `extensions`.  Raises `CapExceeded` past `CAP` positions.
     """
-    occ_a = occurrences(A)
     # after[i]: the first row after that of bit i - 1, where the extensions
     # of a position with highest bit i - 1 start (after[0] = 0: the empty one)
-    after = [0] + [x + 1 for x, (_, bs, _) in enumerate(rows) for _ in bs]
+    after = [0] + [x + 1 for x, (_, targets) in enumerate(rows) for _ in targets]
     arena, level = [0], [0]
     for _ in range(k):
         nxt = []
@@ -142,8 +140,9 @@ def _arena(A: Structure, B: Structure, k: int, pairs: list[tuple[str, str]],
                 rest ^= low
                 a, b = pairs[low.bit_length() - 1]
                 fwd[a] = b
-            for a, bs, row_bits in rows[after[pos.bit_length()]:]:
-                nxt.extend(pos | row_bits[b] for b in extensions(occ_a[a], fwd, a, bs, B.relations))
+            for a, targets in rows[after[pos.bit_length()]:]:
+                mask = extensions(A, B, fwd, a)
+                nxt.extend(pos | bit for b, bit in targets if mask & b)
             if len(arena) + len(nxt) > CAP:
                 raise CapExceeded(len(arena) + len(nxt), CAP, "positions or more")
         arena.extend(nxt)
@@ -167,14 +166,13 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[int]:
     built on it.
     """
     bits = pair_bits(A, B)
-    # a row per element of A in order: (element, its targets, target -> bit)
-    rows = []
-    for a in sorted(A.universe):
-        row_bits = {b: bits[a, b] for b in sorted(B.universe)}
-        rows.append((a, tuple(row_bits), row_bits))
+    # a row per element a of A in order: (a, its targets b in order as
+    # (bit of b in B's universe, bit of (a, b)))
+    order = sorted(range(len(B.universe)), key=B.universe.__getitem__)
+    rows = [(a, [(1 << i, bits[a, B.universe[i]]) for i in order]) for a in sorted(A.universe)]
     arena = _arena(A, B, k, list(bits), rows)
-    row = {bit: x for x, (_, _, row_bits) in enumerate(rows) for bit in row_bits.values()}
-    row_mask = [sum(row_bits.values()) for _, _, row_bits in rows]
+    row = {bit: x for x, (_, targets) in enumerate(rows) for _, bit in targets}
+    row_mask = [sum(bit for _, bit in targets) for _, targets in rows]
     n = len(rows)
     count: defaultdict[int, int] = defaultdict(int)
     for q in arena:

@@ -2,7 +2,16 @@
 
 Element ids are strings and universes keep insertion order, so search and
 serialized output are deterministic.  All objects are treated as immutable
-after validation.
+after validation, which lets indexes built on first use be kept on them:
+the tuples through each element and pair of elements (`occurrences`) on the
+source side, and the completions of each pattern on the target side.
+
+`extensions` is the one kernel the solvers extend partial homomorphisms
+with: the responses to a new element that keep a map a partial
+homomorphism, as a mask over the target's universe.  The game searches
+and `find_homomorphism` call it; the one-pair checks
+(`is_partial_homomorphism`, `is_partial_isomorphism`) that certificate
+verifiers use do not, so they stay independent of the solvers.
 """
 
 from __future__ import annotations
@@ -248,38 +257,48 @@ def _preserved(m: Mapping[str, str], A: Structure, B: Structure, through: Option
     return True
 
 
-def occurrences(A: Structure) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-    """Element -> (relation name, tuple) for every tuple the element occurs in.
+def occurrences(A: Structure) -> dict:
+    """Element x -> (relation name, tuple) for every tuple x occurs in, and
+    pair (x, y) -> the tuples both occur in (x's own list when x == y).
 
     Built on first use and then kept on A (structures are not changed after
     validation), so callers must not change it."""
     if "_occurrences" not in vars(A):
-        occ: dict[str, list[tuple[str, tuple[str, ...]]]] = {a: [] for a in A.universe}
+        occ: dict = {}
+        for a in A.universe:
+            occ[a] = occ[a, a] = []
         for name, tups in A.relations.items():
             for t in tups:
                 for x in set(t):
                     occ[x].append((name, t))
+                    for y in set(t) - {x}:
+                        occ.setdefault((x, y), []).append((name, t))
         vars(A)["_occurrences"] = occ
     return vars(A)["_occurrences"]
 
 
-def extensions(occ: Sequence[tuple[str, tuple[str, ...]]], m: Mapping[str, str], x: str,
-               ys: tuple[str, ...], target: Mapping[str, frozenset[tuple[str, ...]]]
-               ) -> tuple[str, ...]:
-    """The ys y for which m extended by x -> y maps into target every tuple of
-    occ whose elements other than x m already maps.
+def extensions(A: Structure, B: Structure, m: Mapping[str, str], x: str,
+               through: Optional[str] = None) -> int:
+    """The b that keep m extended by x -> b a partial homomorphism, as a mask
+    over B's universe (bit i for `B.universe[i]`); x is unmapped by m.
 
-    occ is a list of (relation name, tuple) through x, such as
-    `occurrences(A)[x]`, and x is unmapped by m.  If m preserves every tuple
-    it maps in full, the ys returned are those that keep it so: tuples that
-    avoid x were checked before, so only tuples through the new pair are
-    looked at.  The closed tuples are collected once for all the ys.
+    Only the tuples of A through x (and through `through`, if given) whose
+    other elements m maps are read: if m preserves every tuple it maps in
+    full, the others were checked before.  Each is a pattern over B, the
+    relation name and m's images with x's slots free (None), and the mask
+    of a pattern's completions is built once and then kept on B.
     """
-    closed = [(target[name], t) for name, t in occ if all(z == x or z in m for z in t)]
-    if not closed:
-        return ys
-    return tuple(y for y in ys
-                 if all(tuple([y if z == x else m[z] for z in t]) in rel for rel, t in closed))
+    completions, mask = vars(B).setdefault("_completions", {}), (1 << len(B.universe)) - 1
+    for name, t in occurrences(A).get((x, x if through is None else through), ()):
+        if all(z == x or z in m for z in t):
+            pattern = (name, tuple([None if z == x else m[z] for z in t]))
+            if pattern not in completions:
+                rel = B.relations[name]
+                completions[pattern] = sum(
+                    1 << i for i, b in enumerate(B.universe)
+                    if tuple([b if z is None else z for z in pattern[1]]) in rel)
+            mask &= completions[pattern]
+    return mask
 
 
 def find_homomorphism(A: Structure, B: Structure,
@@ -287,79 +306,47 @@ def find_homomorphism(A: Structure, B: Structure,
     """Backtracking search with forward checking over the relation constraints.
 
     Variables are taken in universe order, candidate values in universe order,
-    so the returned homomorphism is deterministic.  `pre` pins assignments
-    (used for pointed homomorphism search).
+    so the returned homomorphism is the first one in that order.  `pre` pins
+    assignments (used for pointed homomorphism search).  Domains are masks
+    over B's universe: assigning a variable narrows the domain of each
+    unassigned neighbour by `extensions` through it, and a wiped-out domain
+    undoes the narrowing from the saved masks.
     """
     require_same_signature(A, B)
+    bit = {b: 1 << i for i, b in enumerate(B.universe)}
     variables = list(A.universe)
-    occurs = occurrences(A)
-    rank = {b: i for i, b in enumerate(B.universe)}
-
-    domains: dict[str, list[str]] = {}
+    domains = {a: extensions(A, B, {}, a) for a in variables}
     for a in variables:
         if pre and a in pre:
-            if pre[a] not in B.universe:
-                return None
-            domains[a] = [pre[a]]
-        else:
-            domains[a] = list(B.universe)
-
+            domains[a] &= bit.get(pre[a], 0)
+    if not all(domains.values()):
+        return None
+    occ = occurrences(A)
+    near = {a: {z for _, t in occ[a] for z in t} - {a} for a in variables}
     assignment: dict[str, str] = {}
-
-    def tuple_consistent(name: str, t: tuple[str, ...]) -> bool:
-        # check only when fully assigned
-        if all(x in assignment for x in t):
-            return tuple(assignment[x] for x in t) in B.relations[name]
-        return True
-
-    def prune(var: str) -> Optional[list[tuple[str, str]]]:
-        """Forward-check tuples with exactly one unassigned component; return
-        removed (element, value) pairs, or None on a domain wipe-out."""
-        removed: list[tuple[str, str]] = []
-        for name, t in occurs[var]:
-            unassigned = [x for x in set(t) if x not in assignment]
-            if len(unassigned) != 1:
-                continue
-            u = unassigned[0]
-            target = B.relations[name]
-            keep = []
-            for val in domains[u]:
-                image = tuple(assignment[x] if x in assignment else val for x in t)
-                if image in target:
-                    keep.append(val)
-                else:
-                    removed.append((u, val))
-            if not keep:
-                _restore(domains, removed, rank)
-                return None
-            domains[u] = keep
-        return removed
 
     def search(i: int) -> bool:
         if i == len(variables):
             return True
-        var = variables[i]
-        for val in list(domains[var]):
-            assignment[var] = val
-            if all(tuple_consistent(name, t) for name, t in occurs[var]):
-                removed = prune(var)
-                if removed is not None:
-                    if search(i + 1):
-                        return True
-                    _restore(domains, removed, rank)
-            del assignment[var]
+        var, values = variables[i], domains[variables[i]]
+        while values:
+            low = values & -values
+            values ^= low
+            assignment[var] = B.universe[low.bit_length() - 1]
+            saved = {}
+            for u in near[var]:
+                if u not in assignment:
+                    saved[u] = domains[u]
+                    domains[u] &= extensions(A, B, assignment, u, through=var)
+                    if not domains[u]:
+                        break
+            else:
+                if search(i + 1):
+                    return True
+            domains.update(saved)
+        assignment.pop(var, None)
         return False
 
     if search(0):
         return dict(assignment)
     return None
-
-
-def _restore(domains: dict[str, list[str]], removed: list[tuple[str, str]],
-             rank: Mapping[str, int]) -> None:
-    """Undo forward-checking prunes, keeping domains in universe order (rank
-    is the position of each element of B's universe)."""
-    for (x, v) in removed:
-        domains[x].append(v)
-    for x in {x for x, _ in removed}:
-        domains[x].sort(key=rank.__getitem__)

@@ -19,12 +19,12 @@ from gamecomonads.comonad import play_id, play_structure
 from gamecomonads.decomposition import (ROOT, TREE_DEPTH_BOUND, TREE_WIDTH_BOUND, ForestCover,
                                         TreeDecomposition, _bits, _decomposition_from_order,
                                         _MaskGraph)
-from gamecomonads.ef import EfRules, Options, coextend_play, ef_plays
+from gamecomonads.ef import EfRules, coextend_play, ef_plays
 from gamecomonads.matching import perfect_matching
 from gamecomonads.modal import kripke_view, modal_plays
 from gamecomonads.pebble import PebbleRules, Position, pebble_plays
 from gamecomonads.strategy import answers, certificate
-from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, extensions,
+from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure,
                                      gaifman_graph, is_homomorphism, is_partial_homomorphism,
                                      is_partial_isomorphism, occurrences,
                                      require_same_signature, validate_structure)
@@ -627,6 +627,22 @@ def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, di
                   "positions": entries}
 
 
+def extensions_reference(occ: list[tuple[str, tuple[str, ...]]], m: dict, x: str,
+                         ys: tuple[str, ...], target: dict) -> tuple[str, ...]:
+    """The ys y for which m extended by x -> y maps into target every tuple of
+    occ (a list of (relation name, tuple) through x, which m leaves
+    unmapped) whose elements other than x m already maps: one tuple built
+    and looked up per candidate and tuple."""
+    closed = [(target[name], t) for name, t in occ if all(z == x or z in m for z in t)]
+    return tuple(y for y in ys
+                 if all(tuple([y if z == x else m[z] for z in t]) in rel for rel, t in closed))
+
+
+# Options of a pair set: for each element of A in universe order, the
+# responses that keep the position winning, in B's universe order.
+Options = tuple[tuple[str, ...], ...]
+
+
 # The game engines that decided ef and pebble tiers 2 and 3 before the
 # type refinement (`refine.Types`): one memoised recursion over pair sets
 # for ef and one counter-based greatest fixpoint over pebble positions for
@@ -678,7 +694,7 @@ class EfGameReference:
             elif a not in fwd:
                 if iso and b0 in bs:
                     bs = tuple(b for b in bs if b != b0)
-                bs = extensions(through(self.occ_a[a], a0), fwd, a, bs, B.relations)
+                bs = extensions_reference(through(self.occ_a[a], a0), fwd, a, bs, B.relations)
             options[a] = bs
         if iso:  # the same backwards, through the tuples of B
             bwd = {b: a for a, b in pairs}
@@ -687,7 +703,8 @@ class EfGameReference:
                 if a not in fwd:
                     for b in bs:
                         wanted[b].append(a)
-            kept = {b: extensions(through(self.occ_b[b], b0), bwd, b, tuple(as_), A.relations)
+            kept = {b: extensions_reference(through(self.occ_b[b], b0), bwd, b, tuple(as_),
+                                           A.relations)
                     for b, as_ in wanted.items()}
             options = {a: bs if a in fwd else tuple(b for b in bs if a in kept[b])
                        for a, bs in options.items()}
@@ -785,10 +802,10 @@ def _pebble_arena(A: Structure, B: Structure, k: int, iso: bool) -> list[Positio
                 else:
                     if iso:
                         bs = tuple(b for b in bs if b not in bwd)
-                    bs = extensions(occ_a[a], fwd, a, bs, B.relations)
+                    bs = extensions_reference(occ_a[a], fwd, a, bs, B.relations)
                     if iso:
                         bs = tuple(b for b in bs
-                                   if extensions(occ_b[b], bwd, b, (a,), A.relations))
+                                   if extensions_reference(occ_b[b], bwd, b, (a,), A.relations))
                 nxt.extend(pos + ((a, b),) for b in bs)
         arena.extend(nxt)
         level = nxt

@@ -275,6 +275,19 @@ def test_verify_tree_decomposition_rejects_broken_connectivity():
     assert not ok and "not connected" in msg
 
 
+@pytest.mark.parametrize("parent, bags", [
+    # b in two sibling bags but not in their parent
+    ({"r": None, "s": "r", "t": "r"},
+     {"r": {"a"}, "s": {"a", "b"}, "t": {"b"}}),
+    # b in the root and a grandchild but not in the child between them
+    ({"r": None, "c": "r", "g": "c"},
+     {"r": {"a", "b"}, "c": {"a"}, "g": {"b"}})])
+def test_verify_tree_decomposition_rejects_disconnected_bags(parent, bags):
+    T = TreeDecomposition(tuple(parent), parent, {n: frozenset(b) for n, b in bags.items()})
+    ok, msg = verify_tree_decomposition(T, gaifman_graph(zoo.edge()))
+    assert not ok and msg == "bags containing 'b' are not connected"
+
+
 def test_disconnected_structure_through_full_pipeline():
     # two components: an edge and a triangle; decomposition joins under an
     # empty root, the pebble cover stays a forest

@@ -38,7 +38,8 @@ def random_pairs(count: int, seed: int):
 @pytest.mark.parametrize("tier", [1, 2])
 def test_options_match_plain_checks(tier):
     """Every winning pair set of at most 3 pairs is reached, and its options
-    are exactly the responses the plain check accepts."""
+    (at tier 1 decoded from masks) are exactly the responses the plain check
+    accepts."""
     winning = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
     for A, B in random_pairs(12, 4):
         game = EfGame(A, B) if tier == 1 else EfGameReference(A, B, 2)
@@ -48,6 +49,9 @@ def test_options_match_plain_checks(tier):
             nxt = []
             for pairs in frontier:
                 options = game.memo[pairs][0]
+                if tier == 1:  # masks over B's universe
+                    options = [tuple(b for i, b in enumerate(B.universe) if mask >> i & 1)
+                               for mask in options]
                 for a, bs in zip(A.universe, options):
                     assert bs == tuple(b for b in B.universe
                                        if winning(pairs | {(a, b)}, A, B)), (A, B, pairs, a)
@@ -107,3 +111,11 @@ def test_types_match_pair_set_engine(family):
         for k in range(1, min(len(A.universe), 4) + 2):
             assert ef_game(A, B, k, 2) == ef_game_reference(A, B, k, 2), (A, B, k)
             assert ef_game(A, B, k, 3) == ef_game_reference(A, B, k, 3), (A, B, k)
+
+
+def test_search_size_is_pinned():
+    """The memo of the tier-1 search holds the pair sets it reaches: on
+    clique(8) against itself with 6 rounds there are 8,801."""
+    game = EfGame(zoo.clique(8), zoo.clique(8))
+    assert game.win(frozenset(), 6)
+    assert len(game.memo) == 8801

@@ -166,3 +166,14 @@ def test_types_match_fixpoint_engine(family):
             for tier in (2, 3):
                 assert pebble_game(A, B, k, tier) == pebble_game_reference(A, B, k, tier), \
                     (A, B, k, tier)
+
+
+@pytest.mark.parametrize("A, B, k, live", [
+    (zoo.cycle(5), zoo.cycle(5), 3, 226), (zoo.cycle(6), zoo.cycle(3), 2, 136),
+    (zoo.cycle(4), zoo.path(3), 3, 63), (zoo.path(4), zoo.cycle(5), 3, 201),
+    (zoo.lin(4), zoo.lin(5), 3, 43), (zoo.cycle(5), zoo.clique(3), 3, 241),
+    (zoo.lin(5), zoo.lin(3), 2, 0), (zoo.cycle(7), zoo.cycle(3), 3, 841),
+    (zoo.cycle(8), zoo.cycle(8), 3, 4161)])
+def test_fixpoint_live_counts_are_pinned(A, B, k, live):
+    """The number of winning positions of the tier-1 fixpoint on fixed cases."""
+    assert len(pebble_fixpoint(A, B, k)) == live

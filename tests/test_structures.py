@@ -4,14 +4,14 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given
 
-from oracles import brute_homomorphism_exists
+from oracles import brute_homomorphism_exists, extensions_reference
 from strategies import structure_pairs, structures
 
 from gamecomonads import zoo
-from gamecomonads.structures import (SignatureMismatch, StructureError,
+from gamecomonads.structures import (SignatureMismatch, StructureError, extensions,
                                      find_homomorphism, gaifman_graph,
                                      is_homomorphism, is_partial_homomorphism,
-                                     is_partial_isomorphism,
+                                     is_partial_isomorphism, occurrences,
                                      structure_from_dict, structure_to_dict,
                                      validate_structure)
 
@@ -159,6 +159,84 @@ def test_find_homomorphism_matches_brute_force(pair):
     assert (found is not None) == brute_homomorphism_exists(A, B)
     if found is not None:
         assert is_homomorphism(found, A, B)
+
+
+def kernel_structure(rng: random.Random, prefix: str):
+    """At most 5 elements: unary, binary and ternary relations, with loops
+    and tuples that repeat an element, such as T(x, x, y)."""
+    u = [f"{prefix}{i}" for i in range(rng.randint(1, 5))]
+    return validate_structure({"P": 1, "E": 2, "T": 3}, u, {
+        "P": [[x] for x in u if rng.random() < 0.5],
+        "E": [[x, y] for x in u for y in u if rng.random() < 0.4],
+        "T": [[x, y, z] for x in u for y in u for z in u
+              if rng.random() < (0.3 if len({x, y, z}) < 3 else 0.1)]})
+
+
+def decode(mask: int, B) -> tuple:
+    return tuple(b for i, b in enumerate(B.universe) if mask >> i & 1)
+
+
+def test_extensions_match_the_reference_filter():
+    """The kernel against the tuple-per-candidate filter on random partial
+    maps (partial homomorphisms or not), with and without `through`; and, on
+    partial homomorphisms, against the plain check of the extended map."""
+    rng = random.Random(20260419)
+    checked = nonempty = 0
+    for _ in range(300):
+        A = kernel_structure(rng, "x")
+        B = kernel_structure(rng, rng.choice("xy"))
+        x = rng.choice(A.universe)
+        rest = [a for a in A.universe if a != x]
+        m = {a: rng.choice(B.universe) for a in rng.sample(rest, rng.randint(0, len(rest)))}
+        for through in [None, x, *m]:
+            occ = [o for o in occurrences(A)[x] if through is None or through in o[1]]
+            want = extensions_reference(occ, m, x, B.universe, B.relations)
+            got = extensions(A, B, m, x, through=through)
+            assert decode(got, B) == want, (A, B, m, x, through)
+            checked += 1
+            nonempty += bool(want)
+        if is_partial_homomorphism(m.items(), A, B):
+            assert decode(extensions(A, B, m, x), B) == tuple(
+                b for b in B.universe if is_partial_homomorphism([*m.items(), (x, b)], A, B))
+    assert checked > 600 and 0 < nonempty < checked
+
+
+def test_extensions_read_every_slot_of_x():
+    """A tuple that repeats x only completes with a b that fills every slot."""
+    A = validate_structure({"T": 3}, ["x", "y"], {"T": [["x", "x", "y"]]})
+    B = validate_structure({"T": 3}, ["p", "q", "r"], {"T": [["p", "q", "r"], ["q", "q", "r"]]})
+    assert decode(extensions(A, B, {"y": "r"}, "x"), B) == ("q",)
+    assert decode(extensions(A, B, {}, "y", through="x"), B) == ("p", "q", "r")
+
+
+def first_homomorphism(A, B, pre=None):
+    """The first homomorphism in universe order, by scanning every map."""
+    for values in product(B.universe, repeat=len(A.universe)):
+        h = dict(zip(A.universe, values))
+        if all(h[a] == b for a, b in (pre or {}).items()) and is_homomorphism(h, A, B):
+            return h
+    return None
+
+
+def test_find_homomorphism_returns_the_first_in_universe_order():
+    rng = random.Random(20181004)
+    found = 0
+    for _ in range(150):
+        A = kernel_structure(rng, "x")
+        B = kernel_structure(rng, rng.choice("xy"))
+        if len(B.universe) ** len(A.universe) > 3000:
+            continue
+        assert find_homomorphism(A, B) == first_homomorphism(A, B), (A, B)
+        pre = {a: rng.choice(B.universe) for a in rng.sample(A.universe, rng.randint(1, 2)
+                                                            if len(A.universe) > 1 else 1)}
+        assert find_homomorphism(A, B, pre) == first_homomorphism(A, B, pre), (A, B, pre)
+        found += find_homomorphism(A, B) is not None
+    assert found > 10
+
+
+def test_find_homomorphism_pre_outside_the_target_is_none():
+    assert find_homomorphism(zoo.edge(), zoo.loop(), pre={"a": "zz"}) is None
+    assert find_homomorphism(zoo.loop(), zoo.loop(), pre={"a": "a"}) == {"a": "a"}
 
 
 def test_partial_isomorphism_empty_and_identity():

@@ -195,3 +195,12 @@ def test_param_tree_width_at_the_bound(tmp_path, capsys):
         T = decomposition_from_json(out["witness"])
         assert verify_tree_decomposition(T, gaifman_graph(A)) == (True, None)
         assert T.width == value
+
+
+def test_witnesses_at_the_bound_verify():
+    """The decompositions of K18 and the 3x6 grid pass the verifier's
+    subtree check."""
+    for A, value in ((zoo.clique(18), 17), (grid(3, 6), 3)):
+        width, T = tree_width(A)
+        assert width == value
+        assert verify_tree_decomposition(T, gaifman_graph(A)) == (True, None)
