@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Optional
 from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
                       read_list)
 from .refine import Types
-from .strategy import PairRules, answers, certificate
+from .strategy import PairRules, answers, certificate, exact_int
 from .structures import CapExceeded, Structure, extensions, require_same_signature
 
 EfPlay = tuple[str, ...]
@@ -256,6 +256,9 @@ class EfRules(PairRules):
 
     def to_json(self, pos) -> dict:
         return {"pairs": sorted([a, b] for a, b in pos[0]), "rounds_left": pos[1]}
+
+    def from_json(self, fields) -> tuple[frozenset, int]:
+        return frozenset(map(self.pair, fields["pairs"])), exact_int(fields["rounds_left"])
 
 
 def i_morphism_normalize(f: EfCoKleisli) -> EfCoKleisli:

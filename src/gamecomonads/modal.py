@@ -18,10 +18,13 @@ existence into the unfolding at finite depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Optional
 
 from .comonad import DEFAULT_CAP, Comonad, read_list
-from .strategy import answers, certificate
+from .matching import perfect_matching
+from .strategy import certificate, exact_int
 from .structures import (CapExceeded, PointedStructure, SignatureMismatch,
                          Structure, StructureError)
 
@@ -37,9 +40,11 @@ class ArityError(StructureError):
 class KripkeView:
     """Unary symbols split from binary ones, with successor lookup.
 
-    `succ` holds, per label and world, the successors in world order, and
-    `profiles` the propositions true at each world; `kripke_view` builds both
-    once.
+    `succ` holds, per label, the worlds with a successor along it, each with
+    its successors in world order, and `profiles` the worlds where some
+    proposition holds, each with the propositions true there; `kripke_view`
+    builds both in one pass over the relations, and `successors` and
+    `profile` give () and the empty set for worlds they leave out.
     """
 
     worlds: tuple[str, ...]
@@ -54,25 +59,33 @@ class KripkeView:
     def successors(self, w: str, label: str) -> tuple[str, ...]:
         return self.succ[label].get(w, ())
 
+    @cached_property
+    def steps(self) -> frozenset[tuple[str, str, str]]:
+        """Every transition as (u, label, v), built on first use."""
+        return frozenset((u, label, v) for label, edges in self.transitions.items()
+                         for u, v in edges)
+
 
 def kripke_view(A: Structure) -> KripkeView:
-    props = {}
-    transitions = {}
+    props, transitions, succ, profiles = {}, {}, {}, {}
+    order = {w: i for i, w in enumerate(A.universe)}
     for name, ar in A.sig.relations.items():
+        tups = A.relations[name]
         if ar == 1:
-            props[name] = frozenset(t[0] for t in A.relations[name])
+            props[name] = ws = frozenset(chain.from_iterable(tups))
+            alone = frozenset((name,))
+            for w in ws.intersection(profiles):
+                profiles[w] |= alone
+            profiles.update(dict.fromkeys(ws.difference(profiles), alone))
         elif ar == 2:
-            transitions[name] = frozenset((t[0], t[1]) for t in A.relations[name])
+            transitions[name] = tups
+            out: dict[str, list[str]] = {}
+            for u, v in tups:
+                out.setdefault(u, []).append(v)
+            succ[name] = {u: tuple(sorted(vs, key=order.__getitem__) if len(vs) > 1 else vs)
+                          for u, vs in out.items()}
         else:
             raise ArityError(f"arity violation: {name} has arity {ar}, Kripke use needs <= 2")
-    order = {w: i for i, w in enumerate(A.universe)}
-    succ = {}
-    for label, edges in transitions.items():
-        out: dict[str, list[str]] = {w: [] for w in A.universe}
-        for u, v in sorted(edges, key=lambda e: order[e[1]]):
-            out[u].append(v)
-        succ[label] = {w: tuple(vs) for w, vs in out.items()}
-    profiles = {w: frozenset(name for name, ws in props.items() if w in ws) for w in A.universe}
     return KripkeView(A.universe, props, transitions, succ, profiles)
 
 
@@ -134,11 +147,11 @@ def _modal_malformed(P: PointedStructure, k: int, s: ModalPlay) -> Optional[str]
         return f"is malformed or longer than depth {k}"
     if s[0] != P.point:
         return "does not start at the point"
-    transitions = view_of(P.base).transitions
-    for u, label, v in zip(s[::2], s[1::2], s[2::2]):
-        if label not in transitions or (u, v) not in transitions[label]:
-            return f"uses a missing transition {u!r} -{label}-> {v!r}"
-    return None
+    steps = view_of(P.base).steps
+    if steps.issuperset(zip(s[::2], s[1::2], s[2::2])):
+        return None
+    u, label, v = next(t for t in zip(s[::2], s[1::2], s[2::2]) if t not in steps)
+    return f"uses a missing transition {u!r} -{label}-> {v!r}"
 
 
 # A proposition holds of a play iff it holds of its last world, and a labelled
@@ -164,8 +177,10 @@ def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
     forward (tier 1) or agree (tiers 2 and 3).  The pairs met within i steps
     from the points, along one label and with passing propositions, are the
     first `ends[i]` of `order`.  `win[d]` holds those met within k - d steps
-    from which Duplicator survives d more rounds: every label's challenges
-    have `answers` into `win[d - 1]`.  Values only fall with d, so once a
+    from which Duplicator survives d more rounds: along every label, each
+    successor of P's world has a partner in `win[d - 1]` among Q's (tier 2:
+    and each of Q's one among P's; tier 3: a perfect matching of the two
+    successor sets inside `win[d - 1]`).  Values only fall with d, so once a
     round drops no pair it could, later rounds drop none; this happens by
     round |A| * |B| at tier 1 (a decreasing chain of relations on A x B) and
     |A| + |B| at tiers 2 and 3 (a partition of the disjoint union that each
@@ -173,15 +188,16 @@ def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
     """
     _check_k(k)
     rules = ModalRules(P, Q, k, tier)
-    KA, KB, labels = rules.KA, rules.KB, rules.labels
-    order = [rules.points] if rules.passes(*rules.points) else []
+    succ = [(rules.KA.succ[lab], rules.KB.succ[lab]) for lab in rules.labels]
+    passes = rules.passes
+    order = [rules.points] if passes(*rules.points) else []
     seen, ends, start = set(order), [len(order)], 0
     while len(ends) <= k and start < len(order):
         for a, b in order[start:]:
-            for lab in labels:
-                for x in KA.successors(a, lab):
-                    for y in KB.successors(b, lab):
-                        if (x, y) not in seen and rules.passes(x, y):
+            for sa, sb in succ:
+                for x in sa.get(a, ()):
+                    for y in sb.get(b, ()):
+                        if (x, y) not in seen and passes(x, y):
                             seen.add((x, y))
                             order.append((x, y))
         start = ends[-1]
@@ -191,9 +207,18 @@ def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
     for d in range(1, k + 1):
         prev = win[-1]
         kept = [p for p in order[:ends[min(k - d, len(ends) - 1)]] if p in prev]
-        win.append({(a, b) for a, b in kept if all(
-            answers(tier, KA.successors(a, lab), KB.successors(b, lab),
-                    lambda x, y: (x, y) in prev) is not None for lab in labels)})
+        if tier == 3:
+            def ok(x, y, prev=prev):
+                return (x, y) in prev
+            win.append({(a, b) for a, b in kept if all(
+                perfect_matching(sa.get(a, ()), sb.get(b, ()), ok) is not None
+                for sa, sb in succ)})
+        else:
+            win.append({(a, b) for a, b in kept if all(
+                all(any((x, y) in prev for y in sb.get(b, ())) for x in sa.get(a, ()))
+                and (tier == 1 or all(any((x, y) in prev for x in sa.get(a, ()))
+                                      for y in sb.get(b, ())))
+                for sa, sb in succ)})
         if rules.points not in win[-1] or len(win[-1]) == len(kept):
             break
     top = len(win) - 1
@@ -246,3 +271,7 @@ class ModalRules:
 
     def to_json(self, pos) -> dict:
         return {"worlds": list(pos[:2]), "depth_left": pos[2]}
+
+    def from_json(self, fields) -> tuple[str, str, int]:
+        a, b = fields["worlds"]
+        return a, b, exact_int(fields["depth_left"])

@@ -265,3 +265,6 @@ class PebbleRules(PairRules):
 
     def to_json(self, base: Position) -> dict:
         return {"base": list(map(list, base))}
+
+    def from_json(self, fields) -> Position:
+        return tuple(map(self.pair, fields["base"]))

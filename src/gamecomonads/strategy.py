@@ -14,8 +14,10 @@ The game itself is in the rules of each comonad (`ef.EfRules`,
 played, or None for a full check), `answering(state)` (the positions
 Duplicator answers from next), `challenges(pos)` (the groups (group, xs, ys)
 of Spoiler's moves), `step(pos, group, x, y)`, `among(pos, group, side)`
-(what a response in A, side 0, or in B, side 1, must be) and `to_json(pos)`.
-The verifier reads only the certificate and the rules.
+(what a response in A, side 0, or in B, side 1, must be), `to_json(pos)` and
+its inverse `from_json(fields)` (the position an entry's fields stand for;
+KeyError, TypeError or ValueError if none).  The verifier reads only the
+certificate and the rules, and indexes the entries by position once.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ def answers(tier: int, xs, ys, ok: Callable[[str, str], bool]
             return None
         out.append((x, y))
     return out
+
+
+def exact_int(value) -> int:
+    """value if it is an int, not a bool or a float; else TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"not an int: {value!r}")
+    return value
 
 
 def _walk(rules, play: Callable[..., Reached]) -> Optional[str]:
@@ -107,42 +116,58 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
     lose.  Only the start gets the full check, later states only through the
     pair (x, y) just played: Duplicator answers from a verified state (ef,
     modal) or a subset of one (pebble bases), and the predicates are
-    hereditary."""
+    hereditary.  Entries are indexed by the position `rules.from_json` reads
+    from their fields, if `to_json` gives those fields back; the later of two
+    entries for one position counts."""
     if cert.get("shape") != SHAPE:
         return False, f"certificate is not in the {SHAPE!r} shape"
     fault = rules.fault(rules.start())
     if fault:
         return False, f"the start position is lost: {fault}"
-    table = {json.dumps({f: v for f, v in entry.items() if f not in FIELDS}, sort_keys=True):
-             entry for entry in cert["positions"]}
+    table = {}
+    for entry in cert["positions"]:
+        fields = {f: v for f, v in entry.items() if f not in FIELDS}
+        try:
+            pos = rules.from_json(fields)
+            if rules.to_json(pos) == fields:
+                table[pos] = entry
+        except (KeyError, TypeError, ValueError):
+            pass  # fields no position has: the entry is never read
 
     def play(pos) -> Reached:
-        at = json.dumps(rules.to_json(pos), sort_keys=True)
-        if at not in table:
-            return f"strategy not closed: no answers recorded at {at}"
+        if pos not in table:
+            return f"strategy not closed: no answers recorded at {_at(rules, pos)}"
+        challenges = rules.challenges(pos)
+        size = len(challenges[0][0]) if challenges else 0
+        mine: dict[tuple, list] = {}
+        for name in ANSWERS[tier]:
+            for a in table[pos].get(name, ()):
+                key = (name, tuple(a[:size]))
+                try:
+                    mine.setdefault(key, []).append(tuple(a[size:]))
+                except TypeError:
+                    pass  # an unhashable group is no challenge's group
         out = []
-        for group, xs, ys in rules.challenges(pos):
-            along = "".join(f" along {label}" for label in group)
-            mine = {name: [tuple(a[len(group):]) for a in table[at].get(name, ())
-                           if tuple(a[:len(group)]) == group] for name in ANSWERS[tier]}
+        for group, xs, ys in challenges:
             if tier == 3:
-                pairs = mine["bijection"]
+                pairs = mine.get(("bijection", group), [])
                 if (sorted(x for x, _ in pairs) != sorted(xs)
                         or sorted(y for _, y in pairs) != sorted(ys)):
-                    return (f"the answer{along} at {at} is not a bijection "
-                            f"of {list(xs)} onto {list(ys)}")
+                    return (f"the answer{_along(group)} at {_at(rules, pos)} is not a "
+                            f"bijection of {list(xs)} onto {list(ys)}")
                 out += [(group, x, y) for x, y in pairs]
                 continue
             # side: where the response lies, 1 for B (forth) and 0 for A (back)
             for name, spoiler, duplicator, side in (("forth", xs, ys, 1),
                                                     ("back", ys, xs, 0))[:tier]:
-                recorded = dict(mine[name])
+                recorded = dict(mine.get((name, group), ()))
+                allowed = frozenset(duplicator)
                 for u in spoiler:
                     if u not in recorded:
-                        return f"no {name} answer to {u!r}{along} at {at}"
+                        return f"no {name} answer to {u!r}{_along(group)} at {_at(rules, pos)}"
                     v = recorded[u]
-                    if v not in duplicator:
-                        return (f"response {v!r} to {u!r} at {at} is not "
+                    if not (isinstance(v, str) and v in allowed):  # element ids are strings
+                        return (f"response {v!r} to {u!r} at {_at(rules, pos)} is not "
                                 f"{rules.among(pos, group, side)}")
                     out.append((group, u, v) if side else (group, v, u))
         states = []
@@ -150,11 +175,19 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
             states.append(rules.step(pos, group, x, y))
             fault = rules.fault(states[-1], (x, y))
             if fault:
-                return f"the answer ({x!r}, {y!r}) at {at} loses: {fault}"
+                return f"the answer ({x!r}, {y!r}) at {_at(rules, pos)} loses: {fault}"
         return states
 
     fault = _walk(rules, play)
     return fault is None, fault
+
+
+def _at(rules, pos) -> str:
+    return json.dumps(rules.to_json(pos), sort_keys=True)
+
+
+def _along(group) -> str:
+    return "".join(f" along {label}" for label in group)
 
 
 class PairRules:
@@ -168,6 +201,12 @@ class PairRules:
         self.kind = "homomorphism" if tier == 1 else "isomorphism"
         self.check = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
         self.holds: dict = {}
+        self.pairs: dict = {}
+
+    def pair(self, p) -> tuple[str, str]:
+        """p as a tuple, one object for each pair `from_json` reads back."""
+        p = tuple(p)
+        return self.pairs.setdefault(p, p)
 
     def pairs_fault(self, pairs, new=None) -> Optional[str]:
         if pairs not in self.holds:

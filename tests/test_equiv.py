@@ -506,3 +506,69 @@ def test_verifier_rejects_other_shapes():
     cert = pebble_game(A, A, 2, 2)[1]
     ok, msg = verify_certificate({k: v for k, v in cert.items() if k != "shape"}, A, A)
     assert not ok and "shape" in msg
+
+
+# An entry counts only at the position whose `to_json` gives back its exact
+# fields: unsorted or repeated pairs, a bool or float for the rounds or depth
+# left and a pair of worlds of the wrong length are never read, so the
+# position they stand for has no answers recorded.
+
+TWO = [["e0", "e0"], ["e1", "e1"]]
+NOT_CLOSED = "strategy not closed: no answers recorded at "
+
+
+def _edited(cert, change):
+    """A copy of cert with `change` applied to a copy of each entry."""
+    entries = [dict(e) for e in cert["positions"]]
+    for e in entries:
+        change(e)
+    return {**cert, "positions": entries}
+
+
+@pytest.mark.parametrize("change, at", [
+    (lambda e: e.update(pairs=TWO[::-1]) if e["pairs"] == TWO else None,
+     '{"pairs": [["e0", "e0"], ["e1", "e1"]], "rounds_left": 1}'),
+    (lambda e: e.update(pairs=e["pairs"] * 2) if e["pairs"] == TWO[:1] else None,
+     '{"pairs": [["e0", "e0"]], "rounds_left": 2}'),
+    (lambda e: e.update(rounds_left=True) if e["pairs"] == TWO else None,
+     '{"pairs": [["e0", "e0"], ["e1", "e1"]], "rounds_left": 1}'),
+    (lambda e: e.update(rounds_left=1.0) if e["pairs"] == TWO else None,
+     '{"pairs": [["e0", "e0"], ["e1", "e1"]], "rounds_left": 1}'),
+])
+def test_verifier_reads_only_canonical_ef_entries(change, at):
+    A = zoo.lin(3)
+    cert = ef_game(A, A, 3, 2)[1]
+    assert verify_certificate(_edited(cert, change), A, A) == (False, NOT_CLOSED + at)
+
+
+@pytest.mark.parametrize("change, at", [
+    (lambda e: e.update(base=TWO[::-1]) if e["base"] == TWO else None,
+     '{"base": [["e0", "e0"], ["e1", "e1"]]}'),
+    (lambda e: e.update(base=e["base"] * 2) if e["base"] == TWO[:1] else None,
+     '{"base": [["e0", "e0"]]}'),
+])
+def test_verifier_reads_only_canonical_pebble_entries(change, at):
+    A = zoo.lin(3)
+    cert = pebble_game(A, A, 3, 2)[1]
+    assert verify_certificate(_edited(cert, change), A, A) == (False, NOT_CLOSED + at)
+
+
+@pytest.mark.parametrize("fields", [{"depth_left": True}, {"depth_left": 1.0},
+                                    {"worlds": ["b", "b", "b"]}])
+def test_verifier_reads_only_canonical_modal_entries(fields):
+    P = zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("b", "c")]})
+    cert = modal_game(P, P, 2, 2)[1]
+    bad = _edited(cert, lambda e: e.update(fields) if e["worlds"] == ["b", "b"] else None)
+    assert verify_certificate(bad, P, P) == (
+        False, NOT_CLOSED + '{"depth_left": 1, "worlds": ["b", "b"]}')
+
+
+def test_verifier_reads_the_last_of_duplicate_entries():
+    P = zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("b", "c")]})
+    cert = modal_game(P, P, 2, 2)[1]
+    bad = {**cert["positions"][0], "forth": [["t", "b", "c"]]}
+    assert verify_certificate({**cert, "positions": cert["positions"] + [bad]}, P, P) == (
+        False, 'response \'c\' to \'b\' at {"depth_left": 2, "worlds": ["a", "a"]} '
+               "is not a t-successor of 'a'")
+    assert verify_certificate({**cert, "positions": [bad] + cert["positions"]}, P, P) == (
+        True, None)

@@ -353,3 +353,27 @@ def test_deep_k_on_eighty_worlds():
     assert modal_game(P, Q, 1000, 2, build_certificate=False) == (True, None)
     assert modal_game(P, Q, 1000, 3, build_certificate=False) == (True, None)
     assert modal_game(P, Q, 1000, 1, build_certificate=False) == (True, None)
+
+
+def test_kripke_view_matches_a_scan_of_the_relations():
+    """Successors in universe order and profiles, against a scan of every
+    world and tuple; worlds with no successor along a label or no
+    proposition get () and the empty set."""
+    import random
+    rng = random.Random(23)
+    for _ in range(200):
+        worlds = [f"w{i}" for i in rng.sample(range(40), rng.randint(1, 9))]
+        sig = {"a": 2, "b": 2, "p": 1, "q": 1, "r": 1}
+        rels = {name: [[rng.choice(worlds) for _ in range(ar)]
+                       for _ in range(rng.randint(0, 2 * len(worlds)))]
+                for name, ar in sig.items()}
+        A = validate_structure(sig, worlds, rels)
+        K = kripke_view(A)
+        assert K.transitions == {"a": A.relations["a"], "b": A.relations["b"]}
+        assert K.props == {n: frozenset(t[0] for t in A.relations[n]) for n in "pqr"}
+        assert K.steps == {(u, label, v) for label in "ab" for u, v in A.relations[label]}
+        for w in worlds:
+            for label in "ab":
+                assert K.successors(w, label) == tuple(
+                    v for v in worlds if (w, v) in A.relations[label]), (w, label)
+            assert K.profile(w) == frozenset(n for n in "pqr" if (w,) in A.relations[n]), w
