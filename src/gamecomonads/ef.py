@@ -258,7 +258,7 @@ class EfRules(PairRules):
         return {"pairs": sorted([a, b] for a, b in pos[0]), "rounds_left": pos[1]}
 
     def from_json(self, fields) -> tuple[frozenset, int]:
-        return frozenset(map(self.pair, fields["pairs"])), exact_int(fields["rounds_left"])
+        return frozenset(map(tuple, fields["pairs"])), exact_int(fields["rounds_left"])
 
 
 def i_morphism_normalize(f: EfCoKleisli) -> EfCoKleisli:

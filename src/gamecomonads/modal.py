@@ -23,8 +23,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .comonad import DEFAULT_CAP, Comonad, read_list
-from .matching import perfect_matching
-from .strategy import certificate, exact_int
+from .strategy import answers, certificate, exact_int
 from .structures import (CapExceeded, PointedStructure, SignatureMismatch,
                          Structure, StructureError)
 
@@ -177,10 +176,8 @@ def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
     forward (tier 1) or agree (tiers 2 and 3).  The pairs met within i steps
     from the points, along one label and with passing propositions, are the
     first `ends[i]` of `order`.  `win[d]` holds those met within k - d steps
-    from which Duplicator survives d more rounds: along every label, each
-    successor of P's world has a partner in `win[d - 1]` among Q's (tier 2:
-    and each of Q's one among P's; tier 3: a perfect matching of the two
-    successor sets inside `win[d - 1]`).  Values only fall with d, so once a
+    from which Duplicator survives d more rounds: every label's challenges
+    have `answers` into `win[d - 1]`.  Values only fall with d, so once a
     round drops no pair it could, later rounds drop none; this happens by
     round |A| * |B| at tier 1 (a decreasing chain of relations on A x B) and
     |A| + |B| at tiers 2 and 3 (a partition of the disjoint union that each
@@ -207,18 +204,11 @@ def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
     for d in range(1, k + 1):
         prev = win[-1]
         kept = [p for p in order[:ends[min(k - d, len(ends) - 1)]] if p in prev]
-        if tier == 3:
-            def ok(x, y, prev=prev):
-                return (x, y) in prev
-            win.append({(a, b) for a, b in kept if all(
-                perfect_matching(sa.get(a, ()), sb.get(b, ()), ok) is not None
-                for sa, sb in succ)})
-        else:
-            win.append({(a, b) for a, b in kept if all(
-                all(any((x, y) in prev for y in sb.get(b, ())) for x in sa.get(a, ()))
-                and (tier == 1 or all(any((x, y) in prev for x in sa.get(a, ()))
-                                      for y in sb.get(b, ())))
-                for sa, sb in succ)})
+
+        def ok(x, y):
+            return (x, y) in prev
+        win.append({(a, b) for a, b in kept if all(
+            answers(tier, sa.get(a, ()), sb.get(b, ()), ok) is not None for sa, sb in succ)})
         if rules.points not in win[-1] or len(win[-1]) == len(kept):
             break
     top = len(win) - 1

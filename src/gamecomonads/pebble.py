@@ -267,4 +267,4 @@ class PebbleRules(PairRules):
         return {"base": list(map(list, base))}
 
     def from_json(self, fields) -> Position:
-        return tuple(map(self.pair, fields["base"]))
+        return tuple(map(tuple, fields["base"]))

@@ -201,12 +201,6 @@ class PairRules:
         self.kind = "homomorphism" if tier == 1 else "isomorphism"
         self.check = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
         self.holds: dict = {}
-        self.pairs: dict = {}
-
-    def pair(self, p) -> tuple[str, str]:
-        """p as a tuple, one object for each pair `from_json` reads back."""
-        p = tuple(p)
-        return self.pairs.setdefault(p, p)
 
     def pairs_fault(self, pairs, new=None) -> Optional[str]:
         if pairs not in self.holds:

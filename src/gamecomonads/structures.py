@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -105,26 +104,8 @@ def validate_structure(sig: Mapping[str, int],
     """Check all structure invariants; raise StructureError naming the first violation.
 
     Relations missing from `relations` get an empty interpretation.  Relation
-    names not declared in the signature are rejected.  The universe, the
-    signature and each relation are checked as whole sets first; only when
-    one of these checks fails are they walked element by element, to name
-    the first violation (so relations must be collections, not iterators).
+    names not declared in the signature are rejected.
     """
-    try:
-        seen = set(universe)
-        interp = {name: frozenset(map(tuple, relations.get(name, ()))) for name in sig}
-        if (len(seen) == len(universe) > 0 and "" not in seen
-                and set(map(type, seen)) == {str}
-                and all(isinstance(name, str) and name and isinstance(ar, int) and ar >= 1
-                        for name, ar in sig.items())
-                and all(name in sig for name in relations)
-                and all(set(map(len, tups)) <= {sig[name]}
-                        and seen.issuperset(chain.from_iterable(tups))
-                        for name, tups in interp.items())):
-            return Structure(Signature(dict(sig)), tuple(universe), interp)
-    except (TypeError, AttributeError):
-        pass
-    # some check failed (or cannot tell): walk to the first violation
     if not universe:
         raise StructureError("empty universe")
     seen = set()

@@ -24,8 +24,8 @@ from gamecomonads.matching import perfect_matching
 from gamecomonads.modal import kripke_view, modal_plays
 from gamecomonads.pebble import PebbleRules, Position, pebble_plays
 from gamecomonads.strategy import answers, certificate
-from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Signature,
-                                     Structure, StructureError, gaifman_graph, is_homomorphism, is_partial_homomorphism,
+from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure,
+                                     gaifman_graph, is_homomorphism, is_partial_homomorphism,
                                      is_partial_isomorphism, occurrences,
                                      require_same_signature, validate_structure)
 
@@ -625,44 +625,6 @@ def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, di
             queue.append(_capped(A, B, pairs | {(a, b)}, rounds - 1))
     return True, {"comonad": "ef", "game": "bijection", "k": k, "shape": "positions",
                   "positions": entries}
-
-
-def validate_structure_reference(sig, universe, relations) -> Structure:
-    """`validate_structure` as a walk over each element and tuple, raising
-    at the first violation: the library checks whole sets first and walks
-    only to word a fault."""
-    if not universe:
-        raise StructureError("empty universe")
-    seen = set()
-    for e in universe:
-        if not isinstance(e, str) or not e:
-            raise StructureError(f"bad element id {e!r}")
-        if e in seen:
-            raise StructureError(f"duplicate element {e!r} in universe")
-        seen.add(e)
-    for name, ar in sig.items():
-        if not isinstance(name, str) or not name:
-            raise StructureError(f"bad relation name {name!r}")
-        if not isinstance(ar, int) or ar < 1:
-            raise StructureError(f"arity of {name} must be an integer >= 1, got {ar!r}")
-    interp = {}
-    for name in relations:
-        if name not in sig:
-            raise StructureError(f"relation {name} not declared in signature")
-    for name in sig:
-        ar = sig[name]
-        tups = set()
-        for t in relations.get(name, ()):
-            t = tuple(t)
-            if len(t) != ar:
-                raise StructureError(
-                    f"arity mismatch in {name}: tuple {list(t)} has length {len(t)}, expected {ar}")
-            for x in t:
-                if x not in seen:
-                    raise StructureError(f"unknown element {x!r} in relation {name}")
-            tups.add(t)
-        interp[name] = frozenset(tups)
-    return Structure(Signature(dict(sig)), tuple(universe), interp)
 
 
 def extensions_reference(occ: list[tuple[str, tuple[str, ...]]], m: dict, x: str,

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given
 
-from oracles import brute_homomorphism_exists, extensions_reference, validate_structure_reference
+from oracles import brute_homomorphism_exists, extensions_reference
 from strategies import structure_pairs, structures
 
 from gamecomonads import zoo
@@ -45,75 +45,6 @@ def test_validate_rejects_duplicate_element():
 def test_validate_rejects_undeclared_relation():
     with pytest.raises(StructureError, match="not declared"):
         validate_structure({"R": 1}, ["a"], {"S": [["a"]]})
-
-
-# One fault each, injected into a valid description; some draws get two, so
-# that the first violation in the walk's order is the one named.
-
-def _put(rng, seq: list, x) -> None:
-    seq.insert(rng.randrange(len(seq) + 1), x)
-
-
-def _row(rng, rels, make) -> None:
-    """Put make(arity) into a random relation as one more tuple."""
-    name = rng.choice(list(rels))
-    _put(rng, rels[name], make({"P": 1, "R": 2, "T": 3}.get(name, 1)))
-
-
-FAULTS = {
-    "empty universe": lambda rng, sig, u, rels: u.clear(),
-    "duplicate id": lambda rng, sig, u, rels: _put(rng, u, rng.choice(u)),
-    "empty id": lambda rng, sig, u, rels: _put(rng, u, ""),
-    "non-string id": lambda rng, sig, u, rels: _put(rng, u, rng.choice([7, None, 1.5, True])),
-    "unhashable id": lambda rng, sig, u, rels: _put(rng, u, ["v0"]),
-    "bad arity": lambda rng, sig, u, rels: sig.update(
-        {rng.choice(list(sig)): rng.choice([0, -1, "2", 1.5, None])}),
-    "bool arity": lambda rng, sig, u, rels: sig.update(
-        {rng.choice(list(sig)): rng.choice([True, False])}),
-    "bad relation name": lambda rng, sig, u, rels: sig.update({rng.choice(["", 3]): 1}),
-    "undeclared relation": lambda rng, sig, u, rels: rels.update({"Z": [[rng.choice(u)]]}),
-    "wrong tuple length": lambda rng, sig, u, rels: _row(
-        rng, rels, lambda ar: [rng.choice(u) for _ in range(rng.choice([0, ar + 1, ar + 2]))]),
-    "unknown element": lambda rng, sig, u, rels: _row(
-        rng, rels, lambda ar: [rng.choice(u + ["ghost"]) for _ in range(ar - 1)] + ["ghost"]),
-    "unhashable entry": lambda rng, sig, u, rels: _row(
-        rng, rels, lambda ar: [rng.choice(u) for _ in range(ar - 1)] + [rng.choice([["v0"], {}])]),
-    "non-iterable row": lambda rng, sig, u, rels: _row(rng, rels, lambda ar: 5),
-}
-ROW_FAULTS = ("wrong tuple length", "unknown element", "unhashable entry", "non-iterable row")
-
-
-def _description(rng, faults):
-    """A random valid description over P/1, R/2 and T/3 with `faults` applied."""
-    u = [f"v{i}" for i in range(rng.randint(1, 6))]
-    sig = {name: ar for name, ar in (("P", 1), ("R", 2), ("T", 3)) if rng.random() < 0.8}
-    sig = sig or {"R": 2}
-    rels = {name: [[rng.choice(u) for _ in range(ar)] for _ in range(rng.randint(0, 6))]
-            for name, ar in sig.items() if rng.random() < 0.9}
-    for fault in sorted(faults, key=lambda f: f == "empty universe"):  # clear u last
-        if fault in ROW_FAULTS and not rels:
-            rels[next(iter(sig))] = []
-        FAULTS[fault](rng, sig, u, rels)
-    return sig, u, rels
-
-
-def _outcome(validate, sig, u, rels):
-    try:
-        return "ok", validate(sig, u, rels)
-    except Exception as exc:  # the reference may raise TypeError on unhashable input
-        return type(exc), str(exc)
-
-
-def test_validate_matches_the_element_walk():
-    rng = random.Random(17)
-    seen = set()
-    for i in range(1500):
-        faults = rng.sample(sorted(FAULTS), rng.choice([0, 1, 1, 1, 2]))
-        sig, u, rels = _description(rng, faults)
-        want = _outcome(validate_structure_reference, sig, list(u), rels)
-        assert _outcome(validate_structure, sig, list(u), rels) == want, (faults, sig, u, rels)
-        seen.add(want[0] if want[0] == "ok" else want[1].split(":")[0].split(" ")[0])
-    assert "ok" in seen and len(seen) > 6, seen
 
 
 def test_empty_interpretation_allowed():
