@@ -7,15 +7,18 @@ Builds the workload's plan with `bench/workloads.py` (read only), writes its
 structure files to a temporary directory, runs each call there through
 `gamecomonads.cli.main` and prints one line per call:
 
-    index exit-code sha256-of-stdout
+    index exit-code sha256-of-stdout sha256-of-verdict
 
-in the plan's order.  `--src` runs the library found in another checkout's
+in the plan's order.  The verdict is stdout with the "certificate" of each
+JSON line removed, so a change to certificate contents alone leaves that
+column as it was.  `--src` runs the library found in another checkout's
 `src` directory instead of this one's, so that two versions compare with
 `diff`:
 
     python3 scripts/stdout_digest.py modal-games 1 > new.txt
     python3 scripts/stdout_digest.py modal-games 1 --src ../old/src > old.txt
     diff old.txt new.txt
+    diff <(cut -d' ' -f1,2,4 old.txt) <(cut -d' ' -f1,2,4 new.txt)
 """
 
 from __future__ import annotations
@@ -30,6 +33,25 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def verdict(stdout: str) -> str:
+    """stdout with the "certificate" key dropped from each JSON object line."""
+    lines = []
+    for line in stdout.splitlines():
+        try:
+            value = json.loads(line)
+        except ValueError:
+            value = None
+        if isinstance(value, dict):
+            value.pop("certificate", None)
+            line = json.dumps(value, sort_keys=True)
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def main() -> int:
@@ -58,7 +80,7 @@ def main() -> int:
             out = io.StringIO()
             with redirect_stdout(out), redirect_stderr(io.StringIO()):
                 rc = cli_main([paths.get(a, a) for a in call["argv"]])
-            print(i, rc, hashlib.sha256(out.getvalue().encode()).hexdigest())
+            print(i, rc, sha256(out.getvalue()), sha256(verdict(out.getvalue())))
         os.chdir(ROOT)
     return 0
 

@@ -73,7 +73,10 @@ class EfCoKleisli:
     """A total map from plays over `source` to elements of `target`: a
     Duplicator strategy.  It is given as its table, or as the positions
     certificate of the game (`strategy.certificate` under `EfRules`), from
-    which the table is read off when first asked for."""
+    which the table is read off when first asked for.  The certificate has
+    one entry per pair set, so a play's last element, if fresh, is answered
+    as the entry of the pair set its prefix reached answers it: with the
+    answers that win the most rounds that pair set is reached with."""
 
     def __init__(self, source: Structure, target: Structure, k: int,
                  table: Optional[dict[EfPlay, str]] = None,
@@ -96,17 +99,14 @@ class EfCoKleisli:
 def _table_of(cert: Mapping, rules: EfRules) -> dict[EfPlay, str]:
     """The play table of a positions certificate: the response to a play s
     is the partner of s[-1] if the prefix pebbled it, else the answer to
-    s[-1] at the position the prefix reached, its rounds left capped by the
-    rules."""
-    forth = {(tuple(map(tuple, e["pairs"])), e["rounds_left"]): dict(e["forth"])
-             for e in cert["positions"]}
+    s[-1] recorded at the pair set the prefix reached."""
+    forth = {tuple(map(tuple, e["pairs"])): dict(e["forth"]) for e in cert["positions"]}
     table: dict[EfPlay, str] = {}
     stack: list[tuple[EfPlay, dict[str, str]]] = [((), {})]
     while stack:
         s, fwd = stack.pop()
-        pairs, rounds = rules.capped(frozenset(fwd.items()), rules.k - len(s))
         for a in rules.A.universe:
-            b = fwd[a] if a in fwd else forth[tuple(sorted(pairs)), rounds][a]
+            b = fwd[a] if a in fwd else forth[tuple(sorted(fwd.items()))][a]
             table[s + (a,)] = b
             if len(s) + 1 < rules.k:
                 stack.append((s + (a,), {**fwd, a: b}))
@@ -226,12 +226,13 @@ def ef_game_exists(A: Structure, B: Structure, k: int,
 
 
 class EfRules(PairRules):
-    """The ef game for `strategy`: a position is (pair set, rounds left), and
-    Duplicator answers while rounds are left.  A move on a pebbled element is
-    answered by its partner and leaves the pairs as they were, so only the
-    moves on fresh elements count.  Rounds left are capped at the fresh
-    elements of A (tier 1), or of the larger side at tiers 2 and 3, where
-    the pairs are injective: later rounds cannot change the position."""
+    """The ef game for `strategy`: a position is (pair set, rounds left), its
+    key the pair set, and Duplicator answers while rounds are left.  A move
+    on a pebbled element is answered by its partner and leaves the pairs as
+    they were, so only the moves on fresh elements count.  Rounds left are
+    capped at the fresh elements of A (tier 1), or of the larger side at
+    tiers 2 and 3, where the pairs are injective: later rounds cannot change
+    the position."""
 
     comonad = "ef"
 
@@ -239,11 +240,11 @@ class EfRules(PairRules):
         super().__init__(A, B, k, tier)
         self.size = len(A.universe) if tier == 1 else max(len(A.universe), len(B.universe))
 
-    def capped(self, pairs: frozenset, rounds: int) -> tuple[frozenset, int]:
-        return pairs, min(rounds, self.size - len(pairs))
+    def cover(self, pos) -> tuple[frozenset, int]:
+        return pos
 
     def start(self) -> tuple[frozenset, int]:
-        return self.capped(frozenset(), self.k)
+        return frozenset(), min(self.k, self.size)
 
     def fault(self, state, new=None) -> Optional[str]:
         return self.pairs_fault(state[0], new)
@@ -252,7 +253,8 @@ class EfRules(PairRules):
         return [state] if state[1] > 0 else []
 
     def step(self, pos, group, x: str, y: str) -> tuple[frozenset, int]:
-        return self.capped(pos[0] | {(x, y)}, pos[1] - 1)
+        pairs = pos[0] | {(x, y)}
+        return pairs, min(pos[1] - 1, self.size - len(pairs))
 
     def to_json(self, pos) -> dict:
         return {"pairs": sorted([a, b] for a, b in pos[0]), "rounds_left": pos[1]}

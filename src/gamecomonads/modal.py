@@ -248,6 +248,9 @@ class ModalRules:
     def answering(self, state) -> list:
         return [state] if state[2] else []
 
+    def cover(self, pos) -> tuple[tuple[str, str], int]:
+        return pos[:2], pos[2]
+
     def challenges(self, pos) -> list:
         a, b, _ = pos
         return [((lab,), self.KA.successors(a, lab), self.KB.successors(b, lab))

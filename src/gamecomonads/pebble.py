@@ -257,6 +257,9 @@ class PebbleRules(PairRules):
             self.bases[pos] = pebble_bases(pos, self.k)
         return self.bases[pos]
 
+    def cover(self, base: Position) -> tuple[Position, int]:
+        return base, 0
+
     def step(self, base: Position, group, x: str, y: str) -> Position:
         i = bisect_left(base, (x, y))
         if i < len(base) and base[i] == (x, y):

@@ -8,16 +8,24 @@ answers to Spoiler's challenges there, as lists [*group, challenge, response]
 ("forth": to challenges in A, "back": to challenges in B) or, at tier 3,
 [*group, x, y] pairs that form a bijection per group ("bijection").
 
+A position covers a key with some rounds left (ef: the pair set, modal: the
+pair of worlds, pebble: the base with none): answers that win R more rounds
+win any fewer, so the walk visits each key once, with the most rounds it is
+reached with, and a certificate has one entry per key.  Its rounds left are
+an upper bound: the verifier accepts an entry with at least the rounds its
+key is reached with.
+
 The game itself is in the rules of each comonad (`ef.EfRules`,
 `pebble.PebbleRules`, `modal.ModalRules`): `start()`, `fault(state, new)`
 (None while Duplicator has not lost, else why; `new` is the pair just
 played, or None for a full check), `answering(state)` (the positions
-Duplicator answers from next), `challenges(pos)` (the groups (group, xs, ys)
-of Spoiler's moves), `step(pos, group, x, y)`, `among(pos, group, side)`
-(what a response in A, side 0, or in B, side 1, must be), `to_json(pos)` and
-its inverse `from_json(fields)` (the position an entry's fields stand for;
-KeyError, TypeError or ValueError if none).  The verifier reads only the
-certificate and the rules, and indexes the entries by position once.
+Duplicator answers from next), `cover(pos)` (its key and rounds left),
+`challenges(pos)` (the groups (group, xs, ys) of Spoiler's moves),
+`step(pos, group, x, y)`, `among(pos, group, side)` (what a response in A,
+side 0, or in B, side 1, must be), `to_json(pos)` and its inverse
+`from_json(fields)` (the position an entry's fields stand for; KeyError,
+TypeError or ValueError if none).  The verifier reads only the certificate
+and the rules, and indexes the entries by key once.
 """
 
 from __future__ import annotations
@@ -68,17 +76,19 @@ def exact_int(value) -> int:
 
 def _walk(rules, play: Callable[..., Reached]) -> Optional[str]:
     """Breadth first from the start through the positions after the pairs
-    `play(pos)` returns; returns the first fault `play` finds."""
+    `play(pos)` returns, each queued only with more rounds left than its key
+    was reached with before; returns the first fault `play` finds."""
     order = rules.answering(rules.start())
-    seen = set(order)
+    most = dict(map(rules.cover, order))
     for pos in order:
         states = play(pos)
         if isinstance(states, str):
             return states
         for state in states:
             for nxt in rules.answering(state):
-                if nxt not in seen:
-                    seen.add(nxt)
+                key, left = rules.cover(nxt)
+                if left > most.get(key, -1):
+                    most[key] = left
                     order.append(nxt)
     return None
 
@@ -116,9 +126,11 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
     lose.  Only the start gets the full check, later states only through the
     pair (x, y) just played: Duplicator answers from a verified state (ef,
     modal) or a subset of one (pebble bases), and the predicates are
-    hereditary.  Entries are indexed by the position `rules.from_json` reads
-    from their fields, if `to_json` gives those fields back; the later of two
-    entries for one position counts."""
+    hereditary.  Entries are indexed by the key of the position
+    `rules.from_json` reads from their fields, if `to_json` gives those fields
+    back; of two entries for one key the one with more rounds left counts,
+    on a tie the later, and it must have at least the rounds its key is
+    reached with."""
     if cert.get("shape") != SHAPE:
         return False, f"certificate is not in the {SHAPE!r} shape"
     fault = rules.fault(rules.start())
@@ -130,21 +142,25 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
         try:
             pos = rules.from_json(fields)
             if rules.to_json(pos) == fields:
-                table[pos] = entry
+                key, left = rules.cover(pos)
+                if key not in table or table[key][0] <= left:
+                    table[key] = left, entry
         except (KeyError, TypeError, ValueError):
             pass  # fields no position has: the entry is never read
 
     def play(pos) -> Reached:
-        if pos not in table:
+        key, left = rules.cover(pos)
+        if key not in table or table[key][0] < left:
             return f"strategy not closed: no answers recorded at {_at(rules, pos)}"
+        entry = table[key][1]
         challenges = rules.challenges(pos)
         size = len(challenges[0][0]) if challenges else 0
         mine: dict[tuple, list] = {}
         for name in ANSWERS[tier]:
-            for a in table[pos].get(name, ()):
-                key = (name, tuple(a[:size]))
+            for a in entry.get(name, ()):
+                slot = (name, tuple(a[:size]))
                 try:
-                    mine.setdefault(key, []).append(tuple(a[size:]))
+                    mine.setdefault(slot, []).append(tuple(a[size:]))
                 except TypeError:
                     pass  # an unhashable group is no challenge's group
         out = []

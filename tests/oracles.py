@@ -521,18 +521,20 @@ def ef_game_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, dict | 
         return False, None
     table = {}
 
-    def extend(s: tuple, pairs: frozenset, rounds_left: int) -> None:
-        if rounds_left == 0:
+    def extend(s: tuple, pairs: frozenset) -> None:
+        # one answer per pair set: the one that wins the k - |pairs| rounds
+        # left where it is first reached, after |pairs| fresh moves
+        if len(s) == k:
             return
         for a in A.universe:
             for b in B.universe:
                 nxt = pairs | {(a, b)}
-                if is_partial_homomorphism(nxt, A, B) and win(nxt, rounds_left - 1):
+                if is_partial_homomorphism(nxt, A, B) and win(nxt, k - len(pairs) - 1):
                     table[s + (a,)] = b
-                    extend(s + (a,), nxt, rounds_left - 1)
+                    extend(s + (a,), nxt)
                     break
 
-    extend((), frozenset(), k)
+    extend((), frozenset())
     return True, table
 
 
@@ -569,9 +571,9 @@ def ef_back_and_forth_recursion(A: Structure, B: Structure, k: int
     queue = [_capped(A, B, frozenset(), k)]
     while queue:
         pairs, rounds = queue.pop(0)
-        if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
+        if pairs in seen or rounds == 0:
             continue
-        seen.add((tuple(sorted(pairs)), rounds))
+        seen.add(pairs)  # first reached with the most rounds left
         forth, back = [], []
         for a in A.universe:
             b = next(x for x in B.universe
@@ -614,9 +616,9 @@ def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, di
     queue = [_capped(A, B, frozenset(), k)]
     while queue:
         pairs, rounds = queue.pop(0)
-        if (tuple(sorted(pairs)), rounds) in seen or rounds == 0:
+        if pairs in seen or rounds == 0:
             continue
-        seen.add((tuple(sorted(pairs)), rounds))
+        seen.add(pairs)  # first reached with the most rounds left
         psi = dict(matching_at(pairs, rounds))
         entries.append({"pairs": sorted(list(p) for p in pairs),
                         "rounds_left": rounds,

@@ -119,3 +119,11 @@ def test_search_size_is_pinned():
     game = EfGame(zoo.clique(8), zoo.clique(8))
     assert game.win(frozenset(), 6)
     assert len(game.memo) == 8801
+
+
+def test_certificate_has_one_entry_per_pair_set():
+    """The certificate of the same game answers once per pair set, with the
+    most rounds left it is reached with: as many entries as the memo holds."""
+    A = zoo.clique(8)
+    positions = ef_game(A, A, 6, 1)[1]["positions"]
+    assert len(positions) == len({tuple(map(tuple, e["pairs"])) for e in positions}) == 8801

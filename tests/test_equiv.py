@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -572,3 +573,57 @@ def test_verifier_reads_the_last_of_duplicate_entries():
                "is not a t-successor of 'a'")
     assert verify_certificate({**cert, "positions": [bad] + cert["positions"]}, P, P) == (
         True, None)
+
+
+# Rounds or depth left are an upper bound: one entry stands for its key (the
+# pair set, the pair of worlds) at any rounds left up to its own.  Each game
+# below is won at 3 rounds, and its answers at the start change between 1 and
+# 3 rounds left.
+
+LEFT = {"ef": "rounds_left", "modal": "depth_left"}
+BOUND_GAMES = [(comonad, tier) for comonad in ("ef", "modal") for tier in (1, 2, 3)]
+
+
+def _bound_game(comonad: str, tier: int, k: int):
+    if comonad == "ef":
+        A = zoo.lin(5)
+        return A, A, ef_game(A, A, k, tier)[1]
+    P = zoo.kripke(["a", "d", "b", "c"], "a", {"t": [("a", "d"), ("a", "b"), ("b", "c")]})
+    return P, P, modal_game(P, P, k, tier)[1]
+
+
+@pytest.mark.parametrize("comonad, tier", BOUND_GAMES)
+def test_verifier_rejects_an_entry_one_round_short(comonad, tier):
+    A, B, cert = _bound_game(comonad, tier, 3)
+    left = LEFT[comonad]
+    assert verify_certificate(cert, A, B) == (True, None)
+    for i, entry in enumerate(cert["positions"]):
+        short = {**entry, left: entry[left] - 1}
+        bad = {**cert, "positions": cert["positions"][:i] + [short] + cert["positions"][i + 1:]}
+        at = json.dumps({f: v for f, v in entry.items() if f in ("pairs", "worlds", left)},
+                        sort_keys=True)
+        assert verify_certificate(bad, A, B) == (False, NOT_CLOSED + at)
+
+
+@pytest.mark.parametrize("comonad, tier", BOUND_GAMES)
+def test_verifier_rejects_rounds_raised_past_their_answers(comonad, tier):
+    A, B, cert = _bound_game(comonad, tier, 3)
+    left, start = LEFT[comonad], cert["positions"][0]
+    weak = _bound_game(comonad, tier, 1)[2]["positions"][0]
+    assert weak != {**start, left: 1}  # the answers that win one round differ
+    # the later of two entries counts on a tie, else the one with more rounds
+    tie = cert["positions"] + [{**weak, left: start[left]}]
+    more = [{**weak, left: start[left] + 1}] + cert["positions"]
+    for positions in (tie, more):
+        ok, msg = verify_certificate({**cert, "positions": positions}, A, B)
+        assert not ok and ("loses" in msg or "no answers recorded" in msg), msg
+
+
+@pytest.mark.parametrize("comonad, tier", BOUND_GAMES)
+def test_verifier_accepts_an_entry_per_rounds_left(comonad, tier):
+    """The layout that repeats each entry at every lower rounds left."""
+    A, B, cert = _bound_game(comonad, tier, 3)
+    left = LEFT[comonad]
+    old = [{**e, left: r} for e in cert["positions"] for r in range(e[left], 0, -1)]
+    assert len(old) > len(cert["positions"])
+    assert verify_certificate({**cert, "positions": old}, A, B) == (True, None)
