@@ -7,13 +7,13 @@ Builds the workload's plan with `bench/workloads.py` (read only), writes its
 structure files to a temporary directory, runs each call there through
 `gamecomonads.cli.main` and prints one line per call:
 
-    index exit-code sha256-of-stdout sha256-of-verdict
+    index exit-code sha256-of-stdout sha256-of-verdict stdout-bytes
 
 in the plan's order.  The verdict is stdout with the "certificate" of each
 JSON line removed, so a change to certificate contents alone leaves that
-column as it was.  `--src` runs the library found in another checkout's
-`src` directory instead of this one's, so that two versions compare with
-`diff`:
+column as it was; the last column is the length of stdout in UTF-8 bytes.
+`--src` runs the library found in another checkout's `src` directory
+instead of this one's, so that two versions compare with `diff`:
 
     python3 scripts/stdout_digest.py modal-games 1 > new.txt
     python3 scripts/stdout_digest.py modal-games 1 --src ../old/src > old.txt
@@ -80,7 +80,8 @@ def main() -> int:
             out = io.StringIO()
             with redirect_stdout(out), redirect_stderr(io.StringIO()):
                 rc = cli_main([paths.get(a, a) for a in call["argv"]])
-            print(i, rc, sha256(out.getvalue()), sha256(verdict(out.getvalue())))
+            text = out.getvalue()
+            print(i, rc, sha256(text), sha256(verdict(text)), len(text.encode()))
         os.chdir(ROOT)
     return 0
 

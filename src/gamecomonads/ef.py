@@ -73,10 +73,7 @@ class EfCoKleisli:
     """A total map from plays over `source` to elements of `target`: a
     Duplicator strategy.  It is given as its table, or as the positions
     certificate of the game (`strategy.certificate` under `EfRules`), from
-    which the table is read off when first asked for.  The certificate has
-    one entry per pair set, so a play's last element, if fresh, is answered
-    as the entry of the pair set its prefix reached answers it: with the
-    answers that win the most rounds that pair set is reached with."""
+    which the table is read off when first asked for (see `_table_of`)."""
 
     def __init__(self, source: Structure, target: Structure, k: int,
                  table: Optional[dict[EfPlay, str]] = None,
@@ -117,58 +114,48 @@ def ef_coextension(f: EfCoKleisli) -> dict[EfPlay, EfPlay]:
     return {s: coextend_play(f, s) for s in ef_plays(f.source, f.k)}
 
 
-Options = tuple[int, ...]
-
-
 class EfGame:
-    """The existential ef game from A to B, solved by memoised recursion on
-    (pair set, rounds left).
+    """The existential ef game of `rules` (an `EfRules` at tier 1), solved by
+    memoised recursion on pair sets.
 
     A position is the set of (Spoiler move, Duplicator response) pairs played
     so far; Duplicator survives while it is a partial homomorphism, and must
-    answer every element of A.  One memo, local to the game, maps a pair set
-    to its options (for each element a of A in universe order, the mask over
-    B's universe of the responses that keep a partial homomorphism, see
-    `structures.extensions`) and to whether Duplicator wins with each number
-    of rounds left.  A child's options are its parent's ANDed with the
-    extensions through the new pair: the predicate is hereditary, and every
-    other tuple was checked at the parent.  With one round left any option
-    wins, so positions with none left are never built.
+    answer every challenge of the rules.  Each round pebbles a new element,
+    so a pair set is always reached with the same rounds left.  One memo,
+    local to the game, maps a pair set to its options (for each element a of
+    A in universe order, the mask over B's universe of the responses that
+    keep a partial homomorphism, see `structures.extensions`; read only for
+    the unpebbled a) and to whether Duplicator wins there, once known.  A
+    child's options are its parent's ANDed with the extensions through the
+    new pair: the predicate is hereditary, and every other tuple was checked
+    at the parent.  With one round left any option wins, so positions with
+    none left are never built.
     """
 
-    def __init__(self, A: Structure, B: Structure):
-        self.A, self.B = A, B
-        self.bit = {b: 1 << i for i, b in enumerate(B.universe)}
-        self.memo: dict[frozenset, tuple[Options, dict[int, bool]]] = {
-            frozenset(): (tuple(extensions(A, B, {}, a) for a in A.universe), {})}
+    def __init__(self, rules: EfRules):
+        self.rules, self.A, self.B = rules, rules.A, rules.B
+        self.bit = {b: 1 << i for i, b in enumerate(self.B.universe)}
+        self.memo: dict[frozenset, list] = {
+            frozenset(): [tuple(extensions(self.A, self.B, {}, a) for a in self.A.universe), None]}
 
     def child(self, pairs: frozenset, a: str, b: str) -> frozenset:
         """pairs plus (a, b), an option at pairs, with its options memoised."""
         nxt = pairs | {(a, b)}
         if nxt not in self.memo:
-            fwd, options = dict(nxt), []
-            for x, bs in zip(self.A.universe, self.memo[pairs][0]):
-                if x == a:
-                    bs = self.bit[b]
-                elif bs and x not in fwd:
-                    bs &= extensions(self.A, self.B, fwd, x, through=a)
-                options.append(bs)
-            self.memo[nxt] = (tuple(options), {})
+            fwd = dict(nxt)
+            self.memo[nxt] = [tuple(
+                bs & extensions(self.A, self.B, fwd, x, through=a) if bs and x not in fwd else bs
+                for x, bs in zip(self.A.universe, self.memo[pairs][0])), None]
         return nxt
 
     def win(self, pairs: frozenset, rounds: int) -> bool:
-        """Whether Duplicator survives `rounds` more rounds from pairs."""
+        """Whether Duplicator survives the `rounds` left at pairs."""
         if rounds == 0:
             return True
-        wins = self.memo[pairs][1]
-        if rounds not in wins:
-            # Rounds beyond the unpebbled elements of A change nothing: a move
-            # on a pebbled element is answered by its partner and leaves the
-            # position as it was.  So the recursion is never deeper than |A|.
-            fresh = len(self.A.universe) - len(pairs)
-            wins[rounds] = (self.win(pairs, fresh) if rounds > fresh
-                            else self.answers(pairs, rounds) is not None)
-        return wins[rounds]
+        entry = self.memo[pairs]
+        if entry[1] is None:
+            entry[1] = self.answers(pairs, rounds) is not None
+        return entry[1]
 
     def good(self, pairs: frozenset, rounds: int) -> Callable[[str, str], bool]:
         """The predicate on (a, b): answering a with b at pairs, with rounds
@@ -180,7 +167,8 @@ class EfGame:
     def answers(self, pairs: frozenset, rounds: int) -> Optional[list[tuple[str, str]]]:
         """Duplicator's answers (`strategy.answers`) at pairs with rounds
         left, or None if Spoiler wins there."""
-        return answers(1, self.A.universe, self.B.universe, self.good(pairs, rounds))
+        (_, xs, ys), = self.rules.challenges((pairs, rounds))
+        return answers(1, xs, ys, self.good(pairs, rounds))
 
 
 def ef_game(A: Structure, B: Structure, k: int, tier: int,
@@ -189,19 +177,19 @@ def ef_game(A: Structure, B: Structure, k: int, tier: int,
     (`EfGame`), tiers 2 and 3 by rank-k (counting) types (`refine.Types`).
 
     On a win the certificate answers each move with the first winning
-    response: at tiers 2 and 3, a pebbled element with its partner and a new
-    one with the first new element, in universe order, whose extension has
-    the same type (or by a matching of those at tier 3).  Spoiler wins tier 3
-    outright on a cardinality mismatch.
+    response in universe order: at tiers 2 and 3 the first whose extension
+    has the same type (or a matching of those at tier 3).  Spoiler wins
+    tier 3 outright on a cardinality mismatch.
     """
     require_same_signature(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
     if tier == 3 and len(A.universe) != len(B.universe):
         return False, None
+    rules = EfRules(A, B, k, tier)
     if tier == 1:
-        game = EfGame(A, B)
-        won = game.win(frozenset(), k)
+        game = EfGame(rules)
+        won = game.win(*rules.start())
 
         def good(pos, _):
             return game.good(*pos)
@@ -213,7 +201,7 @@ def ef_game(A: Structure, B: Structure, k: int, tier: int,
             return types.same_after(sorted(pos[0]), pos[1] - 1)
     if not won or not build_certificate:
         return won, None
-    return True, certificate(EfRules(A, B, k, tier), tier, good)
+    return True, certificate(rules, tier, good)
 
 
 def ef_game_exists(A: Structure, B: Structure, k: int,
@@ -227,24 +215,19 @@ def ef_game_exists(A: Structure, B: Structure, k: int,
 
 class EfRules(PairRules):
     """The ef game for `strategy`: a position is (pair set, rounds left), its
-    key the pair set, and Duplicator answers while rounds are left.  A move
-    on a pebbled element is answered by its partner and leaves the pairs as
-    they were, so only the moves on fresh elements count.  Rounds left are
-    capped at the fresh elements of A (tier 1), or of the larger side at
-    tiers 2 and 3, where the pairs are injective: later rounds cannot change
-    the position."""
+    key the pair set, and Duplicator answers while rounds are left.  The game
+    starts with k rounds, or as many as A has elements (tier 1) or the larger
+    side has (tiers 2 and 3) if fewer: more rounds than that change nothing.
+    So the rounds left are min(k, size) - |pairs|."""
 
     comonad = "ef"
-
-    def __init__(self, A: Structure, B: Structure, k: int, tier: int):
-        super().__init__(A, B, k, tier)
-        self.size = len(A.universe) if tier == 1 else max(len(A.universe), len(B.universe))
 
     def cover(self, pos) -> tuple[frozenset, int]:
         return pos
 
     def start(self) -> tuple[frozenset, int]:
-        return frozenset(), min(self.k, self.size)
+        sizes = len(self.A.universe), len(self.B.universe)
+        return frozenset(), min(self.k, sizes[0] if self.tier == 1 else max(sizes))
 
     def fault(self, state, new=None) -> Optional[str]:
         return self.pairs_fault(state[0], new)
@@ -252,9 +235,11 @@ class EfRules(PairRules):
     def answering(self, state) -> list:
         return [state] if state[1] > 0 else []
 
+    def challenges(self, pos) -> list:
+        return self.unpebbled(pos[0])
+
     def step(self, pos, group, x: str, y: str) -> tuple[frozenset, int]:
-        pairs = pos[0] | {(x, y)}
-        return pairs, min(pos[1] - 1, self.size - len(pairs))
+        return pos[0] | {(x, y)}, pos[1] - 1
 
     def to_json(self, pos) -> dict:
         return {"pairs": sorted([a, b] for a, b in pos[0]), "rounds_left": pos[1]}

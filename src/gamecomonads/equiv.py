@@ -31,7 +31,7 @@ from typing import Optional
 from .ef import EfRules, ef_game
 from .modal import ModalRules, modal_game
 from .pebble import PebbleRules, pebble_game
-from .strategy import GAMES, verify
+from .strategy import GAMES, exact_int, verify
 
 RULES = {"ef": EfRules, "pebble": PebbleRules, "modal": ModalRules}
 SOLVERS = {"ef": ef_game, "pebble": pebble_game, "modal": modal_game}
@@ -44,11 +44,17 @@ pebble_bijection_equiv = partial(pebble_game, tier=3)
 def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
     """Check a certificate against A and B by its (comonad, game) stamp,
     with `strategy.verify` under its comonad's rules."""
+    if not isinstance(cert, dict):
+        return False, "the certificate is not an object"
     comonad, game = cert.get("comonad"), cert.get("game")
-    if comonad not in RULES or game not in GAMES:
+    if comonad not in tuple(RULES) or game not in GAMES:  # by ==: any JSON value
         return False, f"unknown certificate kind {(comonad, game)}"
+    try:
+        k = exact_int(cert.get("k"))
+    except TypeError as err:
+        return False, f"the certificate's k is {err}"
     tier = GAMES.index(game) + 1
-    return verify(RULES[comonad](A, B, int(cert["k"]), tier), tier, cert)
+    return verify(RULES[comonad](A, B, k, tier), tier, cert)
 
 
 def decide(tag: str, tier: int, A, B, k: int) -> dict:

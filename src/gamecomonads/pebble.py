@@ -10,7 +10,6 @@ k-variable types of tuples, computed on each structure alone (`refine.Types`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from typing import Callable, Optional, Sequence
 
@@ -27,8 +26,7 @@ PebblePlay = tuple[Move, ...]
 # pebbles mark, as a sorted tuple of distinct pairs.  Pebble indices are
 # interchangeable and winning families are closed under restriction, so the
 # set determines the game value (Kolaitis & Vardi, AAAI 2000): two pebbles on
-# one pair count as one, and a move onto a pebbled element is answered by its
-# partner, which leaves the set as it was.
+# one pair count as one.
 Position = tuple[tuple[str, str], ...]
 
 
@@ -156,14 +154,11 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[int]:
     most k pairs.
 
     A position lives iff each of its bases is good: every Spoiler move (an
-    element of A) from the base keeps a live response.  A move onto a pebbled
-    element is answered in place and leaves the base, which lives whenever a
-    position built on it does (winning positions are closed under
-    restriction), so only moves onto new elements are counted.  Goodness
-    depends on the base alone, so each base keeps a count of live responses
-    per move, keyed base * |A| + row of the move; a dying position decrements
-    its parents' counts and a base whose count hits zero kills every position
-    built on it.
+    unpebbled element of A, see `strategy.PairRules`) from the base keeps a
+    live response.  Goodness depends on the base alone, so each base keeps a
+    count of live responses per move, keyed base * |A| + row of the move; a
+    dying position decrements its parents' counts and a base whose count
+    hits zero kills every position built on it.
     """
     bits = pair_bits(A, B)
     # a row per element a of A in order: (a, its targets b in order as
@@ -260,11 +255,11 @@ class PebbleRules(PairRules):
     def cover(self, base: Position) -> tuple[Position, int]:
         return base, 0
 
+    def challenges(self, base: Position) -> list:
+        return self.unpebbled(base)
+
     def step(self, base: Position, group, x: str, y: str) -> Position:
-        i = bisect_left(base, (x, y))
-        if i < len(base) and base[i] == (x, y):
-            return base
-        return base[:i] + ((x, y),) + base[i:]
+        return tuple(sorted((*base, (x, y))))
 
     def to_json(self, base: Position) -> dict:
         return {"base": list(map(list, base))}

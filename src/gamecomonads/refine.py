@@ -9,10 +9,9 @@ then each round by (old colour, for each base of the tuple its old colour
 and the set, or at tier 3 the sorted multiset, of the old colours of its
 one-element extensions by new elements).  A tuple is its own base; for
 pebble, as is a position with one pebble lifted, so are the tuple with one
-entry dropped, and the tuple itself only below length k.  A move onto a
-pebbled element must be answered by its partner and leaves the position's
-set of pairs as it was, so positions never repeat a pair and tuples never
-repeat an element.  README.md gives the details.
+entry dropped, and the tuple itself only below length k.  Spoiler moves
+only onto unpebbled elements (`strategy.PairRules`), so tuples never repeat
+an element.  README.md gives the details.
 """
 
 from __future__ import annotations
@@ -100,11 +99,9 @@ class Types:
 
     def same_after(self, pairs: Sequence[tuple[str, str]], rank: int = -1
                    ) -> Callable[[str, str], bool]:
-        """Whether the pairs (a partial isomorphism) plus a pair (a, b) pair
-        tuples of the same colour after round `rank` (by default the last; no
-        later round splits a class).  A pebbled a must go to its partner, and
-        the position's pairs are then as they were."""
-        fwd = dict(pairs)
+        """Whether the pairs (a partial isomorphism) plus a pair (a, b) of
+        unpebbled elements pair tuples of the same colour after round `rank`
+        (by default the last; no later round splits a class)."""
         col = self.history[min(rank, len(self.history) - 1)]
         colours = []
         for side, S in enumerate(self.sides):
@@ -112,4 +109,4 @@ class Types:
             new = [a for a in S.universe if a not in t]
             colours.append(dict(zip(new, map(col.__getitem__, self.ext[self.ids[side][t]]))))
         ca, cb = colours
-        return lambda a, b: fwd[a] == b if a in fwd else ca[a] == cb.get(b)
+        return lambda a, b: ca[a] == cb[b]

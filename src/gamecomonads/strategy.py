@@ -122,22 +122,25 @@ def certificate(rules, tier: int, good: Callable) -> dict:
 def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
     """Replay a certificate against the rules alone, from the start: every
     position reached must be recorded, each challenge there needs an answer
-    of the right kind (tier 3: a bijection per group), and no answer may
-    lose.  Only the start gets the full check, later states only through the
-    pair (x, y) just played: Duplicator answers from a verified state (ef,
-    modal) or a subset of one (pebble bases), and the predicates are
-    hereditary.  Entries are indexed by the key of the position
+    of the right kind (tier 3: a bijection per group; pairs on no challenge
+    are not read), and no answer may lose.  Only the start gets the full
+    check, later states only through the pair (x, y) just played: Duplicator
+    answers from a verified state (ef, modal) or a subset of one (pebble
+    bases), and the predicates are hereditary.  Entries are indexed by the key of the position
     `rules.from_json` reads from their fields, if `to_json` gives those fields
     back; of two entries for one key the one with more rounds left counts,
     on a tie the later, and it must have at least the rounds its key is
     reached with."""
     if cert.get("shape") != SHAPE:
         return False, f"certificate is not in the {SHAPE!r} shape"
+    positions = cert.get("positions")
+    if not (isinstance(positions, list) and all(isinstance(e, dict) for e in positions)):
+        return False, "the certificate's positions are not a list of objects"
     fault = rules.fault(rules.start())
     if fault:
         return False, f"the start position is lost: {fault}"
     table = {}
-    for entry in cert["positions"]:
+    for entry in positions:
         fields = {f: v for f, v in entry.items() if f not in FIELDS}
         try:
             pos = rules.from_json(fields)
@@ -157,16 +160,19 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
         size = len(challenges[0][0]) if challenges else 0
         mine: dict[tuple, list] = {}
         for name in ANSWERS[tier]:
-            for a in entry.get(name, ()):
-                slot = (name, tuple(a[:size]))
-                try:
-                    mine.setdefault(slot, []).append(tuple(a[size:]))
-                except TypeError:
-                    pass  # an unhashable group is no challenge's group
+            recorded = entry.get(name, [])
+            if not (isinstance(recorded, list) and all(
+                    isinstance(a, list) and len(a) == size + 2
+                    and all(isinstance(v, str) for v in a) for a in recorded)):
+                return (f"the {name} answers at {_at(rules, pos)} are not lists "
+                        f"of {size + 2} strings")
+            for a in recorded:
+                mine.setdefault((name, tuple(a[:size])), []).append(tuple(a[size:]))
         out = []
         for group, xs, ys in challenges:
             if tier == 3:
-                pairs = mine.get(("bijection", group), [])
+                chosen = frozenset(xs)
+                pairs = [(x, y) for x, y in mine.get(("bijection", group), []) if x in chosen]
                 if (sorted(x for x, _ in pairs) != sorted(xs)
                         or sorted(y for _, y in pairs) != sorted(ys)):
                     return (f"the answer{_along(group)} at {_at(rules, pos)} is not a "
@@ -182,7 +188,7 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
                     if u not in recorded:
                         return f"no {name} answer to {u!r}{_along(group)} at {_at(rules, pos)}"
                     v = recorded[u]
-                    if not (isinstance(v, str) and v in allowed):  # element ids are strings
+                    if v not in allowed:
                         return (f"response {v!r} to {u!r} at {_at(rules, pos)} is not "
                                 f"{rules.among(pos, group, side)}")
                     out.append((group, u, v) if side else (group, v, u))
@@ -207,13 +213,17 @@ def _along(group) -> str:
 
 
 class PairRules:
-    """What the ef and pebble games share: Spoiler may pick any element of A
-    (at tier 2 also of B), and the pairs on the board must stay a partial
-    homomorphism (tier 1) or a partial isomorphism (tiers 2 and 3), kept
-    per pair set (with `new` the one-pair check gives the full verdict)."""
+    """What the ef and pebble games share.  Spoiler moves only onto unpebbled
+    elements of A (at tier 2 also of B): a move onto a pebbled one must be
+    answered by its partner and leaves the position as it was (Kolaitis &
+    Vardi, AAAI 2000).  Duplicator answers with any element of B at tier 1,
+    else with an unpebbled one of the other side, or a bijection of unpebbled
+    onto unpebbled.  The pairs on the board must stay a partial homomorphism
+    (tier 1) or a partial isomorphism (tiers 2 and 3), kept per pair set
+    (with `new` the one-pair check gives the full verdict)."""
 
     def __init__(self, A: Structure, B: Structure, k: int, tier: int):
-        self.A, self.B, self.k = A, B, k
+        self.A, self.B, self.k, self.tier = A, B, k, tier
         self.kind = "homomorphism" if tier == 1 else "isomorphism"
         self.check = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
         self.holds: dict = {}
@@ -225,8 +235,13 @@ class PairRules:
             return None
         return f"{sorted(map(list, pairs))} is not a partial {self.kind}"
 
-    def challenges(self, pos) -> list:
-        return [((), self.A.universe, self.B.universe)]
+    def unpebbled(self, pairs) -> list:
+        """The challenges at a position with these pairs on the board."""
+        dom, rng = {a for a, _ in pairs}, {b for _, b in pairs}
+        xs = [a for a in self.A.universe if a not in dom]
+        ys = self.B.universe if self.tier == 1 else [b for b in self.B.universe if b not in rng]
+        return [((), xs, ys)]
 
     def among(self, pos, group, side: int) -> str:
-        return f"an element of the {('source', 'target')[side]}"
+        unpebbled = "" if self.tier == 1 else "unpebbled "
+        return f"an {unpebbled}element of the {('source', 'target')[side]}"

@@ -575,13 +575,19 @@ def ef_back_and_forth_recursion(A: Structure, B: Structure, k: int
             continue
         seen.add(pairs)  # first reached with the most rounds left
         forth, back = [], []
+        fwd = dict(pairs)  # answers are recorded on unpebbled elements only
+        bwd = {b: a for a, b in pairs}
         for a in A.universe:
+            if a in fwd:
+                continue
             b = next(x for x in B.universe
                      if is_partial_isomorphism(pairs | {(a, x)}, A, B)
                      and win(pairs | {(a, x)}, rounds - 1))
             forth.append([a, b])
             queue.append(_capped(A, B, pairs | {(a, b)}, rounds - 1))
         for b in B.universe:
+            if b in bwd:
+                continue
             a = next(x for x in A.universe
                      if is_partial_isomorphism(pairs | {(x, b)}, A, B)
                      and win(pairs | {(x, b)}, rounds - 1))
@@ -619,7 +625,8 @@ def ef_bijection_recursion(A: Structure, B: Structure, k: int) -> tuple[bool, di
         if pairs in seen or rounds == 0:
             continue
         seen.add(pairs)  # first reached with the most rounds left
-        psi = dict(matching_at(pairs, rounds))
+        fwd = dict(pairs)  # answers are recorded on unpebbled elements only
+        psi = {a: b for a, b in matching_at(pairs, rounds) if a not in fwd}
         entries.append({"pairs": sorted(list(p) for p in pairs),
                         "rounds_left": rounds,
                         "bijection": sorted([a, b] for a, b in psi.items())})

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import (all_digraphs, bisim_approx, brute_bijection_game, brute_bijection_round,
-                     build_theta, lin_closed_form, lin_game_textbook, theta_fixpoint_oracle,
-                     wl_distinguishes)
+                     build_theta, lin_closed_form, lin_game_textbook, relabelled,
+                     theta_fixpoint_oracle, wl_distinguishes)
 from strategies import pointed_kripke_pairs, structure_pairs
 
 from gamecomonads import zoo
@@ -322,6 +322,11 @@ def _entry(cert, **fields):
     return next(e for e in cert["positions"] if all(e[f] == v for f, v in fields.items()))
 
 
+def _answer(entry, name: str, x: str) -> str:
+    """The response recorded under `name` to the move x at an entry."""
+    return dict(entry[name])[x]
+
+
 def test_back_and_forth_certificate_rejects_tampering():
     A = zoo.lin(2)
     verdict, cert = ef_game(A, A, 2, 2)
@@ -407,13 +412,16 @@ def test_verifier_rejects_missing_right_answer_at_tier_2():
 
 
 def test_verifier_rejects_losing_response():
-    A = zoo.lin(2)
+    # answers are recorded on unpebbled elements only, so the order needs a
+    # third element for a losing one: e2 -> e0 next to e1 -> e1
+    A = zoo.lin(3)
     cert = ef_game(A, A, 2, 2)[1]
-    assert _entry(cert, pairs=[["e0", "e0"]])["forth"] == [["e0", "e0"], ["e1", "e1"]]
-    bad = _tampered(cert, {"pairs": [["e0", "e0"]]}, "forth",
-                    lambda ans: [["e0", "e0"], ["e1", "e0"]])
+    assert _entry(cert, pairs=[["e1", "e1"]])["forth"] == [["e0", "e0"], ["e2", "e2"]]
+    bad = _tampered(cert, {"pairs": [["e1", "e1"]]}, "forth",
+                    lambda ans: [["e0", "e0"], ["e2", "e0"]])
     ok, msg = verify_certificate(bad, A, A)
-    assert not ok and "('e1', 'e0')" in msg and "loses" in msg, msg
+    assert not ok and "('e2', 'e0')" in msg and "loses" in msg, msg
+    assert '{"pairs": [["e1", "e1"]], "rounds_left": 1}' in msg, msg
     assert "is not a partial isomorphism" in msg, msg
 
 
@@ -438,7 +446,7 @@ def _e4_to_e2(ans):
 def test_verifier_rejects_losing_ef_answer_two_pairs_deep(tier, name, edit, pair):
     A = zoo.lin(5)
     cert = decide("ef", tier, A, A, 3)["certificate"]
-    assert _entry(cert, pairs=DEEP)[name][4] == ["e4", "e4"]
+    assert _answer(_entry(cert, pairs=DEEP), name, "e4") == "e4"
     bad = _tampered(cert, {"pairs": DEEP}, name, edit)
     ok, msg = verify_certificate(bad, A, A)
     assert not ok and pair in msg and "loses" in msg, msg
@@ -450,9 +458,9 @@ def test_verifier_rejects_losing_ef_tier1_answer_two_pairs_deep():
     # the line e1 -> e1, e3 -> e3, then e4 -> e2 breaks the order
     A = zoo.lin(5)
     cert = decide("ef", 1, A, A, 3)["certificate"]["forward"]
-    assert _entry(cert, pairs=[])["forth"][1] == ["e1", "e1"]
-    assert _entry(cert, pairs=[["e1", "e1"]], rounds_left=2)["forth"][3] == ["e3", "e3"]
-    assert _entry(cert, pairs=DEEP)["forth"][4] == ["e4", "e4"]
+    assert _answer(_entry(cert, pairs=[]), "forth", "e1") == "e1"
+    assert _answer(_entry(cert, pairs=[["e1", "e1"]], rounds_left=2), "forth", "e3") == "e3"
+    assert _answer(_entry(cert, pairs=DEEP), "forth", "e4") == "e4"
     bad = _tampered(cert, {"pairs": DEEP}, "forth", _e4_to_e2)
     ok, msg = verify_certificate(bad, A, A)
     assert not ok and "('e4', 'e2')" in msg and "loses" in msg, msg
@@ -468,7 +476,7 @@ def test_verifier_rejects_losing_pebble_answer_two_pairs_deep(tier, name, edit, 
     A = zoo.lin(5)
     cert = decide("pebble", tier, A, A, 3)["certificate"]
     cert = cert["forward"] if tier == 1 else cert
-    assert _entry(cert, base=DEEP)[name][4] == ["e4", "e4"]
+    assert _answer(_entry(cert, base=DEEP), name, "e4") == "e4"
     bad = _tampered(cert, {"base": DEEP}, name, edit)
     ok, msg = verify_certificate(bad, A, A)
     assert not ok and pair in msg and "loses" in msg, msg
@@ -507,6 +515,86 @@ def test_verifier_rejects_other_shapes():
     cert = pebble_game(A, A, 2, 2)[1]
     ok, msg = verify_certificate({k: v for k, v in cert.items() if k != "shape"}, A, A)
     assert not ok and "shape" in msg
+
+
+def _without(field):
+    return lambda cert: {f: v for f, v in cert.items() if f != field}
+
+
+def _each_entry(**fields):
+    return lambda cert: {**cert, "positions": [dict(e, **fields) for e in cert["positions"]]}
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_without("k"), "k is not an int"),
+    (lambda cert: {**cert, "k": "2"}, "k is not an int"),
+    (lambda cert: {**cert, "k": 2.7}, "k is not an int"),
+    (lambda cert: {**cert, "k": True}, "k is not an int"),
+    (_without("positions"), "positions are not a list of objects"),
+    (lambda cert: {**cert, "positions": [5]}, "positions are not a list of objects"),
+    (lambda cert: [cert], "not an object"),
+    (lambda cert: {**cert, "comonad": ["ef"]}, "unknown certificate kind"),
+    (_each_entry(forth=5), "forth answers at"),
+    (_each_entry(forth=[5]), "forth answers at"),
+    (_each_entry(forth=[["e0"]]), "forth answers at"),
+    (_each_entry(back=[[["e0"], "e0"]]), "back answers at"),
+], ids=["no-k", "k-str", "k-float", "k-bool", "no-positions", "entry-int", "cert-list",
+        "comonad-list", "answers-int", "answer-int", "answer-short", "answer-nested"])
+def test_verifier_rejects_malformed_certificates(edit, reason):
+    A = zoo.lin(2)
+    cert = ef_game(A, A, 2, 2)[1]
+    ok, msg = verify_certificate(edit(cert), A, A)
+    assert not ok and reason in msg, msg
+
+
+# Spoiler moves only onto unpebbled elements, so certificates answer those
+# alone; certificates that also answered each pebbled element with its
+# partner must still verify.
+
+def _random_structure(rng: random.Random, prefix: str):
+    u = [f"{prefix}{i}" for i in range(rng.randint(1, 4))]
+    return validate_structure({"E": 2, "P": 1}, u, {
+        "E": [[x, y] for x in u for y in u if rng.random() < 0.35],
+        "P": [[x] for x in u if rng.random() < 0.5]})
+
+
+def _with_partners(cert):
+    """cert with each pebbled element also answered by its partner."""
+    entries = []
+    for e in cert["positions"]:
+        pairs = e["pairs"] if "pairs" in e else e["base"]
+        partners = {"forth": [[a, b] for a, b in pairs], "back": [[b, a] for a, b in pairs],
+                    "bijection": [[a, b] for a, b in pairs]}
+        entries.append({f: sorted(v + partners[f]) if f in partners else v
+                        for f, v in e.items()})
+    return {**cert, "positions": entries}
+
+
+def test_certificates_answer_unpebbled_elements_only():
+    rng = random.Random(20181019)
+    won = 0
+    for i in range(40):
+        A = _random_structure(rng, "x")
+        B = relabelled(rng, A) if i % 2 else _random_structure(rng, rng.choice("xy"))
+        for solve in (ef_game, pebble_game):
+            for tier in (1, 2, 3):
+                k = rng.randint(1, 5 if solve is ef_game else 3)
+                verdict, cert = solve(A, B, k, tier)
+                if not verdict:
+                    continue
+                won += 1
+                for e in cert["positions"]:
+                    pairs = e["pairs"] if "pairs" in e else e["base"]
+                    xs, ys = {a for a, _ in pairs}, {b for _, b in pairs}
+                    for x, y in e.get("forth", []) + e.get("bijection", []):
+                        assert x not in xs and (tier == 1 or y not in ys), (A, B, k, tier, e)
+                    for y, x in e.get("back", []):
+                        assert x not in xs and y not in ys, (A, B, k, tier, e)
+                assert verify_certificate(cert, A, B) == (True, None), (A, B, k, tier)
+                assert verify_certificate(_with_partners(cert), A, B) == (True, None), \
+                    (A, B, k, tier)
+    assert won > 100
+
 
 
 # An entry counts only at the position whose `to_json` gives back its exact

@@ -68,8 +68,9 @@ def _positions(masks, A, B) -> set:
 
 def _live(A, B, k, tier):
     """The positions the library's engine of a tier keeps: the fixpoint at
-    tier 1; at tiers 2 and 3 those whose two tuples have the same type, or
-    None when the empty tuples differ (refinement then stops early)."""
+    tier 1; at tiers 2 and 3 those whose two tuples have the same type (only
+    a pair of unpebbled elements extends a partial isomorphism), or None when
+    the empty tuples differ (refinement then stops early)."""
     if tier == 1:
         return _positions(pebble_fixpoint(A, B, k), A, B)
     types = Types(A, B, k, pebble=True, counting=tier == 3)
@@ -82,8 +83,10 @@ def _live(A, B, k, tier):
             if base not in live:
                 continue  # nor is any position built on it
             same = types.same_after(base)
-            live.update(base + (p,) for p in pairs[pairs.index(base[-1]) + 1 if base else 0:]
-                        if same(*p))
+            xs, ys = {a for a, _ in base}, {b for _, b in base}
+            later = pairs[pairs.index(base[-1]) + 1 if base else 0:]
+            live.update(base + ((a, b),) for a, b in later
+                        if a not in xs and b not in ys and same(a, b))
     return live
 
 
