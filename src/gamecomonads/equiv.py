@@ -42,8 +42,9 @@ pebble_bijection_equiv = partial(pebble_game, tier=3)
 
 
 def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
-    """Check a certificate against A and B by its (comonad, game) stamp,
-    with `strategy.verify` under its comonad's rules."""
+    """Check a certificate against A and B by its (comonad, game) stamp and
+    its k (an int of at least 1), with `strategy.verify` under its comonad's
+    rules."""
     if not isinstance(cert, dict):
         return False, "the certificate is not an object"
     comonad, game = cert.get("comonad"), cert.get("game")
@@ -53,6 +54,8 @@ def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
         k = exact_int(cert.get("k"))
     except TypeError as err:
         return False, f"the certificate's k is {err}"
+    if k < 1:
+        return False, f"the certificate's k is {k}, below 1"
     tier = GAMES.index(game) + 1
     return verify(RULES[comonad](A, B, k, tier), tier, cert)
 

@@ -4,20 +4,21 @@ Plays are finite non-empty sequences of moves (pebble index, element) of
 arbitrary length, so the full play structure is infinite and is never built.
 Decisions run over pebble positions: what matters about a play is the set of
 pairs its pebbles mark (see `Position`).  The existential game is a greatest
-fixpoint over those positions (`pebble_fixpoint`); tiers 2 and 3 compare
+fixpoint over those positions, stored on the positions of fewer than k pairs
+alone (`pebble_fixpoint`); tiers 2 and 3 compare
 k-variable types of tuples, computed on each structure alone (`refine.Types`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Optional, Sequence
 
 from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
                       read_list)
 from .refine import CAP, Types
 from .strategy import PairRules, certificate
-from .structures import CapExceeded, Structure, extensions, require_same_signature
+from .structures import (CapExceeded, Structure, extensions, occurrences,
+                         require_same_signature)
 
 Move = tuple[int, str]
 PebblePlay = tuple[Move, ...]
@@ -108,96 +109,92 @@ def pebble_bases(pos: Position, k: int) -> list[Position]:
     return sorted(out)
 
 
-def pair_bits(A: Structure, B: Structure) -> dict[tuple[str, str], int]:
-    """The encoding of the fixpoint's positions: pair i of A×B in sorted
-    order is bit i, and a position is the int with the bits of its pairs."""
-    pairs = sorted((a, b) for a in A.universe for b in B.universe)
-    return {pair: 1 << i for i, pair in enumerate(pairs)}
+def pebble_fixpoint(A: Structure, B: Structure, k: int) -> dict[int, list[int]]:
+    """The winning positions of the existential k-pebble game (the greatest
+    fixpoint over the partial homomorphisms of at most k pairs), kept on the
+    bases alone: each base (a position of fewer than k pairs) with its rows.
 
+    Pair (A.universe[x], B.universe[i]) is bit x * |B| + i of a base.  Row x
+    of a base is a mask over B's universe, read only for unpebbled x: bit i
+    is set while the base plus that pair is a live position.  A position
+    lives iff each of its bases is good: every Spoiler move (an unpebbled
+    element of A, see `strategy.PairRules`) keeps a live response, i.e. no
+    unpebbled row is 0.  So positions of k pairs are stored nowhere, and on
+    return a base is good iff none of its rows is 0 (the rows of pebbled
+    elements never are); the other rows of a bad base are not read.
 
-def _arena(A: Structure, B: Structure, k: int, pairs: list[tuple[str, str]],
-           rows: list[tuple[str, list[tuple[int, int]]]]) -> list[int]:
-    """Every position of at most k pairs that is a partial homomorphism,
-    smallest first, as masks over `pairs` (see `pebble_fixpoint` for `rows`).
-
-    The predicate is hereditary, so each position is its highest pair added
-    to a smaller position, on an element of A after those pebbled (the pairs
-    of one element of A are consecutive bits), whose targets are filtered by
-    `extensions`.  Raises `CapExceeded` past `CAP` positions.
+    The rows start as `structures.extensions` gives them, a child's as its
+    parent's ANDed with the extensions through the new pair (the predicate is
+    hereditary, as in `ef.EfGame`).  Each base is built once, by a pair on a
+    row after its highest; `CapExceeded` is raised as soon as the bases and
+    the positions of k pairs they stand for pass `CAP`.  A dying base kills
+    itself and each live position one pair above it (the set bits of its
+    rows), and each death clears one bit in the rows of the dying position's
+    other parents; a base with a row cleared to 0 dies in turn.  Clearing a
+    bit twice does nothing, so no counts are kept.
     """
-    # after[i]: the first row after that of bit i - 1, where the extensions
-    # of a position with highest bit i - 1 start (after[0] = 0: the empty one)
-    after = [0] + [x + 1 for x, (_, targets) in enumerate(rows) for _ in targets]
-    arena, level = [0], [0]
-    for _ in range(k):
+    n, width = len(A.universe), len(B.universe)
+    occ = occurrences(A)
+    near = [[y for y, b in enumerate(A.universe) if b != a and (a, b) in occ] for a in A.universe]
+    rows = {0: [extensions(A, B, {}, a) for a in A.universe]}
+    built = 0
+
+    def count(size: int, mine: list[int], after: int) -> None:
+        """Count a base, and at k - 1 pairs those of k on its rows from after."""
+        nonlocal built
+        built += 1 + (sum(m.bit_count() for m in mine[after:]) if size == k - 1 else 0)
+        if built > CAP:
+            raise CapExceeded(built, CAP, "positions or more")
+
+    count(0, rows[0], 0)
+    level = [(0, {}, 0)]  # bases of one size: (base, its map, its first row to extend)
+    for size in range(1, k):
         nxt = []
-        for pos in level:
-            fwd, rest = {}, pos
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                a, b = pairs[low.bit_length() - 1]
-                fwd[a] = b
-            for a, targets in rows[after[pos.bit_length()]:]:
-                mask = extensions(A, B, fwd, a)
-                nxt.extend(pos | bit for b, bit in targets if mask & b)
-            if len(arena) + len(nxt) > CAP:
-                raise CapExceeded(len(arena) + len(nxt), CAP, "positions or more")
-        arena.extend(nxt)
+        for base, fwd, first in level:
+            theirs = rows[base]
+            for x in range(first, n):
+                a, rest = A.universe[x], theirs[x]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    m = {**fwd, a: B.universe[low.bit_length() - 1]}
+                    mine = theirs.copy()
+                    for y in near[x]:
+                        if mine[y] and A.universe[y] not in m:
+                            mine[y] &= extensions(A, B, m, A.universe[y], through=a)
+                    child = base | low << x * width
+                    rows[child] = mine
+                    count(size, mine, x + 1)
+                    if size < k - 1:
+                        nxt.append((child, m, x + 1))
         level = nxt
-    return arena
-
-
-def pebble_fixpoint(A: Structure, B: Structure, k: int) -> set[int]:
-    """Winning positions of the existential k-pebble game, as masks
-    (`pair_bits`): the greatest fixpoint over the partial homomorphisms of at
-    most k pairs.
-
-    A position lives iff each of its bases is good: every Spoiler move (an
-    unpebbled element of A, see `strategy.PairRules`) from the base keeps a
-    live response.  Goodness depends on the base alone, so each base keeps a
-    count of live responses per move, keyed base * |A| + row of the move; a
-    dying position decrements its parents' counts and a base whose count
-    hits zero kills every position built on it.
-    """
-    bits = pair_bits(A, B)
-    # a row per element a of A in order: (a, its targets b in order as
-    # (bit of b in B's universe, bit of (a, b)))
-    order = sorted(range(len(B.universe)), key=B.universe.__getitem__)
-    rows = [(a, [(1 << i, bits[a, B.universe[i]]) for i in order]) for a in sorted(A.universe)]
-    arena = _arena(A, B, k, list(bits), rows)
-    row = {bit: x for x, (_, targets) in enumerate(rows) for _, bit in targets}
-    row_mask = [sum(bit for _, bit in targets) for _, targets in rows]
-    n = len(rows)
-    count: defaultdict[int, int] = defaultdict(int)
-    for q in arena:
-        rest = q
+    queue = [base for base, mine in rows.items() if not all(mine)]  # pebbled rows are never 0
+    bad = set(queue)
+    while queue:
+        base = queue.pop()
+        below, pebbled, rest = [], set(), base
         while rest:
             low = rest & -rest
             rest ^= low
-            count[(q ^ low) * n + row[low]] += 1
-    queue = [base for base in arena if base.bit_count() < k and any(
-        not base & row_mask[x] and not count.get(base * n + x) for x in range(n))]
-    bad = set(queue)
-    live = set(arena)
-    while queue:
-        base = queue.pop()
-        for q in [base, *(base | bit for bit in bits.values())]:
-            if q not in live:
-                continue
-            live.remove(q)
-            rest = q
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                parent = q ^ low
-                if parent not in bad:
-                    key = parent * n + row[low]
-                    count[key] -= 1
-                    if not count[key]:
-                        bad.add(parent)
-                        queue.append(parent)
-    return live
+            y = (low.bit_length() - 1) // width
+            below.append((base ^ low, y, low >> y * width))
+            pebbled.add(y)
+        dying = [0]  # the base itself, then each live position one pair above it
+        for x, live in enumerate(rows[base]):
+            while live and x not in pebbled:
+                low = live & -live
+                live ^= low
+                dying.append(low << x * width)
+        for bit in dying:
+            for parent, y, c in below:
+                other = rows[parent | bit]
+                was = other[y]
+                if was & c:
+                    other[y] = was ^ c
+                    if was == c and parent | bit not in bad:
+                        bad.add(parent | bit)
+                        queue.append(parent | bit)
+    return rows
 
 
 def pebble_game(A: Structure, B: Structure, k: int, tier: int,
@@ -212,13 +209,13 @@ def pebble_game(A: Structure, B: Structure, k: int, tier: int,
     if tier == 3 and len(A.universe) != len(B.universe):
         return False, None
     if tier == 1:
-        surviving = pebble_fixpoint(A, B, k)
-        exists = 0 in surviving
-        bits = pair_bits(A, B)
+        bases = pebble_fixpoint(A, B, k)
+        exists = all(bases[0])
+        row, col = ({v: i for i, v in enumerate(S.universe)} for S in (A, B))
 
         def good(base, _):
-            mask = sum(map(bits.__getitem__, base))
-            return lambda a, b: (mask | bits[a, b]) in surviving
+            mine = bases[sum(1 << row[a] * len(col) + col[b] for a, b in base)]
+            return lambda a, b: mine[row[a]] >> col[b] & 1
     else:
         types = Types(A, B, k, pebble=True, counting=tier == 3)
         exists = types.equal

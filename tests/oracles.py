@@ -23,8 +23,9 @@ from gamecomonads.ef import EfRules, coextend_play, ef_plays
 from gamecomonads.matching import perfect_matching
 from gamecomonads.modal import kripke_view, modal_plays
 from gamecomonads.pebble import PebbleRules, Position, pebble_plays
+from gamecomonads.refine import CAP
 from gamecomonads.strategy import answers, certificate
-from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure,
+from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, extensions,
                                      gaifman_graph, is_homomorphism, is_partial_homomorphism,
                                      is_partial_isomorphism, occurrences,
                                      require_same_signature, validate_structure)
@@ -900,6 +901,75 @@ def pebble_game_reference(A: Structure, B: Structure, k: int, tier: int,
     return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _: (
         lambda a, b: _canon(base + ((a, b),)) in surviving))
 
+
+
+def pebble_counter_fixpoint(A: Structure, B: Structure, k: int, cap: int = CAP) -> set[Position]:
+    """Winning positions of the existential k-pebble game, by the counter
+    scheme (Liu & Smolka, ICALP 1998) over every stored position: the
+    library's earlier tier-1 engine, kept as the reference for the one that
+    stores bases only.
+
+    Positions are masks over A×B (pair i in sorted order is bit i), built
+    smallest first by a pair on a row after the highest pebbled one, filtered
+    by `extensions`; `CapExceeded` past `cap` positions.  Each base keeps a
+    count of live responses per move, keyed base * |A| + row of the move; a
+    dying position decrements its parents' counts and a base whose count
+    hits zero kills every position built on it.
+    """
+    pairs = sorted((a, b) for a in A.universe for b in B.universe)
+    bits = {pair: 1 << i for i, pair in enumerate(pairs)}
+    order = sorted(range(len(B.universe)), key=B.universe.__getitem__)
+    rows = [(a, [(1 << i, bits[a, B.universe[i]]) for i in order]) for a in sorted(A.universe)]
+    after = [0] + [x + 1 for x, (_, targets) in enumerate(rows) for _ in targets]
+    arena, level = [0], [0]
+    for _ in range(k):
+        nxt = []
+        for pos in level:
+            fwd, rest = {}, pos
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a, b = pairs[low.bit_length() - 1]
+                fwd[a] = b
+            for a, targets in rows[after[pos.bit_length()]:]:
+                mask = extensions(A, B, fwd, a)
+                nxt.extend(pos | bit for b, bit in targets if mask & b)
+            if len(arena) + len(nxt) > cap:
+                raise CapExceeded(len(arena) + len(nxt), cap, "positions or more")
+        arena.extend(nxt)
+        level = nxt
+    row = {bit: x for x, (_, targets) in enumerate(rows) for _, bit in targets}
+    row_mask = [sum(bit for _, bit in targets) for _, targets in rows]
+    n = len(rows)
+    count: defaultdict[int, int] = defaultdict(int)
+    for q in arena:
+        rest = q
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            count[(q ^ low) * n + row[low]] += 1
+    queue = [base for base in arena if base.bit_count() < k and any(
+        not base & row_mask[x] and not count.get(base * n + x) for x in range(n))]
+    bad = set(queue)
+    live = set(arena)
+    while queue:
+        base = queue.pop()
+        for q in [base, *(base | bit for bit in bits.values())]:
+            if q not in live:
+                continue
+            live.remove(q)
+            rest = q
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                parent = q ^ low
+                if parent not in bad:
+                    key = parent * n + row[low]
+                    count[key] -= 1
+                    if not count[key]:
+                        bad.add(parent)
+                        queue.append(parent)
+    return {tuple(pair for pair, bit in bits.items() if q & bit) for q in live}
 
 
 # Winning-position predicates of the three comonads' games, on synchronized

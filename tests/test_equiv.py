@@ -547,6 +547,18 @@ def test_verifier_rejects_malformed_certificates(edit, reason):
     assert not ok and reason in msg, msg
 
 
+
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("game", ["existential", "back-and-forth", "bijection"])
+@pytest.mark.parametrize("comonad", ["ef", "pebble", "modal"])
+def test_verifier_rejects_k_below_one(comonad, game, k):
+    """Every solver refuses k < 1, and so does the verifier, even for a
+    certificate with no positions that would otherwise verify."""
+    A, B = ((zoo.kripke_chain(2), zoo.kripke_chain(3)) if comonad == "modal"
+            else (zoo.lin(2), zoo.lin(3)))
+    cert = {"comonad": comonad, "game": game, "k": k, "shape": "positions", "positions": []}
+    assert verify_certificate(cert, A, B) == (False, f"the certificate's k is {k}, below 1")
+
 # Spoiler moves only onto unpebbled elements, so certificates answer those
 # alone; certificates that also answered each pebbled element with its
 # partner must still verify.

@@ -1,25 +1,26 @@
 """Differential tests of the pebble engines (the tier-1 fixpoint and the
 k-variable types of tiers 2 and 3) against the re-sweep oracle and against
-the fixpoint engine that the types replaced.
+the engines they replaced: the counter fixpoint over every position (tier
+1) and the fixpoint engine over multisets (tiers 2 and 3).
 
-The engines' positions are sets of pairs; the references play over
-multisets, so their winning positions are compared on the positions without
-a repeated pair."""
+The engines' positions are sets of pairs; the re-sweep oracle and the
+multiset engine play over multisets, so their winning positions are compared
+on the positions without a repeated pair."""
 
 import random
 from itertools import combinations
 
 import pytest
-from oracles import (all_digraphs, pebble_fixpoint_reference, pebble_game_reference,
-                     pebble_resweep_fixpoint, relabelled)
+from oracles import (all_digraphs, pebble_counter_fixpoint, pebble_fixpoint_reference,
+                     pebble_game_reference, pebble_resweep_fixpoint, relabelled)
 
 from gamecomonads import zoo
 from gamecomonads.matching import perfect_matching
-from gamecomonads.pebble import PebbleRules, pair_bits, pebble_bases, pebble_fixpoint, pebble_game
-from gamecomonads.refine import Types
+from gamecomonads.pebble import PebbleRules, pebble_bases, pebble_fixpoint, pebble_game
+from gamecomonads.refine import CAP, Types
 from gamecomonads.strategy import certificate
-from gamecomonads.structures import (is_partial_homomorphism, is_partial_isomorphism,
-                                     validate_structure)
+from gamecomonads.structures import (CapExceeded, is_partial_homomorphism,
+                                     is_partial_isomorphism, validate_structure)
 
 TIERS = (1, 2, 3)
 KS = (1, 2, 3)
@@ -61,9 +62,24 @@ def _sets(positions) -> set:
     return {pos for pos in positions if len(set(pos)) == len(pos)}
 
 
-def _positions(masks, A, B) -> set:
-    """The fixpoint's masks as positions: sorted tuples of their pairs."""
-    return {tuple(pair for pair, bit in pair_bits(A, B).items() if mask & bit) for mask in masks}
+def _live_positions(A, B, bases) -> set:
+    """The live positions of the tier-1 fixpoint's bases, as sorted tuples of
+    their pairs: the empty position if its base is good, and the base plus
+    (a, b) for each good base, unpebbled a and set bit b of a's row (a base
+    is good iff none of its rows is 0; pair (A.universe[x], B.universe[i])
+    is bit x * |B| + i)."""
+    width = len(B.universe)
+    live = {()} if all(bases[0]) else set()
+    for base, rows in bases.items():
+        if not all(rows):
+            continue
+        pairs = [(A.universe[j // width], B.universe[j % width])
+                 for j in range(base.bit_length()) if base >> j & 1]
+        pebbled = {a for a, _ in pairs}
+        live.update(tuple(sorted([*pairs, (a, b)]))
+                    for a, row in zip(A.universe, rows) if a not in pebbled
+                    for i, b in enumerate(B.universe) if row >> i & 1)
+    return live
 
 
 def _live(A, B, k, tier):
@@ -72,7 +88,7 @@ def _live(A, B, k, tier):
     a pair of unpebbled elements extends a partial isomorphism), or None when
     the empty tuples differ (refinement then stops early)."""
     if tier == 1:
-        return _positions(pebble_fixpoint(A, B, k), A, B)
+        return _live_positions(A, B, pebble_fixpoint(A, B, k))
     types = Types(A, B, k, pebble=True, counting=tier == 3)
     if not types.equal:
         return None
@@ -179,4 +195,76 @@ def test_types_match_fixpoint_engine(family):
     (zoo.cycle(8), zoo.cycle(8), 3, 4161)])
 def test_fixpoint_live_counts_are_pinned(A, B, k, live):
     """The number of winning positions of the tier-1 fixpoint on fixed cases."""
-    assert len(pebble_fixpoint(A, B, k)) == live
+    assert len(_live_positions(A, B, pebble_fixpoint(A, B, k))) == live
+
+
+def random_small(rng: random.Random, prefix: str, d: float):
+    """At most 5 elements, with a unary, a binary and a ternary relation of
+    density about d; loops and tuples that repeat an element included."""
+    u = [f"{prefix}{i}" for i in range(rng.randint(1, 5))]
+    return validate_structure({"P": 1, "E": 2, "T": 3}, u, {
+        "P": [[x] for x in u if rng.random() < d],
+        "E": [[x, y] for x in u for y in u if rng.random() < d],
+        "T": [[x, y, z] for x in u for y in u for z in u if rng.random() < d * d]})
+
+
+def _small_pair(rng: random.Random):
+    """A sparse A and, into it, a relabelled copy or a denser B."""
+    d = rng.uniform(0.1, 0.6)
+    A = random_small(rng, "x", d)
+    if rng.random() < 0.2:
+        return A, relabelled(rng, A)
+    return A, random_small(rng, rng.choice("xy"), rng.uniform(d, 1))
+
+
+def test_tier_one_matches_counter_reference():
+    """The fixpoint over bases keeps the live positions of the counter scheme
+    over every position (`oracles.pebble_counter_fixpoint`), and gives its
+    verdict and certificate, on seeded random pairs at one to four pebbles."""
+    rng = random.Random(20000301)
+    won = 0
+    for _ in range(400):
+        (A, B), k = _small_pair(rng), rng.randint(1, 4)
+        slow = pebble_counter_fixpoint(A, B, k)
+        assert _live_positions(A, B, pebble_fixpoint(A, B, k)) == slow, (A, B, k)
+        assert pebble_game(A, B, k, 1) == _read_off(A, B, k, 1, slow), (A, B, k)
+        won += () in slow
+    assert 50 < won < 350
+
+
+def test_positions_cap_counts_every_position(monkeypatch):
+    """Under a small cap, the fixpoint over bases raises `CapExceeded` on
+    exactly the pairs where the reference, which stores every position,
+    does: the bases and the positions of k pairs they stand for are counted
+    in full."""
+    monkeypatch.setattr("gamecomonads.pebble.CAP", 20)
+    rng = random.Random(19980706)
+    raised = 0
+    for _ in range(200):
+        (A, B), k = _small_pair(rng), rng.randint(1, 4)
+        try:
+            pebble_counter_fixpoint(A, B, k, cap=20)
+        except CapExceeded:
+            with pytest.raises(CapExceeded) as exc:
+                pebble_fixpoint(A, B, k)
+            assert 20 < exc.value.required <= 20 + len(A.universe) * len(B.universe)
+            raised += 1
+        else:
+            pebble_fixpoint(A, B, k)
+    assert 20 < raised < 180
+
+
+def test_positions_cap_raises_within_one_base():
+    """lin(15) into lin(14) at four pebbles has ~1.5 million positions: the
+    count passes `CAP` by at most the positions one base stands for."""
+    A, B = zoo.lin(15), zoo.lin(14)
+    with pytest.raises(CapExceeded, match="positions or more") as exc:
+        pebble_fixpoint(A, B, 4)
+    assert CAP < exc.value.required <= CAP + len(A.universe) * len(B.universe)
+
+
+def test_base_count_is_pinned():
+    """Only bases (fewer than k pairs) are stored: 1,473 partial
+    homomorphisms of at most two pairs for cycle(8) into itself at k=3,
+    against 14,017 positions of at most three."""
+    assert len(pebble_fixpoint(zoo.cycle(8), zoo.cycle(8), 3)) == 1473
