@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .strategy import exact_int
 from .structures import BoundExceeded, Graph, Structure, gaifman_graph
 
 TREE_DEPTH_BOUND = 20
@@ -136,7 +137,7 @@ def verify_pebbled_forest_cover(C: PebbledForestCover, G: Graph,
         return False, msg
     for v in G.vertices:
         p = C.pebbles.get(v)
-        if not isinstance(p, int) or not (1 <= p <= k):
+        if type(p) is not int or not (1 <= p <= k):
             return False, f"pebble of {v!r} not in 1..{k}"
     for (u, v) in sorted(G.edges):
         lo, hi = (u, v) if len(C.cover.chain(u)) <= len(C.cover.chain(v)) else (v, u)
@@ -406,94 +407,34 @@ def _decomposition_from_order(A: Structure, G: _MaskGraph, elim: list[int]) -> T
 
 # -------------------------------------------------- decomposition <-> cover
 
-def make_orderly(T: TreeDecomposition) -> TreeDecomposition:
-    """Split bags so every node introduces at most one element new to all of
-    its ancestors; width is unchanged."""
-    nodes: list[str] = []
-    parent: dict[str, Optional[str]] = {}
-    bags: dict[str, frozenset[str]] = {}
-    counter = [0]
-
-    def fresh(base: str) -> str:
-        counter[0] += 1
-        name = f"{base}@{counter[0]}"
-        while name in T.nodes:
-            counter[0] += 1
-            name = f"{base}@{counter[0]}"
-        return name
-
-    def walk(node: str, new_parent: Optional[str], above: frozenset[str]) -> None:
-        introduced = sorted(T.bags[node] - above)
-        bag = T.bags[node]
-        if len(introduced) <= 1:
-            nodes.append(node)
-            parent[node] = new_parent
-            bags[node] = bag
-            bottom = node
-        else:
-            bottom = new_parent
-            shed = list(introduced)
-            for i, v in enumerate(shed):
-                name = node if i == len(shed) - 1 else fresh(node)
-                nodes.append(name)
-                parent[name] = bottom
-                bags[name] = bag - frozenset(shed[i + 1:])
-                bottom = name
-        for child in T.children(node):
-            walk(child, bottom, above | bag)
-
-    walk(T.root, None, frozenset())
-    return TreeDecomposition(tuple(nodes), parent, bags)
-
-
 def decomposition_to_pebble_cover(T: TreeDecomposition, k: int) -> PebbledForestCover:
-    """Turn a width < k decomposition into a k-pebble forest cover.
+    """Turn a width < k decomposition into a k-pebble forest cover, in one
+    walk down from the root.
 
-    The decomposition is made orderly, each element is ordered by the least
-    bag containing it, and pebbles are assigned top-down by the least index
-    free in that bag.
+    A bag introduces the elements in no bag above it.  They hang in sorted
+    order on a chain below the last element introduced above, and each takes
+    the least pebble that no pebbled element of its bag holds: those are the
+    bag's elements from above and the ones just introduced, fewer than k.
     """
     if T.width >= k:
         raise ValueError(f"decomposition width {T.width} is not below k={k}")
-    T = make_orderly(T)
-    depth = {}
-
-    def set_depth(node: str, d: int) -> None:
-        depth[node] = d
-        for c in T.children(node):
-            set_depth(c, d + 1)
-
-    set_depth(T.root, 0)
-
-    # least node containing each element; orderliness makes this injective
-    tau: dict[str, str] = {}
-    for v in sorted(set().union(*(T.bags[n] for n in T.nodes))):
-        holding = [n for n in T.nodes if v in T.bags[n]]
-        tau[v] = min(holding, key=depth.__getitem__)
-
-    def node_le(x: str, y: str) -> bool:
-        cur: Optional[str] = y
-        while cur is not None:
-            if cur == x:
-                return True
-            cur = T.parent[cur]
-        return False
-
-    parent_of: dict[str, Optional[str]] = {}
-    for v, node in tau.items():
-        above = [w for w in tau if w != v and node_le(tau[w], node)]
-        parent_of[v] = max(above, key=lambda w: depth[tau[w]], default=None)
-
+    parent: dict[str, Optional[str]] = {}
     pebbles: dict[str, int] = {}
-    for v in sorted(tau, key=lambda v: (depth[tau[v]], v)):
-        taken = {pebbles[w] for w in T.bags[tau[v]] - {v} if w in pebbles}
-        pebbles[v] = min(p for p in range(1, k + 1) if p not in taken)
-    return PebbledForestCover(ForestCover(parent_of), pebbles, k)
+    stack: list[tuple[str, Optional[str], frozenset[str]]] = [(T.root, None, frozenset())]
+    while stack:
+        node, last, above = stack.pop()
+        bag = T.bags[node]
+        for v in sorted(bag - above):
+            taken = {pebbles[w] for w in bag if w in pebbles}
+            pebbles[v] = next(p for p in range(1, k + 1) if p not in taken)
+            parent[v], last = last, v
+        stack += [(child, last, above | bag) for child in T.children(node)]
+    return PebbledForestCover(ForestCover(parent), pebbles, k)
 
 
 def pebble_cover_to_decomposition(C: PebbledForestCover) -> TreeDecomposition:
-    """Bags are the active predecessors: w stays active at v while no vertex
-    strictly between them (inclusive of v) reuses w's pebble."""
+    """Bags are the active predecessors: along the chain of v, the last
+    holder of each pebble (an element stays active until its pebble recurs)."""
     cover, p = C.cover, C.pebbles
     elements = sorted(cover.parent)
     root = ROOT
@@ -504,12 +445,7 @@ def pebble_cover_to_decomposition(C: PebbledForestCover) -> TreeDecomposition:
     bags: dict[str, frozenset[str]] = {root: frozenset()}
     for v in elements:
         parent[v] = cover.parent[v] if cover.parent[v] is not None else root
-        chain = cover.chain(v)
-        active = set()
-        for i, w in enumerate(chain):
-            if all(p[u] != p[w] for u in chain[i + 1:]):
-                active.add(w)
-        bags[v] = frozenset(active)
+        bags[v] = frozenset({p[w]: w for w in cover.chain(v)}.values())
     return TreeDecomposition(tuple(nodes), parent, bags)
 
 
@@ -534,8 +470,8 @@ def pebbled_cover_to_json(C: PebbledForestCover) -> dict:
 
 def pebbled_cover_from_json(data) -> PebbledForestCover:
     return PebbledForestCover(ForestCover(dict(data["parent"])),
-                              {v: int(p) for v, p in data["pebbles"].items()},
-                              int(data["k"]))
+                              {v: exact_int(p) for v, p in data["pebbles"].items()},
+                              exact_int(data["k"]))
 
 
 def decomposition_to_json(T: TreeDecomposition) -> dict:

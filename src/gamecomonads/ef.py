@@ -13,9 +13,8 @@ from typing import Callable, Mapping, Optional
 
 from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
                       read_list)
-from .refine import Types
-from .strategy import PairRules, answers, certificate, exact_int
-from .structures import CapExceeded, Structure, extensions, require_same_signature
+from .strategy import PairRules, answers, exact_int
+from .structures import CapExceeded, Structure, extensions
 
 EfPlay = tuple[str, ...]
 
@@ -173,35 +172,9 @@ class EfGame:
 
 def ef_game(A: Structure, B: Structure, k: int, tier: int,
             build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """Decide the k-round ef game of a tier: tier 1 by game search
-    (`EfGame`), tiers 2 and 3 by rank-k (counting) types (`refine.Types`).
-
-    On a win the certificate answers each move with the first winning
-    response in universe order: at tiers 2 and 3 the first whose extension
-    has the same type (or a matching of those at tier 3).  Spoiler wins
-    tier 3 outright on a cardinality mismatch.
-    """
-    require_same_signature(A, B)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if tier == 3 and len(A.universe) != len(B.universe):
-        return False, None
-    rules = EfRules(A, B, k, tier)
-    if tier == 1:
-        game = EfGame(rules)
-        won = game.win(*rules.start())
-
-        def good(pos, _):
-            return game.good(*pos)
-    else:
-        types = Types(A, B, k, pebble=False, counting=tier == 3)
-        won = types.equal
-
-        def good(pos, _):
-            return types.same_after(sorted(pos[0]), pos[1] - 1)
-    if not won or not build_certificate:
-        return won, None
-    return True, certificate(rules, tier, good)
+    """Decide the k-round ef game of a tier (`strategy.PairRules.solve`):
+    tier 1 by game search (`EfGame`), tiers 2 and 3 by rank-k types."""
+    return EfRules(A, B, k, tier).solve(build_certificate)
 
 
 def ef_game_exists(A: Structure, B: Structure, k: int,
@@ -225,18 +198,16 @@ class EfRules(PairRules):
     def cover(self, pos) -> tuple[frozenset, int]:
         return pos
 
+    def existential(self) -> tuple[bool, Callable]:
+        game = EfGame(self)
+        return game.win(*self.start()), lambda pos, _: game.good(*pos)
+
     def start(self) -> tuple[frozenset, int]:
         sizes = len(self.A.universe), len(self.B.universe)
         return frozenset(), min(self.k, sizes[0] if self.tier == 1 else max(sizes))
 
-    def fault(self, state, new=None) -> Optional[str]:
-        return self.pairs_fault(state[0], new)
-
     def answering(self, state) -> list:
         return [state] if state[1] > 0 else []
-
-    def challenges(self, pos) -> list:
-        return self.unpebbled(pos[0])
 
     def step(self, pos, group, x: str, y: str) -> tuple[frozenset, int]:
         return pos[0] | {(x, y)}, pos[1] - 1

@@ -13,7 +13,8 @@ Round structure follows the logics characterized: rank-bounded games (ef,
 modal) stop after k rounds, pebble games are unbounded.  Each comonad has
 one solver for all three tiers, `SOLVERS[tag](A, B, k, tier,
 build_certificate=True) -> (won, certificate or None)`: `ef.ef_game`,
-`pebble.pebble_game` and `modal.modal_game`.  Tier 1 is solved by game
+`pebble.pebble_game` and `modal.modal_game`; the first two run one driver,
+`strategy.PairRules.solve`.  Tier 1 is solved by game
 search (ef), a greatest fixpoint over sets of pebbled pairs (pebble) or one
 sweep over world pairs (modal).  For ef and pebble, tiers 2 and 3 are
 equalities of types, rank-k or k-variable FO at tier 2 and their counting

@@ -15,10 +15,9 @@ from typing import Callable, Optional, Sequence
 
 from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
                       read_list)
-from .refine import CAP, Types
-from .strategy import PairRules, certificate
-from .structures import (CapExceeded, Structure, extensions, occurrences,
-                         require_same_signature)
+from .refine import CAP
+from .strategy import PairRules
+from .structures import CapExceeded, Structure, extensions, occurrences
 
 Move = tuple[int, str]
 PebblePlay = tuple[Move, ...]
@@ -199,32 +198,10 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> dict[int, list[int]]:
 
 def pebble_game(A: Structure, B: Structure, k: int, tier: int,
                 build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
-    """Decide the k-pebble game of a tier: tier 1 by `pebble_fixpoint`, tiers
-    2 and 3 by k-variable (counting) types (`refine.Types`).  There is no
-    round bound.  On a win the certificate answers each move with the first
-    surviving response."""
-    require_same_signature(A, B)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if tier == 3 and len(A.universe) != len(B.universe):
-        return False, None
-    if tier == 1:
-        bases = pebble_fixpoint(A, B, k)
-        exists = all(bases[0])
-        row, col = ({v: i for i, v in enumerate(S.universe)} for S in (A, B))
-
-        def good(base, _):
-            mine = bases[sum(1 << row[a] * len(col) + col[b] for a, b in base)]
-            return lambda a, b: mine[row[a]] >> col[b] & 1
-    else:
-        types = Types(A, B, k, pebble=True, counting=tier == 3)
-        exists = types.equal
-
-        def good(base, _):
-            return types.same_after(base)
-    if not exists or not build_certificate:
-        return exists, None
-    return True, certificate(PebbleRules(A, B, k, tier), tier, good)
+    """Decide the k-pebble game of a tier (`strategy.PairRules.solve`): tier
+    1 by `pebble_fixpoint`, tiers 2 and 3 by k-variable types.  There is no
+    round bound."""
+    return PebbleRules(A, B, k, tier).solve(build_certificate)
 
 
 class PebbleRules(PairRules):
@@ -241,9 +218,6 @@ class PebbleRules(PairRules):
     def start(self) -> Position:
         return ()
 
-    def fault(self, pos: Position, new=None) -> Optional[str]:
-        return self.pairs_fault(pos, new)
-
     def answering(self, pos: Position) -> list[Position]:
         if pos not in self.bases:
             self.bases[pos] = pebble_bases(pos, self.k)
@@ -252,8 +226,14 @@ class PebbleRules(PairRules):
     def cover(self, base: Position) -> tuple[Position, int]:
         return base, 0
 
-    def challenges(self, base: Position) -> list:
-        return self.unpebbled(base)
+    def existential(self) -> tuple[bool, Callable]:
+        bases = pebble_fixpoint(self.A, self.B, self.k)
+        row, col = ({v: i for i, v in enumerate(S.universe)} for S in (self.A, self.B))
+
+        def good(base, _):
+            mine = bases[sum(1 << row[a] * len(col) + col[b] for a, b in base)]
+            return lambda a, b: mine[row[a]] >> col[b] & 1
+        return all(bases[0]), good
 
     def step(self, base: Position, group, x: str, y: str) -> Position:
         return tuple(sorted((*base, (x, y))))

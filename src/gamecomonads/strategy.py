@@ -25,7 +25,8 @@ Duplicator answers from next), `cover(pos)` (its key and rounds left),
 side 0, or in B, side 1, must be), `to_json(pos)` and its inverse
 `from_json(fields)` (the position an entry's fields stand for; KeyError,
 TypeError or ValueError if none).  The verifier reads only the certificate
-and the rules, and indexes the entries by key once.
+and the rules, and indexes the entries by key once.  `PairRules.solve`
+decides the ef and pebble games and fills their certificates.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ import json
 from typing import Callable, Mapping, Optional, Union
 
 from .matching import perfect_matching
-from .structures import Structure, is_partial_homomorphism, is_partial_isomorphism
+from .refine import Types
+from .structures import (Structure, is_partial_homomorphism, is_partial_isomorphism,
+                         require_same_signature)
 
 GAMES = ("existential", "back-and-forth", "bijection")
 SHAPE = "positions"
@@ -218,9 +221,10 @@ class PairRules:
     answered by its partner and leaves the position as it was (Kolaitis &
     Vardi, AAAI 2000).  Duplicator answers with any element of B at tier 1,
     else with an unpebbled one of the other side, or a bijection of unpebbled
-    onto unpebbled.  The pairs on the board must stay a partial homomorphism
-    (tier 1) or a partial isomorphism (tiers 2 and 3), kept per pair set
-    (with `new` the one-pair check gives the full verdict)."""
+    onto unpebbled.  The pairs on the board, a position's key (see `cover`),
+    must stay a partial homomorphism (tier 1) or a partial isomorphism (tiers
+    2 and 3), kept per key (with `new` the one-pair check gives the full
+    verdict).  Each game adds `existential()`, its tier-1 solver."""
 
     def __init__(self, A: Structure, B: Structure, k: int, tier: int):
         self.A, self.B, self.k, self.tier = A, B, k, tier
@@ -228,15 +232,43 @@ class PairRules:
         self.check = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
         self.holds: dict = {}
 
-    def pairs_fault(self, pairs, new=None) -> Optional[str]:
+    def solve(self, build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
+        """Decide the game, with its certificate on a win: tier 1 by
+        `existential()` -> (won, good), tiers 2 and 3 by rank-k or k-variable
+        (counting) types (`refine.Types`), read at a position's key after its
+        rounds left less one (pebble: none left, so the last round).  Spoiler
+        wins tier 3 outright on a cardinality mismatch.  The certificate
+        answers each move with the first winning response in universe order
+        (at tier 3 a matching of those)."""
+        require_same_signature(self.A, self.B)
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.tier == 3 and len(self.A.universe) != len(self.B.universe):
+            return False, None
+        if self.tier == 1:
+            won, good = self.existential()
+        else:
+            types = Types(self.A, self.B, self.k, pebble=self.comonad == "pebble",
+                          counting=self.tier == 3)
+            won = types.equal
+
+            def good(pos, _):
+                key, left = self.cover(pos)
+                return types.same_after(sorted(key), left - 1)
+        if not won or not build_certificate:
+            return won, None
+        return True, certificate(self, self.tier, good)
+
+    def fault(self, pos, new=None) -> Optional[str]:
+        pairs = self.cover(pos)[0]
         if pairs not in self.holds:
             self.holds[pairs] = self.check(pairs, self.A, self.B, new)
         if self.holds[pairs]:
             return None
         return f"{sorted(map(list, pairs))} is not a partial {self.kind}"
 
-    def unpebbled(self, pairs) -> list:
-        """The challenges at a position with these pairs on the board."""
+    def challenges(self, pos) -> list:
+        pairs = self.cover(pos)[0]
         dom, rng = {a for a, _ in pairs}, {b for _, b in pairs}
         xs = [a for a in self.A.universe if a not in dom]
         ys = self.B.universe if self.tier == 1 else [b for b in self.B.universe if b not in rng]

@@ -418,3 +418,21 @@ def test_check_modal_builds_each_kripke_view_once(tmp_path, capsys, monkeypatch)
         builds.clear()
         assert main(["check", "--game", "modal", "--tier", tier, "-k", "3", P, P]) == 0
         assert len(builds) <= 2, (tier, len(builds))
+
+
+def test_stdout_digest_script_prints_one_line_per_call():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = dict(capture_output=True, text=True, timeout=120, cwd=root)
+    count = ("import sys; sys.path.insert(0, 'bench'); import workloads; "
+             "print(len(workloads.build('width-params', 1).calls))")
+    proc = subprocess.run([sys.executable, "-c", count], **run)
+    assert proc.returncode == 0, proc.stderr
+    calls = int(proc.stdout)
+    proc = subprocess.run([sys.executable, os.path.join("scripts", "stdout_digest.py"),
+                           "width-params", "1"], **run)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    assert calls > 0 and len(lines) == calls
+    assert all(len(cols) == 5 for cols in lines)
+    assert [cols[0] for cols in lines] == [str(i) for i in range(calls)]
+    assert {cols[1] for cols in lines} <= {"0", "1"}

@@ -14,7 +14,7 @@ from gamecomonads.decomposition import (ForestCover, PebbledForestCover,
                                         decomposition_to_json,
                                         decomposition_to_pebble_cover,
                                         forest_cover_from_json, forest_cover_to_json,
-                                        make_orderly, pebble_cover_to_decomposition,
+                                        pebble_cover_to_decomposition,
                                         pebbled_cover_from_json, pebbled_cover_to_json,
                                         tree_depth, tree_width,
                                         verify_forest_cover,
@@ -170,27 +170,6 @@ def test_tree_depth_equals_min_over_all_covers_exhaustively():
         assert tree_depth(A)[0] == min(heights)
 
 
-def test_orderly_refinement_preserves_validity_and_width():
-    A = zoo.clique(3)
-    G = gaifman_graph(A)
-    T = TreeDecomposition(("n",), {"n": None}, {"n": frozenset(A.universe)})
-    ok, _ = verify_tree_decomposition(T, G)
-    assert ok
-    O = make_orderly(T)
-    ok, msg = verify_tree_decomposition(O, G)
-    assert ok, msg
-    assert O.width == T.width
-    # every node introduces at most one fresh element
-    def introduced(n):
-        above = set()
-        cur = O.parent[n]
-        while cur is not None:
-            above |= O.bags[cur]
-            cur = O.parent[cur]
-        return O.bags[n] - above
-    assert all(len(introduced(n)) <= 1 for n in O.nodes)
-
-
 def test_pebble_cover_from_single_bag():
     T = TreeDecomposition(("n",), {"n": None}, {"n": frozenset(["a"])})
     C = decomposition_to_pebble_cover(T, 1)
@@ -215,6 +194,48 @@ def test_pebble_cover_from_triangle_single_bag():
     assert max(len(C.cover.chain(v)) for v in C.cover.parent) == 3
     ok, msg = verify_pebbled_forest_cover(C, gaifman_graph(zoo.clique(3)), 3)
     assert ok, msg
+
+
+def _graph(vertices, edges):
+    return validate_structure({"R": 2}, list(vertices),
+                              {"R": [[x, y] for u, v in edges for x, y in ((u, v), (v, u))]})
+
+
+def _grid(r, c):
+    name = {(i, j): f"g{i}_{j}" for i in range(r) for j in range(c)}
+    return _graph(name.values(), [(name[i, j], name[i + di, j + dj]) for (i, j) in name
+                                  for di, dj in ((0, 1), (1, 0)) if (i + di, j + dj) in name])
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+@pytest.mark.parametrize("A, parent, pebbles", [
+    (_grid(3, 3),
+     {"g0_0": None, "g0_1": "g0_0", "g0_2": "g0_1", "g1_0": "g0_2", "g1_1": "g1_0",
+      "g1_2": "g1_1", "g2_0": "g1_2", "g2_1": "g2_0", "g2_2": "g2_1"},
+     {"g0_0": 1, "g0_1": 2, "g0_2": 3, "g1_0": 4, "g1_1": 1, "g1_2": 2, "g2_0": 3,
+      "g2_1": 4, "g2_2": 1}),
+    (zoo.cycle(6),
+     {"v0": None, "v1": "v0", "v2": "v1", "v3": "v2", "v4": "v3", "v5": "v4"},
+     {"v0": 1, "v1": 2, "v2": 3, "v3": 2, "v4": 3, "v5": 2}),
+    (zoo.clique(4),
+     {"v0": None, "v1": "v0", "v2": "v1", "v3": "v2"},
+     {"v0": 1, "v1": 2, "v2": 3, "v3": 4}),
+    (_graph("abxyz", [("a", "b"), ("x", "y"), ("y", "z"), ("x", "z")]),
+     {"a": None, "b": "a", "x": None, "y": "x", "z": "y"},
+     {"a": 1, "b": 2, "x": 1, "y": 2, "z": 3})], ids=["grid33", "cycle6", "clique4", "two"])
+def test_pebble_cover_of_tree_width_decomposition_is_pinned(A, parent, pebbles, spare):
+    width, T = tree_width(A)
+    C = decomposition_to_pebble_cover(T, width + 1 + spare)
+    assert C.cover.parent == parent and C.pebbles == pebbles
+
+
+def test_pebble_cover_chains_a_bag_introducing_three_elements():
+    # c, d and e are new below {a, b}; c takes pebble 1, free again below b
+    T = TreeDecomposition(("r", "s"), {"r": None, "s": "r"},
+                          {"r": frozenset("ab"), "s": frozenset("bcde")})
+    C = decomposition_to_pebble_cover(T, 4)
+    assert C.cover.parent == {"a": None, "b": "a", "c": "b", "d": "c", "e": "d"}
+    assert C.pebbles == {"a": 1, "b": 2, "c": 1, "d": 3, "e": 4}
 
 
 def test_pebble_cover_rejects_wide_decomposition():
@@ -251,7 +272,13 @@ def test_decomposition_active_predecessors_drop_reused_pebbles():
 
 
 def test_round_trip_through_both_conversions():
-    for A in (zoo.clique(3), zoo.cycle(5), zoo.path(4)):
+    rng = random.Random(21)
+    seeded = []
+    for n in range(1, 10):
+        U = [f"v{i}" for i in range(n)]
+        seeded.append(_graph(U, [(u, v) for i, u in enumerate(U) for v in U[i + 1:]
+                                 if rng.random() < 0.4]))
+    for A in (zoo.clique(3), zoo.cycle(5), zoo.path(4), *seeded):
         width, T = tree_width(A)
         k = width + 1
         G = gaifman_graph(A)
@@ -356,6 +383,20 @@ def test_json_round_trips():
     C = decomposition_to_pebble_cover(T, width + 1)
     C2 = pebbled_cover_from_json(pebbled_cover_to_json(C))
     assert C2.pebbles == C.pebbles and C2.cover.parent == C.cover.parent
+
+
+@pytest.mark.parametrize("pebble", [True, 2.0, "2"])
+def test_verify_pebbled_cover_rejects_a_pebble_that_is_not_an_int(pebble):
+    C = PebbledForestCover(ForestCover({"a": None, "b": "a"}), {"a": pebble, "b": 2}, 2)
+    ok, msg = verify_pebbled_forest_cover(C, gaifman_graph(zoo.edge2()))
+    assert not ok and msg == "pebble of 'a' not in 1..2"
+
+
+@pytest.mark.parametrize("pebbles, k", [({"a": 2.9}, 3), ({"a": "2"}, 3), ({"a": True}, 3),
+                                        ({"a": 1}, 2.0), ({"a": 1}, "2"), ({"a": 1}, True)])
+def test_pebbled_cover_from_json_rejects_a_number_that_is_not_an_int(pebbles, k):
+    with pytest.raises(TypeError, match="not an int"):
+        pebbled_cover_from_json({"parent": {"a": None}, "pebbles": pebbles, "k": k})
 
 
 def test_parameter_survey_script_checks_every_witness(monkeypatch, capsys):
