@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Time solving against re-verifying the certificate on four large game cases.
+"""Time solving against re-verifying the certificate on five large game cases.
 
 Usage: python3 scripts/verify_cost.py
 
-The cases are large certificates: ef tier 1 on lin(12) vs itself at k=4,
-ef tier 2 on lin(15) vs lin(16) at k=4, pebble tier 2 on cycle(8) vs itself
-at k=3, and pebble tier 1 on cycle(8) vs the benchmark's relabelled copy
-(pebble-games, key "c8-copy") at k=3.  For each it times `equiv.decide`
+The cases are large certificates: ef tier 1 on lin(12) vs itself and on
+clique(14) vs itself at k=4, ef tier 2 on lin(15) vs lin(16) at k=4,
+pebble tier 2 on cycle(8) vs itself at k=3, and pebble tier 1 on cycle(8)
+vs the benchmark's relabelled copy (pebble-games, key "c8-copy") at k=3.  For each it times `equiv.decide`
 (solving and building the certificate) and `equiv.verify_certificate` on
 what it returned (both sides at tier 1, as `check` does) three times, prints
 the least of each, and exits 1 if any re-verification fails or the least
-re-verify takes more than twice the least solve.  Wall time; the least of
+re-verify takes more than 1.5 times the least solve.  Wall time; the least of
 three runs is what a loaded machine disturbs least.
 """
 
@@ -30,7 +30,7 @@ from gamecomonads import zoo  # noqa: E402
 from gamecomonads.equiv import decide, verify_certificate  # noqa: E402
 from gamecomonads.structures import structure_from_dict  # noqa: E402
 
-RATIO = 2.0
+RATIO = 1.5
 RUNS = 3
 
 
@@ -39,6 +39,7 @@ def cases():
     copy = structure_from_dict(workloads.fixed_copy(workloads.cycle(8), "c8-copy",
                                                     random.Random(1)))
     return [("ef tier 1, lin(12) vs lin(12), k=4", "ef", 1, zoo.lin(12), zoo.lin(12), 4),
+            ("ef tier 1, clique(14) vs clique(14), k=4", "ef", 1, zoo.clique(14), zoo.clique(14), 4),
             ("ef tier 2, lin(15) vs lin(16), k=4", "ef", 2, zoo.lin(15), zoo.lin(16), 4),
             ("pebble tier 2, cycle(8) vs cycle(8), k=3", "pebble", 2, C8, C8, 3),
             ("pebble tier 1, cycle(8) vs relabelled copy, k=3", "pebble", 1, C8, copy, 3)]

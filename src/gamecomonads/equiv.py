@@ -45,7 +45,10 @@ pebble_bijection_equiv = partial(pebble_game, tier=3)
 def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
     """Check a certificate against A and B by its (comonad, game) stamp and
     its k (an int of at least 1), with `strategy.verify` under its comonad's
-    rules."""
+    rules.  A and B (pointed, for modal) must share a signature."""
+    sa, sb = (getattr(S, "base", S).sig for S in (A, B))
+    if sa != sb:
+        return False, f"signatures differ: {sa.relations} vs {sb.relations}"
     if not isinstance(cert, dict):
         return False, "the certificate is not an object"
     comonad, game = cert.get("comonad"), cert.get("game")

@@ -5,13 +5,15 @@ B it pairs have the same rank-k (counting) type, and pebble tiers 2 and 3
 iff they have the same k-variable (counting) type.  `Types` colours the
 tuples of distinct elements of length at most min(k, |universe|) of both
 structures, from intern tables that A and B share: first by atomic type,
-then each round by (old colour, for each base of the tuple its old colour
-and the set, or at tier 3 the sorted multiset, of the old colours of its
-one-element extensions by new elements).  A tuple is its own base; for
-pebble, as is a position with one pebble lifted, so are the tuple with one
-entry dropped, and the tuple itself only below length k.  Spoiler moves
-only onto unpebbled elements (`strategy.PairRules`), so tuples never repeat
-an element.  README.md gives the details.
+t·a's being t's plus the facts on (a, x) for each x in t·a
+(`structures.pair_types`; with a relation of arity 3 or more, the tuples
+through a that t·a covers), then each round by (old colour, for each base
+of the tuple its old colour and the set, or at tier 3 the sorted multiset,
+of the old colours of its one-element extensions by new elements).  A tuple
+is its own base; for pebble, as is a position with one pebble lifted, so
+are the tuple with one entry dropped, and the tuple itself only below
+length k.  Spoiler moves only onto unpebbled elements (`strategy.PairRules`),
+so tuples never repeat an element.  README.md gives the details.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from math import perm
 from typing import Callable, Sequence
 
-from .structures import CapExceeded, Structure, occurrences
+from .structures import CapExceeded, Structure, occurrences, pair_types
 
 CAP = 300_000  # tuples of A and B together, at some 500 bytes each
 
@@ -48,15 +50,16 @@ class Types:
         self.equal = False
         for n in range(max(tops)):
             for side, S in enumerate(self.sides):
-                occ, ids, nxt = occurrences(S), self.ids[side], []
+                pt, occ, ids, nxt = pair_types(S), occurrences(S), self.ids[side], []
                 for t, node in levels[side]:
                     pos = {x: i for i, x in enumerate(t)}
                     for a in S.universe:
                         if a in pos:
                             continue
-                        pos[a] = n  # the type of t·a is t's plus the tuples through a
-                        part = frozenset((name, tuple(map(pos.__getitem__, u)))
-                                         for name, u in occ[a] if all(map(pos.__contains__, u)))
+                        pos[a] = n  # the type of t·a is t's plus a's pair types (or tuples)
+                        part = (tuple([pt.get((a, x)) for x in pos]) if pt is not None else
+                                frozenset((name, tuple(map(pos.__getitem__, u)))
+                                          for name, u in occ[a] if all(map(pos.__contains__, u))))
                         del pos[a]
                         child = len(col)
                         self.ext[node].append(child)

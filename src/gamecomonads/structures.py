@@ -4,14 +4,17 @@ Element ids are strings and universes keep insertion order, so search and
 serialized output are deterministic.  All objects are treated as immutable
 after validation, which lets indexes built on first use be kept on them:
 the tuples through each element and pair of elements (`occurrences`) on the
-source side, and the completions of each pattern on the target side.
+source side, the completions of each pattern on the target side, and the
+facts on each ordered pair of elements (`pair_types`, arity 2 at most).
 
 `extensions` is the one kernel the solvers extend partial homomorphisms
 with: the responses to a new element that keep a map a partial
 homomorphism, as a mask over the target's universe.  The game searches
 and `find_homomorphism` call it; the one-pair checks
 (`is_partial_homomorphism`, `is_partial_isomorphism`) that certificate
-verifiers use do not, so they stay independent of the solvers.
+verifiers use do not, so they stay independent of the solvers.  They share
+`pair_types` with `refine.Types` as data only, compared by their own loop,
+and read the tuples (`occurrences`) when some relation has arity 3 or more.
 """
 
 from __future__ import annotations
@@ -219,9 +222,15 @@ def is_homomorphism(h: Mapping[str, str], A: Structure, B: Structure) -> bool:
 def is_partial_homomorphism(pairs: Iterable[tuple[str, str]],
                             A: Structure, B: Structure, new: Optional[tuple] = None) -> bool:
     """Functional and relation-preserving on its domain (one direction only).
-    Only the tuples through the domain are read (`occurrences`); with
-    `new=(a, b)`, one of the pairs, the others are promised to be a partial
-    homomorphism and only the tuples through a are read."""
+    With `new=(a, b)`, one of the pairs, the others are promised to be a
+    partial homomorphism: only (a, b) is checked, by `pair_types` (the facts
+    on (a, x) hold on (b, y) for each pair (x, y)) or the tuples through a."""
+    if new and (pa := pair_types(A)) is not None and (pb := pair_types(B)) is not None:
+        a, b = new
+        for x, y in pairs:
+            if x == a and y != b or not pa.get((a, x), NO_FACTS) <= pb.get((b, y), NO_FACTS):
+                return False
+        return True
     m: dict[str, str] = {}
     for a, b in pairs:
         if a in m and m[a] != b:
@@ -233,7 +242,14 @@ def is_partial_homomorphism(pairs: Iterable[tuple[str, str]],
 def is_partial_isomorphism(pairs: Iterable[tuple[str, str]],
                            A: Structure, B: Structure, new: Optional[tuple] = None) -> bool:
     """Functional, injective, and relation-reflecting in both directions;
-    `new` as above, reading the tuples through a in A and through b in B."""
+    `new` as above: equal facts on (a, x) and (b, y), or else the tuples
+    through a in A and through b in B."""
+    if new and (pa := pair_types(A)) is not None and (pb := pair_types(B)) is not None:
+        a, b = new
+        for x, y in pairs:
+            if (x == a) != (y == b) or pa.get((a, x), NO_FACTS) != pb.get((b, y), NO_FACTS):
+                return False
+        return True
     fwd: dict[str, str] = {}
     bwd: dict[str, str] = {}
     for a, b in pairs:
@@ -255,6 +271,24 @@ def _preserved(m: Mapping[str, str], A: Structure, B: Structure, through: Option
             if all(map(m.__contains__, t)) and tuple(map(m.__getitem__, t)) not in rel[name]:
                 return False
     return True
+
+
+NO_FACTS: frozenset = frozenset()
+
+
+def pair_types(A: Structure) -> Optional[dict]:
+    """Ordered pair (u, v) -> its facts: (name, 0) if (u, v) is in name,
+    (name, 1) if (v, u) is, and on (u, u) (name,) for each unary name at u;
+    pairs with none are left out.  None if some relation has arity 3 or
+    more.  Built on first use and then kept on A, as `occurrences` is."""
+    if "_pair_types" not in vars(A):
+        pt = vars(A)["_pair_types"] = {} if max(A.sig.relations.values(), default=0) <= 2 else None
+        for name, tups in A.relations.items() if pt is not None else ():
+            for t in tups:
+                for uv, fact in ([(t * 2, (name,))] if len(t) == 1
+                                 else [(t, (name, 0)), (t[::-1], (name, 1))]):
+                    pt[uv] = pt.get(uv, NO_FACTS) | {fact}
+    return vars(A)["_pair_types"]
 
 
 def occurrences(A: Structure) -> dict:

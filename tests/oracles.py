@@ -648,6 +648,51 @@ def extensions_reference(occ: list[tuple[str, tuple[str, ...]]], m: dict, x: str
                  if all(tuple([y if z == x else m[z] for z in t]) in rel for rel, t in closed))
 
 
+def pair_types_reference(A: Structure) -> dict:
+    """Every ordered pair (u, v) of A's elements -> its facts, read from the
+    relation tuples one membership test at a time: (name, 0) if (u, v) is in
+    name, (name, 1) if (v, u) is, and on (u, u) (name,) for each unary name
+    holding at u."""
+    out = {}
+    for u in A.universe:
+        for v in A.universe:
+            facts = set()
+            for name, tups in A.relations.items():
+                if A.sig.arity(name) == 1:
+                    facts |= {(name,)} if u == v and (u,) in tups else set()
+                else:
+                    facts |= {(name, 0)} if (u, v) in tups else set()
+                    facts |= {(name, 1)} if (v, u) in tups else set()
+            out[u, v] = frozenset(facts)
+    return out
+
+
+def atomic_colours_by_occurrences(A: Structure, B: Structure, k: int) -> list[int]:
+    """Node -> atomic colour, with `refine.Types`'s nodes and colour ids,
+    typing t·a as refinement did before pair types: t's colour and the set
+    of (name, positions) of the tuples through a that t·a covers.  Built for
+    every length, where `Types` may stop at a length whose atomic types
+    differ."""
+    atoms: dict = {}
+    col = [0, 0]
+    levels = [[((), 0)], [((), 1)]]
+    for n in range(max(min(k, len(S.universe)) for S in (A, B))):
+        for side, S in enumerate((A, B)):
+            occ, nxt = occurrences(S), []
+            for t, node in levels[side]:
+                for a in S.universe:
+                    if a in t:
+                        continue
+                    pos = {x: i for i, x in enumerate(t + (a,))}
+                    part = frozenset((name, tuple(pos[z] for z in u)) for name, u in occ[a]
+                                     if all(z in pos for z in u))
+                    col.append(atoms.setdefault((col[node], part), len(atoms) + 1))
+                    if n + 1 < k:
+                        nxt.append((t + (a,), len(col) - 1))
+            levels[side] = nxt
+    return col
+
+
 # Options of a pair set: for each element of A in universe order, the
 # responses that keep the position winning, in B's universe order.
 Options = tuple[tuple[str, ...], ...]

@@ -14,7 +14,7 @@ from gamecomonads.ef import ef_game
 from gamecomonads.equiv import decide, verify_certificate
 from gamecomonads.modal import modal_game
 from gamecomonads.pebble import pebble_game
-from gamecomonads.structures import BoundExceeded, validate_structure
+from gamecomonads.structures import BoundExceeded, PointedStructure, validate_structure
 
 
 def test_mutual_existential_identity_all_tags():
@@ -558,6 +558,23 @@ def test_verifier_rejects_k_below_one(comonad, game, k):
             else (zoo.lin(2), zoo.lin(3)))
     cert = {"comonad": comonad, "game": game, "k": k, "shape": "positions", "positions": []}
     assert verify_certificate(cert, A, B) == (False, f"the certificate's k is {k}, below 1")
+
+@pytest.mark.parametrize("tier", [1, 2, 3])
+@pytest.mark.parametrize("comonad", ["ef", "pebble", "modal"])
+def test_verifier_rejects_structures_of_different_signatures(comonad, tier):
+    """A certificate checked against structures of another signature gets a
+    verdict, not an exception, before any position is replayed."""
+    A = validate_structure({"R": 2}, ["a", "b"], {"R": [["a", "b"]]})
+    B = validate_structure({"E": 2}, ["a", "b"], {"E": [["a", "b"]]})
+    if comonad == "modal":
+        A, B = PointedStructure(A, "a"), PointedStructure(B, "a")
+    cert = decide(comonad, tier, A, A, 2)["certificate"]
+    cert = cert["forward"] if tier == 1 else cert
+    want = (False, "signatures differ: {'R': 2} vs {'E': 2}")
+    assert verify_certificate(cert, A, B) == want
+    assert verify_certificate(cert, B, A)[1] == "signatures differ: {'E': 2} vs {'R': 2}"
+    assert verify_certificate(cert, A, A) == (True, None)
+
 
 # Spoiler moves only onto unpebbled elements, so certificates answer those
 # alone; certificates that also answered each pebbled element with its

@@ -8,10 +8,11 @@ from oracles import brute_homomorphism_exists, extensions_reference
 from strategies import structure_pairs, structures
 
 from gamecomonads import zoo
-from gamecomonads.structures import (SignatureMismatch, StructureError, extensions,
-                                     find_homomorphism, gaifman_graph,
+from gamecomonads.equiv import decide, verify_certificate
+from gamecomonads.structures import (SignatureMismatch, StructureError, _preserved,
+                                     extensions, find_homomorphism, gaifman_graph,
                                      is_homomorphism, is_partial_homomorphism,
-                                     is_partial_isomorphism, occurrences,
+                                     is_partial_isomorphism, occurrences, pair_types,
                                      structure_from_dict, structure_to_dict,
                                      validate_structure)
 
@@ -280,10 +281,23 @@ def _random_structure(rng, n):
                                        for name, ar in sig.items()})
 
 
+def _binary_structure(rng, n):
+    """A unary and two binary relations on n elements, loops likely: the
+    one-pair check compares pair types (`pair_types`) on these."""
+    u = [f"x{i}" for i in range(n)]
+    dense = rng.choice((0.2, 0.5, 0.8))
+    return validate_structure({"P": 1, "E": 2, "F": 2}, u, {
+        "P": [[x] for x in u if rng.random() < 0.5],
+        "E": [[x, y] for x in u for y in u if rng.random() < (0.5 if x == y else dense)],
+        "F": [[x, y] for x in u for y in u if rng.random() < 0.25]})
+
+
 def _one_pair_cases():
     rng = random.Random(5)
     cases = [(_random_structure(rng, rng.randint(2, 4)), _random_structure(rng, rng.randint(2, 4)))
              for _ in range(6)]
+    cases += [(_binary_structure(rng, rng.randint(1, 4)), _binary_structure(rng, rng.randint(1, 4)))
+              for _ in range(12)]
     families = [zoo.lin(3), zoo.lin(4), zoo.cycle(4), zoo.path(3), zoo.clique(3), zoo.loop(),
                 zoo.edge(), zoo.edge2()]
     return cases + [(A, B) for A in families for B in families]
@@ -291,7 +305,7 @@ def _one_pair_cases():
 
 @pytest.mark.parametrize("check", [is_partial_homomorphism, is_partial_isomorphism])
 def test_one_pair_check_matches_full_check(check):
-    seen = {"repeat": 0, "remapped": 0, "hit": 0, "unary": 0, "false": 0}
+    seen = {"repeat": 0, "remapped": 0, "hit": 0, "unary": 0, "loop": 0, "false": 0}
     for A, B in _one_pair_cases():
         pairs = list(product(A.universe, B.universe))
         for size in range(4):
@@ -307,5 +321,30 @@ def test_one_pair_check_matches_full_check(check):
                     seen["hit"] += any(y == b and x != a for x, y in P)
                     seen["unary"] += "P" in A.sig.relations and (
                         ((a,) in A.relations["P"]) != ((b,) in B.relations["P"]))
+                    seen["loop"] += any((a, a) in tups for tups in A.relations.values())
                     seen["false"] += not full
     assert all(seen.values()), seen
+
+
+def test_one_pair_check_falls_back_to_the_tuples_with_a_ternary_relation(monkeypatch):
+    """A signature with a ternary relation has no pair types: the one-pair
+    check reads the tuples through the new pair (`_preserved` with a
+    `through`), and certificates verify as before; on a binary signature
+    only the full check of the start reads the tuples."""
+    throughs = []
+
+    def counted(m, A, B, through):
+        throughs.append(through)
+        return _preserved(m, A, B, through)
+    monkeypatch.setattr("gamecomonads.structures._preserved", counted)
+    T = validate_structure({"E": 2, "T": 3}, ["a", "b", "c"],
+                           {"E": [["a", "b"], ["b", "c"]], "T": [["a", "b", "c"], ["c", "c", "a"]]})
+    for tier in (1, 2, 3):
+        for A in (T, zoo.lin(4)):
+            cert = decide("ef", tier, A, A, 2)["certificate"]
+            del throughs[:]
+            sides = [cert["forward"], cert["backward"]] if tier == 1 else [cert]
+            assert all(verify_certificate(c, A, A) == (True, None) for c in sides)
+            ternary = A is T
+            assert (pair_types(A) is None) == ternary
+            assert any(t is not None for t in throughs) == ternary, (tier, throughs)
