@@ -12,6 +12,12 @@ what it returned (both sides at tier 1, as `check` does) three times, prints
 the least of each, and exits 1 if any re-verification fails or the least
 re-verify takes more than 1.5 times the least solve.  Wall time; the least of
 three runs is what a loaded machine disturbs least.
+
+Next to each ratio it prints the work of one more, untimed, re-verification:
+the states it replayed (calls of the rules' `step`) and the one-pair checks
+it made (calls with a new pair of the checks `strategy.pair_check` returns),
+counted by wrapping both from this script.  A ratio that moves while the counts stay
+is noise; a real change to the verifier moves the counts.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import workloads  # noqa: E402  (bench/workloads.py, read only)
 
-from gamecomonads import zoo  # noqa: E402
-from gamecomonads.equiv import decide, verify_certificate  # noqa: E402
+from gamecomonads import strategy, zoo  # noqa: E402
+from gamecomonads.equiv import RULES, decide, verify_certificate  # noqa: E402
 from gamecomonads.structures import structure_from_dict  # noqa: E402
 
 RATIO = 1.5
@@ -43,6 +49,33 @@ def cases():
             ("ef tier 2, lin(15) vs lin(16), k=4", "ef", 2, zoo.lin(15), zoo.lin(16), 4),
             ("pebble tier 2, cycle(8) vs cycle(8), k=3", "pebble", 2, C8, C8, 3),
             ("pebble tier 1, cycle(8) vs relabelled copy, k=3", "pebble", 1, C8, copy, 3)]
+
+
+def work(tag: str, sides) -> dict[str, int]:
+    """The states replayed and the one-pair checks made by re-verifying
+    each side once, with `step` and the checks wrapped to count calls."""
+    counts = {"states": 0, "checks": 0}
+    rules, step, bind = RULES[tag], RULES[tag].step, strategy.pair_check
+
+    def counted_step(*args):
+        counts["states"] += 1
+        return step(*args)
+
+    def counted_bind(*args, **kwargs):
+        check = bind(*args, **kwargs)
+
+        def counted_check(pairs, new=None):
+            counts["checks"] += new is not None  # not the full check of the start
+            return check(pairs, new)
+        return counted_check
+
+    rules.step, strategy.pair_check = counted_step, counted_bind
+    try:
+        for side, src, dst in sides:
+            verify_certificate(side, src, dst)
+    finally:
+        rules.step, strategy.pair_check = step, bind
+    return counts
 
 
 def main() -> int:
@@ -64,8 +97,10 @@ def main() -> int:
                 break
         bad = faults or not verdict["equiv"] or check > RATIO * solve
         worst |= bool(bad)
+        counts = work(tag, sides)
         print(f"{label}: equiv {verdict['equiv']}, solve {solve:.2f} s, "
-              f"re-verify {check:.2f} s ({check / solve:.1f}x, least of {RUNS})"
+              f"re-verify {check:.2f} s ({check / solve:.1f}x, least of {RUNS}; "
+              f"{counts['states']:,} states, {counts['checks']:,} one-pair checks)"
               + (f"  FAULT: {faults[0]}" if faults else "")
               + ("  OVER" if check > RATIO * solve else ""))
     return 1 if worst else 0

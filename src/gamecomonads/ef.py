@@ -13,8 +13,8 @@ from typing import Callable, Mapping, Optional
 
 from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
                       read_list)
-from .strategy import PairRules, answers, exact_int
-from .structures import CapExceeded, Structure, extensions
+from .strategy import PairRules, exact_int
+from .structures import CapExceeded, Extender, Structure
 
 EfPlay = tuple[str, ...]
 
@@ -123,28 +123,27 @@ class EfGame:
     so a pair set is always reached with the same rounds left.  One memo,
     local to the game, maps a pair set to its options (for each element a of
     A in universe order, the mask over B's universe of the responses that
-    keep a partial homomorphism, see `structures.extensions`; read only for
-    the unpebbled a) and to whether Duplicator wins there, once known.  A
-    child's options are its parent's ANDed with the extensions through the
-    new pair: the predicate is hereditary, and every other tuple was checked
-    at the parent.  With one round left any option wins, so positions with
-    none left are never built.
+    keep a partial homomorphism; read only for the unpebbled a) and to
+    whether Duplicator wins there, once known.  A child's options are its
+    parent's extended by the new pair (`structures.Extender`: one AND with
+    the row of the pair, memoised per pair, when every arity is 2 at most):
+    the predicate is hereditary, and every other tuple was checked at the
+    parent.  With one round left any option wins, so positions with none
+    left are never built.
     """
 
     def __init__(self, rules: EfRules):
         self.rules, self.A, self.B = rules, rules.A, rules.B
+        self.ext = Extender(self.A, self.B)
+        self.index = {a: i for i, a in enumerate(self.A.universe)}
         self.bit = {b: 1 << i for i, b in enumerate(self.B.universe)}
-        self.memo: dict[frozenset, list] = {
-            frozenset(): [tuple(extensions(self.A, self.B, {}, a) for a in self.A.universe), None]}
+        self.memo: dict[frozenset, list] = {frozenset(): [self.ext.start, None]}
 
     def child(self, pairs: frozenset, a: str, b: str) -> frozenset:
         """pairs plus (a, b), an option at pairs, with its options memoised."""
         nxt = pairs | {(a, b)}
         if nxt not in self.memo:
-            fwd = dict(nxt)
-            self.memo[nxt] = [tuple(
-                bs & extensions(self.A, self.B, fwd, x, through=a) if bs and x not in fwd else bs
-                for x, bs in zip(self.A.universe, self.memo[pairs][0])), None]
+            self.memo[nxt] = [self.ext.extend(self.memo[pairs][0], a, b, pairs), None]
         return nxt
 
     def win(self, pairs: frozenset, rounds: int) -> bool:
@@ -159,15 +158,29 @@ class EfGame:
     def good(self, pairs: frozenset, rounds: int) -> Callable[[str, str], bool]:
         """The predicate on (a, b): answering a with b at pairs, with rounds
         left, keeps a win."""
-        options, bit = dict(zip(self.A.universe, self.memo[pairs][0])), self.bit
-        return lambda a, b: bool(options[a] & bit[b]) and (
+        options, index, bit = self.memo[pairs][0], self.index, self.bit
+        return lambda a, b: bool(options[index[a]] & bit[b]) and (
             rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1))
 
     def answers(self, pairs: frozenset, rounds: int) -> Optional[list[tuple[str, str]]]:
-        """Duplicator's answers (`strategy.answers`) at pairs with rounds
-        left, or None if Spoiler wins there."""
-        (_, xs, ys), = self.rules.challenges((pairs, rounds))
-        return answers(1, xs, ys, self.good(pairs, rounds))
+        """Duplicator's answers at pairs with rounds left, as
+        `strategy.answers` gives them at tier 1 (the first winning response
+        to each challenge in universe order), or None if Spoiler wins there.
+        Only the set bits of a challenge's options are tried, lowest first."""
+        (_, xs, _), = self.rules.challenges((pairs, rounds))
+        options, out = self.memo[pairs][0], []
+        for a in xs:
+            rest = options[self.index[a]]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = self.B.universe[low.bit_length() - 1]
+                if rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1):
+                    out.append((a, b))
+                    break
+            else:
+                return None
+        return out
 
 
 def ef_game(A: Structure, B: Structure, k: int, tier: int,

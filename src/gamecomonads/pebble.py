@@ -17,7 +17,7 @@ from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
                       read_list)
 from .refine import CAP
 from .strategy import PairRules
-from .structures import CapExceeded, Structure, extensions, occurrences
+from .structures import CapExceeded, Extender, Structure
 
 Move = tuple[int, str]
 PebblePlay = tuple[Move, ...]
@@ -123,8 +123,11 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> dict[int, list[int]]:
     elements never are); the other rows of a bad base are not read.
 
     The rows start as `structures.extensions` gives them, a child's as its
-    parent's ANDed with the extensions through the new pair (the predicate is
-    hereditary, as in `ef.EfGame`).  Each base is built once, by a pair on a
+    parent's extended by the new pair (`structures.Extender`: ANDed with the
+    pair's row, built once per pair, when every arity is 2 at most; the
+    predicate is hereditary, as in `ef.EfGame`).  Pebbled rows are ANDed
+    too and keep their partner, so they never reach 0, which the worklist
+    below relies on.  Each base is built once, by a pair on a
     row after its highest; `CapExceeded` is raised as soon as the bases and
     the positions of k pairs they stand for pass `CAP`.  A dying base kills
     itself and each live position one pair above it (the set bits of its
@@ -133,9 +136,8 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> dict[int, list[int]]:
     bit twice does nothing, so no counts are kept.
     """
     n, width = len(A.universe), len(B.universe)
-    occ = occurrences(A)
-    near = [[y for y, b in enumerate(A.universe) if b != a and (a, b) in occ] for a in A.universe]
-    rows = {0: [extensions(A, B, {}, a) for a in A.universe]}
+    ext = Extender(A, B)
+    rows = {0: ext.start.copy()}
     built = 0
 
     def count(size: int, mine: list[int], after: int) -> None:
@@ -156,16 +158,13 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> dict[int, list[int]]:
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    m = {**fwd, a: B.universe[low.bit_length() - 1]}
-                    mine = theirs.copy()
-                    for y in near[x]:
-                        if mine[y] and A.universe[y] not in m:
-                            mine[y] &= extensions(A, B, m, A.universe[y], through=a)
+                    b = B.universe[low.bit_length() - 1]
+                    mine = ext.extend(theirs, a, b, fwd)
                     child = base | low << x * width
                     rows[child] = mine
                     count(size, mine, x + 1)
                     if size < k - 1:
-                        nxt.append((child, m, x + 1))
+                        nxt.append((child, {**fwd, a: b}, x + 1))
         level = nxt
     queue = [base for base, mine in rows.items() if not all(mine)]  # pebbled rows are never 0
     bad = set(queue)

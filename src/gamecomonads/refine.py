@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import perm
 from typing import Callable, Sequence
 
-from .structures import CapExceeded, Structure, occurrences, pair_types
+from .structures import NO_ROW, CapExceeded, Structure, occurrences, pair_types
 
 CAP = 300_000  # tuples of A and B together, at some 500 bytes each
 
@@ -57,7 +57,7 @@ class Types:
                         if a in pos:
                             continue
                         pos[a] = n  # the type of t·a is t's plus a's pair types (or tuples)
-                        part = (tuple([pt.get((a, x)) for x in pos]) if pt is not None else
+                        part = (tuple(map(pt.get(a, NO_ROW).get, pos)) if pt is not None else
                                 frozenset((name, tuple(map(pos.__getitem__, u)))
                                           for name, u in occ[a] if all(map(pos.__contains__, u))))
                         del pos[a]

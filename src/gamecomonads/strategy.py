@@ -32,12 +32,12 @@ decides the ef and pebble games and fills their certificates.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Callable, Mapping, Optional, Union
 
 from .matching import perfect_matching
 from .refine import Types
-from .structures import (Structure, is_partial_homomorphism, is_partial_isomorphism,
-                         require_same_signature)
+from .structures import Structure, pair_check, require_same_signature
 
 GAMES = ("existential", "back-and-forth", "bijection")
 SHAPE = "positions"
@@ -164,13 +164,13 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
         mine: dict[tuple, list] = {}
         for name in ANSWERS[tier]:
             recorded = entry.get(name, [])
-            if not (isinstance(recorded, list) and all(
-                    isinstance(a, list) and len(a) == size + 2
-                    and all(isinstance(v, str) for v in a) for a in recorded)):
+            if not (type(recorded) is list and set(map(type, recorded)) <= {list}
+                    and set(map(len, recorded)) <= {size + 2}
+                    and set(map(type, chain.from_iterable(recorded))) <= {str}):
                 return (f"the {name} answers at {_at(rules, pos)} are not lists "
                         f"of {size + 2} strings")
             for a in recorded:
-                mine.setdefault((name, tuple(a[:size])), []).append(tuple(a[size:]))
+                mine.setdefault((name, tuple(a[:size])), []).append(a[size:])
         out = []
         for group, xs, ys in challenges:
             if tier == 3:
@@ -223,14 +223,15 @@ class PairRules:
     else with an unpebbled one of the other side, or a bijection of unpebbled
     onto unpebbled.  The pairs on the board, a position's key (see `cover`),
     must stay a partial homomorphism (tier 1) or a partial isomorphism (tiers
-    2 and 3), kept per key (with `new` the one-pair check gives the full
-    verdict).  Each game adds `existential()`, its tier-1 solver."""
+    2 and 3), checked by one `structures.pair_check` bound per rules object
+    (with `new` the one-pair check gives the full verdict, in at most k
+    lookups: cheaper than keeping verdicts per key).  Each game adds
+    `existential()`, its tier-1 solver."""
 
     def __init__(self, A: Structure, B: Structure, k: int, tier: int):
         self.A, self.B, self.k, self.tier = A, B, k, tier
         self.kind = "homomorphism" if tier == 1 else "isomorphism"
-        self.check = is_partial_homomorphism if tier == 1 else is_partial_isomorphism
-        self.holds: dict = {}
+        self.check = pair_check(A, B, iso=tier > 1)
 
     def solve(self, build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
         """Decide the game, with its certificate on a win: tier 1 by
@@ -261,9 +262,7 @@ class PairRules:
 
     def fault(self, pos, new=None) -> Optional[str]:
         pairs = self.cover(pos)[0]
-        if pairs not in self.holds:
-            self.holds[pairs] = self.check(pairs, self.A, self.B, new)
-        if self.holds[pairs]:
+        if self.check(pairs, new):
             return None
         return f"{sorted(map(list, pairs))} is not a partial {self.kind}"
 

@@ -10,11 +10,13 @@ facts on each ordered pair of elements (`pair_types`, arity 2 at most).
 `extensions` is the one kernel the solvers extend partial homomorphisms
 with: the responses to a new element that keep a map a partial
 homomorphism, as a mask over the target's universe.  The game searches
-and `find_homomorphism` call it; the one-pair checks
-(`is_partial_homomorphism`, `is_partial_isomorphism`) that certificate
-verifiers use do not, so they stay independent of the solvers.  They share
-`pair_types` with `refine.Types` as data only, compared by their own loop,
-and read the tuples (`occurrences`) when some relation has arity 3 or more.
+and `find_homomorphism` call it through an `Extender`, which with arity 2
+at most builds one row of masks per played pair and ANDs it in.  The
+one-pair checks (`pair_check`, `is_partial_homomorphism`,
+`is_partial_isomorphism`) that certificate verifiers use do not, so they
+stay independent of the solvers.  They share `pair_types` with
+`refine.Types` as data only, compared by their own loop, and read the
+tuples (`occurrences`) when some relation has arity 3 or more.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from operator import and_
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -144,7 +148,9 @@ def validate_structure(sig: Mapping[str, int],
 
 
 def structure_from_dict(data: Mapping) -> Structure | PointedStructure:
-    """Parse the shared JSON object format; unknown fields are rejected."""
+    """Parse the shared JSON object format; unknown fields are rejected, and
+    so is any other shape than a signature object of integer arities, a
+    universe list and a relations object of lists of lists."""
     allowed = {"signature", "universe", "relations", "point"}
     extra = set(data) - allowed
     if extra:
@@ -152,7 +158,18 @@ def structure_from_dict(data: Mapping) -> Structure | PointedStructure:
     for key in ("signature", "universe", "relations"):
         if key not in data:
             raise StructureError(f"missing field {key!r}")
-    A = validate_structure(data["signature"], data["universe"], data["relations"])
+    sig, universe, relations = data["signature"], data["universe"], data["relations"]
+    if type(sig) is not dict or not set(map(type, sig.values())) <= {int}:
+        raise StructureError("signature must be an object of integer arities")
+    if type(universe) is not list:
+        raise StructureError("universe must be a list of element ids")
+    if (type(relations) is not dict or not set(map(type, relations.values())) <= {list}
+            or not set(map(type, chain.from_iterable(relations.values()))) <= {list}):
+        raise StructureError("relations must be an object of lists of tuples, each a list")
+    try:
+        A = validate_structure(sig, universe, relations)
+    except TypeError as exc:  # an unhashable element in a tuple
+        raise StructureError(f"a relation tuple holds an element that is not an id: {exc}")
     if "point" in data:
         point = data["point"]
         if point not in A.universe:
@@ -225,18 +242,7 @@ def is_partial_homomorphism(pairs: Iterable[tuple[str, str]],
     With `new=(a, b)`, one of the pairs, the others are promised to be a
     partial homomorphism: only (a, b) is checked, by `pair_types` (the facts
     on (a, x) hold on (b, y) for each pair (x, y)) or the tuples through a."""
-    if new and (pa := pair_types(A)) is not None and (pb := pair_types(B)) is not None:
-        a, b = new
-        for x, y in pairs:
-            if x == a and y != b or not pa.get((a, x), NO_FACTS) <= pb.get((b, y), NO_FACTS):
-                return False
-        return True
-    m: dict[str, str] = {}
-    for a, b in pairs:
-        if a in m and m[a] != b:
-            return False
-        m[a] = b
-    return _preserved(m, A, B, new and new[0])
+    return pair_check(A, B)(pairs, new)
 
 
 def is_partial_isomorphism(pairs: Iterable[tuple[str, str]],
@@ -244,22 +250,51 @@ def is_partial_isomorphism(pairs: Iterable[tuple[str, str]],
     """Functional, injective, and relation-reflecting in both directions;
     `new` as above: equal facts on (a, x) and (b, y), or else the tuples
     through a in A and through b in B."""
-    if new and (pa := pair_types(A)) is not None and (pb := pair_types(B)) is not None:
+    return pair_check(A, B, iso=True)(pairs, new)
+
+
+def pair_check(A: Structure, B: Structure, iso: bool = False) -> Callable[..., bool]:
+    """`is_partial_isomorphism` on A and B if iso, else
+    `is_partial_homomorphism`, as a function of (pairs, new=None) that looks
+    up the pair types of both sides once, for a verifier to call per pair;
+    with `new=(a, b)` it reads a's and b's rows of them."""
+    pa, pb = pair_types(A), pair_types(B)
+    if pa is None or pb is None:
+        return lambda pairs, new=None: _scan(pairs, A, B, new, iso)
+
+    def homomorphism(pairs, new=None) -> bool:
+        if not new:
+            return _scan(pairs, A, B, new, False)
         a, b = new
+        fa, fb = pa.get(a, NO_ROW).get, pb.get(b, NO_ROW).get
         for x, y in pairs:
-            if (x == a) != (y == b) or pa.get((a, x), NO_FACTS) != pb.get((b, y), NO_FACTS):
+            if x == a and y != b or not fa(x, NO_FACTS) <= fb(y, NO_FACTS):
                 return False
         return True
+
+    def isomorphism(pairs, new=None) -> bool:
+        if not new:
+            return _scan(pairs, A, B, new, True)
+        a, b = new
+        fa, fb = pa.get(a, NO_ROW).get, pb.get(b, NO_ROW).get
+        for x, y in pairs:
+            if (x == a) != (y == b) or fa(x, NO_FACTS) != fb(y, NO_FACTS):
+                return False
+        return True
+    return isomorphism if iso else homomorphism
+
+
+def _scan(pairs, A: Structure, B: Structure, new: Optional[tuple], iso: bool) -> bool:
+    """The check by the tuples: functional (and injective if iso), and each
+    tuple it maps in full preserved (and reflected if iso), only those
+    through `new` if given."""
     fwd: dict[str, str] = {}
     bwd: dict[str, str] = {}
     for a, b in pairs:
-        if a in fwd and fwd[a] != b:
+        if fwd.setdefault(a, b) != b or iso and bwd.setdefault(b, a) != a:
             return False
-        if b in bwd and bwd[b] != a:
-            return False
-        fwd[a] = b
-        bwd[b] = a
-    return _preserved(fwd, A, B, new and new[0]) and _preserved(bwd, B, A, new and new[1])
+    return (_preserved(fwd, A, B, new and new[0])
+            and (not iso or _preserved(bwd, B, A, new and new[1])))
 
 
 def _preserved(m: Mapping[str, str], A: Structure, B: Structure, through: Optional[str]) -> bool:
@@ -274,20 +309,23 @@ def _preserved(m: Mapping[str, str], A: Structure, B: Structure, through: Option
 
 
 NO_FACTS: frozenset = frozenset()
+NO_ROW: dict = {}
 
 
 def pair_types(A: Structure) -> Optional[dict]:
-    """Ordered pair (u, v) -> its facts: (name, 0) if (u, v) is in name,
-    (name, 1) if (v, u) is, and on (u, u) (name,) for each unary name at u;
-    pairs with none are left out.  None if some relation has arity 3 or
-    more.  Built on first use and then kept on A, as `occurrences` is."""
+    """Element u -> {v: the facts on the ordered pair (u, v)}: (name, 0) if
+    (u, v) is in name, (name, 1) if (v, u) is, and on (u, u) (name,) for each
+    unary name at u; pairs with none are left out, and elements with none.
+    None if some relation has arity 3 or more.  Built on first use and then
+    kept on A, as `occurrences` is."""
     if "_pair_types" not in vars(A):
         pt = vars(A)["_pair_types"] = {} if max(A.sig.relations.values(), default=0) <= 2 else None
         for name, tups in A.relations.items() if pt is not None else ():
             for t in tups:
-                for uv, fact in ([(t * 2, (name,))] if len(t) == 1
-                                 else [(t, (name, 0)), (t[::-1], (name, 1))]):
-                    pt[uv] = pt.get(uv, NO_FACTS) | {fact}
+                for (u, v), fact in ([(t * 2, (name,))] if len(t) == 1
+                                     else [(t, (name, 0)), (t[::-1], (name, 1))]):
+                    row = pt.setdefault(u, {})
+                    row[v] = row.get(v, NO_FACTS) | {fact}
     return vars(A)["_pair_types"]
 
 
@@ -324,8 +362,9 @@ def extensions(A: Structure, B: Structure, m: Mapping[str, str], x: str,
     """
     completions, mask = vars(B).setdefault("_completions", {}), (1 << len(B.universe)) - 1
     for name, t in occurrences(A).get((x, x if through is None else through), ()):
-        if all(z == x or z in m for z in t):
-            pattern = (name, tuple([None if z == x else m[z] for z in t]))
+        images = tuple(map(m.get, t))  # None in x's slots and in those m leaves free
+        if images.count(None) == t.count(x):
+            pattern = (name, images)
             if pattern not in completions:
                 rel = B.relations[name]
                 completions[pattern] = sum(
@@ -335,6 +374,55 @@ def extensions(A: Structure, B: Structure, m: Mapping[str, str], x: str,
     return mask
 
 
+class Extender:
+    """Partial homomorphisms from A to B, extended one pair at a time within
+    one solver call.  Options are masks over B's universe, one per element
+    of A in universe order: `start` holds those of the empty map, and
+    `extend(options, a, b, m)` those after a -> b is played on m, the pairs
+    played before (a map or pairs), which options belongs to.
+
+    With arity 2 at most, a tuple through a and another element x holds
+    nothing else, so the responses to x that keep {a -> b, x -> .} on the
+    tuples through x and a depend on (a, b) alone: `row(a, b)`, built from
+    `extensions` over a's neighbours on first use and kept, all ones for
+    every other x and for a itself.  `extend` ANDs it into every option,
+    pebbled elements' too: x pebbled with y keeps y, as b is an option for a
+    only if {x -> y, a -> b} holds on the tuples through both, which is what
+    y in row(a, b)[x] says.  With a relation of arity 3 or more, `extend`
+    calls `extensions` with the whole map for each unpebbled neighbour of a
+    whose option is not yet 0."""
+
+    def __init__(self, A: Structure, B: Structure):
+        self.A, self.B = A, B
+        self.ones = (1 << len(B.universe)) - 1
+        occ = occurrences(A)
+        self.near = {a: [(y, x) for y, x in enumerate(A.universe) if x != a and (a, x) in occ]
+                     for a in A.universe}
+        self.start = [extensions(A, B, {}, a) for a in A.universe]
+        self.rows: Optional[dict] = {} if max(A.sig.relations.values(), default=0) <= 2 else None
+
+    def row(self, a: str, b: str) -> tuple[int, ...]:
+        """For each x of A, the responses that keep {a -> b, x -> .} on the
+        tuples through x and a (arity 2 at most)."""
+        row = self.rows.get((a, b))
+        if row is None:
+            out, m = [self.ones] * len(self.A.universe), {a: b}
+            for y, x in self.near[a]:
+                out[y] = extensions(self.A, self.B, m, x, through=a)
+            row = self.rows[a, b] = tuple(out)
+        return row
+
+    def extend(self, options: Sequence[int], a: str, b: str, m) -> list[int]:
+        if self.rows is not None:
+            return list(map(and_, options, self.rows.get((a, b)) or self.row(a, b)))
+        m, out = dict(m), list(options)
+        m[a] = b
+        for y, x in self.near[a]:
+            if out[y] and x not in m:
+                out[y] &= extensions(self.A, self.B, m, x, through=a)
+        return out
+
+
 def find_homomorphism(A: Structure, B: Structure,
                       pre: Optional[Mapping[str, str]] = None) -> Optional[dict[str, str]]:
     """Backtracking search with forward checking over the relation constraints.
@@ -342,45 +430,32 @@ def find_homomorphism(A: Structure, B: Structure,
     Variables are taken in universe order, candidate values in universe order,
     so the returned homomorphism is the first one in that order.  `pre` pins
     assignments (used for pointed homomorphism search).  Domains are masks
-    over B's universe: assigning a variable narrows the domain of each
-    unassigned neighbour by `extensions` through it, and a wiped-out domain
-    undoes the narrowing from the saved masks.
+    over B's universe, narrowed as an `Extender` narrows options: assigning
+    a variable passes on the domains ANDed with its row, and a value whose
+    domains have a 0 is not tried further.
     """
     require_same_signature(A, B)
     bit = {b: 1 << i for i, b in enumerate(B.universe)}
-    variables = list(A.universe)
-    domains = {a: extensions(A, B, {}, a) for a in variables}
-    for a in variables:
-        if pre and a in pre:
-            domains[a] &= bit.get(pre[a], 0)
-    if not all(domains.values()):
-        return None
-    occ = occurrences(A)
-    near = {a: {z for _, t in occ[a] for z in t} - {a} for a in variables}
+    ext = Extender(A, B)
+    domains = [d & bit.get(pre[a], 0) if pre and a in pre else d
+               for a, d in zip(A.universe, ext.start)]
     assignment: dict[str, str] = {}
 
-    def search(i: int) -> bool:
-        if i == len(variables):
+    def search(i: int, domains: list[int]) -> bool:
+        if i == len(A.universe):
             return True
-        var, values = variables[i], domains[variables[i]]
+        var, values = A.universe[i], domains[i]
         while values:
             low = values & -values
             values ^= low
-            assignment[var] = B.universe[low.bit_length() - 1]
-            saved = {}
-            for u in near[var]:
-                if u not in assignment:
-                    saved[u] = domains[u]
-                    domains[u] &= extensions(A, B, assignment, u, through=var)
-                    if not domains[u]:
-                        break
-            else:
-                if search(i + 1):
-                    return True
-            domains.update(saved)
+            b = B.universe[low.bit_length() - 1]
+            mine = ext.extend(domains, var, b, assignment)
+            assignment[var] = b
+            if all(mine) and search(i + 1, mine):
+                return True
         assignment.pop(var, None)
         return False
 
-    if search(0):
+    if all(domains) and search(0, domains):
         return dict(assignment)
     return None

@@ -132,6 +132,26 @@ def test_check_rejects_unknown_field(tmp_path, capsys, lin2):
     assert main(["check", "--game", "ef", "--tier", "1", "-k", "1", lin2, str(p)]) == 2
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"relations": {"R": [["a", ["b"]]]}}, "not an id"),
+    ({"relations": {"R": 5}}, "relations must be"),
+    ({"signature": []}, "signature must be"),
+    ({"relations": [["a", "b"]]}, "relations must be"),
+    ({"universe": "ab"}, "universe must be"),
+    ({"relations": {"R": ["ab"]}}, "relations must be"),
+    ({"signature": {"R": True}, "relations": {"R": [["a"]]}}, "signature must be"),
+])
+def test_malformed_structure_file_exits_2(tmp_path, capsys, lin2, change, message):
+    """A structure file of the wrong JSON shape is an input error, exit 2
+    with a message, whether it used to end in a traceback (exit 1) or be
+    read as something else."""
+    p = write(tmp_path, "bad.json",
+              {"signature": {"R": 2}, "universe": ["a", "b"], "relations": {}, **change})
+    assert main(["check", "--game", "ef", "--tier", "1", "-k", "1", lin2, p]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and message in err.err and "bad.json" in err.err
+
+
 def test_param_tree_width_k3(tmp_path, capsys):
     p = plain(tmp_path, "k3.json", zoo.clique(3))
     assert main(["param", "--kind", "tree-width", p]) == 0

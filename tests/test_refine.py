@@ -49,12 +49,13 @@ def test_pair_types_match_a_build_from_the_tuples():
     structures = [binary_unary(rng, "x") for _ in range(80)] + [zoo.lin(5), zoo.loop()]
     for A in structures:
         want = pair_types_reference(A)
-        got = pair_types(A)
+        got = pair_types(A)  # by first element
         assert got is pair_types(A)  # kept on A
-        assert {uv: got.get(uv, NO_FACTS) for uv in product(A.universe, repeat=2)} == want
-        assert all(got.values())  # pairs with no facts are left out
+        assert {(u, v): got.get(u, {}).get(v, NO_FACTS)
+                for u, v in product(A.universe, repeat=2)} == want
+        assert all(row and all(row.values()) for row in got.values())  # no empty entries
     assert any((("P",) in fs and ("E", 0) in fs) for A in structures
-               for fs in pair_types(A).values())
+               for row in pair_types(A).values() for fs in row.values())
 
 
 def test_pair_types_are_none_with_a_ternary_relation():
