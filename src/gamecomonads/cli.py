@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = equivalent / success, 1 = not equivalent, 2 = usage or input
-error, or an answer that failed its own re-verification.  All outputs are
-JSON on stdout; diagnostics go to stderr.
+error (unreadable or unwritable paths too), or an answer that failed its own
+re-verification.  All outputs are JSON on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: self-check failed, no answer printed: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, BoundExceeded, SignatureMismatch, ArityError,
-            StructureError, ValueError) as exc:
+            StructureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

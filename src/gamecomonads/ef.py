@@ -121,54 +121,46 @@ class EfGame:
     so far; Duplicator survives while it is a partial homomorphism, and must
     answer every challenge of the rules.  Each round pebbles a new element,
     so a pair set is always reached with the same rounds left.  One memo,
-    local to the game, maps a pair set to its options (for each element a of
-    A in universe order, the mask over B's universe of the responses that
-    keep a partial homomorphism; read only for the unpebbled a) and to
-    whether Duplicator wins there, once known.  A child's options are its
-    parent's extended by the new pair (`structures.Extender`: one AND with
-    the row of the pair, memoised per pair, when every arity is 2 at most):
-    the predicate is hereditary, and every other tuple was checked at the
-    parent.  With one round left any option wins, so positions with none
-    left are never built.
+    local to the game, maps a pair set to a list of its options (for each
+    element a of A in universe order, the mask over B's universe of the
+    responses that keep a partial homomorphism; read only for the unpebbled
+    a) and, once found, Duplicator's answers there (None if Spoiler wins).
+    A child's options are its parent's extended by the new pair
+    (`structures.Extender`: one AND with the row of the pair, memoised per
+    pair, when every arity is 2 at most): the predicate is hereditary, and
+    every other tuple was checked at the parent.  With one round left any
+    option wins, so positions with none left are never built.
     """
 
     def __init__(self, rules: EfRules):
         self.rules, self.A, self.B = rules, rules.A, rules.B
         self.ext = Extender(self.A, self.B)
         self.index = {a: i for i, a in enumerate(self.A.universe)}
-        self.bit = {b: 1 << i for i, b in enumerate(self.B.universe)}
-        self.memo: dict[frozenset, list] = {frozenset(): [self.ext.start, None]}
+        self.memo: dict[frozenset, list] = {frozenset(): [self.ext.start]}
 
     def child(self, pairs: frozenset, a: str, b: str) -> frozenset:
         """pairs plus (a, b), an option at pairs, with its options memoised."""
         nxt = pairs | {(a, b)}
         if nxt not in self.memo:
-            self.memo[nxt] = [self.ext.extend(self.memo[pairs][0], a, b, pairs), None]
+            self.memo[nxt] = [self.ext.extend(self.memo[pairs][0], a, b, pairs)]
         return nxt
 
     def win(self, pairs: frozenset, rounds: int) -> bool:
         """Whether Duplicator survives the `rounds` left at pairs."""
-        if rounds == 0:
-            return True
+        return rounds == 0 or self.answers((pairs, rounds)) is not None
+
+    def answers(self, pos, *_) -> Optional[list[tuple[str, str]]]:
+        """Duplicator's answers at pos, (pair set, rounds left), as
+        `strategy.answers` gives them at tier 1, or None if Spoiler wins: the
+        first winning response to each challenge, trying the set bits of its
+        options lowest first.  Found once per pair set and kept; as the
+        answer `strategy.certificate` takes, it ignores the group passed."""
+        pairs, rounds = pos
         entry = self.memo[pairs]
-        if entry[1] is None:
-            entry[1] = self.answers(pairs, rounds) is not None
-        return entry[1]
-
-    def good(self, pairs: frozenset, rounds: int) -> Callable[[str, str], bool]:
-        """The predicate on (a, b): answering a with b at pairs, with rounds
-        left, keeps a win."""
-        options, index, bit = self.memo[pairs][0], self.index, self.bit
-        return lambda a, b: bool(options[index[a]] & bit[b]) and (
-            rounds == 1 or self.win(self.child(pairs, a, b), rounds - 1))
-
-    def answers(self, pairs: frozenset, rounds: int) -> Optional[list[tuple[str, str]]]:
-        """Duplicator's answers at pairs with rounds left, as
-        `strategy.answers` gives them at tier 1 (the first winning response
-        to each challenge in universe order), or None if Spoiler wins there.
-        Only the set bits of a challenge's options are tried, lowest first."""
-        (_, xs, _), = self.rules.challenges((pairs, rounds))
-        options, out = self.memo[pairs][0], []
+        if len(entry) == 2:
+            return entry[1]
+        (_, xs, _), = self.rules.challenges(pos)
+        options, out = entry[0], []
         for a in xs:
             rest = options[self.index[a]]
             while rest:
@@ -179,7 +171,9 @@ class EfGame:
                     out.append((a, b))
                     break
             else:
-                return None
+                out = None
+                break
+        entry.append(out)
         return out
 
 
@@ -213,7 +207,7 @@ class EfRules(PairRules):
 
     def existential(self) -> tuple[bool, Callable]:
         game = EfGame(self)
-        return game.win(*self.start()), lambda pos, _: game.good(*pos)
+        return game.win(*self.start()), game.answers
 
     def start(self) -> tuple[frozenset, int]:
         sizes = len(self.A.universe), len(self.B.universe)

@@ -124,6 +124,8 @@ def modal_plays(P: PointedStructure, k: int, cap: int = DEFAULT_CAP) -> list[Mod
         plays.extend(nxt)
         if len(plays) > cap:
             raise CapExceeded(len(plays), cap, "plays")
+        if not nxt:
+            break
         frontier = nxt
     return plays
 
@@ -200,22 +202,20 @@ def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
         start = ends[-1]
         ends.append(len(order))
 
-    win = [seen]
+    win, member = [seen], [lambda x, y: (x, y) in seen]
     for d in range(1, k + 1):
-        prev = win[-1]
-        kept = [p for p in order[:ends[min(k - d, len(ends) - 1)]] if p in prev]
-
-        def ok(x, y):
-            return (x, y) in prev
+        kept = [p for p in order[:ends[min(k - d, len(ends) - 1)]] if p in win[-1]]
         win.append({(a, b) for a, b in kept if all(
-            answers(tier, sa.get(a, ()), sb.get(b, ()), ok) is not None for sa, sb in succ)})
+            answers(tier, sa.get(a, ()), sb.get(b, ()), member[-1]) is not None
+            for sa, sb in succ)})
+        member.append(lambda x, y, level=win[-1]: (x, y) in level)
         if rules.points not in win[-1] or len(win[-1]) == len(kept):
             break
     top = len(win) - 1
     if rules.points not in win[top] or not build_certificate:
         return rules.points in win[top], None
-    return True, certificate(rules, tier, lambda pos, _: (
-        lambda x, y: (x, y) in win[min(pos[2] - 1, top)]))
+    return True, certificate(rules, tier, lambda pos, group, xs, ys: answers(
+        tier, xs, ys, member[min(pos[2] - 1, top)]))
 
 
 class ModalRules:

@@ -150,6 +150,8 @@ def pebble_fixpoint(A: Structure, B: Structure, k: int) -> dict[int, list[int]]:
     count(0, rows[0], 0)
     level = [(0, {}, 0)]  # bases of one size: (base, its map, its first row to extend)
     for size in range(1, k):
+        if not level:  # a base has at most one pair per row: bases stop by |A| pairs
+            break
         nxt = []
         for base, fwd, first in level:
             theirs = rows[base]
@@ -206,7 +208,8 @@ def pebble_game(A: Structure, B: Structure, k: int, tier: int,
 class PebbleRules(PairRules):
     """The pebble games for `strategy`: Duplicator answers from a base (see
     `pebble_bases`), and the position after an answer is the base plus the
-    new pair."""
+    new pair.  At tier 1 a challenge x is answered with the lowest set bit
+    of x's row in the base (`pebble_fixpoint`; ys is B's universe)."""
 
     comonad = "pebble"
 
@@ -229,10 +232,10 @@ class PebbleRules(PairRules):
         bases = pebble_fixpoint(self.A, self.B, self.k)
         row, col = ({v: i for i, v in enumerate(S.universe)} for S in (self.A, self.B))
 
-        def good(base, _):
+        def answer(base, group, xs, ys):
             mine = bases[sum(1 << row[a] * len(col) + col[b] for a, b in base)]
-            return lambda a, b: mine[row[a]] >> col[b] & 1
-        return all(bases[0]), good
+            return [(x, ys[(mine[row[x]] & -mine[row[x]]).bit_length() - 1]) for x in xs]
+        return all(bases[0]), answer
 
     def step(self, base: Position, group, x: str, y: str) -> Position:
         return tuple(sorted((*base, (x, y))))

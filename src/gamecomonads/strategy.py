@@ -25,8 +25,10 @@ Duplicator answers from next), `cover(pos)` (its key and rounds left),
 side 0, or in B, side 1, must be), `to_json(pos)` and its inverse
 `from_json(fields)` (the position an entry's fields stand for; KeyError,
 TypeError or ValueError if none).  The verifier reads only the certificate
-and the rules, and indexes the entries by key once.  `PairRules.solve`
-decides the ef and pebble games and fills their certificates.
+and the rules, and indexes the entries by key once.  A solver fills its
+certificate with its own answers, `answer(pos, group, xs, ys)`: Duplicator's
+pairs to one group of challenges, laid out as `answers` lays them out (see
+`PairRules.solve`, which decides the ef and pebble games).
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ def _walk(rules, play: Callable[..., Reached]) -> Optional[str]:
     return None
 
 
-def certificate(rules, tier: int, good: Callable) -> dict:
-    """The certificate of a won game: Duplicator answers with `answers` over
-    the pairs (x, y) that `good(pos, group)(x, y)`, the solver's verdict,
-    says keep a win."""
+def certificate(rules, tier: int, answer: Callable) -> dict:
+    """The certificate of a won game: at each position and group of
+    challenges, Duplicator plays the pairs `answer(pos, group, xs, ys)`, the
+    solver's own, laid out as `answers` lays them out."""
     entries = []
 
     def play(pos) -> Reached:
@@ -107,11 +109,8 @@ def certificate(rules, tier: int, good: Callable) -> dict:
         entries.append(entry)
         out = []
         for group, xs, ys in rules.challenges(pos):
-            pairs = answers(tier, xs, ys, good(pos, group))
-            if tier == 3:
-                entry["bijection"] += [[*group, x, y] for x, y in pairs]
-            else:
-                entry["forth"] += [[*group, x, y] for x, y in pairs[:len(xs)]]
+            pairs = answer(pos, group, xs, ys)
+            entry[ANSWERS[tier][0]] += [[*group, x, y] for x, y in pairs[:len(xs)]]
             if tier == 2:
                 entry["back"] += [[*group, y, x] for x, y in pairs[len(xs):]]
             out += [rules.step(pos, group, x, y) for x, y in pairs]
@@ -226,7 +225,7 @@ class PairRules:
     2 and 3), checked by one `structures.pair_check` bound per rules object
     (with `new` the one-pair check gives the full verdict, in at most k
     lookups: cheaper than keeping verdicts per key).  Each game adds
-    `existential()`, its tier-1 solver."""
+    `existential()`, its tier-1 solver -> (won, answer)."""
 
     def __init__(self, A: Structure, B: Structure, k: int, tier: int):
         self.A, self.B, self.k, self.tier = A, B, k, tier
@@ -235,30 +234,31 @@ class PairRules:
 
     def solve(self, build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
         """Decide the game, with its certificate on a win: tier 1 by
-        `existential()` -> (won, good), tiers 2 and 3 by rank-k or k-variable
-        (counting) types (`refine.Types`), read at a position's key after its
-        rounds left less one (pebble: none left, so the last round).  Spoiler
-        wins tier 3 outright on a cardinality mismatch.  The certificate
-        answers each move with the first winning response in universe order
-        (at tier 3 a matching of those)."""
+        `existential()`, whose answers are the search's own, tiers 2 and 3
+        by rank-k or k-variable (counting) types (`refine.Types`), read at a
+        position's key after its rounds left less one (pebble: none left, so
+        the last round) and answered with `answers`.  Spoiler wins tier 3
+        outright on a cardinality mismatch.  The certificate answers each
+        move with the first winning response in universe order (at tier 3 a
+        matching of those)."""
         require_same_signature(self.A, self.B)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.tier == 3 and len(self.A.universe) != len(self.B.universe):
             return False, None
         if self.tier == 1:
-            won, good = self.existential()
+            won, answer = self.existential()
         else:
             types = Types(self.A, self.B, self.k, pebble=self.comonad == "pebble",
                           counting=self.tier == 3)
             won = types.equal
 
-            def good(pos, _):
+            def answer(pos, group, xs, ys):
                 key, left = self.cover(pos)
-                return types.same_after(sorted(key), left - 1)
+                return answers(self.tier, xs, ys, types.same_after(sorted(key), left - 1))
         if not won or not build_certificate:
             return won, None
-        return True, certificate(self, self.tier, good)
+        return True, certificate(self, self.tier, answer)
 
     def fault(self, pos, new=None) -> Optional[str]:
         pairs = self.cover(pos)[0]

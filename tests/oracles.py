@@ -814,7 +814,8 @@ def ef_game_reference(A: Structure, B: Structure, k: int, tier: int,
     exists = game.win(frozenset(), k)
     if not exists or not build_certificate:
         return exists, None
-    return True, certificate(EfRules(A, B, k, tier), tier, lambda pos, _: game.keeps_win(*pos))
+    return True, certificate(EfRules(A, B, k, tier), tier, lambda pos, _, xs, ys: answers(
+        tier, xs, ys, game.keeps_win(*pos)))
 
 
 # The pebble games over multisets of pairs: two pebbles may mark one pair,
@@ -943,8 +944,8 @@ def pebble_game_reference(A: Structure, B: Structure, k: int, tier: int,
     exists = () in surviving
     if not exists or not build_certificate:
         return exists, None
-    return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _: (
-        lambda a, b: _canon(base + ((a, b),)) in surviving))
+    return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _, xs, ys: answers(
+        tier, xs, ys, lambda a, b: _canon(base + ((a, b),)) in surviving))
 
 
 

@@ -125,6 +125,26 @@ def test_check_rejects_bad_json(tmp_path, capsys):
                  str(p), str(p)]) == 2
 
 
+def test_check_input_directory_exits_2(tmp_path, capsys, lin2):
+    assert main(["check", "--game", "ef", "--tier", "1", "-k", "2", str(tmp_path), lin2]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and str(tmp_path) in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--game", "ef", "--tier", "2", "-k", "2", "LIN2", "LIN2", "--cert", "OUT"],
+    ["param", "--kind", "tree-width", "LIN2", "--witness", "OUT"],
+    ["coalgebra", "--comonad", "ef", "-k", "2", "LIN2", "--out", "OUT"],
+    ["coalgebra", "--comonad", "ef", "-k", "2", "LIN2", "DIR"],
+])
+def test_unwritable_or_unreadable_path_exits_2(tmp_path, capsys, lin2, argv):
+    missing = str(tmp_path / "no-such-dir" / "out.json")
+    argv = [{"LIN2": lin2, "OUT": missing, "DIR": str(tmp_path)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 def test_check_rejects_unknown_field(tmp_path, capsys, lin2):
     p = write(tmp_path, "extra.json",
               {"signature": {"R": 2}, "universe": ["a"], "relations": {},
@@ -410,6 +430,39 @@ def test_check_deep_k_on_one_element(tmp_path, capsys):
             verdict = json.loads(out)
             assert verdict["equiv"] is True and _verifies(verdict, A, A), (game, tier)
             assert len(out) < 1024, (game, tier, len(out))
+
+
+def test_check_at_huge_k_exits_as_at_small_k(tmp_path):
+    # on two elements more rounds than a few change no verdict: ef caps its
+    # rounds at the fresh elements, a pebble base holds at most two pairs, and
+    # refinement and the modal sweep stop once a round changes nothing; each
+    # solver must stop there too, not count up to k
+    ef = plain(tmp_path, "edge.json", zoo.edge()), plain(tmp_path, "k2.json", zoo.edge2())
+    modal = (plain(tmp_path, "cycle.json", zoo.kripke_two_cycle()),
+             plain(tmp_path, "chain.json", zoo.kripke_chain(1)))
+    calls = [[game, str(tier), a, b]
+             for game, (A, B) in (("ef", ef), ("pebble", ef), ("modal", modal))
+             for tier in (1, 2, 3) for a, b in ((A, A), (A, B))]
+    code = ("import io, json, sys, time\n"
+            "from contextlib import redirect_stdout\n"
+            "from gamecomonads.cli import main\n"
+            "calls, codes, seconds = json.loads(sys.argv[1]), {}, {}\n"
+            "for k in ('3', '1000000000000'):\n"
+            "    start = time.perf_counter()\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        codes[k] = [main(['check', '--game', g, '--tier', t, '-k', k, a, b])\n"
+            "                    for g, t, a, b in calls]\n"
+            "    seconds[k] = time.perf_counter() - start\n"
+            "print(json.dumps([codes, seconds]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiv.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, seconds = json.loads(proc.stdout)
+    assert codes["1000000000000"] == codes["3"]
+    assert set(codes["3"]) == {0, 1}
+    assert seconds["1000000000000"] < 20
 
 
 def test_check_modal_tier1_certificate_on_a_complete_label(tmp_path, capsys):

@@ -9,7 +9,7 @@ from oracles import (all_digraphs, bisim_approx, brute_bijection_game, brute_bij
                      theta_fixpoint_oracle, wl_distinguishes)
 from strategies import pointed_kripke_pairs, structure_pairs
 
-from gamecomonads import zoo
+from gamecomonads import strategy, zoo
 from gamecomonads.ef import ef_game
 from gamecomonads.equiv import decide, verify_certificate
 from gamecomonads.modal import modal_game
@@ -29,6 +29,21 @@ def test_mutual_existential_lin23():
     # LIN(3) -> LIN(2) already fails at two rounds, so no mutual equivalence
     assert not decide("ef", 1, zoo.lin(2), zoo.lin(3), 2)["equiv"]
     assert decide("ef", 1, zoo.lin(2), zoo.lin(3), 1)["equiv"]
+
+
+def test_tier_one_certificates_hand_over_the_search_answers(monkeypatch):
+    """ef and pebble tier 1 fill their certificates with the answers their
+    searches found: no call of `strategy.answers` re-derives them.  Tier 2,
+    answered by `answers` over types, shows that the calls are counted."""
+    calls = []
+    real = strategy.answers
+    monkeypatch.setattr(strategy, "answers", lambda *args: calls.append(args) or real(*args))
+    for solve, S, k in ((ef_game, zoo.clique(6), 3), (ef_game, zoo.cycle(6), 2),
+                        (pebble_game, zoo.clique(6), 3), (pebble_game, zoo.cycle(6), 2)):
+        won, cert = solve(S, S, k, 1)
+        assert won and cert["positions"] and verify_certificate(cert, S, S) == (True, None)
+    assert calls == []
+    assert ef_game(zoo.cycle(6), zoo.cycle(6), 2, 2)[0] and calls
 
 
 def test_mutual_existential_certificates_round_trip():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,7 +13,7 @@ from gamecomonads.equiv import verify_certificate
 from gamecomonads.comonad import play_id, play_structure
 from gamecomonads.modal import (MODAL, ArityError, ModalRules, kripke_view, modal_coextend,
                                 modal_counit, modal_game, modal_plays)
-from gamecomonads.strategy import certificate
+from gamecomonads.strategy import answers, certificate
 from gamecomonads.structures import (CapExceeded, find_homomorphism,
                                      is_homomorphism, validate_structure)
 
@@ -61,6 +63,16 @@ def test_unfold_cap():
     P = zoo.kripke(["a"], "a", {"s": [("a", "a")], "t": [("a", "a")]})
     with pytest.raises(CapExceeded, match="plays, cap is 50"):
         modal_plays(P, 10, cap=50)
+
+
+def test_plays_stop_at_the_last_nonempty_depth():
+    """Past the longest path from the point no play is added, and the depth
+    loop stops there: k far beyond it costs nothing."""
+    P = zoo.kripke_chain(2)
+    start = time.perf_counter()
+    assert modal_plays(P, 10**12) == modal_plays(P, 3)
+    assert len(modal_plays(P, 10**12)) == 3
+    assert time.perf_counter() - start < 5
 
 
 def test_unfold_rejects_k0():
@@ -234,8 +246,8 @@ def test_certificates_match_oracle_levels(pair):
             if (P.point, Q.point) not in levels[k]:
                 assert modal_game(P, Q, k, tier) == (False, None), (k, tier)
                 continue
-            expected = certificate(ModalRules(P, Q, k, tier), tier, lambda pos, _: (
-                lambda x, y: (x, y) in levels[pos[2] - 1]))
+            expected = certificate(ModalRules(P, Q, k, tier), tier, lambda pos, _, xs, ys: answers(
+                tier, xs, ys, lambda x, y: (x, y) in levels[pos[2] - 1]))
             assert modal_game(P, Q, k, tier) == (True, expected), (k, tier)
 
 

@@ -18,7 +18,7 @@ from gamecomonads import zoo
 from gamecomonads.matching import perfect_matching
 from gamecomonads.pebble import PebbleRules, pebble_bases, pebble_fixpoint, pebble_game
 from gamecomonads.refine import CAP, Types
-from gamecomonads.strategy import certificate
+from gamecomonads.strategy import answers, certificate
 from gamecomonads.structures import (CapExceeded, is_partial_homomorphism,
                                      is_partial_isomorphism, validate_structure)
 
@@ -111,8 +111,8 @@ def _read_off(A, B, k, tier, live):
     a multiset reference."""
     if () not in live:
         return False, None
-    return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _: (
-        lambda a, b: tuple(sorted(base + ((a, b),))) in live))
+    return True, certificate(PebbleRules(A, B, k, tier), tier, lambda base, _, xs, ys: answers(
+        tier, xs, ys, lambda a, b: tuple(sorted(base + ((a, b),))) in live))
 
 
 def _matches_resweep(A, B, k, tier) -> bool:
