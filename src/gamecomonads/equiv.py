@@ -16,10 +16,10 @@ build_certificate=True) -> (won, certificate or None)`: `ef.ef_game`,
 `pebble.pebble_game` and `modal.modal_game`; the first two run one driver,
 `strategy.PairRules.solve`.  Tier 1 is solved by game
 search (ef), a greatest fixpoint over sets of pebbled pairs (pebble) or one
-sweep over world pairs (modal).  For ef and pebble, tiers 2 and 3 are
-equalities of types, rank-k or k-variable FO at tier 2 and their counting
-versions at tier 3, computed by refinement on each structure alone
-(`refine.Types`); all three modal tiers are the same sweep.  `RULES` holds
+sweep over world pairs (modal).  Tiers 2 and 3 are equalities of types,
+rank-k or k-variable FO (ef, pebble) or ML_k (modal) at tier 2 and their
+counting versions at tier 3, computed by refinement on each structure
+alone (`refine.Types`, `modal._refinement`).  `RULES` holds
 each comonad's game rules, under which `verify_certificate` re-checks a
 certificate.
 """
@@ -33,6 +33,7 @@ from .ef import EfRules, ef_game
 from .modal import ModalRules, modal_game
 from .pebble import PebbleRules, pebble_game
 from .strategy import GAMES, exact_int, verify
+from .structures import PointedStructure
 
 RULES = {"ef": EfRules, "pebble": PebbleRules, "modal": ModalRules}
 SOLVERS = {"ef": ef_game, "pebble": pebble_game, "modal": modal_game}
@@ -42,10 +43,19 @@ pebble_back_and_forth = partial(pebble_game, tier=2)
 pebble_bijection_equiv = partial(pebble_game, tier=3)
 
 
+def _unsuited(tag: str, A, B) -> Optional[str]:
+    """Why A and B cannot play comonad tag's games (modal needs pointed ones), or None."""
+    pointed = tag == "modal"
+    if all(isinstance(S, PointedStructure) == pointed for S in (A, B)):
+        return None
+    return f"the {tag} games need {('plain', 'pointed')[pointed]} structures"
+
+
 def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
     """Check a certificate against A and B by its (comonad, game) stamp and
     its k (an int of at least 1), with `strategy.verify` under its comonad's
-    rules.  A and B (pointed, for modal) must share a signature."""
+    rules.  A and B must share a signature, and be pointed for modal and
+    plain for ef and pebble."""
     sa, sb = (getattr(S, "base", S).sig for S in (A, B))
     if sa != sb:
         return False, f"signatures differ: {sa.relations} vs {sb.relations}"
@@ -54,6 +64,8 @@ def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
     comonad, game = cert.get("comonad"), cert.get("game")
     if comonad not in tuple(RULES) or game not in GAMES:  # by ==: any JSON value
         return False, f"unknown certificate kind {(comonad, game)}"
+    if unsuited := _unsuited(comonad, A, B):
+        return False, unsuited
     try:
         k = exact_int(cert.get("k"))
     except TypeError as err:
@@ -72,6 +84,8 @@ def decide(tag: str, tier: int, A, B, k: int) -> dict:
         raise ValueError(f"unknown comonad tag {tag!r}")
     if tier not in (1, 2, 3):
         raise ValueError(f"tier must be 1, 2 or 3, got {tier}")
+    if unsuited := _unsuited(tag, A, B):
+        raise ValueError(unsuited)
     solve = SOLVERS[tag]
     if tier > 1:
         equiv, cert = solve(A, B, k, tier)

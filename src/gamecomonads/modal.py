@@ -5,9 +5,10 @@ structure: unary symbols are propositions, binary symbols are labelled
 transitions.  Unfolding a pointed structure to depth k gives the comonad's
 play structure.  The three equivalence tiers are the k-round games on the
 unfoldings from the points, simulation, bisimulation and graded bisimulation
-to depth k, and one solver plays them all (`modal_game`): a breadth-first
-pass over the world pairs reachable from the points, then one sweep back
-over the rounds left.
+to depth k, and one solver plays them all (`modal_game`): at tier 1 a
+breadth-first pass over the world pairs reachable from the points, then one
+sweep back over the rounds left; at tiers 2 and 3 colour refinement on the
+worlds near each point.
 
 All operations require k >= 1.  The games check propositions at every
 position they visit, including the deepest, so the depth-0 relation is the
@@ -23,7 +24,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .comonad import DEFAULT_CAP, Comonad, read_list
-from .strategy import answers, certificate, exact_int
+from .strategy import answers, answers_by_colour, certificate, exact_int
 from .structures import (CapExceeded, PointedStructure, SignatureMismatch,
                          Structure, StructureError)
 
@@ -175,47 +176,86 @@ def modal_game(P: PointedStructure, Q: PointedStructure, k: int, tier: int,
     Spoiler picks a label and a successor (tier 1: in P; tier 2: on either
     side; tier 3: along Duplicator's bijection of the successor sets), and
     Duplicator answers along the same label; propositions must transfer
-    forward (tier 1) or agree (tiers 2 and 3).  The pairs met within i steps
-    from the points, along one label and with passing propositions, are the
-    first `ends[i]` of `order`.  `win[d]` holds those met within k - d steps
-    from which Duplicator survives d more rounds: every label's challenges
-    have `answers` into `win[d - 1]`.  Values only fall with d, so once a
-    round drops no pair it could, later rounds drop none; this happens by
-    round |A| * |B| at tier 1 (a decreasing chain of relations on A x B) and
-    |A| + |B| at tiers 2 and 3 (a partition of the disjoint union that each
-    round refines).
+    forward (tier 1) or agree (tiers 2 and 3).  Tier 1 sweeps world pairs
+    (`_simulation`), tiers 2 and 3 colour each side's worlds (`_refinement`).
     """
     _check_k(k)
     rules = ModalRules(P, Q, k, tier)
-    succ = [(rules.KA.succ[lab], rules.KB.succ[lab]) for lab in rules.labels]
-    passes = rules.passes
-    order = [rules.points] if passes(*rules.points) else []
-    seen, ends, start = set(order), [len(order)], 0
-    while len(ends) <= k and start < len(order):
-        for a, b in order[start:]:
-            for sa, sb in succ:
-                for x in sa.get(a, ()):
-                    for y in sb.get(b, ()):
-                        if (x, y) not in seen and passes(x, y):
-                            seen.add((x, y))
-                            order.append((x, y))
-        start = ends[-1]
-        ends.append(len(order))
+    won, answer = (_simulation if tier == 1 else _refinement)(rules)
+    if not won or not build_certificate:
+        return won, None
+    return True, certificate(rules, tier, answer)
 
-    win, member = [seen], [lambda x, y: (x, y) in seen]
+
+def _simulation(rules: ModalRules) -> tuple[bool, Callable]:
+    """Tier 1: `win[d]` holds the world pairs met along one label, with
+    propositions that transfer, within k - d steps, from which every label's
+    challenges have `answers` into `win[d - 1]`.  Values only fall with d, so
+    the sweep stops once a round drops no pair it could (by round |A| * |B|)."""
+    k, passes = rules.k, rules.passes
+    succ = [(sa, sb) for _, sa, sb in rules.succ]
+    order = [rules.points] if passes(*rules.points) else []
+    dist = dict.fromkeys(order, 0)  # the pairs met within k steps, by distance
+    for a, b in order:
+        for sa, sb in succ if dist[a, b] < k else ():
+            for x in sa.get(a, ()):
+                for y in sb.get(b, ()):
+                    if (x, y) not in dist and passes(x, y):
+                        dist[x, y] = dist[a, b] + 1
+                        order.append((x, y))
+
+    win, member = [dist], [lambda x, y: (x, y) in dist]
     for d in range(1, k + 1):
-        kept = [p for p in order[:ends[min(k - d, len(ends) - 1)]] if p in win[-1]]
+        kept = [p for p in order if dist[p] <= k - d and p in win[-1]]
         win.append({(a, b) for a, b in kept if all(
-            answers(tier, sa.get(a, ()), sb.get(b, ()), member[-1]) is not None
-            for sa, sb in succ)})
+            answers(sa.get(a, ()), sb.get(b, ()), member[-1]) is not None for sa, sb in succ)})
         member.append(lambda x, y, level=win[-1]: (x, y) in level)
         if rules.points not in win[-1] or len(win[-1]) == len(kept):
             break
     top = len(win) - 1
-    if rules.points not in win[top] or not build_certificate:
-        return rules.points in win[top], None
-    return True, certificate(rules, tier, lambda pos, group, xs, ys: answers(
-        tier, xs, ys, member[min(pos[2] - 1, top)]))
+    return rules.points in win[top], lambda pos, group, xs, ys: answers(
+        xs, ys, member[min(pos[2] - 1, top)])
+
+
+def _refinement(rules: ModalRules) -> tuple[bool, Callable]:
+    """Tiers 2 and 3 by colour refinement on each side's worlds (Kanellakis &
+    Smolka, Inf. Comput. 1990), one intern table per round for both sides.
+    Round d colours the worlds within k - d steps of their point, at round 0
+    by their propositions, then by their old colour and, per label, the set
+    (tier 2) or sorted multiset (tier 3) of their successors' old colours:
+    Duplicator survives d rounds from a pair iff its worlds share a colour.
+    Rounds stop once the points' colours differ or a round splits no class."""
+    k = rules.k
+    key = frozenset if rules.tier == 2 else (lambda cs: tuple(sorted(cs)))
+    table: dict = {}
+    col, sides = [], []  # per side: colours; successor maps, worlds near the point, distances
+    for side, (K, point) in enumerate(zip((rules.KA, rules.KB), rules.points)):
+        succ = [maps[1 + side] for maps in rules.succ]
+        near, dist = [point], {point: 0}  # the worlds within k steps, by distance
+        for w in near:
+            for s in succ if dist[w] < k else ():
+                for v in s.get(w, ()):
+                    if v not in dist:
+                        dist[v] = dist[w] + 1
+                        near.append(v)
+        col.append({w: table.setdefault(K.profile(w), len(table)) for w in near})
+        sides.append((succ, near, dist))
+    history = [col]
+    (a, b), d = rules.points, 0
+    while col[0][a] == col[1][b] and d < k:
+        d += 1
+        table = {}
+        new = [{w: table.setdefault(
+                    (old[w], *[key(map(old.__getitem__, s.get(w, ()))) for s in succ]), len(table))
+                for w in near if dist[w] <= k - d}
+               for old, (succ, near, dist) in zip(col, sides)]
+        if len(table) == len({old[w] for old, ws in zip(col, new) for w in ws}):
+            break  # no class split
+        col = new
+        history.append(col)
+    top = len(history) - 1
+    return col[0][a] == col[1][b], lambda pos, group, xs, ys: answers_by_colour(
+        rules.tier, xs, ys, *history[min(pos[2] - 1, top)])
 
 
 class ModalRules:
@@ -228,7 +268,8 @@ class ModalRules:
     def __init__(self, P: PointedStructure, Q: PointedStructure, k: int, tier: int):
         self.KA, self.KB = _require_kripke_pair(P, Q)
         self.points, self.k, self.tier = (P.point, Q.point), k, tier
-        self.labels = sorted(self.KA.transitions)
+        self.succ = [(lab, self.KA.succ[lab], self.KB.succ[lab])  # per label, in order
+                     for lab in sorted(self.KA.transitions)]
 
     def start(self) -> tuple[str, str, int]:
         return (*self.points, self.k)
@@ -253,8 +294,7 @@ class ModalRules:
 
     def challenges(self, pos) -> list:
         a, b, _ = pos
-        return [((lab,), self.KA.successors(a, lab), self.KB.successors(b, lab))
-                for lab in self.labels]
+        return [((lab,), sa.get(a, ()), sb.get(b, ())) for lab, sa, sb in self.succ]
 
     def step(self, pos, group, x: str, y: str) -> tuple[str, str, int]:
         return x, y, pos[2] - 1

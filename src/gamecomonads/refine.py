@@ -19,7 +19,7 @@ so tuples never repeat an element.  README.md gives the details.
 from __future__ import annotations
 
 from math import perm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .structures import NO_ROW, CapExceeded, Structure, occurrences, pair_types
 
@@ -28,7 +28,7 @@ CAP = 300_000  # tuples of A and B together, at some 500 bytes each
 
 class Types:
     """The colours of the tuples of A and B; `equal` says whether the empty
-    tuples end with the same colour, and `same_after` reads a position."""
+    tuples end with the same colour, and `colours` reads a position."""
 
     def __init__(self, A: Structure, B: Structure, k: int, pebble: bool, counting: bool):
         self.sides = (A, B)
@@ -100,16 +100,14 @@ class Types:
             self.history.append(col)
         self.equal = col[0] == col[1]
 
-    def same_after(self, pairs: Sequence[tuple[str, str]], rank: int = -1
-                   ) -> Callable[[str, str], bool]:
-        """Whether the pairs (a partial isomorphism) plus a pair (a, b) of
-        unpebbled elements pair tuples of the same colour after round `rank`
-        (by default the last; no later round splits a class)."""
+    def colours(self, pairs: Sequence[tuple[str, str]], rank: int = -1) -> list[dict]:
+        """Per side, each unpebbled element's colour after round `rank` (by
+        default the last; no later round splits a class) in the extension by
+        it of the tuple the pairs (a partial isomorphism) pebble there."""
         col = self.history[min(rank, len(self.history) - 1)]
-        colours = []
+        out = []
         for side, S in enumerate(self.sides):
             t = tuple(p[side] for p in pairs)
             new = [a for a in S.universe if a not in t]
-            colours.append(dict(zip(new, map(col.__getitem__, self.ext[self.ids[side][t]]))))
-        ca, cb = colours
-        return lambda a, b: ca[a] == cb[b]
+            out.append(dict(zip(new, map(col.__getitem__, self.ext[self.ids[side][t]]))))
+        return out

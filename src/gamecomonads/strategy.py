@@ -27,7 +27,7 @@ side 0, or in B, side 1, must be), `to_json(pos)` and its inverse
 TypeError or ValueError if none).  The verifier reads only the certificate
 and the rules, and indexes the entries by key once.  A solver fills its
 certificate with its own answers, `answer(pos, group, xs, ys)`: Duplicator's
-pairs to one group of challenges, laid out as `answers` lays them out (see
+pairs to one group of challenges, to xs and then at tier 2 to ys (see
 `PairRules.solve`, which decides the ef and pebble games).
 """
 
@@ -37,7 +37,6 @@ import json
 from itertools import chain
 from typing import Callable, Mapping, Optional, Union
 
-from .matching import perfect_matching
 from .refine import Types
 from .structures import Structure, pair_check, require_same_signature
 
@@ -49,27 +48,36 @@ FIELDS = ("forth", "back", "bijection")
 Reached = Union[list, str]  # the positions after the pairs played at one, or a fault
 
 
-def answers(tier: int, xs, ys, ok: Callable[[str, str], bool]
-            ) -> Optional[list[tuple[str, str]]]:
-    """Duplicator's answers to one group of challenges as (x, y) pairs, or
-    None if some challenge has no response `ok` accepts: the first accepted
-    y in order for each x, at tier 2 then the first accepted x for each y,
-    at tier 3 a perfect matching."""
-    if tier == 3:
-        matching = perfect_matching(xs, ys, ok)
-        return None if matching is None else sorted(matching.items())
+def answers(xs, ys, ok: Callable[[str, str], bool]) -> Optional[list[tuple[str, str]]]:
+    """Duplicator's (x, y) answers to one group of tier-1 challenges: for each
+    x the first y in order that `ok` accepts, or None if some x has none."""
     out = []
     for x in xs:
         y = next((y for y in ys if ok(x, y)), None)
         if y is None:
             return None
         out.append((x, y))
-    for y in ys if tier == 2 else ():
-        x = next((x for x in xs if ok(x, y)), None)
-        if x is None:
-            return None
-        out.append((x, y))
     return out
+
+
+def answers_by_colour(tier: int, xs, ys, cx: Mapping[str, int], cy: Mapping[str, int]
+                      ) -> Optional[list[tuple[str, str]]]:
+    """Duplicator's answers where a response wins iff it has its challenge's
+    colour (cx on xs, cy on ys; tiers 2-3 are logical equivalences), or None
+    if one has none: the first y of each x's colour, at tier 2 then the
+    first x of each y's colour.  Tier 3 gives a class's i-th x its i-th y
+    from the end, sorted by x (Kuhn's augmenting paths, tried in order)."""
+    if tier == 3:
+        if sorted(map(cx.__getitem__, xs)) != sorted(map(cy.__getitem__, ys)):
+            return None
+        by: dict = {}  # colour -> its ys, in order
+        for y in ys:
+            by.setdefault(cy[y], []).append(y)
+        return sorted((x, by[cx[x]].pop()) for x in xs)
+    fx, fy = {cx[x]: x for x in reversed(xs)}, {cy[y]: y for y in reversed(ys)}
+    if not (fx.keys() <= fy.keys() if tier == 1 else fx.keys() == fy.keys()):
+        return None
+    return [(x, fy[cx[x]]) for x in xs] + [(fx[cy[y]], y) for y in ys if tier == 2]
 
 
 def exact_int(value) -> int:
@@ -101,7 +109,7 @@ def _walk(rules, play: Callable[..., Reached]) -> Optional[str]:
 def certificate(rules, tier: int, answer: Callable) -> dict:
     """The certificate of a won game: at each position and group of
     challenges, Duplicator plays the pairs `answer(pos, group, xs, ys)`, the
-    solver's own, laid out as `answers` lays them out."""
+    solver's own: the answers to xs first, then at tier 2 those to ys."""
     entries = []
 
     def play(pos) -> Reached:
@@ -237,10 +245,10 @@ class PairRules:
         `existential()`, whose answers are the search's own, tiers 2 and 3
         by rank-k or k-variable (counting) types (`refine.Types`), read at a
         position's key after its rounds left less one (pebble: none left, so
-        the last round) and answered with `answers`.  Spoiler wins tier 3
-        outright on a cardinality mismatch.  The certificate answers each
-        move with the first winning response in universe order (at tier 3 a
-        matching of those)."""
+        the last round) and answered by `answers_by_colour`.  Spoiler wins
+        tier 3 outright on a cardinality mismatch.  The certificate answers
+        each move with the first winning response in universe order (at tier
+        3 a bijection of those)."""
         require_same_signature(self.A, self.B)
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -255,7 +263,7 @@ class PairRules:
 
             def answer(pos, group, xs, ys):
                 key, left = self.cover(pos)
-                return answers(self.tier, xs, ys, types.same_after(sorted(key), left - 1))
+                return answers_by_colour(self.tier, xs, ys, *types.colours(sorted(key), left - 1))
         if not won or not build_certificate:
             return won, None
         return True, certificate(self, self.tier, answer)

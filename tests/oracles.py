@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, permutations, product
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from gamecomonads.coalgebra import COMONADS
 from gamecomonads.comonad import play_id, play_structure
@@ -20,15 +20,61 @@ from gamecomonads.decomposition import (ROOT, TREE_DEPTH_BOUND, TREE_WIDTH_BOUND
                                         TreeDecomposition, _bits, _decomposition_from_order,
                                         _MaskGraph)
 from gamecomonads.ef import EfRules, coextend_play, ef_plays
-from gamecomonads.matching import perfect_matching
-from gamecomonads.modal import kripke_view, modal_plays
+from gamecomonads.modal import ModalRules, kripke_view, modal_plays
 from gamecomonads.pebble import PebbleRules, Position, pebble_plays
 from gamecomonads.refine import CAP
-from gamecomonads.strategy import answers, certificate
+from gamecomonads.strategy import certificate
 from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, extensions,
                                      gaifman_graph, is_homomorphism, is_partial_homomorphism,
                                      is_partial_isomorphism, occurrences,
                                      require_same_signature, validate_structure)
+
+
+def perfect_matching(left: Sequence, right: Sequence, edge: Callable) -> Optional[dict]:
+    """A perfect matching {left -> right} by Kuhn's augmenting paths, tried
+    in order, or None if none exists."""
+    if len(left) != len(right):
+        return None
+    match_right: dict = {}
+
+    def augment(u, visited: set) -> bool:
+        for v in right:
+            if v in visited or not edge(u, v):
+                continue
+            visited.add(v)
+            if v not in match_right or augment(match_right[v], visited):
+                match_right[v] = u
+                return True
+        return False
+
+    for u in left:
+        if not augment(u, set()):
+            return None
+    return {u: v for v, u in match_right.items()}
+
+
+def answers(tier: int, xs, ys, ok: Callable[[str, str], bool]
+            ) -> Optional[list[tuple[str, str]]]:
+    """Duplicator's answers to one group of challenges as (x, y) pairs, or
+    None if some challenge has no response `ok` accepts: the first accepted
+    y in order for each x, at tier 2 then the first accepted x for each y,
+    at tier 3 a perfect matching sorted by x.  The reference for
+    `strategy.answers` (tier 1) and `strategy.answers_by_colour`."""
+    if tier == 3:
+        matching = perfect_matching(xs, ys, ok)
+        return None if matching is None else sorted(matching.items())
+    out = []
+    for x in xs:
+        y = next((y for y in ys if ok(x, y)), None)
+        if y is None:
+            return None
+        out.append((x, y))
+    for y in ys if tier == 2 else ():
+        x = next((x for x in xs if ok(x, y)), None)
+        if x is None:
+            return None
+        out.append((x, y))
+    return out
 
 
 def brute_homomorphism_exists(A: Structure, B: Structure) -> bool:
@@ -402,6 +448,47 @@ def graded_bisim_approx(P, Q, k: int) -> bool:
     level-j classes agree."""
     cls = graded_classes(P, Q, k)
     return cls[(0, P.point)] == cls[(1, Q.point)]
+
+
+def modal_game_reference(P, Q, k: int, tier: int,
+                         build_certificate: bool = True) -> tuple[bool, Optional[dict]]:
+    """The k-round modal game of a tier by a sweep over world pairs: the
+    pairs met within i steps from the points, along one label and with
+    passing propositions, are the first `ends[i]` of `order`; `win[d]` holds
+    those met within k - d steps from which every label's challenges have
+    `answers` into `win[d - 1]`, until a round drops no pair.  The
+    library's engine at every tier before tiers 2 and 3 moved to colour
+    refinement; the certificate answers by the same `win` levels."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rules = ModalRules(P, Q, k, tier)
+    succ = [(sa, sb) for _, sa, sb in rules.succ]
+    order = [rules.points] if rules.passes(*rules.points) else []
+    seen, ends, start = set(order), [len(order)], 0
+    while len(ends) <= k and start < len(order):
+        for a, b in order[start:]:
+            for sa, sb in succ:
+                for x in sa.get(a, ()):
+                    for y in sb.get(b, ()):
+                        if (x, y) not in seen and rules.passes(x, y):
+                            seen.add((x, y))
+                            order.append((x, y))
+        start = ends[-1]
+        ends.append(len(order))
+    win = [seen]
+    for d in range(1, k + 1):
+        prev = win[-1]
+        kept = [p for p in order[:ends[min(k - d, len(ends) - 1)]] if p in prev]
+        win.append({(a, b) for a, b in kept if all(
+            answers(tier, sa.get(a, ()), sb.get(b, ()), lambda x, y: (x, y) in prev) is not None
+            for sa, sb in succ)})
+        if rules.points not in win[-1] or len(win[-1]) == len(kept):
+            break
+    top = len(win) - 1
+    if rules.points not in win[top] or not build_certificate:
+        return rules.points in win[top], None
+    return True, certificate(rules, tier, lambda pos, _, xs, ys: answers(
+        tier, xs, ys, lambda x, y: (x, y) in win[min(pos[2] - 1, top)]))
 
 
 def brute_bijection_round(A: Structure, B: Structure) -> bool:

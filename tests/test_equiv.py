@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import (all_digraphs, bisim_approx, brute_bijection_game, brute_bijection_round,
-                     build_theta, lin_closed_form, lin_game_textbook, relabelled,
-                     theta_fixpoint_oracle, wl_distinguishes)
+from oracles import (all_digraphs, answers, bisim_approx, brute_bijection_game,
+                     brute_bijection_round, build_theta, lin_closed_form, lin_game_textbook,
+                     relabelled, theta_fixpoint_oracle, wl_distinguishes)
 from strategies import pointed_kripke_pairs, structure_pairs
 
-from gamecomonads import strategy, zoo
+from gamecomonads import modal, strategy, zoo
 from gamecomonads.ef import ef_game
 from gamecomonads.equiv import decide, verify_certificate
 from gamecomonads.modal import modal_game
@@ -33,17 +33,48 @@ def test_mutual_existential_lin23():
 
 def test_tier_one_certificates_hand_over_the_search_answers(monkeypatch):
     """ef and pebble tier 1 fill their certificates with the answers their
-    searches found: no call of `strategy.answers` re-derives them.  Tier 2,
-    answered by `answers` over types, shows that the calls are counted."""
+    searches found: no call of `strategy.answers` re-derives them.  Modal
+    tier 1, answered by `answers` over its sweep's levels, shows that the
+    calls are counted."""
     calls = []
     real = strategy.answers
-    monkeypatch.setattr(strategy, "answers", lambda *args: calls.append(args) or real(*args))
+    for module in (strategy, modal):
+        monkeypatch.setattr(module, "answers", lambda *args: calls.append(args) or real(*args))
     for solve, S, k in ((ef_game, zoo.clique(6), 3), (ef_game, zoo.cycle(6), 2),
                         (pebble_game, zoo.clique(6), 3), (pebble_game, zoo.cycle(6), 2)):
         won, cert = solve(S, S, k, 1)
         assert won and cert["positions"] and verify_certificate(cert, S, S) == (True, None)
     assert calls == []
-    assert ef_game(zoo.cycle(6), zoo.cycle(6), 2, 2)[0] and calls
+    assert modal_game(zoo.kripke_two_cycle(), zoo.kripke_loop(), 2, 1)[0] and calls
+
+
+def test_answers_by_colour_match_the_kuhn_reference():
+    """On seeded random colourings, the class answers are the reference
+    answers over "same colour" at tiers 1-3 (tier 3: Kuhn's augmenting
+    paths), including empty groups, classes missing on one side and classes
+    of unequal sizes; tier-3 classes of two or more on each side show that
+    the pairing within a class is the reference's."""
+    rng = random.Random(25)
+    names = [f"u{i}" for i in range(8)]
+    met = dict.fromkeys(("empty", "missing", "unequal", "shared class"), 0)
+    for _ in range(800):
+        xs, ys = rng.sample(names, rng.randint(0, 6)), rng.sample(names, rng.randint(0, 6))
+        palette = range(rng.randint(1, 4))
+        cx = {x: rng.choice(palette) for x in xs}
+        if rng.random() < 0.5 and len(xs) == len(ys):  # the same multiset of colours
+            cy = dict(zip(ys, rng.sample(list(cx.values()), len(xs))))
+        else:
+            cy = {y: rng.choice(palette) for y in ys}
+        for tier in (1, 2, 3):
+            expected = answers(tier, xs, ys, lambda x, y: cx[x] == cy[y])
+            assert strategy.answers_by_colour(tier, xs, ys, cx, cy) == expected, (tier, cx, cy)
+        met["empty"] += not xs or not ys
+        met["missing"] += set(cx.values()) != set(cy.values())
+        met["unequal"] += (set(cx.values()) == set(cy.values())
+                           and sorted(cx.values()) != sorted(cy.values()))
+        met["shared class"] += expected is not None and any(
+            list(cx.values()).count(c) > 1 for c in cx.values())
+    assert min(met.values()) >= 20, met
 
 
 def test_mutual_existential_certificates_round_trip():
@@ -291,6 +322,26 @@ def test_decide_rejects_unknown_tag_and_tier(tag, tier, named):
     A = zoo.lin(2)
     with pytest.raises(ValueError, match=named):
         decide(tag, tier, A, A, 2)
+
+
+def test_decide_modal_on_plain_structures_raises_value_error():
+    A = zoo.kripke_two_cycle().base
+    with pytest.raises(ValueError, match="modal games need pointed structures"):
+        decide("modal", 2, A, A, 2)
+
+
+def test_verify_modal_certificate_on_plain_structures_is_rejected():
+    P = zoo.kripke_two_cycle()
+    cert = decide("modal", 2, P, P, 2)["certificate"]
+    assert verify_certificate(cert, P.base, P.base) == (
+        False, "the modal games need pointed structures")
+
+
+@pytest.mark.parametrize("tag", ["ef", "pebble"])
+def test_verify_ef_and_pebble_certificates_on_pointed_structures_is_rejected(tag):
+    P = zoo.kripke_two_cycle()
+    cert = decide(tag, 2, P.base, P.base, 2)["certificate"]
+    assert verify_certificate(cert, P, P) == (False, f"the {tag} games need plain structures")
 
 
 # winning-set predicates and certificate verifiers

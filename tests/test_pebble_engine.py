@@ -11,14 +11,14 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import (all_digraphs, pebble_counter_fixpoint, pebble_fixpoint_reference,
-                     pebble_game_reference, pebble_resweep_fixpoint, relabelled)
+from oracles import (all_digraphs, answers, pebble_counter_fixpoint, pebble_fixpoint_reference,
+                     pebble_game_reference, pebble_resweep_fixpoint, perfect_matching,
+                     relabelled)
 
 from gamecomonads import zoo
-from gamecomonads.matching import perfect_matching
 from gamecomonads.pebble import PebbleRules, pebble_bases, pebble_fixpoint, pebble_game
 from gamecomonads.refine import CAP, Types
-from gamecomonads.strategy import answers, certificate
+from gamecomonads.strategy import certificate
 from gamecomonads.structures import (CapExceeded, is_partial_homomorphism,
                                      is_partial_isomorphism, validate_structure)
 
@@ -98,11 +98,11 @@ def _live(A, B, k, tier):
         for base in combinations(pairs, size):
             if base not in live:
                 continue  # nor is any position built on it
-            same = types.same_after(base)
+            ca, cb = types.colours(base)
             xs, ys = {a for a, _ in base}, {b for _, b in base}
             later = pairs[pairs.index(base[-1]) + 1 if base else 0:]
             live.update(base + ((a, b),) for a, b in later
-                        if a not in xs and b not in ys and same(a, b))
+                        if a not in xs and b not in ys and ca[a] == cb[b])
     return live
 
 
