@@ -14,10 +14,12 @@ re-verify takes more than 1.5 times the least solve.  Wall time; the least of
 three runs is what a loaded machine disturbs least.
 
 Next to each ratio it prints the work of one more, untimed, re-verification:
-the states it replayed (calls of the rules' `step`) and the one-pair checks
-it made (calls with a new pair of the checks `strategy.pair_check` returns),
-counted by wrapping both from this script.  A ratio that moves while the counts stay
-is noise; a real change to the verifier moves the counts.
+the states it replayed (the positions the rules' `after` returned: those
+Duplicator answers from next, so an answer in the last round adds none) and
+the one-pair checks it made (calls with a new pair of the checks
+`strategy.pair_check` returns), counted by wrapping both from this script.
+A ratio that moves while the counts stay is noise; a real change to the
+verifier moves the counts.
 """
 
 from __future__ import annotations
@@ -53,13 +55,14 @@ def cases():
 
 def work(tag: str, sides) -> dict[str, int]:
     """The states replayed and the one-pair checks made by re-verifying
-    each side once, with `step` and the checks wrapped to count calls."""
+    each side once, with `after` and the checks wrapped to count them."""
     counts = {"states": 0, "checks": 0}
-    rules, step, bind = RULES[tag], RULES[tag].step, strategy.pair_check
+    rules, after, bind = RULES[tag], RULES[tag].after, strategy.pair_check
 
-    def counted_step(*args):
-        counts["states"] += 1
-        return step(*args)
+    def counted_after(*args):
+        reached = after(*args)
+        counts["states"] += len(reached)
+        return reached
 
     def counted_bind(*args, **kwargs):
         check = bind(*args, **kwargs)
@@ -69,12 +72,12 @@ def work(tag: str, sides) -> dict[str, int]:
             return check(pairs, new)
         return counted_check
 
-    rules.step, strategy.pair_check = counted_step, counted_bind
+    rules.after, strategy.pair_check = counted_after, counted_bind
     try:
         for side, src, dst in sides:
             verify_certificate(side, src, dst)
     finally:
-        rules.step, strategy.pair_check = step, bind
+        rules.after, strategy.pair_check = after, bind
     return counts
 
 

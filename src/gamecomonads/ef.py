@@ -213,11 +213,8 @@ class EfRules(PairRules):
         sizes = len(self.A.universe), len(self.B.universe)
         return frozenset(), min(self.k, sizes[0] if self.tier == 1 else max(sizes))
 
-    def answering(self, state) -> list:
-        return [state] if state[1] > 0 else []
-
-    def step(self, pos, group, x: str, y: str) -> tuple[frozenset, int]:
-        return pos[0] | {(x, y)}, pos[1] - 1
+    def after(self, pos, group, x: str, y: str) -> list:
+        return [(pos[0] | {(x, y)}, pos[1] - 1)] if pos[1] > 1 else []
 
     def to_json(self, pos) -> dict:
         return {"pairs": sorted([a, b] for a, b in pos[0]), "rounds_left": pos[1]}

@@ -278,16 +278,13 @@ class ModalRules:
         pa, pb = self.KA.profile(a), self.KB.profile(b)
         return pa <= pb if self.tier == 1 else pa == pb
 
-    def fault(self, state, new=None) -> Optional[str]:
-        a, b, _ = state
+    def fault(self, pos, new=None) -> Optional[str]:
+        a, b = new or pos[:2]
         if self.passes(a, b):
             return None
         if self.tier == 1:
             return f"propositions of {a!r} do not hold at {b!r}"
         return f"{a!r} and {b!r} differ in their propositions"
-
-    def answering(self, state) -> list:
-        return [state] if state[2] else []
 
     def cover(self, pos) -> tuple[tuple[str, str], int]:
         return pos[:2], pos[2]
@@ -296,8 +293,8 @@ class ModalRules:
         a, b, _ = pos
         return [((lab,), sa.get(a, ()), sb.get(b, ())) for lab, sa, sb in self.succ]
 
-    def step(self, pos, group, x: str, y: str) -> tuple[str, str, int]:
-        return x, y, pos[2] - 1
+    def after(self, pos, group, x: str, y: str) -> list:
+        return [(x, y, pos[2] - 1)] if pos[2] > 1 else []
 
     def among(self, pos, group, side: int) -> str:
         return f"a {group[0]}-successor of {pos[side]!r}"

@@ -11,6 +11,7 @@ k-variable types of tuples, computed on each structure alone (`refine.Types`).
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import Callable, Optional, Sequence
 
 from .comonad import (DEFAULT_CAP, Comonad, comparable, drop_move,
@@ -97,15 +98,6 @@ PEBBLE = Comonad(
     coextend=pebble_coextension_on_play, unrelated=_pebble_unrelated,
     malformed=_pebble_malformed,
     read=lambda raw: read_list(raw, "[pebble, element] pairs", _move))
-
-
-def pebble_bases(pos: Position, k: int) -> list[Position]:
-    """What Spoiler may keep before placing a pebble: the position with one
-    pebble lifted, or the whole position while fewer than k pebbles are down."""
-    out = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
-    if len(pos) < k:
-        out.add(pos)
-    return sorted(out)
 
 
 def pebble_fixpoint(A: Structure, B: Structure, k: int) -> dict[int, list[int]]:
@@ -206,24 +198,29 @@ def pebble_game(A: Structure, B: Structure, k: int, tier: int,
 
 
 class PebbleRules(PairRules):
-    """The pebble games for `strategy`: Duplicator answers from a base (see
-    `pebble_bases`), and the position after an answer is the base plus the
-    new pair.  At tier 1 a challenge x is answered with the lowest set bit
-    of x's row in the base (`pebble_fixpoint`; ys is B's universe)."""
+    """The pebble games for `strategy`: Duplicator answers from a base, what
+    Spoiler may keep of a position before placing a pebble (the position
+    with one pebble lifted, or all of it while fewer than k pebbles are
+    down), and the position after an answer is the base plus the new pair.
+    At tier 1 a challenge x is answered with the lowest set bit of x's row
+    in the base (`pebble_fixpoint`; ys is B's universe)."""
 
     comonad = "pebble"
-
-    def __init__(self, A: Structure, B: Structure, k: int, tier: int):
-        super().__init__(A, B, k, tier)
-        self.bases: dict[Position, list[Position]] = {}
 
     def start(self) -> Position:
         return ()
 
-    def answering(self, pos: Position) -> list[Position]:
-        if pos not in self.bases:
-            self.bases[pos] = pebble_bases(pos, self.k)
-        return self.bases[pos]
+    def after(self, base: Position, group, x: str, y: str) -> list[Position]:
+        """The bases of base + (x, y), the pair put in its sorted place, but
+        base itself, in sorted order: dropping the last pair, the position
+        itself below k pairs, then dropping each earlier pair, last first."""
+        new = ((x, y),)
+        i = bisect(base, new[0])
+        pos = base[:i] + new + base[i:]
+        out = [pos[:j] + pos[j + 1:] for j in reversed(range(len(pos))) if j != i]
+        if len(pos) < self.k:
+            out.insert(i < len(base), pos)
+        return out
 
     def cover(self, base: Position) -> tuple[Position, int]:
         return base, 0
@@ -236,9 +233,6 @@ class PebbleRules(PairRules):
             mine = bases[sum(1 << row[a] * len(col) + col[b] for a, b in base)]
             return [(x, ys[(mine[row[x]] & -mine[row[x]]).bit_length() - 1]) for x in xs]
         return all(bases[0]), answer
-
-    def step(self, base: Position, group, x: str, y: str) -> Position:
-        return tuple(sorted((*base, (x, y))))
 
     def to_json(self, base: Position) -> dict:
         return {"base": list(map(list, base))}

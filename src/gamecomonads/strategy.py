@@ -16,19 +16,20 @@ an upper bound: the verifier accepts an entry with at least the rounds its
 key is reached with.
 
 The game itself is in the rules of each comonad (`ef.EfRules`,
-`pebble.PebbleRules`, `modal.ModalRules`): `start()`, `fault(state, new)`
-(None while Duplicator has not lost, else why; `new` is the pair just
-played, or None for a full check), `answering(state)` (the positions
-Duplicator answers from next), `cover(pos)` (its key and rounds left),
-`challenges(pos)` (the groups (group, xs, ys) of Spoiler's moves),
-`step(pos, group, x, y)`, `among(pos, group, side)` (what a response in A,
-side 0, or in B, side 1, must be), `to_json(pos)` and its inverse
-`from_json(fields)` (the position an entry's fields stand for; KeyError,
-TypeError or ValueError if none).  The verifier reads only the certificate
-and the rules, and indexes the entries by key once.  A solver fills its
-certificate with its own answers, `answer(pos, group, xs, ys)`: Duplicator's
-pairs to one group of challenges, to xs and then at tier 2 to ys (see
-`PairRules.solve`, which decides the ef and pebble games).
+`pebble.PebbleRules`, `modal.ModalRules`): `start()`, `fault(pos, new)`
+(None while Duplicator has not lost, else why: at pos, a full check, or
+after the pair `new` is played at pos), `cover(pos)` (its key and rounds
+left), `challenges(pos)` (the groups (group, xs, ys) of Spoiler's moves),
+`after(pos, group, x, y)` (the positions Duplicator answers from next once
+(x, y) is played at pos: none after the last round), `among(pos, group,
+side)` (what a response in A, side 0, or in B, side 1, must be),
+`to_json(pos)` and its inverse `from_json(fields)` (the position an entry's
+fields stand for; KeyError, TypeError or ValueError if none).  The verifier
+reads only the certificate and the rules, and indexes the entries by key
+once.  A solver fills its certificate with its own answers, `answer(pos,
+group, xs, ys)`: Duplicator's pairs to one group of challenges, to xs and
+then at tier 2 to ys (see `PairRules.solve`, which decides the ef and
+pebble games).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ SHAPE = "positions"
 ANSWERS = {1: ("forth",), 2: ("forth", "back"), 3: ("bijection",)}
 FIELDS = ("forth", "back", "bijection")
 
-Reached = Union[list, str]  # the positions after the pairs played at one, or a fault
+Reached = Union[list, str]  # the positions Duplicator answers from next, or a fault
 
 
 def answers(xs, ys, ok: Callable[[str, str], bool]) -> Optional[list[tuple[str, str]]]:
@@ -88,21 +89,21 @@ def exact_int(value) -> int:
 
 
 def _walk(rules, play: Callable[..., Reached]) -> Optional[str]:
-    """Breadth first from the start through the positions after the pairs
-    `play(pos)` returns, each queued only with more rounds left than its key
-    was reached with before; returns the first fault `play` finds."""
-    order = rules.answering(rules.start())
+    """Breadth first from the start through the positions `play(pos)`
+    returns, each queued only with more rounds left than its key was
+    reached with before; returns the first fault `play` finds."""
+    order = [rules.start()]
     most = dict(map(rules.cover, order))
+    cover, get, append = rules.cover, most.get, order.append
     for pos in order:
-        states = play(pos)
-        if isinstance(states, str):
-            return states
-        for state in states:
-            for nxt in rules.answering(state):
-                key, left = rules.cover(nxt)
-                if left > most.get(key, -1):
-                    most[key] = left
-                    order.append(nxt)
+        reached = play(pos)
+        if isinstance(reached, str):
+            return reached
+        for nxt in reached:
+            key, left = cover(nxt)
+            if left > get(key, -1):
+                most[key] = left
+                append(nxt)
     return None
 
 
@@ -110,7 +111,7 @@ def certificate(rules, tier: int, answer: Callable) -> dict:
     """The certificate of a won game: at each position and group of
     challenges, Duplicator plays the pairs `answer(pos, group, xs, ys)`, the
     solver's own: the answers to xs first, then at tier 2 those to ys."""
-    entries = []
+    entries, after = [], rules.after
 
     def play(pos) -> Reached:
         entry = {**rules.to_json(pos), **{name: [] for name in ANSWERS[tier]}}
@@ -121,7 +122,8 @@ def certificate(rules, tier: int, answer: Callable) -> dict:
             entry[ANSWERS[tier][0]] += [[*group, x, y] for x, y in pairs[:len(xs)]]
             if tier == 2:
                 entry["back"] += [[*group, y, x] for x, y in pairs[len(xs):]]
-            out += [rules.step(pos, group, x, y) for x, y in pairs]
+            for x, y in pairs:
+                out += after(pos, group, x, y)
         return out
 
     _walk(rules, play)
@@ -134,13 +136,13 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
     position reached must be recorded, each challenge there needs an answer
     of the right kind (tier 3: a bijection per group; pairs on no challenge
     are not read), and no answer may lose.  Only the start gets the full
-    check, later states only through the pair (x, y) just played: Duplicator
-    answers from a verified state (ef, modal) or a subset of one (pebble
-    bases), and the predicates are hereditary.  Entries are indexed by the key of the position
-    `rules.from_json` reads from their fields, if `to_json` gives those fields
-    back; of two entries for one key the one with more rounds left counts,
-    on a tie the later, and it must have at least the rounds its key is
-    reached with."""
+    check, each answer (x, y) only through itself, at the position it is
+    played at: Duplicator answers from a verified position (ef, modal) or a
+    subset of one (pebble bases), and the predicates are hereditary.  Entries
+    are indexed by the key of the position `rules.from_json` reads from their
+    fields, if `to_json` gives those fields back; of two entries for one key
+    the one with more rounds left counts, on a tie the later, and it must
+    have at least the rounds its key is reached with."""
     if cert.get("shape") != SHAPE:
         return False, f"certificate is not in the {SHAPE!r} shape"
     positions = cert.get("positions")
@@ -161,6 +163,8 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
         except (KeyError, TypeError, ValueError):
             pass  # fields no position has: the entry is never read
 
+    after = rules.after
+
     def play(pos) -> Reached:
         key, left = rules.cover(pos)
         if key not in table or table[key][0] < left:
@@ -176,6 +180,9 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
                     and set(map(type, chain.from_iterable(recorded))) <= {str}):
                 return (f"the {name} answers at {_at(rules, pos)} are not lists "
                         f"of {size + 2} strings")
+            if not size:  # no group: one list per name
+                mine[name, ()] = recorded
+                continue
             for a in recorded:
                 mine.setdefault((name, tuple(a[:size])), []).append(a[size:])
         out = []
@@ -202,13 +209,13 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
                         return (f"response {v!r} to {u!r} at {_at(rules, pos)} is not "
                                 f"{rules.among(pos, group, side)}")
                     out.append((group, u, v) if side else (group, v, u))
-        states = []
+        reached = []
         for group, x, y in out:
-            states.append(rules.step(pos, group, x, y))
-            fault = rules.fault(states[-1], (x, y))
+            fault = rules.fault(pos, (x, y))
             if fault:
                 return f"the answer ({x!r}, {y!r}) at {_at(rules, pos)} loses: {fault}"
-        return states
+            reached += after(pos, group, x, y)
+        return reached
 
     fault = _walk(rules, play)
     return fault is None, fault
@@ -272,7 +279,7 @@ class PairRules:
         pairs = self.cover(pos)[0]
         if self.check(pairs, new):
             return None
-        return f"{sorted(map(list, pairs))} is not a partial {self.kind}"
+        return f"{sorted(map(list, (*pairs, new) if new else pairs))} is not a partial {self.kind}"
 
     def challenges(self, pos) -> list:
         pairs = self.cover(pos)[0]

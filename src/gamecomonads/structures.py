@@ -239,9 +239,10 @@ def is_homomorphism(h: Mapping[str, str], A: Structure, B: Structure) -> bool:
 def is_partial_homomorphism(pairs: Iterable[tuple[str, str]],
                             A: Structure, B: Structure, new: Optional[tuple] = None) -> bool:
     """Functional and relation-preserving on its domain (one direction only).
-    With `new=(a, b)`, one of the pairs, the others are promised to be a
-    partial homomorphism: only (a, b) is checked, by `pair_types` (the facts
-    on (a, x) hold on (b, y) for each pair (x, y)) or the tuples through a."""
+    With `new=(a, b)`, one of the pairs or added to them, the others are
+    promised to be a partial homomorphism: only (a, b) is checked, by
+    `pair_types` (the facts on (a, x) hold on (b, y) for each pair (x, y)
+    and for (a, b)) or the tuples through a."""
     return pair_check(A, B)(pairs, new)
 
 
@@ -260,7 +261,7 @@ def pair_check(A: Structure, B: Structure, iso: bool = False) -> Callable[..., b
     with `new=(a, b)` it reads a's and b's rows of them."""
     pa, pb = pair_types(A), pair_types(B)
     if pa is None or pb is None:
-        return lambda pairs, new=None: _scan(pairs, A, B, new, iso)
+        return lambda pairs, new=None: _scan((*pairs, new) if new else pairs, A, B, new, iso)
 
     def homomorphism(pairs, new=None) -> bool:
         if not new:
@@ -270,7 +271,7 @@ def pair_check(A: Structure, B: Structure, iso: bool = False) -> Callable[..., b
         for x, y in pairs:
             if x == a and y != b or not fa(x, NO_FACTS) <= fb(y, NO_FACTS):
                 return False
-        return True
+        return fa(a, NO_FACTS) <= fb(b, NO_FACTS)
 
     def isomorphism(pairs, new=None) -> bool:
         if not new:
@@ -280,7 +281,7 @@ def pair_check(A: Structure, B: Structure, iso: bool = False) -> Callable[..., b
         for x, y in pairs:
             if (x == a) != (y == b) or fa(x, NO_FACTS) != fb(y, NO_FACTS):
                 return False
-        return True
+        return fa(a, NO_FACTS) == fb(b, NO_FACTS)
     return isomorphism if iso else homomorphism
 
 

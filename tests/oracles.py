@@ -23,7 +23,7 @@ from gamecomonads.ef import EfRules, coextend_play, ef_plays
 from gamecomonads.modal import ModalRules, kripke_view, modal_plays
 from gamecomonads.pebble import PebbleRules, Position, pebble_plays
 from gamecomonads.refine import CAP
-from gamecomonads.strategy import certificate
+from gamecomonads.strategy import ANSWERS, GAMES, SHAPE, certificate
 from gamecomonads.structures import (BoundExceeded, CapExceeded, Graph, Structure, extensions,
                                      gaifman_graph, is_homomorphism, is_partial_homomorphism,
                                      is_partial_isomorphism, occurrences,
@@ -1103,6 +1103,63 @@ def pebble_counter_fixpoint(A: Structure, B: Structure, k: int, cap: int = CAP) 
                         bad.add(parent)
                         queue.append(parent)
     return {tuple(pair for pair, bit in bits.items() if q & bit) for q in live}
+
+
+# The certificate walk by its first protocol: every answer is stepped to the
+# position after it, and the positions Duplicator answers from next are read
+# off that position (pebble: all its bases, the one just answered from too).
+# `strategy.certificate`, which asks the rules' `after` for the positions
+# alone, must fill the same certificate, entry for entry.
+
+def pebble_bases(pos: Position, k: int) -> list[Position]:
+    """What Spoiler may keep before placing a pebble: the position with one
+    pebble lifted, or the whole position while fewer than k pebbles are down."""
+    out = {pos[:i] + pos[i + 1:] for i in range(len(pos))}
+    if len(pos) < k:
+        out.add(pos)
+    return sorted(out)
+
+
+def stepped(rules, pos, x: str, y: str):
+    """The position after (x, y) is played at pos."""
+    if rules.comonad == "ef":
+        return pos[0] | {(x, y)}, pos[1] - 1
+    if rules.comonad == "modal":
+        return x, y, pos[2] - 1
+    return tuple(sorted((*pos, (x, y))))
+
+
+def answering(rules, state) -> list:
+    """The positions Duplicator answers from at state: its bases (pebble),
+    else state itself while it has rounds left."""
+    if rules.comonad == "pebble":
+        return pebble_bases(state, rules.k)
+    return [state] if rules.cover(state)[1] > 0 else []
+
+
+def certificate_by_steps(rules, tier: int, answer: Callable) -> dict:
+    """`strategy.certificate` by stepping every answer, then `answering`."""
+    entries = []
+    order = answering(rules, rules.start())
+    most = dict(map(rules.cover, order))
+    for pos in order:
+        entry = {**rules.to_json(pos), **{name: [] for name in ANSWERS[tier]}}
+        entries.append(entry)
+        states = []
+        for group, xs, ys in rules.challenges(pos):
+            pairs = answer(pos, group, xs, ys)
+            entry[ANSWERS[tier][0]] += [[*group, x, y] for x, y in pairs[:len(xs)]]
+            if tier == 2:
+                entry["back"] += [[*group, y, x] for x, y in pairs[len(xs):]]
+            states += [stepped(rules, pos, x, y) for x, y in pairs]
+        for state in states:
+            for nxt in answering(rules, state):
+                key, left = rules.cover(nxt)
+                if left > most.get(key, -1):
+                    most[key] = left
+                    order.append(nxt)
+    return {"comonad": rules.comonad, "game": GAMES[tier - 1], "k": rules.k,
+            "shape": SHAPE, "positions": entries}
 
 
 # Winning-position predicates of the three comonads' games, on synchronized

@@ -509,3 +509,27 @@ def test_stdout_digest_script_prints_one_line_per_call():
     assert all(len(cols) == 5 for cols in lines)
     assert [cols[0] for cols in lines] == [str(i) for i in range(calls)]
     assert {cols[1] for cols in lines} <= {"0", "1"}
+
+
+def test_bench_script_times_phases_and_counts_work():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, os.path.join("scripts", "bench.py"), "rank-games",
+                           "pebble-games", "--passes", "1"],
+                          capture_output=True, text=True, timeout=300, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["cpus"] >= 1 and out["python"] and list(out["workloads"]) == ["rank-games",
+                                                                            "pebble-games"]
+    for name, w in out["workloads"].items():
+        assert w["failed"] == 0 and w["calls"] > 0
+        least = w["least_s"]
+        parts = [least[p] for p in ("load", "solve", "certificate", "re-verify", "json_out",
+                                    "other")]
+        assert all(t > 0 for t in parts) and abs(sum(parts) - least["total"]) < 0.01, least
+        assert abs(sum(w["share"].values()) - 1) < 0.01
+        counts = w["counters"]
+        assert min(counts["certificate_entries"], counts["after_positions"],
+                   counts["one_pair_checks"], counts["answers_by_colour_calls"],
+                   counts["refinement_rounds"]) > 0, (name, counts)
+        assert (counts["pebble_fixpoint_bases"] > 0) == (name == "pebble-games"), counts
+        assert (counts["ef_game_pair_sets"] > 0) == (name == "rank-games"), counts

@@ -536,6 +536,7 @@ def test_verifier_rejects_losing_ef_tier1_answer_two_pairs_deep():
 
 @pytest.mark.parametrize("tier, name, edit, pair, kind", [
     (1, "forth", _e4_to_e2, "('e4', 'e2')", "homomorphism"),
+    (2, "forth", _e4_to_e2, "('e4', 'e2')", "isomorphism"),
     (3, "bijection", _swap_e0_e2, "('e0', 'e2')", "isomorphism"),
 ])
 def test_verifier_rejects_losing_pebble_answer_two_pairs_deep(tier, name, edit, pair, kind):
@@ -548,6 +549,26 @@ def test_verifier_rejects_losing_pebble_answer_two_pairs_deep(tier, name, edit, 
     assert not ok and pair in msg and "loses" in msg, msg
     assert '{"base": [["e1", "e1"], ["e3", "e3"]]}' in msg, msg
     assert f"is not a partial {kind}" in msg, msg
+
+
+@pytest.mark.parametrize("tier, reason", [
+    (1, "propositions of 'c' do not hold at 'd'"),
+    (2, "'c' and 'd' differ in their propositions"),
+])
+def test_verifier_rejects_losing_modal_answer_in_the_last_round(tier, reason):
+    # a -> b -> c, d with p at c: at depth 1 from (b, b) the answer d to c
+    # loses, and no position is answered from after it
+    P = zoo.kripke(["a", "b", "c", "d"], "a", {"t": [("a", "b"), ("b", "c"), ("b", "d")]},
+                   {"p": ["c"]})
+    cert = decide("modal", tier, P, P, 2)["certificate"]
+    cert = cert["forward"] if tier == 1 else cert
+    at = {"worlds": ["b", "b"], "depth_left": 1}
+    assert ["t", "c", "c"] in _entry(cert, **at)["forth"]
+    bad = _tampered(cert, at, "forth",
+                    lambda ans: [[lab, u, "d" if u == "c" else v] for lab, u, v in ans])
+    ok, msg = verify_certificate(bad, P, P)
+    assert not ok and "('c', 'd')" in msg and "loses" in msg, msg
+    assert '{"depth_left": 1, "worlds": ["b", "b"]}' in msg and reason in msg, msg
 
 
 def test_verifier_rejects_non_bijection_at_tier_3():

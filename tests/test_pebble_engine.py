@@ -11,12 +11,12 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import (all_digraphs, answers, pebble_counter_fixpoint, pebble_fixpoint_reference,
-                     pebble_game_reference, pebble_resweep_fixpoint, perfect_matching,
-                     relabelled)
+from oracles import (all_digraphs, answers, pebble_bases, pebble_counter_fixpoint,
+                     pebble_fixpoint_reference, pebble_game_reference, pebble_resweep_fixpoint,
+                     perfect_matching, relabelled)
 
 from gamecomonads import zoo
-from gamecomonads.pebble import PebbleRules, pebble_bases, pebble_fixpoint, pebble_game
+from gamecomonads.pebble import PebbleRules, pebble_fixpoint, pebble_game
 from gamecomonads.refine import CAP, Types
 from gamecomonads.strategy import certificate
 from gamecomonads.structures import (CapExceeded, is_partial_homomorphism,

@@ -316,6 +316,7 @@ def test_one_pair_check_matches_full_check(check):
                     grown = P if (a, b) in P else P + ((a, b),)
                     full = check(grown, A, B)
                     assert check(grown, A, B, new=(a, b)) == full, (P, (a, b))
+                    assert check(P, A, B, new=(a, b)) == full, (P, (a, b))  # new added to P
                     seen["repeat"] += (a, b) in P
                     seen["remapped"] += any(x == a and y != b for x, y in P)
                     seen["hit"] += any(y == b and x != a for x, y in P)
