@@ -11,7 +11,12 @@ WORKLOAD it runs all four.  Functions of the package are wrapped from here,
 so the library itself is not changed; each wrapper adds its self time (its
 time less that of the wrapped calls inside it) to one phase:
 
-    load         cli._load, _load_plain, _load_pointed (parse and validate)
+    parse        structures.load_structure_file as the CLI calls it, less
+                 what it spends in structure_from_dict
+    validate     structures.structure_from_dict (checking and building the
+                 structure)
+    kripke_view  modal.kripke_view (the Kripke view of a pointed structure,
+                 built once per structure)
     solve        equiv.SOLVERS, decomposition.tree_depth / tree_width,
                  coalgebra.modal_parameters / construct_coalgebra
     certificate  strategy.certificate, wherever a module binds it
@@ -20,7 +25,9 @@ time less that of the wrapped calls inside it) to one phase:
                  coalgebra.verify_coalgebra)
     json_out     json.dumps as the CLI calls it
     other        the rest of the calls' wall time (argument parsing, printing,
-                 building Kripke views, ...)
+                 ...)
+
+"load" is parse + validate + kripke_view, summed per pass.
 
 One untimed pass comes first.  It warms the process up and counts the work,
 with these wrapped too:
@@ -39,13 +46,13 @@ with these wrapped too:
 
 Then --passes timed passes (default 5), with only the phase wrappers, `gc`
 collected before each; each phase keeps its least and its median time over
-the passes, and so does the total ("share" divides the least times by their
-sum).  Wall time, in seconds, on whatever machine it runs.  The result is
-one JSON object (to --out, else stdout) with the commit of the checkout
-that holds the package (null if it is not a git checkout; "+changes" if its
-`src` differs from that commit), the Python version and the CPU count.  It
-exits 1 if a call exits with 2.  `--src` times the package in another
-checkout's `src` directory:
+the passes, and so do load and the total ("share" divides the least times
+of the phases and other by their sum).  Wall time, in seconds, on whatever
+machine it runs.  The result is one JSON object (to --out, else stdout)
+with the commit of the checkout that holds the package (null if it is not
+a git checkout; "+changes" if its `src` differs from that commit), the
+Python version and the CPU count.  It exits 1 if a call exits with 2.
+`--src` times the package in another checkout's `src` directory:
 
     python3 scripts/bench.py pebble-games --src ../parent/src
 """
@@ -67,7 +74,8 @@ import types
 from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PHASES = ("load", "solve", "certificate", "re-verify", "json_out")
+PHASES = ("parse", "validate", "kripke_view", "solve", "certificate", "re-verify", "json_out")
+LOAD = ("parse", "validate", "kripke_view")
 COUNTERS = ("certificate_entries", "after_positions", "one_pair_checks",
             "answers_by_colour_calls", "pebble_fixpoint_bases", "ef_game_pair_sets",
             "refinement_rounds")
@@ -123,16 +131,17 @@ class Timer:
 def _modules():
     """The package's modules, imported from the first `src` on sys.path."""
     from gamecomonads import (cli, coalgebra, decomposition, ef, equiv, modal, pebble, refine,
-                              strategy)
+                              strategy, structures)
     return types.SimpleNamespace(
         cli=cli, coalgebra=coalgebra, decomposition=decomposition, ef=ef, equiv=equiv,
-        modal=modal, pebble=pebble, refine=refine, strategy=strategy)
+        modal=modal, pebble=pebble, refine=refine, strategy=strategy, structures=structures)
 
 
 def time_phases(m, patches: Patches, timer: Timer) -> None:
     ph = timer.phase
-    for name in ("_load", "_load_plain", "_load_pointed"):
-        patches.wrap(m.cli, name, ph("load"))
+    patches.wrap(m.cli, "load_structure_file", ph("parse"))
+    patches.wrap(m.structures, "structure_from_dict", ph("validate"))
+    patches.wrap(m.modal, "kripke_view", ph("kripke_view"))
     for tag in list(m.equiv.SOLVERS):
         patches.wrap(m.equiv.SOLVERS, tag, ph("solve"))
     for name in ("tree_depth", "tree_width"):
@@ -229,7 +238,7 @@ def bench(workloads, name: str, seed: int, passes: int) -> dict:
                 patches.restore()
             counts["ef_game_pair_sets"] = sum(len(answer.__self__.memo) for answer in games)
             del games
-            times = {p: [] for p in (*PHASES, "other", "total")}
+            times = {p: [] for p in (*PHASES, "other", "load", "total")}
             for _ in range(passes):
                 timer = Timer()
                 try:
@@ -241,6 +250,7 @@ def bench(workloads, name: str, seed: int, passes: int) -> dict:
                 for p in PHASES:
                     times[p].append(timer.spent[p])
                 times["other"].append(total - sum(timer.spent.values()))
+                times["load"].append(sum(timer.spent[p] for p in LOAD))
                 times["total"].append(total)
         finally:
             os.chdir(here)

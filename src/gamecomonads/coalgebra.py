@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Mapping, Optional
 
-from .comonad import play_id
+from .comonad import play_id, unsuited
 from .decomposition import (ForestCover, PebbledForestCover,
                             decomposition_to_pebble_cover, tree_depth, tree_width,
                             verify_pebbled_forest_cover)
@@ -31,40 +31,47 @@ COMONADS = {"ef": EF, "pebble": PEBBLE, "modal": MODAL}
 
 def verify_coalgebra(tag: str, A, k: int, alpha: Mapping) -> tuple[bool, Optional[str]]:
     """Check that alpha, element -> play, is a coalgebra of the comonad tag
-    at index k (A pointed for modal); reports the first failure.
+    at index k (A pointed for modal, else plain); reports the first failure.
 
     Every element must have a play over A at index k that ends at it (the
     counit law), and the play of the element before its last step must be
-    its play without that step (the comultiplication law; by induction on
-    length, every prefix of a play is then the play of the element it ends
-    at).  The plays of every tuple of a relation must be in the lifted
-    relation (alpha is a homomorphism into the play structure).
+    its play without that step (the comultiplication law).  Where the law
+    holds only the last move is read: by induction on length every play is
+    read whole, and a fault in a shared prefix is reported at the element
+    whose last move it is.  The plays of every tuple of a relation must be
+    in the lifted relation (alpha is a homomorphism into the play structure).
     """
     if tag not in COMONADS:
         raise ValueError(f"unknown comonad tag {tag!r}")
+    if why := unsuited(tag, "coalgebras", A):
+        return False, why
     R = COMONADS[tag]
-    S = A.base if isinstance(A, PointedStructure) else A
+    S = A.base if tag == "modal" else A
+    before, counit, unrelated, play = R.before, R.counit, R.unrelated, alpha.__getitem__
+    elements, malformed = frozenset(S.universe), R.malformed(A, k)
     for a in S.universe:
-        if a not in alpha:
+        s = alpha.get(a)
+        if s is None:
             return False, f"coalgebra undefined on {a!r}"
-        s = alpha[a]
-        why = R.malformed(A, k, s)
+        p = before(s)
+        up = None if p is None else counit(p)  # a's parent, whose play p is if the law holds
+        known = up in elements and alpha.get(up) == p
+        why = malformed(s, not known)
         if why is not None:
             return False, f"play of {a!r} {why}"
-        end = R.counit(s)
-        if end != a:
-            return False, f"counit law fails at {a!r}: play ends at {end!r}"
-        p = R.before(s)
-        if p is not None and alpha.get(R.counit(p)) != p:
+        if counit(s) != a:
+            return False, f"counit law fails at {a!r}: play ends at {counit(s)!r}"
+        if p is not None and not known:
             return False, (f"comultiplication law fails at {a!r}: play of "
-                           f"{R.counit(p)!r} is not the play of {a!r} without its last step")
+                           f"{up!r} is not the play of {a!r} without its last step")
     # the plays of t end at t, so they are in the lifted relation iff they
-    # meet the comonad's condition
+    # meet the comonad's condition, which one play always meets
     for name, tups in S.relations.items():
-        for t in sorted(tups):
-            why = R.unrelated(name, [alpha[x] for x in t])
-            if why is not None:
-                return False, f"homomorphism condition fails on {name}{t}: {why}"
+        bad = min((t for t in tups if unrelated(name, list(map(play, t)))),
+                  default=None) if S.sig.relations[name] > 1 else None
+        if bad is not None:
+            why = unrelated(name, list(map(play, bad)))
+            return False, f"homomorphism condition fails on {name}{bad}: {why}"
     return True, None
 
 
@@ -158,11 +165,11 @@ def modal_parameters(P: PointedStructure) -> tuple[Optional[int], Optional[int],
     max(height, 1).  Otherwise number and coalgebra are None.
     """
     K = view_of(P.base)
+    labels = sorted(K.transitions)
     paths: ModalCoalgebra = {P.point: (P.point,)}
     queue = [P.point]
-    while queue:
-        w = queue.pop(0)
-        for label in sorted(K.transitions):
+    for w in queue:
+        for label in labels:
             for v in K.successors(w, label):
                 if v not in paths:
                     paths[v] = paths[w] + (label, v)
@@ -217,6 +224,8 @@ def construct_coalgebra(tag: str, A, k: int) -> Optional[dict]:
     plays are written in their JSON form (`read_coalgebra` reads them)."""
     if tag not in COMONADS:
         raise ValueError(f"unknown comonad tag {tag!r}")
+    if why := unsuited(tag, "coalgebras", A):
+        raise ValueError(why)
     alpha = _CONSTRUCT[tag](A, k)
     return None if alpha is None else {a: json.loads(play_id(s)) for a, s in alpha.items()}
 

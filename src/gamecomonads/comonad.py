@@ -34,16 +34,19 @@ class Comonad:
     `counit(s)`: the element s ends at.  `coextend(f, s)`: f applied to each
     prefix of s, as a play over f's targets.  `unrelated(name, plays)`: why
     the plays break the comonad's own condition on a tuple of the lifted
-    relation `name`, or None (see `lifted`).  `malformed(A, k, s)`: why s is
-    not a play over A at resource index k, or None.  `read(raw)`: the play
-    written as the JSON value raw; raises ValueError if raw is not one.
+    relation `name`, or None (see `lifted`), for plays that are prefixes
+    of one play or a coalgebra's.  `malformed(A, k)`: `why(s, whole)`, why
+    s is not a play over A at resource index k, or None; with whole false
+    (for an s that is a play once its last move is dropped) it reads only
+    the length, start and last move of s.  `read(raw)`: the play written as the JSON
+    value raw; raises ValueError if raw is not one.
     """
 
     before: Callable[[Play], Optional[Play]]
     counit: Callable[[Play], str]
     coextend: Callable[[Callable[[Play], str], Play], Play]
     unrelated: Callable[[str, Sequence[Play]], Optional[str]]
-    malformed: Callable[..., Optional[str]]
+    malformed: Callable[..., Callable[[Play, bool], Optional[str]]]
     read: Callable[[object], Play]
 
     def lifted(self, name: str, plays: Sequence[Play], A: Structure) -> Optional[str]:
@@ -64,6 +67,15 @@ class Comonad:
     def of_id(self, pid: str) -> Play:
         """The play with id pid (see `play_id`)."""
         return self.read(json.loads(pid))
+
+
+def unsuited(tag: str, what: str, *structures) -> Optional[str]:
+    """Why the structures cannot carry comonad tag's `what` (modal needs
+    pointed ones, ef and pebble plain ones), or None."""
+    pointed = tag == "modal"
+    if all(isinstance(S, PointedStructure) == pointed for S in structures):
+        return None
+    return f"the {tag} {what} need {('plain', 'pointed')[pointed]} structures"
 
 
 def play_id(s: Play) -> str:

@@ -50,12 +50,14 @@ def coextend_play(f: Callable[[EfPlay], str], s: EfPlay) -> EfPlay:
     return tuple(f(s[:i]) for i in range(1, len(s) + 1))
 
 
-def _ef_malformed(A: Structure, k: int, s: EfPlay) -> Optional[str]:
-    if not 1 <= len(s) <= k:
-        return f"has length {len(s)}, not in 1..{k}"
-    if any(x not in A.universe for x in s):
-        return "leaves the universe"
-    return None
+def _ef_malformed(A: Structure, k: int) -> Callable[[EfPlay, bool], Optional[str]]:
+    universe = frozenset(A.universe)
+
+    def why(s: EfPlay, whole: bool) -> Optional[str]:
+        if not 1 <= len(s) <= k:
+            return f"has length {len(s)}, not in 1..{k}"
+        return None if universe.issuperset(s if whole else s[-1:]) else "leaves the universe"
+    return why
 
 
 # A tuple of plays is related iff they are pairwise prefix-comparable (and the

@@ -29,11 +29,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
+from .comonad import unsuited
 from .ef import EfRules, ef_game
 from .modal import ModalRules, modal_game
 from .pebble import PebbleRules, pebble_game
 from .strategy import GAMES, exact_int, verify
-from .structures import PointedStructure
 
 RULES = {"ef": EfRules, "pebble": PebbleRules, "modal": ModalRules}
 SOLVERS = {"ef": ef_game, "pebble": pebble_game, "modal": modal_game}
@@ -41,14 +41,6 @@ SOLVERS = {"ef": ef_game, "pebble": pebble_game, "modal": modal_game}
 # Kept by name because the benchmark's tests (bench/test_bench.py) call them.
 pebble_back_and_forth = partial(pebble_game, tier=2)
 pebble_bijection_equiv = partial(pebble_game, tier=3)
-
-
-def _unsuited(tag: str, A, B) -> Optional[str]:
-    """Why A and B cannot play comonad tag's games (modal needs pointed ones), or None."""
-    pointed = tag == "modal"
-    if all(isinstance(S, PointedStructure) == pointed for S in (A, B)):
-        return None
-    return f"the {tag} games need {('plain', 'pointed')[pointed]} structures"
 
 
 def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
@@ -64,8 +56,8 @@ def verify_certificate(cert, A, B) -> tuple[bool, Optional[str]]:
     comonad, game = cert.get("comonad"), cert.get("game")
     if comonad not in tuple(RULES) or game not in GAMES:  # by ==: any JSON value
         return False, f"unknown certificate kind {(comonad, game)}"
-    if unsuited := _unsuited(comonad, A, B):
-        return False, unsuited
+    if why := unsuited(comonad, "games", A, B):
+        return False, why
     try:
         k = exact_int(cert.get("k"))
     except TypeError as err:
@@ -84,8 +76,8 @@ def decide(tag: str, tier: int, A, B, k: int) -> dict:
         raise ValueError(f"unknown comonad tag {tag!r}")
     if tier not in (1, 2, 3):
         raise ValueError(f"tier must be 1, 2 or 3, got {tier}")
-    if unsuited := _unsuited(tag, A, B):
-        raise ValueError(unsuited)
+    if why := unsuited(tag, "games", A, B):
+        raise ValueError(why)
     solve = SOLVERS[tag]
     if tier > 1:
         equiv, cert = solve(A, B, k, tier)

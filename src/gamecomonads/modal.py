@@ -19,7 +19,6 @@ existence into the unfolding at finite depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Optional
 
@@ -59,16 +58,10 @@ class KripkeView:
     def successors(self, w: str, label: str) -> tuple[str, ...]:
         return self.succ[label].get(w, ())
 
-    @cached_property
-    def steps(self) -> frozenset[tuple[str, str, str]]:
-        """Every transition as (u, label, v), built on first use."""
-        return frozenset((u, label, v) for label, edges in self.transitions.items()
-                         for u, v in edges)
-
 
 def kripke_view(A: Structure) -> KripkeView:
     props, transitions, succ, profiles = {}, {}, {}, {}
-    order = {w: i for i, w in enumerate(A.universe)}
+    rank = {w: i for i, w in enumerate(A.universe)}.__getitem__
     for name, ar in A.sig.relations.items():
         tups = A.relations[name]
         if ar == 1:
@@ -82,8 +75,9 @@ def kripke_view(A: Structure) -> KripkeView:
             out: dict[str, list[str]] = {}
             for u, v in tups:
                 out.setdefault(u, []).append(v)
-            succ[name] = {u: tuple(sorted(vs, key=order.__getitem__) if len(vs) > 1 else vs)
-                          for u, vs in out.items()}
+            for vs in out.values():
+                vs.sort(key=rank)
+            succ[name] = {u: tuple(vs) for u, vs in out.items()}
         else:
             raise ArityError(f"arity violation: {name} has arity {ar}, Kripke use needs <= 2")
     return KripkeView(A.universe, props, transitions, succ, profiles)
@@ -144,25 +138,31 @@ def modal_coextend(f: Callable[[ModalPlay], str], s: ModalPlay) -> ModalPlay:
     return tuple(out)
 
 
-def _modal_malformed(P: PointedStructure, k: int, s: ModalPlay) -> Optional[str]:
-    if len(s) % 2 != 1 or (len(s) - 1) // 2 > k:
-        return f"is malformed or longer than depth {k}"
-    if s[0] != P.point:
-        return "does not start at the point"
-    steps = view_of(P.base).steps
-    if steps.issuperset(zip(s[::2], s[1::2], s[2::2])):
+def _modal_malformed(P: PointedStructure, k: int) -> Callable[[ModalPlay, bool], Optional[str]]:
+    transitions, point = view_of(P.base).transitions, P.point
+
+    def why(s: ModalPlay, whole: bool) -> Optional[str]:
+        if len(s) % 2 != 1 or len(s) > 2 * k + 1:
+            return f"is malformed or longer than depth {k}"
+        if s[0] != point:
+            return "does not start at the point"
+        for u, label, v in zip(s[::2], s[1::2], s[2::2]) if whole else (s[-3:],):
+            if (u, v) not in transitions.get(label, ()):
+                return f"uses a missing transition {u!r} -{label}-> {v!r}"
         return None
-    u, label, v = next(t for t in zip(s[::2], s[1::2], s[2::2]) if t not in steps)
-    return f"uses a missing transition {u!r} -{label}-> {v!r}"
+    return why
 
 
 # A proposition holds of a play iff it holds of its last world, and a labelled
-# transition joins each play to its one-step extensions along the label.
+# transition joins each play to its one-step extensions along the label: of
+# two prefixes of one play, or two plays of a coalgebra, one step apart, the
+# longer extends the shorter iff that step starts at the shorter's end.
 MODAL = Comonad(
     before=lambda s: s[:-2] if len(s) > 2 else None,
     counit=modal_counit, coextend=modal_coextend,
     unrelated=lambda name, plays: (
-        None if len(plays) == 1 or plays[1][:-2] == plays[0] and plays[1][-2] == name
+        None if len(plays) == 1 or len(plays[1]) == len(plays[0]) + 2
+        and plays[1][-3:-1] == (plays[0][-1], name)
         else "target play does not extend source play by this step"),
     malformed=_modal_malformed,
     read=lambda raw: read_list(raw, "worlds and labels"))

@@ -77,14 +77,17 @@ def pebble_coextension_on_play(f: Callable[[PebblePlay], str], s: PebblePlay) ->
     return tuple(out)
 
 
-def _pebble_malformed(A: Structure, k: int, s: PebblePlay) -> Optional[str]:
-    if not s:
-        return "is empty"
-    if any(not 1 <= p <= k for p, _ in s):
-        return f"uses a pebble outside 1..{k}"
-    if any(x not in A.universe for _, x in s):
-        return "leaves the universe"
-    return None
+def _pebble_malformed(A: Structure, k: int) -> Callable[[PebblePlay, bool], Optional[str]]:
+    universe = frozenset(A.universe)
+
+    def why(s: PebblePlay, whole: bool) -> Optional[str]:
+        if not s:
+            return "is empty"
+        moves = s if whole else s[-1:]
+        if any(not 1 <= p <= k for p, _ in moves):
+            return f"uses a pebble outside 1..{k}"
+        return None if universe.issuperset(x for _, x in moves) else "leaves the universe"
+    return why
 
 
 def _move(m) -> Optional[Move]:

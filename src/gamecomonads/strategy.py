@@ -122,7 +122,7 @@ def certificate(rules, tier: int, answer: Callable) -> dict:
             entry[ANSWERS[tier][0]] += [[*group, x, y] for x, y in pairs[:len(xs)]]
             if tier == 2:
                 entry["back"] += [[*group, y, x] for x, y in pairs[len(xs):]]
-            for x, y in pairs:
+            for x, y in dict.fromkeys(pairs) if tier == 2 else pairs:  # each pair once
                 out += after(pos, group, x, y)
         return out
 
@@ -136,7 +136,7 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
     position reached must be recorded, each challenge there needs an answer
     of the right kind (tier 3: a bijection per group; pairs on no challenge
     are not read), and no answer may lose.  Only the start gets the full
-    check, each answer (x, y) only through itself, at the position it is
+    check, each answer (x, y) only through itself, once per position it is
     played at: Duplicator answers from a verified position (ef, modal) or a
     subset of one (pebble bases), and the predicates are hereditary.  Entries
     are indexed by the key of the position `rules.from_json` reads from their
@@ -210,7 +210,7 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
                                 f"{rules.among(pos, group, side)}")
                     out.append((group, u, v) if side else (group, v, u))
         reached = []
-        for group, x, y in out:
+        for group, x, y in dict.fromkeys(out) if tier == 2 else out:  # each pair once
             fault = rules.fault(pos, (x, y))
             if fault:
                 return f"the answer ({x!r}, {y!r}) at {_at(rules, pos)} loses: {fault}"

@@ -131,18 +131,16 @@ def validate_structure(sig: Mapping[str, int],
     for name in relations:
         if name not in sig:
             raise StructureError(f"relation {name} not declared in signature")
-    for name in sig:
-        ar = sig[name]
-        tups = set()
-        for t in relations.get(name, ()):
-            t = tuple(t)
-            if len(t) != ar:
-                raise StructureError(
-                    f"arity mismatch in {name}: tuple {list(t)} has length {len(t)}, expected {ar}")
-            for x in t:
-                if x not in seen:
-                    raise StructureError(f"unknown element {x!r} in relation {name}")
-            tups.add(t)
+    for name, ar in sig.items():
+        tups = list(map(tuple, relations.get(name, ())))
+        if not (set(map(len, tups)) <= {ar} and seen.issuperset(chain.from_iterable(tups))):
+            # the first tuple of the wrong length or with an unknown element
+            bad = next(t for t in tups if len(t) != ar or not seen.issuperset(t))
+            if len(bad) != ar:
+                raise StructureError(f"arity mismatch in {name}: tuple {list(bad)} "
+                                     f"has length {len(bad)}, expected {ar}")
+            x = next(x for x in bad if x not in seen)
+            raise StructureError(f"unknown element {x!r} in relation {name}")
         interp[name] = frozenset(tups)
     return Structure(Signature(dict(sig)), tuple(universe), interp)
 

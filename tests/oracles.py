@@ -295,7 +295,8 @@ def brute_coalgebra(tag: str, A, k: int, alpha: dict) -> bool:
     element, every prefix p of every play is the play of the element p ends
     at, and alpha, read as play ids, is a homomorphism into the structure of
     all plays (a pointed one, for modal; for pebble, of plays no longer than
-    the longest play of alpha)."""
+    the longest play of alpha).  That structure induces its substructure on
+    the prefixes of alpha's plays, so h is checked into that one alone."""
     base = A.base if tag == "modal" else A
     counit = (lambda s: s[-1][1]) if tag == "pebble" else (lambda s: s[-1])
     step = 2 if tag == "modal" else 1
@@ -310,7 +311,10 @@ def brute_coalgebra(tag: str, A, k: int, alpha: dict) -> bool:
         plays = pebble_plays(A, k, max(len(s) for s in alpha.values()))
     else:
         plays = modal_plays(A, k)
-    M = play_structure(COMONADS[tag], A, plays)
+    image = {s[:i] for s in map(alpha.get, base.universe) for i in range(1, len(s) + 1, step)}
+    if not image <= set(plays):
+        return False
+    M = play_structure(COMONADS[tag], A, [s for s in plays if s in image])
     h = {a: play_id(alpha[a]) for a in base.universe}
     if tag == "modal":
         return is_homomorphism(h, base, M.base) and h[A.point] == M.point

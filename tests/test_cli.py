@@ -526,6 +526,8 @@ def test_bench_script_times_phases_and_counts_work():
         parts = [least[p] for p in ("load", "solve", "certificate", "re-verify", "json_out",
                                     "other")]
         assert all(t > 0 for t in parts) and abs(sum(parts) - least["total"]) < 0.01, least
+        assert abs(least["parse"] + least["validate"] + least["kripke_view"]
+                   - least["load"]) < 0.001, least
         assert abs(sum(w["share"].values()) - 1) < 0.01
         counts = w["counters"]
         assert min(counts["certificate_entries"], counts["after_positions"],

@@ -357,6 +357,104 @@ def test_verify_coalgebra_matches_the_definition():
     assert min(verdicts.values()) > 50, verdicts
 
 
+def _deep_modal(rng: random.Random, branches: int, cross: bool):
+    """A pointed Kripke structure whose worlds w0 .. wh form a chain from the
+    point (h from 30 to 40), with `branches` more worlds hung below random
+    worlds, and each world's path from the point.  With cross, one more
+    transition joins a world to one a step deeper whose parent it is not,
+    along the deeper one's label: then the paths are not a coalgebra."""
+    height = rng.randint(30, 40)
+    edges = {"s": [], "t": []}
+    paths = {"w0": ("w0",)}
+    for i in range(1, height + 1 + branches):
+        u = f"w{i - 1}" if i <= height else rng.choice(list(paths))
+        w = f"w{i}" if i <= height else f"b{i}"
+        label = rng.choice("st")
+        edges[label].append((u, w))
+        paths[w] = paths[u] + (label, w)
+    if cross:
+        u, v = rng.choice([(u, v) for v in paths for u in paths
+                           if len(paths[u]) + 2 == len(paths[v]) and u != paths[v][-3]])
+        edges[paths[v][-2]].append((u, v))
+    worlds = list(paths)
+    return zoo.kripke(worlds, "w0", edges, {"p": rng.sample(worlds, len(worlds) // 3)}), paths
+
+
+def _deep_tampered(tag: str, alpha: dict, a, k: int) -> list:
+    """alpha with one item in the middle of a's play changed, in a's play
+    alone and then in every play through the changed move: a missing
+    transition, a prefix that is not the parent's play, a pebble outside 1..k
+    or an element outside the universe, as the comonad has them.  The shared
+    one comes with the element whose last move the change is in, if the
+    changed move ends at an element (else None)."""
+    s, end = alpha[a], (lambda m: m[1]) if tag == "pebble" else (lambda m: m)
+    i = len(s) // 4 * 2 if tag == "modal" else len(s) // 2  # a middle move's element
+    stranger = next(x for x in alpha if x not in map(end, s[:i + 1]))
+    if tag == "modal":  # the other label into s[i]; a stranger for s[i - 2]
+        changes = [(i - 1, "t" if s[i - 1] == "s" else "s", i), (i - 2, stranger, i - 2)]
+    elif tag == "ef":
+        changes = [(i, "z", None), (i - 1, stranger, i - 1)]
+    else:
+        p, x = s[i]
+        changes = [(i, (k + 1, x), i), (i, (p, "z"), None),
+                   (i - 1, (3 - s[i - 1][0], s[i - 1][1]), i - 1)]
+    out = []
+    for at, item, owner in changes:
+        out.append(({**alpha, a: s[:at] + (item,) + s[at + 1:]}, None))
+        through = s[:at + 1]
+        out.append(({x: t[:at] + (item,) + t[at + 1:] if t[:at + 1] == through else t
+                     for x, t in alpha.items()}, None if owner is None else end(s[owner])))
+    return out
+
+
+def test_verify_coalgebra_matches_the_definition_on_deep_plays():
+    # modal plays of 30 to 40 steps and ef and pebble plays of 5 moves, each
+    # changed at a middle move; where the change is in a prefix that plays
+    # share, the element whose last move it is reports it
+    rng = random.Random(27)
+    cases = []
+    for i in range(8):
+        P, paths = _deep_modal(rng, 0 if i % 2 == 0 else rng.randint(5, 20), i % 4 == 3)
+        height = max(len(t) // 2 for t in paths.values())
+        cases += [("modal", P, height + rng.randint(0, 1), paths), ("modal", P, height - 1, paths)]
+    while len(cases) < 28:
+        A = random_structure(GenConfig(max_universe_size=5, max_arity=2, density=0.2), rng)
+        if len(A.universe) < 5:
+            continue
+        chain = rng.sample(A.universe, len(A.universe))
+        cases.append(("ef", A, 5, {x: tuple(chain[:n + 1]) for n, x in enumerate(chain)}))
+        pebbles = [rng.randint(1, 2) for _ in chain]
+        cases.append(("pebble", A, 2, {x: tuple(zip(pebbles[:n + 1], chain[:n + 1]))
+                                       for n, x in enumerate(chain)}))
+    assert {tag for tag, *_ in cases} == {"ef", "pebble", "modal"}
+    verdicts, blames = {True: 0, False: 0}, 0
+    for tag, A, k, alpha in cases:
+        deepest = max(alpha, key=lambda x: len(alpha[x]))
+        assert len(alpha[deepest]) >= (61 if tag == "modal" else 5)
+        for beta, blamed in [(alpha, None)] + _deep_tampered(tag, alpha, deepest, k):
+            ok, msg = verify_coalgebra(tag, A, k, beta)
+            assert ok == brute_coalgebra(tag, A, k, beta), (tag, k, beta, msg)
+            verdicts[ok] += 1
+            if blamed is not None and not ok and msg.startswith("play of "):
+                assert msg.startswith(f"play of {blamed!r} "), (tag, msg)
+                blames += 1
+    assert min(verdicts.values()) >= 10 and blames >= 10, (verdicts, blames)
+
+
+def test_verify_and_construct_coalgebra_reject_the_wrong_kind_of_structure():
+    P = zoo.kripke_chain(2)
+    alpha = modal_coalgebra(P, 2)
+    assert verify_coalgebra("modal", P.base, 2, alpha) == (
+        False, "the modal coalgebras need pointed structures")
+    with pytest.raises(ValueError, match="the modal coalgebras need pointed structures"):
+        construct_coalgebra("modal", P.base, 2)
+    for tag in ("ef", "pebble"):
+        assert verify_coalgebra(tag, P, 3, {w: (w,) for w in P.base.universe}) == (
+            False, f"the {tag} coalgebras need plain structures")
+        with pytest.raises(ValueError, match=f"the {tag} coalgebras need plain structures"):
+            construct_coalgebra(tag, P, 3)
+
+
 def test_parameter_survey_script_runs():
     root = pathlib.Path(__file__).parent.parent
     proc = subprocess.run(

@@ -571,6 +571,29 @@ def test_verifier_rejects_losing_modal_answer_in_the_last_round(tier, reason):
     assert '{"depth_left": 1, "worlds": ["b", "b"]}' in msg and reason in msg, msg
 
 
+def _back_to(y: str, x: str):
+    """An edit of back answers [*group, y', x']: y answered with x."""
+    return lambda ans: [[*a[:-1], x] if a[-2] == y else a for a in ans]
+
+
+@pytest.mark.parametrize("comonad, A, at, edit, pair", [
+    ("ef", zoo.lin(3), {"pairs": [["e1", "e1"]]}, _back_to("e2", "e0"), "('e0', 'e2')"),
+    ("pebble", zoo.lin(3), {"base": [["e1", "e1"]]}, _back_to("e2", "e0"), "('e0', 'e2')"),
+    ("modal", zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("a", "c")]}, {"p": ["c"]}),
+     {"worlds": ["a", "a"], "depth_left": 1}, _back_to("c", "b"), "('b', 'c')"),
+])
+def test_verifier_checks_a_back_answer_that_no_forth_answer_repeats(comonad, A, at, edit, pair):
+    # the replay checks a pair answered both forth and back once, so a back
+    # answer that is a different pair from the forth answers must still lose
+    cert = decide(comonad, 2, A, A, 1 if comonad == "modal" else 2)["certificate"]
+    entry = _entry(cert, **at)
+    assert all(a[-2] == a[-1] for a in entry["forth"] + entry["back"])  # all win
+    bad = _tampered(cert, at, "back", edit)
+    assert _entry(bad, **at)["forth"] == entry["forth"]
+    ok, msg = verify_certificate(bad, A, A)
+    assert not ok and f"the answer {pair} at " in msg and " loses: " in msg, msg
+
+
 def test_verifier_rejects_non_bijection_at_tier_3():
     A = zoo.lin(2)
     cert = ef_game(A, A, 2, 3)[1]

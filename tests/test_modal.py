@@ -460,7 +460,6 @@ def test_kripke_view_matches_a_scan_of_the_relations():
         K = kripke_view(A)
         assert K.transitions == {"a": A.relations["a"], "b": A.relations["b"]}
         assert K.props == {n: frozenset(t[0] for t in A.relations[n]) for n in "pqr"}
-        assert K.steps == {(u, label, v) for label in "ab" for u, v in A.relations[label]}
         for w in worlds:
             for label in "ab":
                 assert K.successors(w, label) == tuple(

@@ -33,6 +33,31 @@ def test_validate_arity_mismatch():
         validate_structure({"R": 2}, ["a", "b"], {"R": [["a", "b", "a"]]})
 
 
+@pytest.mark.parametrize("tuples, message", [
+    # the first bad tuple in order names the fault, arity before elements
+    ([["a", "zz"], ["a"]], "unknown element 'zz' in relation R"),
+    ([["a"], ["a", "zz"]], "arity mismatch in R: tuple ['a'] has length 1, expected 2"),
+    ([["a", "a"], [["x"], "a", "b"]],
+     "arity mismatch in R: tuple [['x'], 'a', 'b'] has length 3, expected 2"),
+    # an unknown element before an unhashable one in the same tuple
+    ([["zz", ["x"]]], "unknown element 'zz' in relation R"),
+])
+def test_validate_names_the_first_bad_tuple(tuples, message):
+    with pytest.raises(StructureError) as err:
+        validate_structure({"R": 2}, ["a", "b"], {"R": tuples})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("tuples", [[["a", ["x"]]], [["a", "b"], [["x"], "zz"]]])
+def test_validate_rejects_an_unhashable_element(tuples):
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        validate_structure({"R": 2}, ["a", "b"], {"R": tuples})
+    with pytest.raises(StructureError, match="^a relation tuple holds an element that is not "
+                                             "an id: unhashable type: 'list'$"):
+        structure_from_dict({"signature": {"R": 2}, "universe": ["a", "b"],
+                             "relations": {"R": tuples}})
+
+
 def test_validate_rejects_empty_universe():
     with pytest.raises(StructureError, match="empty universe"):
         validate_structure({"R": 1}, [], {})
