@@ -162,7 +162,7 @@ MODAL = Comonad(
     counit=modal_counit, coextend=modal_coextend,
     unrelated=lambda name, plays: (
         None if len(plays) == 1 or len(plays[1]) == len(plays[0]) + 2
-        and plays[1][-3:-1] == (plays[0][-1], name)
+        and plays[1][-2] == name and plays[1][-3] == plays[0][-1]
         else "target play does not extend source play by this step"),
     malformed=_modal_malformed,
     read=lambda raw: read_list(raw, "worlds and labels"))
