@@ -38,8 +38,8 @@ class Comonad:
     of one play or a coalgebra's.  `malformed(A, k)`: `why(s, whole)`, why
     s is not a play over A at resource index k, or None; with whole false
     (for an s that is a play once its last move is dropped) it reads only
-    the length, start and last move of s.  `read(raw)`: the play written as the JSON
-    value raw; raises ValueError if raw is not one.
+    the length, start and last move of s.  `read(raw)`: the play written
+    as the JSON value raw; raises ValueError if raw is not one.
     """
 
     before: Callable[[Play], Optional[Play]]

@@ -408,7 +408,7 @@ def _deep_tampered(tag: str, alpha: dict, a, k: int) -> list:
 
 
 def test_verify_coalgebra_matches_the_definition_on_deep_plays():
-    # modal plays of 30 to 40 steps and ef and pebble plays of 5 moves, each
+    # modal plays of 30 steps or more and ef and pebble plays of 5 moves, each
     # changed at a middle move; where the change is in a prefix that plays
     # share, the element whose last move it is reports it
     rng = random.Random(27)
