@@ -65,12 +65,13 @@ def verify_coalgebra(tag: str, A, k: int, alpha: Mapping) -> tuple[bool, Optiona
             return False, (f"comultiplication law fails at {a!r}: play of "
                            f"{up!r} is not the play of {a!r} without its last step")
     # the plays of t end at t, so they are in the lifted relation iff they
-    # meet the comonad's condition, which one play always meets
+    # meet the comonad's condition
     for name, tups in S.relations.items():
-        bad = min((t for t in tups if unrelated(name, list(map(play, t)))),
-                  default=None) if S.sig.relations[name] > 1 else None
-        if bad is not None:
-            why = unrelated(name, list(map(play, bad)))
+        if S.sig.relations[name] == 1:
+            continue  # one play always meets it
+        faults = [(t, why) for t in tups if (why := unrelated(name, list(map(play, t))))]
+        if faults:
+            bad, why = min(faults)
             return False, f"homomorphism condition fails on {name}{bad}: {why}"
     return True, None
 
@@ -165,11 +166,11 @@ def modal_parameters(P: PointedStructure) -> tuple[Optional[int], Optional[int],
     max(height, 1).  Otherwise number and coalgebra are None.
     """
     K = view_of(P.base)
-    labels = sorted(K.transitions)
     paths: ModalCoalgebra = {P.point: (P.point,)}
     queue = [P.point]
-    for w in queue:
-        for label in labels:
+    while queue:
+        w = queue.pop(0)
+        for label in sorted(K.transitions):
             for v in K.successors(w, label):
                 if v not in paths:
                     paths[v] = paths[w] + (label, v)

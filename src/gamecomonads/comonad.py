@@ -52,7 +52,8 @@ class Comonad:
     def lifted(self, name: str, plays: Sequence[Play], A: Structure) -> Optional[str]:
         """Why plays are not a tuple of the lifted relation name, or None if
         they are: name holds in A of the elements they end at, and they meet
-        the comonad's condition."""
+        the comonad's condition.  The plays must be prefixes of one play or
+        plays of one coalgebra (see `unrelated`)."""
         if tuple(map(self.counit, plays)) not in A.relations[name]:
             return f"{name} does not hold of the elements the plays end at"
         return self.unrelated(name, plays)

@@ -122,7 +122,7 @@ def certificate(rules, tier: int, answer: Callable) -> dict:
             entry[ANSWERS[tier][0]] += [[*group, x, y] for x, y in pairs[:len(xs)]]
             if tier == 2:
                 entry["back"] += [[*group, y, x] for x, y in pairs[len(xs):]]
-            for x, y in dict.fromkeys(pairs) if tier == 2 else pairs:  # each pair once
+            for x, y in dict.fromkeys(pairs):  # each pair once
                 out += after(pos, group, x, y)
         return out
 
@@ -210,7 +210,7 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
                                 f"{rules.among(pos, group, side)}")
                     out.append((group, u, v) if side else (group, v, u))
         reached = []
-        for group, x, y in dict.fromkeys(out) if tier == 2 else out:  # each pair once
+        for group, x, y in dict.fromkeys(out):  # each pair once
             fault = rules.fault(pos, (x, y))
             if fault:
                 return f"the answer ({x!r}, {y!r}) at {_at(rules, pos)} loses: {fault}"
