@@ -167,10 +167,9 @@ def modal_parameters(P: PointedStructure) -> tuple[Optional[int], Optional[int],
     """
     K = view_of(P.base)
     paths: ModalCoalgebra = {P.point: (P.point,)}
-    queue = [P.point]
-    while queue:
-        w = queue.pop(0)
-        for label in sorted(K.transitions):
+    queue, labels = [P.point], sorted(K.transitions)
+    for w in queue:  # grows as it is walked
+        for label in labels:
             for v in K.successors(w, label):
                 if v not in paths:
                     paths[v] = paths[w] + (label, v)

@@ -135,9 +135,8 @@ class EfGame:
     """
 
     def __init__(self, rules: EfRules):
-        self.rules, self.A, self.B = rules, rules.A, rules.B
+        self.A, self.B = rules.A, rules.B
         self.ext = Extender(self.A, self.B)
-        self.index = {a: i for i, a in enumerate(self.A.universe)}
         self.memo: dict[frozenset, list] = {frozenset(): [self.ext.start]}
 
     def child(self, pairs: frozenset, a: str, b: str) -> frozenset:
@@ -161,10 +160,10 @@ class EfGame:
         entry = self.memo[pairs]
         if len(entry) == 2:
             return entry[1]
-        (_, xs, _), = self.rules.challenges(pos)
-        options, out = entry[0], []
-        for a in xs:
-            rest = options[self.index[a]]
+        dom, out = {a for a, _ in pairs}, []  # the challenges: A's unpebbled elements
+        for a, rest in zip(self.A.universe, entry[0]):
+            if a in dom:
+                continue
             while rest:
                 low = rest & -rest
                 rest ^= low

@@ -283,10 +283,12 @@ class PairRules:
 
     def challenges(self, pos) -> list:
         pairs = self.cover(pos)[0]
-        dom, rng = {a for a, _ in pairs}, {b for _, b in pairs}
+        dom = {a for a, _ in pairs}
         xs = [a for a in self.A.universe if a not in dom]
-        ys = self.B.universe if self.tier == 1 else [b for b in self.B.universe if b not in rng]
-        return [((), xs, ys)]
+        if self.tier == 1:
+            return [((), xs, self.B.universe)]
+        rng = {b for _, b in pairs}
+        return [((), xs, [b for b in self.B.universe if b not in rng])]
 
     def among(self, pos, group, side: int) -> str:
         unpebbled = "" if self.tier == 1 else "unpebbled "

@@ -64,15 +64,26 @@ def test_pair_types_are_none_with_a_ternary_relation():
     assert pair_types(validate_structure({}, ["a"], {})) == {}
 
 
+def positions(types):
+    """Pair lists that pebble every stored tuple of each side: the tuples of
+    one length on A and on B zipped in order, the shorter list cycled."""
+    for n in range(max(map(len, types.ids[0])) + 1):
+        xs, ys = ([t for t in ids if len(t) == n] for ids in types.ids)
+        for i in range(max(len(xs), len(ys)) if xs and ys else 0):
+            yield list(zip(xs[i % len(xs)], ys[i % len(ys)]))
+
+
 @pytest.mark.parametrize("pebble", [False, True])
 @pytest.mark.parametrize("counting", [False, True])
 def test_refinement_by_pair_types_matches_the_tuple_scan(pebble, counting, monkeypatch):
     """The same colours, round by round, as the atomic typing by the tuples
     through the new element: the oracle's, and refinement's own fallback
-    for relations of arity 3 or more, forced on binary signatures."""
-    seen = {"refined": 0, "stopped early": 0, "equal": 0}
+    for relations of arity 3 or more, forced on binary signatures.  At k=4
+    ef's tuples of length k, which get no extensions of their own, have
+    three lengths below them."""
+    seen = {"refined": 0, "stopped early": 0, "equal": 0, "positions read": 0}
     for A, B in refinement_cases():
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             types = Types(A, B, k, pebble=pebble, counting=counting)
             with monkeypatch.context() as m:
                 m.setattr(refine, "pair_types", lambda S: None)
@@ -82,6 +93,10 @@ def test_refinement_by_pair_types_matches_the_tuple_scan(pebble, counting, monke
             if hasattr(types, "history"):
                 assert types.history[0] == atomic_colours_by_occurrences(A, B, k)
                 seen["refined"] += len(types.history) > 1
+                for pairs in positions(types):
+                    seen["positions read"] += 1
+                    assert all(types.colours(pairs, r) == scan.colours(pairs, r)
+                               for r in range(len(types.history)))
             else:
                 assert not types.equal
                 seen["stopped early"] += 1
