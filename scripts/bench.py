@@ -43,6 +43,8 @@ with these wrapped too:
     refinement_rounds        colourings kept by refinement: len(history) of
                              each `refine.Types` and of each modal
                              `_refinement` (read from its answer's closure)
+    flood_fills              calls of `decomposition._MaskGraph.components`
+                             (each splits a vertex mask into its components)
 
 Then --passes timed passes (default 5), with only the phase wrappers, `gc`
 collected before each; each phase keeps its least and its median time over
@@ -78,7 +80,7 @@ PHASES = ("parse", "validate", "kripke_view", "solve", "certificate", "re-verify
 LOAD = ("parse", "validate", "kripke_view")
 COUNTERS = ("certificate_entries", "after_positions", "one_pair_checks",
             "answers_by_colour_calls", "pebble_fixpoint_bases", "ef_game_pair_sets",
-            "refinement_rounds")
+            "refinement_rounds", "flood_fills")
 
 
 class Patches:
@@ -194,6 +196,7 @@ def count_work(m, patches: Patches, counts: dict, games: list) -> None:
         return len(cells["history"].cell_contents) if "history" in cells else 0
     patches.wrap(m.modal, "_refinement", adding("refinement_rounds",
                                                 lambda out, _: history(out[1])))
+    patches.wrap(m.decomposition._MaskGraph, "components", adding("flood_fills", lambda *_: 1))
     init = m.refine.Types.__init__
 
     def types_init(self, *args, **kwargs):

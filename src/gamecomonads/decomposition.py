@@ -2,14 +2,14 @@
 
 Both solvers are exact and desk-scale only, and work on integer vertex masks
 (components by flood fill).  Tree-depth is a memoized recursion over connected
-masks, whose root scan stops once td(C) >= td(C - v), or a root adjacent to
-all of C, proves the best root optimal.  Tree-width is a memoized recursion
-over elimination prefixes S that is asked only whether tw[S] lies below a
-bound: an answer at or above it is kept as a lower bound on tw[S], and the
-scan over the last vertex stops once the best meets the lower bound that each
-component of S gives (its fill-in and its least degree).  Ties go to the first
-vertex in universe order, and the tree-width order is rebuilt by the same rule
-from threshold queries.  Each returns an independently verifiable witness.
+masks whose root scan reads a memoized C - v without a flood fill, and stops
+once td(C) >= td(C - v), or a root adjacent to all of C, proves the best root
+optimal.  Tree-width recurses over elimination prefixes S, each asked only
+whether tw[S] lies below a bound: an answer at or above it is kept as a lower
+bound on tw[S], and the scan over the last vertex stops once the best meets
+the lower bound that each component of S gives (its fill-in and least degree).
+Ties go to the first vertex in universe order and the tree-width order is
+rebuilt by that rule from threshold queries; each has a verifiable witness.
 """
 
 from __future__ import annotations
@@ -240,17 +240,16 @@ def _bits(S: int) -> list[int]:
 def tree_depth(A: Structure) -> tuple[int, ForestCover]:
     """Exact tree-depth of the Gaifman graph, with a minimum-height forest cover.
 
-    A connected vertex mask recurses on vertex deletion (depth = 1 + best
-    deletion, the first root in universe order among the best); a
-    disconnected one is the maximum over its components.  Only connected
-    masks are memoised, with their depth and root.
+    A connected vertex mask C recurses on vertex deletion (depth = 1 + best
+    deletion, the first best root in universe order), a disconnected one on
+    its components (the maximum).  Only connected masks are memoised, with
+    depth and root, so a C - v found in the memo is read there, not split.
 
-    Tree-depth is monotone under subgraphs, so every depth seen for C - v,
-    even a partial maximum over its components, bounds td(C) from below; the
-    scan stops once the best root meets that bound, a proved optimum.  A root
-    adjacent to all of C - v is optimal outright, td(C) = 1 + td(C - v), so it
-    raises the bound to d + 1.  Roots are taken only on strict improvement, so
-    the kept root is still the first optimal one.
+    Tree-depth is monotone under subgraphs, so every depth d seen for C - v,
+    even a partial maximum over its components, bounds td(C) from below, and
+    so does d + 1 if v is adjacent to all of C - v (td(C) = 1 + td(C - v));
+    the scan stops once the best root meets the bound, a proved optimum.  Roots
+    are taken on strict improvement only, so the first optimal root is kept.
     """
     if len(A.universe) > TREE_DEPTH_BOUND:
         raise BoundExceeded(f"tree-depth solver handles at most {TREE_DEPTH_BOUND} elements")
@@ -260,21 +259,22 @@ def tree_depth(A: Structure) -> tuple[int, ForestCover]:
     memo: dict[int, tuple[int, int]] = {}
 
     def solve(C: int) -> int:
-        """Depth of the connected mask C, not yet in memo; records it there
-        with its best root."""
-        best, root, lb = len(A.universe) + 1, 0, 2  # td(C) >= 2 once C has an edge
-        for v in _bits(C):
-            d = 0
-            for comp in G.components(C ^ v):
-                d = max(d, memo[comp][0] if comp in memo else solve(comp))
+        """Depth of the connected mask C, not yet in memo; records it with its root."""
+        best, root, lb, rest = len(A.universe) + 1, 0, 2, C  # td(C) >= 2 once C has an edge
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            d = known[0] if (known := memo.get(C ^ v)) else 0  # a hit is all of C - v
+            for comp in () if known else G.components(C ^ v):
+                e = known[0] if (known := memo.get(comp)) else solve(comp)
+                d = e if e > d else d
                 if d >= best:
                     break
             if d + 1 < best:
                 best, root = d + 1, v
-            # td(C) >= td(C - v) >= d, and td(C) = 1 + td(C - v) when v is
-            # adjacent to all of C - v
-            lb = max(lb, d + 1 if C & ~closed[v] == 0 else d)
-            if best <= lb:
+            # td(C) >= td(C - v) >= d, and td(C) = 1 + td(C - v) if v sees all of C - v
+            lb = d if d > lb else lb
+            if best <= lb or C & ~closed[v] == 0:
                 break
         memo[C] = (best, root)
         return best

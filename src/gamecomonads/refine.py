@@ -54,7 +54,7 @@ class Types:
         self.equal = False
         for n in range(max(tops)):
             for side, S in enumerate(self.sides):
-                pt, occ, ids, nxt = pair_types(S), occurrences(S), self.ids[side], []
+                pt, ids, nxt = pair_types(S), self.ids[side], []
                 for t, node, sib in levels[side]:
                     c, first = col[node], len(col)
                     if pt is not None:  # t's colour, t[:-1]·a's and the facts on (t[-1], a)
@@ -62,7 +62,7 @@ class Types:
                         row, free = pt.get(end, NO_ROW).get, [a for a in sib if a != end]
                         col += [atoms.setdefault((c, sib[a], row(a)), len(atoms) + 1) for a in free]
                     else:  # t's colour and the tuples through a that t·a covers
-                        pos = {x: i for i, x in enumerate(t)}
+                        pos, occ = {x: i for i, x in enumerate(t)}, occurrences(S)
                         free = [a for a in S.universe if a not in pos]
                         for a in free:
                             pos[a] = n

@@ -514,22 +514,29 @@ def test_stdout_digest_script_prints_one_line_per_call():
 def test_bench_script_times_phases_and_counts_work():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run([sys.executable, os.path.join("scripts", "bench.py"), "rank-games",
-                           "pebble-games", "--passes", "1"],
+                           "pebble-games", "width-params", "--passes", "1"],
                           capture_output=True, text=True, timeout=300, cwd=root)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["cpus"] >= 1 and out["python"] and list(out["workloads"]) == ["rank-games",
-                                                                            "pebble-games"]
+    assert out["cpus"] >= 1 and out["python"] and list(out["workloads"]) == [
+        "rank-games", "pebble-games", "width-params"]
     for name, w in out["workloads"].items():
         assert w["failed"] == 0 and w["calls"] > 0
         least = w["least_s"]
-        parts = [least[p] for p in ("load", "solve", "certificate", "re-verify", "json_out",
-                                    "other")]
+        phases = ["load", "solve", "certificate", "re-verify", "json_out", "other"]
+        if name == "width-params":  # builds no game certificate
+            assert least["certificate"] == 0
+            phases.remove("certificate")
+        parts = [least[p] for p in phases]
         assert all(t > 0 for t in parts) and abs(sum(parts) - least["total"]) < 0.01, least
         assert abs(least["parse"] + least["validate"] + least["kripke_view"]
                    - least["load"]) < 0.001, least
         assert abs(sum(w["share"].values()) - 1) < 0.01
         counts = w["counters"]
+        assert (counts["flood_fills"] > 0) == (name == "width-params"), counts
+        if name == "width-params":
+            assert not any(n for c, n in counts.items() if c != "flood_fills"), counts
+            continue
         assert min(counts["certificate_entries"], counts["after_positions"],
                    counts["one_pair_checks"], counts["answers_by_colour_calls"],
                    counts["refinement_rounds"]) > 0, (name, counts)

@@ -130,6 +130,24 @@ def test_root_scan_stop_matches_reference_on_larger_graphs():
             assert forest_cover_to_json(F) == forest_cover_to_json(ref_F)
 
 
+def test_memoised_deletions_match_reference_on_fourteen_vertices():
+    # 14 vertices: most roots find C - v connected and already memoised, so
+    # the depth read from the memo decides the root; sparse draws are
+    # disconnected, so components are split as well
+    rng = random.Random(29)
+    disconnected = 0
+    for p in (0.15, 0.25, 0.35, 0.5, 0.7):
+        u = [f"v{i}" for i in range(14)]
+        rng.shuffle(u)
+        A = graph(u, [(x, y) for i, x in enumerate(u) for y in u[i + 1:] if rng.random() < p])
+        depth, F = tree_depth(A)
+        ref_depth, ref_F = tree_depth_reference(A)
+        assert depth == ref_depth
+        assert forest_cover_to_json(F) == forest_cover_to_json(ref_F)
+        disconnected += list(F.parent.values()).count(None) > 1  # one root per component
+    assert disconnected
+
+
 def test_param_tree_depth_at_the_bound(tmp_path, capsys):
     A = grid(4, 5)
     assert len(A.universe) == 20
