@@ -8,6 +8,7 @@ optimal.  Tree-width recurses over elimination prefixes S, each asked only
 whether tw[S] lies below a bound: an answer at or above it is kept as a lower
 bound on tw[S], and the scan over the last vertex stops once the best meets
 the lower bound that each component of S gives (its fill-in and least degree).
+Any vertex can go last in some optimal order, so tw = tw[V - v0] is one query.
 Ties go to the first vertex in universe order and the tree-width order is
 rebuilt by that rule from threshold queries; each has a verifiable witness.
 """
@@ -227,9 +228,10 @@ class _MaskGraph:
 
     def fill_neighbors(self, v: int, eliminated: int) -> int:
         """Vertices outside `eliminated` and v adjacent to v through eliminated ones."""
-        closed = eliminated | v
-        comp = next(c for c in self.components(closed) if c & v)
-        return self.neighbors(comp) & ~closed
+        comp = frontier = v  # flood fill from v alone
+        while frontier:
+            comp |= (frontier := self.neighbors(frontier) & eliminated & ~comp)
+        return self.neighbors(comp) & ~(eliminated | v)
 
 
 def _bits(S: int) -> list[int]:
@@ -304,9 +306,12 @@ def tree_width(A: Structure) -> tuple[int, TreeDecomposition]:
     far; a failed query memoises that bound as a lower bound on tw[S].  Each
     component C of S also bounds tw[S] from below, by its fill-in (when its last
     vertex goes) and its least degree (when its first goes), and the scan over v
-    stops once the best meets these bounds.  The witness is rebuilt from the
-    order whose last vertex in each prefix S is the first in universe order with
-    fill-in <= tw[S] and tw[S - v] < tw[S] + 1, the tie-break of the full table.
+    stops once the best meets these bounds.  tw = tw[V - v] for every v (but
+    tw[empty] = -1): a chordal completion of optimal width has a perfect
+    elimination order ending at any chosen vertex (Dirac 1961; Rose 1970), so
+    the top level asks V less its first vertex only.  The witness is rebuilt
+    from the order whose last vertex in each prefix S is the first in universe
+    order with fill-in <= tw[S] and tw[S - v] < tw[S] + 1, the full table's rule.
     """
     if len(A.universe) > TREE_WIDTH_BOUND:
         raise BoundExceeded(f"tree-width solver handles at most {TREE_WIDTH_BOUND} elements")
@@ -343,11 +348,11 @@ def tree_width(A: Structure) -> tuple[int, TreeDecomposition]:
         floor[S] = max(ub, lb)
         return floor[S]
 
-    width = below((1 << n) - 1, n)  # tw < n, so this is exact
+    S = (1 << n) - 1
+    width = exact[S] = max(0, below(S ^ 1, n))  # tw[empty] = -1 when n = 1
 
     # reconstruct an optimal elimination order, last eliminated first
     elim: list[int] = []
-    S = (1 << n) - 1
     while S:
         t = exact[S]
         v = next(v for v in _bits(S)

@@ -1350,6 +1350,25 @@ def _set_fill_neighbors(v: str, eliminated: frozenset[str],
     return frozenset(out)
 
 
+def tree_width_prefixes(A: Structure) -> Callable[[frozenset], int]:
+    """The reference's per-prefix table, as a memoised function: tw[prefix],
+    the least max fill-degree over orders eliminating exactly `prefix` (a
+    frozenset of element names) first; tw[empty] = -1."""
+    G = gaifman_graph(A)
+    adj = {v: set(G.neighbors(v)) for v in G.vertices}
+    order = {v: i for i, v in enumerate(A.universe)}
+
+    @lru_cache(maxsize=None)
+    def best_width(prefix: frozenset) -> int:
+        if not prefix:
+            return -1
+        return min(max(best_width(prefix - {v}),
+                       len(_set_fill_neighbors(v, prefix - {v}, adj)))
+                   for v in sorted(prefix, key=order.__getitem__))
+
+    return best_width
+
+
 def tree_width_reference(A: Structure) -> tuple[int, TreeDecomposition]:
     """Exact tree-width via dynamic programming over elimination prefixes.
 
@@ -1363,16 +1382,7 @@ def tree_width_reference(A: Structure) -> tuple[int, TreeDecomposition]:
     adj = {v: set(G.neighbors(v)) for v in G.vertices}
     verts = list(A.universe)
     order = {v: i for i, v in enumerate(verts)}
-
-    @lru_cache(maxsize=None)
-    def best_width(prefix: frozenset) -> int:
-        """Least possible max fill-degree over orders eliminating exactly `prefix` first."""
-        if not prefix:
-            return -1
-        return min(max(best_width(prefix - {v}),
-                       len(_set_fill_neighbors(v, prefix - {v}, adj)))
-                   for v in sorted(prefix, key=order.__getitem__))
-
+    best_width = tree_width_prefixes(A)
     width = best_width(frozenset(verts))
 
     # reconstruct an optimal elimination order, last eliminated first

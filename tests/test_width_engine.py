@@ -7,7 +7,8 @@ import json
 import random
 
 from oracles import (brute_tree_depth, brute_tree_depth_by_forests, brute_tree_width,
-                     tree_depth_reference, tree_width_reference, tree_width_table)
+                     tree_depth_reference, tree_width_prefixes, tree_width_reference,
+                     tree_width_table)
 
 from gamecomonads import zoo
 from gamecomonads.cli import main
@@ -52,6 +53,12 @@ def grid(r: int, c: int):
 def biclique(a: int, b: int):
     left, right = [f"l{i}" for i in range(a)], [f"r{j}" for j in range(b)]
     return graph(left + right, [(x, y) for x in left for y in right])
+
+
+def gnm(n: int, m: int, rng: random.Random):
+    """A uniform graph on v0..v(n-1) with exactly m edges."""
+    u = [f"v{i}" for i in range(n)]
+    return graph(u, rng.sample([(x, y) for i, x in enumerate(u) for y in u[i + 1:]], m))
 
 
 def families():
@@ -201,9 +208,29 @@ def test_tree_depth_of_cliques_stops_at_a_universal_root(tmp_path, capsys):
     assert cover.height == 20
 
 
+def test_every_vertex_goes_last_in_some_optimal_order():
+    """tw[V - v] = tw(G) for every v in the reference's prefix table, the rule
+    that lets `tree_width` ask V less its first vertex only: a chordal
+    completion of optimal width has a perfect elimination order ending at any
+    chosen vertex (Dirac 1961).  With one vertex, tw[empty] = -1 < tw = 0."""
+    rng = random.Random(30)
+    cases = families() + [random_graph(rng) for _ in range(80)]
+    single = edgeless = disconnected = 0
+    for A in cases:
+        tw, V = tree_width_prefixes(A), frozenset(A.universe)
+        width, T = tree_width_reference(A)
+        assert tw(V) == width
+        assert [tw(V - {v}) for v in sorted(V)] == [width if len(V) > 1 else -1] * len(V)
+        single += len(V) == 1
+        edgeless += len(V) > 1 and not gaifman_graph(A).edges
+        disconnected += any(not T.bags[node] for node in T.nodes)  # the virtual root
+    assert single and edgeless and disconnected
+
+
 def test_param_tree_width_at_the_bound(tmp_path, capsys):
     for name, A, value in (("grid36", grid(3, 6), 3), ("k18", zoo.clique(18), 17),
-                           ("path18", zoo.path(18), 1)):
+                           ("path18", zoo.path(18), 1),
+                           ("gnm18", gnm(18, 45, random.Random(18)), 7)):
         assert len(A.universe) == 18
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(structure_to_dict(A)))
