@@ -219,7 +219,6 @@ def test_every_vertex_goes_last_in_some_optimal_order():
     for A in cases:
         tw, V = tree_width_prefixes(A), frozenset(A.universe)
         width, T = tree_width_reference(A)
-        assert tw(V) == width
         assert [tw(V - {v}) for v in sorted(V)] == [width if len(V) > 1 else -1] * len(V)
         single += len(V) == 1
         edgeless += len(V) > 1 and not gaifman_graph(A).edges
