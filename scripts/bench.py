@@ -19,7 +19,9 @@ time less that of the wrapped calls inside it) to one phase:
                  built once per structure)
     solve        equiv.SOLVERS, decomposition.tree_depth / tree_width,
                  coalgebra.modal_parameters / construct_coalgebra
-    certificate  strategy.certificate, wherever a module binds it
+    certificate  strategy.certificate, wherever a module binds it, and
+                 strategy.morphism (the search for a homomorphism or an
+                 isomorphism that certifies a won ef or pebble game first)
     re-verify    cli._check_emitted_certificate, the witness verifiers
                  (decomposition.verify_forest_cover / verify_tree_decomposition,
                  coalgebra.verify_coalgebra)
@@ -45,6 +47,14 @@ with these wrapped too:
                              `_refinement` (read from its answer's closure)
     flood_fills              calls of `decomposition._MaskGraph.components`
                              (each splits a vertex mask into its components)
+    certificate_shapes       certificates built, by shape: "positions" (of
+                             `strategy.certificate`), "homomorphism" and
+                             "isomorphism" (of `strategy.morphism`); shapes
+                             never built are left out
+    morphism_search_steps    values the morphism searches tried (calls of
+                             `structures.Extender.extend` within
+                             `strategy.morphism`); null where the package
+                             has no `strategy.morphism`
 
 Then --passes timed passes (default 5), with only the phase wrappers, `gc`
 collected before each; each phase keeps its least and its median time over
@@ -80,7 +90,7 @@ PHASES = ("parse", "validate", "kripke_view", "solve", "certificate", "re-verify
 LOAD = ("parse", "validate", "kripke_view")
 COUNTERS = ("certificate_entries", "after_positions", "one_pair_checks",
             "answers_by_colour_calls", "pebble_fixpoint_bases", "ef_game_pair_sets",
-            "refinement_rounds", "flood_fills")
+            "refinement_rounds", "flood_fills", "certificate_shapes", "morphism_search_steps")
 
 
 class Patches:
@@ -152,6 +162,7 @@ def time_phases(m, patches: Patches, timer: Timer) -> None:
         patches.wrap(m.coalgebra, name, ph("solve"))
     for module in (m.strategy, m.ef, m.pebble, m.modal):
         patches.wrap(module, "certificate", ph("certificate"))
+    patches.wrap(m.strategy, "morphism", ph("certificate"))
     patches.wrap(m.cli, "_check_emitted_certificate", ph("re-verify"))
     for name in ("verify_forest_cover", "verify_tree_decomposition"):
         patches.wrap(m.decomposition, name, ph("re-verify"))
@@ -172,9 +183,19 @@ def count_work(m, patches: Patches, counts: dict, games: list) -> None:
             return counted
         return make
 
+    def tally(fn):  # certificates by shape
+        def tallied(*args, **kwargs):
+            cert = fn(*args, **kwargs)
+            if cert:
+                shapes = counts["certificate_shapes"]
+                shapes[cert["shape"]] = shapes.get(cert["shape"], 0) + 1
+            return cert
+        return tallied
+
     for module in (m.strategy, m.ef, m.pebble, m.modal):
         patches.wrap(module, "certificate", adding("certificate_entries",
                                                     lambda cert, _: len(cert["positions"])))
+        patches.wrap(module, "certificate", tally)
         patches.wrap(module, "answers_by_colour", adding("answers_by_colour_calls",
                                                           lambda *_: 1))
     rules = list(m.equiv.RULES.values())
@@ -197,6 +218,21 @@ def count_work(m, patches: Patches, counts: dict, games: list) -> None:
     patches.wrap(m.modal, "_refinement", adding("refinement_rounds",
                                                 lambda out, _: history(out[1])))
     patches.wrap(m.decomposition._MaskGraph, "components", adding("flood_fills", lambda *_: 1))
+    if hasattr(m.strategy, "morphism"):
+        counts["morphism_search_steps"], searching = 0, []
+        patches.wrap(m.strategy, "morphism", tally)
+
+        def within(fn):  # mark the search, to count only its own steps
+            def marked(*args, **kwargs):
+                searching.append(1)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    searching.pop()
+            return marked
+        patches.wrap(m.strategy, "morphism", within)
+        patches.wrap(m.structures.Extender, "extend", adding(
+            "morphism_search_steps", lambda *_: len(searching) > 0))
     init = m.refine.Types.__init__
 
     def types_init(self, *args, **kwargs):
@@ -232,7 +268,8 @@ def bench(workloads, name: str, seed: int, passes: int) -> dict:
                 with open(paths[file], "w", encoding="utf-8") as fh:
                     json.dump(S, fh)
             counts = {c: 0 for c in COUNTERS}
-            counts["after_positions"] = None
+            counts["after_positions"] = counts["morphism_search_steps"] = None
+            counts["certificate_shapes"] = {}
             patches, games = Patches(), []  # games: the tier-1 ef answers, bound to their game
             try:
                 count_work(m, patches, counts, games)

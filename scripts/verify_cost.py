@@ -13,6 +13,12 @@ the least of each, and exits 1 if any re-verification fails or the least
 re-verify takes more than 1.5 times the least solve.  Wall time; the least of
 three runs is what a loaded machine disturbs least.
 
+Every case has a homomorphism or an isomorphism, which would certify it in
+place of the positions walk (`strategy.morphism`).  So the ratio is taken
+with the morphism search patched out from here (`strategy.find_homomorphism`
+finds nothing), and the times of the morphism path, as `check` runs it, are
+printed after it: they are checked for faults but not gated.
+
 Next to each ratio it prints the work of one more, untimed, re-verification:
 the states it replayed (the positions the rules' `after` returned: those
 Duplicator answers from next, so an answer in the last round adds none) and
@@ -81,29 +87,47 @@ def work(tag: str, sides) -> dict[str, int]:
     return counts
 
 
+def timed(tag: str, tier: int, A, B, k: int):
+    """The least solve and re-verify times of RUNS runs, with the last
+    run's verdict, its certificate's sides (source, target) and the faults
+    re-verifying them found."""
+    solve = check = float("inf")
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        verdict = decide(tag, tier, A, B, k)
+        t1 = time.perf_counter()
+        cert = verdict["certificate"]
+        sides = ([(cert["forward"], A, B), (cert["backward"], B, A)] if tier == 1
+                 else [(cert, A, B)])
+        faults = [msg for side, src, dst in sides
+                  for ok, msg in [verify_certificate(side, src, dst)] if not ok]
+        t2 = time.perf_counter()
+        solve, check = min(solve, t1 - t0), min(check, t2 - t1)
+        if faults or not verdict["equiv"]:
+            break
+    return solve, check, verdict, sides, faults
+
+
 def main() -> int:
     worst = 0
+    search = strategy.find_homomorphism
     for label, tag, tier, A, B, k in cases():
-        solve = check = float("inf")
-        for _ in range(RUNS):
-            t0 = time.perf_counter()
-            verdict = decide(tag, tier, A, B, k)
-            t1 = time.perf_counter()
-            cert = verdict["certificate"]
-            sides = ([(cert["forward"], A, B), (cert["backward"], B, A)] if tier == 1
-                     else [(cert, A, B)])
-            faults = [msg for side, src, dst in sides
-                      for ok, msg in [verify_certificate(side, src, dst)] if not ok]
-            t2 = time.perf_counter()
-            solve, check = min(solve, t1 - t0), min(check, t2 - t1)
-            if faults or not verdict["equiv"]:
-                break
+        strategy.find_homomorphism = lambda *args, **kwargs: None  # the positions walk
+        try:
+            solve, check, verdict, sides, faults = timed(tag, tier, A, B, k)
+            counts = work(tag, sides)
+        finally:
+            strategy.find_homomorphism = search
+        fast_solve, fast_check, _, fast_sides, fast_faults = timed(tag, tier, A, B, k)
+        faults += fast_faults
         bad = faults or not verdict["equiv"] or check > RATIO * solve
         worst |= bool(bad)
-        counts = work(tag, sides)
+        shapes = "/".join(dict.fromkeys(side["shape"] for side, _, _ in fast_sides))
         print(f"{label}: equiv {verdict['equiv']}, solve {solve:.2f} s, "
               f"re-verify {check:.2f} s ({check / solve:.1f}x, least of {RUNS}; "
-              f"{counts['states']:,} states, {counts['checks']:,} one-pair checks)"
+              f"{counts['states']:,} states, {counts['checks']:,} one-pair checks); "
+              f"by {shapes}: solve {fast_solve * 1000:.1f} ms, "
+              f"re-verify {fast_check * 1000:.2f} ms"
               + (f"  FAULT: {faults[0]}" if faults else "")
               + ("  OVER" if check > RATIO * solve else ""))
     return 1 if worst else 0

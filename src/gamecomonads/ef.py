@@ -72,8 +72,8 @@ EF = Comonad(
 
 class EfCoKleisli:
     """A total map from plays over `source` to elements of `target`: a
-    Duplicator strategy.  It is given as its table, or as the positions
-    certificate of the game (`strategy.certificate` under `EfRules`), from
+    Duplicator strategy.  It is given as its table, or as the certificate of
+    the game (positions or a homomorphism, see `PairRules.solve`), from
     which the table is read off when first asked for (see `_table_of`)."""
 
     def __init__(self, source: Structure, target: Structure, k: int,
@@ -95,16 +95,17 @@ class EfCoKleisli:
 
 
 def _table_of(cert: Mapping, rules: EfRules) -> dict[EfPlay, str]:
-    """The play table of a positions certificate: the response to a play s
-    is the partner of s[-1] if the prefix pebbled it, else the answer to
-    s[-1] recorded at the pair set the prefix reached."""
-    forth = {tuple(map(tuple, e["pairs"])): dict(e["forth"]) for e in cert["positions"]}
+    """The play table of a certificate: the response to a play s is h(s[-1])
+    for a homomorphism h, else the partner of s[-1] if the prefix pebbled
+    it, else the answer to s[-1] recorded at the pair set the prefix reached."""
+    h = cert.get("map")
+    forth = {tuple(map(tuple, e["pairs"])): dict(e["forth"]) for e in cert.get("positions", ())}
     table: dict[EfPlay, str] = {}
     stack: list[tuple[EfPlay, dict[str, str]]] = [((), {})]
     while stack:
         s, fwd = stack.pop()
         for a in rules.A.universe:
-            b = fwd[a] if a in fwd else forth[tuple(sorted(fwd.items()))][a]
+            b = h[a] if h else fwd[a] if a in fwd else forth[tuple(sorted(fwd.items()))][a]
             table[s + (a,)] = b
             if len(s) + 1 < rules.k:
                 stack.append((s + (a,), {**fwd, a: b}))
@@ -188,7 +189,7 @@ def ef_game(A: Structure, B: Structure, k: int, tier: int,
 def ef_game_exists(A: Structure, B: Structure, k: int,
                    build_strategy: bool = True) -> tuple[bool, Optional[EfCoKleisli]]:
     """The existential ef game (`ef_game` at tier 1), with a winning strategy
-    returned as a coKleisli map that holds its positions certificate; its
+    returned as a coKleisli map that holds its certificate; its
     play table is built only when asked for."""
     exists, cert = ef_game(A, B, k, 1, build_strategy)
     return exists, cert and EfCoKleisli(A, B, k, certificate=cert)

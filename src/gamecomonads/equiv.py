@@ -21,7 +21,7 @@ rank-k or k-variable FO (ef, pebble) or ML_k (modal) at tier 2 and their
 counting versions at tier 3, computed by refinement on each structure
 alone (`refine.Types`, `modal._refinement`).  `RULES` holds
 each comonad's game rules, under which `verify_certificate` re-checks a
-certificate.
+certificate of any shape (`strategy`: positions, or a morphism of A into B).
 """
 
 from __future__ import annotations

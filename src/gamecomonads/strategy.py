@@ -1,5 +1,5 @@
 """One certificate shape for the game tiers, filled by one walk and replayed
-by one verifier.
+by one verifier, and two shapes that skip the walk.
 
 A certificate is {"comonad", "game", "k", "shape": "positions", "positions"}
 with one entry per position Duplicator answers from, in breadth-first order
@@ -30,6 +30,11 @@ once.  A solver fills its certificate with its own answers, `answer(pos,
 group, xs, ys)`: Duplicator's pairs to one group of challenges, to xs and
 then at tier 2 to ys (see `PairRules.solve`, which decides the ef and
 pebble games).
+
+A won ef or pebble game has instead {..., "shape": "homomorphism" |
+"isomorphism", "map": {a: b}} if `morphism` finds one: answering each x
+with h(x) (the coKleisli map h . counit) wins at every k, tier 1 for a
+homomorphism h of A into B, tiers 2-3 for an isomorphism (`verify_morphism`).
 """
 
 from __future__ import annotations
@@ -39,10 +44,12 @@ from itertools import chain
 from typing import Callable, Mapping, Optional, Union
 
 from .refine import Types
-from .structures import Structure, pair_check, require_same_signature
+from .structures import Structure, find_homomorphism, pair_check, require_same_signature
 
 GAMES = ("existential", "back-and-forth", "bijection")
 SHAPE = "positions"
+MORPHISMS = ("homomorphism", "isomorphism")  # the shapes at tier 1 and at tiers 2-3
+BUDGET = 10_000  # values `morphism` tries before the positions walk takes over
 ANSWERS = {1: ("forth",), 2: ("forth", "back"), 3: ("bijection",)}
 FIELDS = ("forth", "back", "bijection")
 
@@ -131,6 +138,47 @@ def certificate(rules, tier: int, answer: Callable) -> dict:
             "shape": SHAPE, "positions": entries}
 
 
+def morphism(rules, tier: int) -> Optional[dict]:
+    """The certificate of a won ef or pebble game by a homomorphism of A into
+    B (tier 1) or an isomorphism (an injective one, between structures with
+    as many elements and tuples in each relation), if found within `BUDGET`."""
+    A, B, iso = rules.A, rules.B, tier > 1
+    if iso and len({(len(S.universe), *(len(S.relations[r]) for r in A.relations))
+                    for S in (A, B)}) > 1:
+        return None
+    h = find_homomorphism(A, B, injective=iso, budget=BUDGET)
+    return h and {"comonad": rules.comonad, "game": GAMES[tier - 1], "k": rules.k,
+                  "shape": MORPHISMS[iso], "map": h}
+
+
+def verify_morphism(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
+    """A morphism certificate, checked on the structures alone: a map of A's
+    universe into B's that sends every tuple of A into B, and for an
+    isomorphism is a bijection whose inverse sends B's tuples into A.  A
+    homomorphism wins tier 1 only, and modal games take neither shape."""
+    shape, h = cert["shape"], cert.get("map")
+    if rules.comonad == "modal" or shape == MORPHISMS[0] and tier > 1:
+        return False, f"the {rules.comonad} {GAMES[tier - 1]} game takes no {shape} certificate"
+    A, B, iso = rules.A, rules.B, shape == MORPHISMS[1]
+    if not (type(h) is dict and set(map(type, h.values())) <= {str}):
+        return False, "the certificate's map is not an object of element ids"
+    for what, wrong in (("leaves out the source's", set(A.universe) - h.keys()),
+                        ("maps a non-element of the source,", h.keys() - set(A.universe)),
+                        ("takes a value outside the target,", set(h.values()) - set(B.universe))):
+        if wrong:
+            return False, f"the map {what} {min(map(repr, wrong))}"
+    inverse = {b: a for a, b in h.items()}
+    if iso and (len(inverse) < len(h) or inverse.keys() != set(B.universe)):
+        fault = "injective" if len(inverse) < len(h) else "onto the target"
+        return False, f"the isomorphism is not {fault}"
+    for m, S, T, side in [(h, A, B, "source"), (inverse, B, A, "target")][:1 + iso]:
+        for name, tups in S.relations.items():
+            bad = [t for t in tups if tuple(map(m.__getitem__, t)) not in T.relations[name]]
+            if bad:
+                return False, f"the {shape} breaks {name}{list(min(bad))} of the {side}"
+    return True, None
+
+
 def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
     """Replay a certificate against the rules alone, from the start: every
     position reached must be recorded, each challenge there needs an answer
@@ -142,7 +190,10 @@ def verify(rules, tier: int, cert: Mapping) -> tuple[bool, Optional[str]]:
     are indexed by the key of the position `rules.from_json` reads from their
     fields, if `to_json` gives those fields back; of two entries for one key
     the one with more rounds left counts, on a tie the later, and it must
-    have at least the rounds its key is reached with."""
+    have at least the rounds its key is reached with (morphisms: see
+    `verify_morphism`)."""
+    if cert.get("shape") in MORPHISMS:
+        return verify_morphism(rules, tier, cert)
     if cert.get("shape") != SHAPE:
         return False, f"certificate is not in the {SHAPE!r} shape"
     positions = cert.get("positions")
@@ -253,9 +304,9 @@ class PairRules:
         by rank-k or k-variable (counting) types (`refine.Types`), read at a
         position's key after its rounds left less one (pebble: none left, so
         the last round) and answered by `answers_by_colour`.  Spoiler wins
-        tier 3 outright on a cardinality mismatch.  The certificate answers
-        each move with the first winning response in universe order (at tier
-        3 a bijection of those)."""
+        tier 3 outright on a cardinality mismatch.  The certificate is the
+        map `morphism` finds, else it answers each move with the first
+        winning response in universe order (at tier 3 a bijection of those)."""
         require_same_signature(self.A, self.B)
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -273,7 +324,7 @@ class PairRules:
                 return answers_by_colour(self.tier, xs, ys, *types.colours(sorted(key), left - 1))
         if not won or not build_certificate:
             return won, None
-        return True, certificate(self, self.tier, answer)
+        return True, morphism(self, self.tier) or certificate(self, self.tier, answer)
 
     def fault(self, pos, new=None) -> Optional[str]:
         pairs = self.cover(pos)[0]

@@ -422,8 +422,9 @@ class Extender:
         return out
 
 
-def find_homomorphism(A: Structure, B: Structure,
-                      pre: Optional[Mapping[str, str]] = None) -> Optional[dict[str, str]]:
+def find_homomorphism(A: Structure, B: Structure, pre: Optional[Mapping[str, str]] = None,
+                      injective: bool = False, budget: float = float("inf")
+                      ) -> Optional[dict[str, str]]:
     """Backtracking search with forward checking over the relation constraints.
 
     Variables are taken in universe order, candidate values in universe order,
@@ -431,7 +432,9 @@ def find_homomorphism(A: Structure, B: Structure,
     assignments (used for pointed homomorphism search).  Domains are masks
     over B's universe, narrowed as an `Extender` narrows options: assigning
     a variable passes on the domains ANDed with its row, and a value whose
-    domains have a 0 is not tried further.
+    domains have a 0 is not tried further.  If `injective`, a value taken by
+    an earlier variable is not tried; after `budget` values tried (one
+    `Extender.extend` each) the search gives up, and None then means that.
     """
     require_same_signature(A, B)
     bit = {b: 1 << i for i, b in enumerate(B.universe)}
@@ -439,22 +442,25 @@ def find_homomorphism(A: Structure, B: Structure,
     domains = [d & bit.get(pre[a], 0) if pre and a in pre else d
                for a, d in zip(A.universe, ext.start)]
     assignment: dict[str, str] = {}
+    left = budget
 
-    def search(i: int, domains: list[int]) -> bool:
+    def search(i: int, domains: list[int], used: int) -> bool:
+        nonlocal left
         if i == len(A.universe):
             return True
-        var, values = A.universe[i], domains[i]
-        while values:
+        var, values = A.universe[i], domains[i] & ~used
+        while values and left > 0:
+            left -= 1
             low = values & -values
             values ^= low
             b = B.universe[low.bit_length() - 1]
             mine = ext.extend(domains, var, b, assignment)
             assignment[var] = b
-            if all(mine) and search(i + 1, mine):
+            if all(mine) and search(i + 1, mine, used | low if injective else 0):
                 return True
         assignment.pop(var, None)
         return False
 
-    if all(domains) and search(0, domains):
+    if all(domains) and search(0, domains, 0):
         return dict(assignment)
     return None

@@ -86,6 +86,17 @@ def brute_homomorphism_exists(A: Structure, B: Structure) -> bool:
     return False
 
 
+def brute_isomorphism_exists(A: Structure, B: Structure) -> bool:
+    """Try all bijections of A's universe onto B's, each with its inverse."""
+    if len(A.universe) != len(B.universe):
+        return False
+    for values in permutations(B.universe):
+        h = dict(zip(A.universe, values))
+        if is_homomorphism(h, A, B) and is_homomorphism(dict(zip(values, A.universe)), B, A):
+            return True
+    return False
+
+
 def all_digraphs(max_size: int) -> list[Structure]:
     """Every structure with one binary relation on universes of size 1..max_size."""
     out = []

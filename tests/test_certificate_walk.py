@@ -43,6 +43,7 @@ def _pairs():
 PAIRS = _pairs()
 
 
+@pytest.mark.usefixtures("no_morphism")
 @pytest.mark.parametrize("tier", [1, 2, 3])
 @pytest.mark.parametrize("comonad", ["ef", "pebble", "modal"])
 def test_walk_matches_the_stepping_reference(comonad, tier, monkeypatch):

@@ -57,6 +57,7 @@ def test_check_all_games_and_tiers_run(tmp_path, capsys, lin2):
         assert main(["check", "--game", "modal", "--tier", tier, "-k", "2", P, P]) == 0
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_check_ef_tier1_past_the_old_table_cap(tmp_path, capsys):
     # a play table would hold 960,799 entries here; the positions certificate
     # is re-verified and printed
@@ -86,6 +87,7 @@ def test_tier1_skips_the_backward_game_once_the_forward_one_is_lost(monkeypatch,
     assert calls == [(A, B)]
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_check_writes_certificate(tmp_path, capsys, lin2):
     cert_path = tmp_path / "cert.json"
     assert main(["check", "--game", "ef", "--tier", "1", "-k", "2",
@@ -542,3 +544,6 @@ def test_bench_script_times_phases_and_counts_work():
                    counts["refinement_rounds"]) > 0, (name, counts)
         assert (counts["pebble_fixpoint_bases"] > 0) == (name == "pebble-games"), counts
         assert (counts["ef_game_pair_sets"] > 0) == (name == "rank-games"), counts
+        assert counts["certificate_shapes"].keys() == {"positions", "homomorphism",
+                                                       "isomorphism"}, counts
+        assert counts["morphism_search_steps"] > 0, counts

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from strategies import structure_pairs, structures
 
-from gamecomonads import zoo
+from gamecomonads import strategy, zoo
 from gamecomonads.comonad import play_id, play_structure
 from gamecomonads.ef import (EF, EfCoKleisli, EfRules, coextend_play, ef_coextension,
                              ef_counit, ef_game_exists, ef_plays,
@@ -102,6 +102,7 @@ def test_coextension_preserves_covering():
                 assert longer[:-1] == coextend_play(table.__getitem__, s)
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_game_identity():
     A = zoo.lin(3)
     verdict, cert = ef_game_exists(A, A, 2)
@@ -112,6 +113,7 @@ def test_game_identity():
     assert cert.certificate["game"] == "existential"
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_rounds_left_capped_at_the_unpebbled_elements():
     # two elements leave at most two rounds that can add a pair; the play
     # table still answers every play up to rank 5, from that one certificate
@@ -169,14 +171,19 @@ def test_game_monotone_in_k(pair):
         assert ef_game_exists(A, B, 1, build_strategy=False)[0]
 
 
-def test_strategy_table_is_cokleisli_hom():
+def test_strategy_table_is_cokleisli_hom(monkeypatch):
+    """The play table read off either certificate shape: the homomorphism
+    lin(2) -> lin(4), and the positions walk once the search is patched out."""
     A, B = zoo.lin(2), zoo.lin(4)
-    verdict, cert = ef_game_exists(A, B, 2)
-    assert verdict
-    mapped = {play_id(s): cert.table[s] for s in ef_plays(A, 2)}
-    assert is_homomorphism(mapped, materialize(A, 2), B)
+    for shape in ("homomorphism", "positions"):
+        verdict, cert = ef_game_exists(A, B, 2)
+        assert verdict and cert.certificate["shape"] == shape
+        mapped = {play_id(s): cert.table[s] for s in ef_plays(A, 2)}
+        assert is_homomorphism(mapped, materialize(A, 2), B)
+        monkeypatch.setattr(strategy, "find_homomorphism", lambda *args, **kwargs: None)
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_strategy_verifier_rejects_tampering():
     # answering e1 with e0 after e0 -> e0 breaks the order upstream
     A = zoo.lin(2)
@@ -187,6 +194,7 @@ def test_strategy_verifier_rejects_tampering():
     assert not ok and "partial homomorphism" in msg
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_strategy_verifier_rejects_a_dropped_position():
     A = zoo.lin(3)
     verdict, cert = ef_game_exists(A, A, 2)

@@ -82,6 +82,7 @@ def _pairs(family: str):
     return [(zoo.lin(m), zoo.lin(n)) for m in range(1, 7) for n in range(1, 7)]
 
 
+@pytest.mark.usefixtures("no_morphism")
 @pytest.mark.parametrize("family", ["digraphs", "random", "lin"])
 def test_engine_matches_recursions(family):
     for A, B in _pairs(family):
@@ -92,6 +93,7 @@ def test_engine_matches_recursions(family):
             assert ef_game(A, B, k, 3) == ef_bijection_recursion(A, B, k), (A, B, k)
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_rounds_past_the_unpebbled_elements_match_recursions():
     """The engine stops recursing where no unpebbled element is left; the
     uncapped recursions must agree at more rounds than elements."""
@@ -106,6 +108,7 @@ def test_rounds_past_the_unpebbled_elements_match_recursions():
             assert ef_game(A, B, k, 3) == ef_bijection_recursion(A, B, k), (A, B, k)
 
 
+@pytest.mark.usefixtures("no_morphism")
 @pytest.mark.parametrize("family", ["digraphs", "random", "lin", "zoo"])
 def test_types_match_pair_set_engine(family):
     """Tiers 2 and 3 by rank-k types give the verdicts and certificates of the
@@ -124,6 +127,7 @@ def test_search_size_is_pinned():
     assert len(game.memo) == 8801
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_certificate_has_one_entry_per_pair_set():
     """The certificate of the same game answers once per pair set, with the
     most rounds left it is reached with: as many entries as the memo holds."""

@@ -1,12 +1,14 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from oracles import (all_digraphs, answers, bisim_approx, brute_bijection_game,
-                     brute_bijection_round, build_theta, lin_closed_form, lin_game_textbook,
-                     relabelled, theta_fixpoint_oracle, wl_distinguishes)
+                     brute_bijection_round, brute_homomorphism_exists, brute_isomorphism_exists,
+                     build_theta, lin_closed_form, lin_game_textbook, relabelled,
+                     theta_fixpoint_oracle, wl_distinguishes)
 from strategies import pointed_kripke_pairs, structure_pairs
 
 from gamecomonads import modal, strategy, zoo
@@ -14,7 +16,8 @@ from gamecomonads.ef import ef_game
 from gamecomonads.equiv import decide, verify_certificate
 from gamecomonads.modal import modal_game
 from gamecomonads.pebble import pebble_game
-from gamecomonads.structures import BoundExceeded, PointedStructure, validate_structure
+from gamecomonads.structures import (BoundExceeded, Extender, PointedStructure,
+                                     validate_structure)
 
 
 def test_mutual_existential_identity_all_tags():
@@ -31,6 +34,7 @@ def test_mutual_existential_lin23():
     assert decide("ef", 1, zoo.lin(2), zoo.lin(3), 1)["equiv"]
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_tier_one_certificates_hand_over_the_search_answers(monkeypatch):
     """ef and pebble tier 1 fill their certificates with the answers their
     searches found: no call of `strategy.answers` re-derives them.  Modal
@@ -85,6 +89,7 @@ def test_mutual_existential_certificates_round_trip():
         assert verdict and cert["forward"] and cert["backward"]
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_back_and_forth_identity():
     A = zoo.lin(3)
     verdict, cert = ef_game(A, A, 2, 2)
@@ -111,6 +116,7 @@ def test_back_and_forth_modal_delegates_to_bisim():
         assert decide("modal", 2, P, Q, k)["equiv"] == bisim_approx(P, Q, k)
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_bijection_game_identity():
     A = zoo.lin(3)
     verdict, cert = ef_game(A, A, 2, 3)
@@ -393,6 +399,7 @@ def _answer(entry, name: str, x: str) -> str:
     return dict(entry[name])[x]
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_back_and_forth_certificate_rejects_tampering():
     A = zoo.lin(2)
     verdict, cert = ef_game(A, A, 2, 2)
@@ -403,6 +410,7 @@ def test_back_and_forth_certificate_rejects_tampering():
     assert not ok
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_pebble_bijection_certificate_rejects_tampering():
     A = zoo.lin(2)
     verdict, cert = pebble_game(A, A, 2, 3)
@@ -461,6 +469,7 @@ def _tampered(cert, position: dict, name: str, edit):
     return {**cert, "positions": entries}
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_missing_left_answer():
     A = zoo.lin(2)
     cert = ef_game(A, A, 2, 2)[1]
@@ -469,6 +478,7 @@ def test_verifier_rejects_missing_left_answer():
     assert not ok and msg.startswith("no forth answer to 'e0'"), msg
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_missing_right_answer_at_tier_2():
     A = zoo.lin(2)
     cert = ef_game(A, A, 2, 2)[1]
@@ -477,6 +487,7 @@ def test_verifier_rejects_missing_right_answer_at_tier_2():
     assert not ok and msg.startswith("no back answer to 'e1'"), msg
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_losing_response():
     # answers are recorded on unpebbled elements only, so the order needs a
     # third element for a losing one: e2 -> e0 next to e1 -> e1
@@ -509,6 +520,7 @@ def _e4_to_e2(ans):
     (2, "forth", _e4_to_e2, "('e4', 'e2')"),
     (3, "bijection", _swap_e0_e2, "('e0', 'e2')"),
 ])
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_losing_ef_answer_two_pairs_deep(tier, name, edit, pair):
     A = zoo.lin(5)
     cert = decide("ef", tier, A, A, 3)["certificate"]
@@ -520,6 +532,7 @@ def test_verifier_rejects_losing_ef_answer_two_pairs_deep(tier, name, edit, pair
     assert "is not a partial isomorphism" in msg, msg
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_losing_ef_tier1_answer_two_pairs_deep():
     # the line e1 -> e1, e3 -> e3, then e4 -> e2 breaks the order
     A = zoo.lin(5)
@@ -539,6 +552,7 @@ def test_verifier_rejects_losing_ef_tier1_answer_two_pairs_deep():
     (2, "forth", _e4_to_e2, "('e4', 'e2')", "isomorphism"),
     (3, "bijection", _swap_e0_e2, "('e0', 'e2')", "isomorphism"),
 ])
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_losing_pebble_answer_two_pairs_deep(tier, name, edit, pair, kind):
     A = zoo.lin(5)
     cert = decide("pebble", tier, A, A, 3)["certificate"]
@@ -582,6 +596,7 @@ def _back_to(y: str, x: str):
     ("modal", zoo.kripke(["a", "b", "c"], "a", {"t": [("a", "b"), ("a", "c")]}, {"p": ["c"]}),
      {"worlds": ["a", "a"], "depth_left": 1}, _back_to("c", "b"), "('b', 'c')"),
 ])
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_checks_a_back_answer_that_no_forth_answer_repeats(comonad, A, at, edit, pair):
     # the replay checks a pair answered both forth and back once, so a back
     # answer that is a different pair from the forth answers must still lose
@@ -594,6 +609,7 @@ def test_verifier_checks_a_back_answer_that_no_forth_answer_repeats(comonad, A, 
     assert not ok and f"the answer {pair} at " in msg and " loses: " in msg, msg
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_non_bijection_at_tier_3():
     A = zoo.lin(2)
     cert = ef_game(A, A, 2, 3)[1]
@@ -611,6 +627,7 @@ def test_verifier_rejects_modal_response_off_the_label():
     assert not ok and "response 'c' to 'b'" in msg and "not a t-successor of 'a'" in msg, msg
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_pebble_base_without_answers():
     A = zoo.lin(2)
     cert = pebble_game(A, A, 2, 2)[1]
@@ -650,6 +667,7 @@ def _each_entry(**fields):
     (_each_entry(back=[[["e0"], "e0"]]), "back answers at"),
 ], ids=["no-k", "k-str", "k-float", "k-bool", "no-positions", "entry-int", "cert-list",
         "comonad-list", "answers-int", "answer-int", "answer-short", "answer-nested"])
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_rejects_malformed_certificates(edit, reason):
     A = zoo.lin(2)
     cert = ef_game(A, A, 2, 2)[1]
@@ -709,6 +727,7 @@ def _with_partners(cert):
     return {**cert, "positions": entries}
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_certificates_answer_unpebbled_elements_only():
     rng = random.Random(20181019)
     won = 0
@@ -763,6 +782,7 @@ def _edited(cert, change):
     (lambda e: e.update(rounds_left=1.0) if e["pairs"] == TWO else None,
      '{"pairs": [["e0", "e0"], ["e1", "e1"]], "rounds_left": 1}'),
 ])
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_reads_only_canonical_ef_entries(change, at):
     A = zoo.lin(3)
     cert = ef_game(A, A, 3, 2)[1]
@@ -775,6 +795,7 @@ def test_verifier_reads_only_canonical_ef_entries(change, at):
     (lambda e: e.update(base=e["base"] * 2) if e["base"] == TWO[:1] else None,
      '{"base": [["e0", "e0"]]}'),
 ])
+@pytest.mark.usefixtures("no_morphism")
 def test_verifier_reads_only_canonical_pebble_entries(change, at):
     A = zoo.lin(3)
     cert = pebble_game(A, A, 3, 2)[1]
@@ -819,6 +840,7 @@ def _bound_game(comonad: str, tier: int, k: int):
     return P, P, modal_game(P, P, k, tier)[1]
 
 
+@pytest.mark.usefixtures("no_morphism")
 @pytest.mark.parametrize("comonad, tier", BOUND_GAMES)
 def test_verifier_rejects_an_entry_one_round_short(comonad, tier):
     A, B, cert = _bound_game(comonad, tier, 3)
@@ -832,6 +854,7 @@ def test_verifier_rejects_an_entry_one_round_short(comonad, tier):
         assert verify_certificate(bad, A, B) == (False, NOT_CLOSED + at)
 
 
+@pytest.mark.usefixtures("no_morphism")
 @pytest.mark.parametrize("comonad, tier", BOUND_GAMES)
 def test_verifier_rejects_rounds_raised_past_their_answers(comonad, tier):
     A, B, cert = _bound_game(comonad, tier, 3)
@@ -846,6 +869,7 @@ def test_verifier_rejects_rounds_raised_past_their_answers(comonad, tier):
         assert not ok and ("loses" in msg or "no answers recorded" in msg), msg
 
 
+@pytest.mark.usefixtures("no_morphism")
 @pytest.mark.parametrize("comonad, tier", BOUND_GAMES)
 def test_verifier_accepts_an_entry_per_rounds_left(comonad, tier):
     """The layout that repeats each entry at every lower rounds left."""
@@ -854,3 +878,186 @@ def test_verifier_accepts_an_entry_per_rounds_left(comonad, tier):
     old = [{**e, left: r} for e in cert["positions"] for r in range(e[left], 0, -1)]
     assert len(old) > len(cert["positions"])
     assert verify_certificate({**cert, "positions": old}, A, B) == (True, None)
+
+
+# A won ef or pebble game is certified by a morphism of A into B when the
+# search finds one: a homomorphism at tier 1, an isomorphism at tiers 2-3.
+# Its verifier reads the structures alone.
+
+def _morphism(comonad, tier, A, B, k=2):
+    verdict = decide(comonad, tier, A, B, k)
+    cert = verdict["certificate"]["forward"] if tier == 1 else verdict["certificate"]
+    assert verdict["equiv"] and cert["shape"] == ("homomorphism" if tier == 1 else "isomorphism")
+    return cert
+
+
+def _remap(**pairs):
+    return lambda cert: {**cert, "map": {**cert["map"], **pairs}}
+
+
+def test_morphism_certificates_carry_the_first_map_and_verify():
+    cert = _morphism("ef", 1, zoo.lin(3), zoo.lin(4))
+    assert cert == {"comonad": "ef", "game": "existential", "k": 2, "shape": "homomorphism",
+                    "map": {"e0": "e0", "e1": "e1", "e2": "e2"}}
+    C = relabelled(random.Random(3), zoo.cycle(5))
+    for comonad in ("ef", "pebble"):
+        for tier in (2, 3):
+            cert = _morphism(comonad, tier, zoo.cycle(5), C)
+            assert cert["game"] == strategy.GAMES[tier - 1] and cert["comonad"] == comonad
+            assert verify_certificate(cert, zoo.cycle(5), C) == (True, None)
+            assert verify_certificate(cert, C, zoo.cycle(5))[0] is False
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_remap(e2="e0"), "the homomorphism breaks R['e0', 'e2'] of the source"),
+    (lambda cert: {**cert, "map": {"e0": "e0", "e1": "e1"}}, "leaves out the source's 'e2'"),
+    (_remap(z="e0"), "maps a non-element of the source, 'z'"),
+    (_remap(e1="z"), "takes a value outside the target, 'z'"),
+    (_remap(e1=["e1"]), "map is not an object of element ids"),
+    (lambda cert: {**cert, "map": [["e0", "e0"]]}, "map is not an object of element ids"),
+    (lambda cert: {**cert, "game": "back-and-forth"},
+     "the ef back-and-forth game takes no homomorphism certificate"),
+    (lambda cert: {**cert, "game": "bijection"},
+     "the ef bijection game takes no homomorphism certificate"),
+    (lambda cert: {**cert, "k": "2"}, "k is not an int"),
+    (lambda cert: {**cert, "k": True}, "k is not an int"),
+    (lambda cert: {**cert, "k": 0}, "k is 0, below 1"),
+    (lambda cert: {k: v for k, v in cert.items() if k != "map"}, "not an object of element ids"),
+], ids=["broken-tuple", "missing", "extra-key", "outside", "value-list", "map-list",
+        "hom-tier-2", "hom-tier-3", "k-str", "k-bool", "k-zero", "no-map"])
+def test_verifier_rejects_tampered_homomorphisms(edit, reason):
+    A, B = zoo.lin(3), zoo.lin(4)
+    cert = _morphism("ef", 1, A, B)
+    assert verify_certificate(cert, A, B) == (True, None)
+    ok, msg = verify_certificate(edit(cert), A, B)
+    assert not ok and reason in msg, msg
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_remap(v1="v0"), "the isomorphism is not injective"),
+    (lambda cert: {**cert, "shape": "homomorphism"},
+     "the pebble back-and-forth game takes no homomorphism certificate"),
+    (_remap(z="v0"), "maps a non-element of the source, 'z'"),
+    (lambda cert: {**cert, "map": {**cert["map"], "v0": "v1", "v1": "v0"}},
+     "the isomorphism breaks R['v0', 'v3'] of the source"),
+], ids=["non-injective", "hom-stamp", "extra-key", "broken-tuple"])
+def test_verifier_rejects_tampered_isomorphisms(edit, reason):
+    C = zoo.cycle(4)
+    cert = _morphism("pebble", 2, C, C)
+    ok, msg = verify_certificate(edit(cert), C, C)
+    assert not ok and reason in msg, msg
+
+
+def test_an_isomorphism_certifies_every_tier():
+    """An isomorphism is a homomorphism both ways, so it is accepted at
+    tier 1 too; a homomorphism is not accepted at tiers 2-3."""
+    C = relabelled(random.Random(4), zoo.cycle(4))
+    cert = _morphism("pebble", 2, zoo.cycle(4), C)
+    for game in strategy.GAMES:
+        assert verify_certificate({**cert, "game": game}, zoo.cycle(4), C) == (True, None)
+
+
+def test_verifier_rejects_an_isomorphism_that_misses_a_tuple_or_an_element():
+    """An injective homomorphism is not an isomorphism when the target has
+    more tuples (its inverse breaks one) or more elements (it is not onto)."""
+    edgeless = validate_structure({"R": 2}, ["a", "b"], {})
+    edge = validate_structure({"R": 2}, ["a", "b"], {"R": [["a", "b"]]})
+    cert = {"comonad": "ef", "game": "back-and-forth", "k": 1, "shape": "isomorphism",
+            "map": {"a": "a", "b": "b"}}
+    assert verify_certificate(cert, edgeless, edge) == (
+        False, "the isomorphism breaks R['a', 'b'] of the target")
+    assert verify_certificate(cert, edge, edge) == (True, None)
+    three = validate_structure({"R": 2}, ["a", "b", "c"], {"R": [["a", "b"]]})
+    assert verify_certificate(cert, edge, three) == (
+        False, "the isomorphism is not onto the target")
+    verdict = decide("ef", 2, edgeless, edge, 1)  # one round sees no pair: won, with no iso
+    assert verdict["equiv"] and verdict["certificate"]["shape"] == "positions"
+
+
+def test_modal_takes_no_morphism_certificate():
+    P = zoo.kripke_two_cycle()
+    for shape, game in (("homomorphism", "existential"), ("isomorphism", "bijection")):
+        cert = {"comonad": "modal", "game": game, "k": 2, "shape": shape,
+                "map": {a: a for a in P.base.universe}}
+        assert verify_certificate(cert, P, P) == (
+            False, f"the modal {game} game takes no {shape} certificate")
+
+
+def _doubled(rng: random.Random, A):
+    """A next to a relabelled copy of itself."""
+    C = relabelled(rng, A)
+    return validate_structure(dict(A.sig.relations), A.universe + C.universe,
+                              {r: list(A.relations[r] | C.relations[r]) for r in A.relations})
+
+
+def _moved(rng: random.Random, A):
+    """A relabelled copy of A with one E edge between distinct elements moved
+    onto another such pair, if there is one: often game-equivalent to A at
+    small k, and seldom isomorphic to it."""
+    C = relabelled(rng, A)
+    edges = sorted(t for t in C.relations["E"] if t[0] != t[1])
+    free = sorted((x, y) for x in C.universe for y in C.universe
+                  if x != y and (x, y) not in C.relations["E"])
+    if not (edges and free):
+        return C
+    E = C.relations["E"] - {rng.choice(edges)} | {rng.choice(free)}
+    return validate_structure(dict(A.sig.relations), C.universe, {"E": E, "P": C.relations["P"]})
+
+
+def test_morphism_certificates_match_brute_force():
+    """On small seeded pairs, ef and pebble at tiers 1-3 and k = 1-3: a won
+    game carries a morphism exactly when brute force finds a homomorphism
+    (tier 1) or an isomorphism (tiers 2-3); every certificate verifies; and
+    verdicts are those without a certificate."""
+    rng = random.Random(20240531)
+    shapes: Counter = Counter()
+    for i in range(80):
+        A = _random_structure(rng, "x")
+        B = (relabelled(rng, A), _doubled(rng, A), _moved(rng, A),
+             _random_structure(rng, rng.choice("xy")))[i % 4]
+        hom, iso = brute_homomorphism_exists(A, B), brute_isomorphism_exists(A, B)
+        for solve in (ef_game, pebble_game):
+            for tier in (1, 2, 3):
+                k = rng.randint(1, 3)
+                won, cert = solve(A, B, k, tier)
+                assert won == solve(A, B, k, tier, build_certificate=False)[0]
+                found = hom if tier == 1 else iso
+                assert won or not found, (A, B, k, tier)
+                if not won:
+                    continue
+                shapes[min(tier, 2), cert["shape"]] += 1
+                assert (cert["shape"] != "positions") == found, (A, B, k, tier)
+                assert verify_certificate(cert, A, B) == (True, None), (A, B, k, tier)
+    assert shapes.keys() == {(1, "homomorphism"), (1, "positions"), (2, "isomorphism"),
+                             (2, "positions")} and shapes[2, "positions"] > 10, shapes
+
+
+def test_an_exhausted_search_falls_back_to_the_positions_walk(monkeypatch):
+    """clique(10) has no homomorphism into clique(9), but ef tier 1 at k=3
+    is won: the search stops after `strategy.BUDGET` values tried, and the
+    forward certificate is the positions walk, which verifies."""
+    A, B = zoo.clique(10), zoo.clique(9)
+    tried, extend = [], Extender.extend
+
+    def counted(self, *args):
+        tried.append(args)
+        return extend(self, *args)
+    search = strategy.find_homomorphism
+
+    def budgeted(*args, **kwargs):
+        del tried[:]
+        monkeypatch.setattr(Extender, "extend", counted)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(Extender, "extend", extend)
+            searches.append(len(tried))
+    searches = []
+    monkeypatch.setattr(strategy, "find_homomorphism", budgeted)
+    verdict = decide("ef", 1, A, B, 3)
+    cert = verdict["certificate"]
+    assert verdict["equiv"] and cert["forward"]["shape"] == "positions"
+    assert cert["backward"]["shape"] == "homomorphism"
+    assert searches[0] == strategy.BUDGET and searches[1] < len(A.universe)
+    assert verify_certificate(cert["forward"], A, B) == (True, None)
+    assert verify_certificate(cert["backward"], B, A) == (True, None)

@@ -88,6 +88,7 @@ def test_rows_give_the_per_call_results(monkeypatch):
     assert 30 < sum(r[3] is not None for r in with_rows) < 190
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_a_ternary_signature_takes_the_per_call_path(monkeypatch):
     """With a ternary relation no row is built, and the solvers still give
     the verdicts and certificates of the references."""

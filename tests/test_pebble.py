@@ -150,6 +150,7 @@ def test_pebble_win_implies_rank_win(pair):
             assert ef_game_exists(A, B, k, build_strategy=False)[0]
 
 
+@pytest.mark.usefixtures("no_morphism")
 @settings(max_examples=25)
 @given(structure_pairs(max_size=3))
 def test_certificate_bases_repeat_no_pair(pair):
@@ -174,6 +175,7 @@ def test_rank_win_does_not_imply_pebble_win():
     assert not pebble_game(zoo.lin(4), zoo.lin(3), 2, 1, build_certificate=False)[0]
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_strategy_verifier_rejects_tampering():
     A = zoo.lin(2)
     verdict, cert = pebble_game(A, A, 2, 1)
@@ -186,6 +188,7 @@ def test_strategy_verifier_rejects_tampering():
     assert "not closed" in msg or "winning condition" in msg
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_strategy_verifier_detects_missing_entry():
     A = zoo.lin(2)
     verdict, cert = pebble_game(A, A, 1, 1)

@@ -125,6 +125,7 @@ def _matches_resweep(A, B, k, tier) -> bool:
     return () in slow
 
 
+@pytest.mark.usefixtures("no_morphism")
 @pytest.mark.parametrize("family", ["digraphs", "random", "copies", "zoo"])
 def test_engine_matches_resweep(family):
     for A, B in _pairs(family):
@@ -133,6 +134,7 @@ def test_engine_matches_resweep(family):
                 _matches_resweep(A, B, k, tier)
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_tier_one_matches_resweep_at_four_pebbles():
     """Tier 1 at k=4 (positions of up to four bits) on the zoo pairs with at
     most 16 pairs, against the re-sweep oracle: winning sets, verdicts and
@@ -175,6 +177,7 @@ def test_short_position_survives_only_if_good_as_its_own_base():
     assert killed_by_itself > 0
 
 
+@pytest.mark.usefixtures("no_morphism")
 @pytest.mark.parametrize("family", ["digraphs", "random", "copies", "zoo"])
 def test_types_match_fixpoint_engine(family):
     """Tiers 2 and 3 by k-variable types give the verdicts and certificates of
@@ -217,6 +220,7 @@ def _small_pair(rng: random.Random):
     return A, random_small(rng, rng.choice("xy"), rng.uniform(d, 1))
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_tier_one_matches_counter_reference():
     """The fixpoint over bases keeps the live positions of the counter scheme
     over every position (`oracles.pebble_counter_fixpoint`), and gives its

@@ -9,7 +9,7 @@ from strategies import structure_pairs, structures
 
 from gamecomonads import zoo
 from gamecomonads.equiv import decide, verify_certificate
-from gamecomonads.structures import (SignatureMismatch, StructureError, _preserved,
+from gamecomonads.structures import (Extender, SignatureMismatch, StructureError, _preserved,
                                      extensions, find_homomorphism, gaifman_graph,
                                      is_homomorphism, is_partial_homomorphism,
                                      is_partial_isomorphism, occurrences, pair_types,
@@ -235,11 +235,12 @@ def test_extensions_read_every_slot_of_x():
     assert decode(extensions(A, B, {}, "y", through="x"), B) == ("p", "q", "r")
 
 
-def first_homomorphism(A, B, pre=None):
-    """The first homomorphism in universe order, by scanning every map."""
+def first_homomorphism(A, B, pre=None, injective=False):
+    """The first (injective) homomorphism in universe order, by scanning every map."""
     for values in product(B.universe, repeat=len(A.universe)):
         h = dict(zip(A.universe, values))
-        if all(h[a] == b for a, b in (pre or {}).items()) and is_homomorphism(h, A, B):
+        if (all(h[a] == b for a, b in (pre or {}).items()) and is_homomorphism(h, A, B)
+                and (not injective or len(set(values)) == len(values))):
             return h
     return None
 
@@ -258,6 +259,44 @@ def test_find_homomorphism_returns_the_first_in_universe_order():
         assert find_homomorphism(A, B, pre) == first_homomorphism(A, B, pre), (A, B, pre)
         found += find_homomorphism(A, B) is not None
     assert found > 10
+
+
+def test_an_injective_search_returns_the_first_injective_homomorphism():
+    rng = random.Random(20181005)
+    found = differs = 0
+    for _ in range(150):
+        A = kernel_structure(rng, "x")
+        B = kernel_structure(rng, rng.choice("xy"))
+        if len(B.universe) ** len(A.universe) > 3000:
+            continue
+        h = find_homomorphism(A, B, injective=True)
+        assert h == first_homomorphism(A, B, injective=True), (A, B)
+        found += h is not None
+        differs += h != find_homomorphism(A, B)
+    assert found > 5 and differs > 5, (found, differs)
+
+
+def test_a_search_gives_up_after_its_budget(monkeypatch):
+    """The budget counts the values tried, one `Extender.extend` each: past
+    it the search answers None even where a homomorphism exists."""
+    tried, extend = [], Extender.extend
+
+    def counted(self, *args):
+        tried.append(args[1:3])
+        return extend(self, *args)
+    monkeypatch.setattr(Extender, "extend", counted)
+    for budget in (0, 1, 7, 40):
+        del tried[:]
+        assert find_homomorphism(zoo.clique(5), zoo.clique(4), budget=budget) is None
+        assert len(tried) == budget
+    del tried[:]
+    assert find_homomorphism(zoo.clique(5), zoo.clique(4)) is None
+    unbounded = len(tried)
+    assert 40 < unbounded
+    assert find_homomorphism(zoo.clique(5), zoo.clique(4), budget=unbounded) is None
+    assert find_homomorphism(zoo.clique(3), zoo.clique(4), budget=2) is None
+    assert find_homomorphism(zoo.clique(3), zoo.clique(4), budget=3) == {
+        "v0": "v0", "v1": "v1", "v2": "v2"}
 
 
 def test_find_homomorphism_pre_outside_the_target_is_none():
@@ -352,6 +391,7 @@ def test_one_pair_check_matches_full_check(check):
     assert all(seen.values()), seen
 
 
+@pytest.mark.usefixtures("no_morphism")
 def test_one_pair_check_falls_back_to_the_tuples_with_a_ternary_relation(monkeypatch):
     """A signature with a ternary relation has no pair types: the one-pair
     check reads the tuples through the new pair (`_preserved` with a
